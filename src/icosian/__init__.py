@@ -10,8 +10,7 @@ out of the 600-cell; and its dual with 96 kite-and-triangle cells.
 
 from .coxeter import (IDENTITY, OrbitPartition, Transform, TransformGroup,
                       a4xc2, build_group, orbit, orbit_decompose, reflection,
-                      s3_of, s4_of, stabilizer, transform_closure, wd4c3,
-                      wh3xc2, wh4)
+                      s3_of, s4_of, stabilizer, wd4c3, wh3xc2, wh4)
 from .dual import (CELL_ROTATION, DualCell, DualComplex, cell_rotation_orbit,
                    dual_cell, dual_complex, dual_vertices, rotate_cell,
                    vertex_surroundings)
@@ -59,6 +58,6 @@ __all__ = [
     "s3_of", "s4_of",
     "snub24_vertices", "snub_census", "snub_embeddings_in_600cell",
     "snub_sum_form", "stabilizer", "t_prime", "tetra_cells_at",
-    "transform_closure", "vertex_figure", "vertex_surroundings", "wd4c3",
+    "vertex_figure", "vertex_surroundings", "wd4c3",
     "wh3xc2", "wh4",
 ]

@@ -7,23 +7,20 @@
     icosian orbit  --weights a,b,c,d [--decompose] [--out FILE]
 
 Exit codes: 0 on success, 1 when verification or certification fails,
-2 for usage errors.  All output is canonical: identical runs produce
-identical bytes regardless of ICOSIAN_THREADS.
+2 for usage errors.  All output is canonical: every run of a command
+produces identical bytes, whatever the hash seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 
 from . import dual, exports, hull, polytope, roots, verify
-from .coxeter import orbit as group_orbit
-from .coxeter import orbit_decompose, wd4c3, wh4
+from .coxeter import orbit_decompose, wd4c3
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      InvalidSelector)
 from .groups import binary_icosahedral, binary_tetrahedral, icosian_seed
-from .quaternion import Quaternion
 
 BUILD_OBJECTS = ("e8", "600cell", "24cell", "120cell", "snub24", "dual-snub24")
 EXPORT_OBJECTS = ("snub24", "dual-snub24", "600cell", "24cell")
@@ -184,22 +181,14 @@ def _parse_weights(text: str) -> tuple[int, int, int, int]:
 
 def cmd_orbit(args) -> int:
     weights = args.weights
-    omegas = roots.h4_weights()
-    point = Quaternion()
-    for w, omega in zip(weights, omegas):
-        if w:
-            point = point + omega * w
-    pts = group_orbit(wh4(), point)
+    pts = roots.weight_orbit(weights)
     lines = [f"weights: {','.join(str(w) for w in weights)}",
              f"orbit size: {len(pts)}"]
     doc = {"weights": list(weights), "size": len(pts)}
     if args.decompose:
         partition = orbit_decompose(wd4c3(), pts)
         sizes = sorted(partition.sizes)
-        terms = []
-        for size, count in sorted(Counter(sizes).items()):
-            terms.append(f"{count}({size})" if count > 1 else f"{size}")
-        lines.append(f"decomposition: {len(pts)} = {'+'.join(terms)}")
+        lines.append(f"decomposition: {roots.format_decomposition(len(pts), sizes)}")
         doc["decomposition"] = sizes
     print("\n".join(lines))
     if args.out:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import engine
-from .errors import BadParameter, CapExceeded, SearchFailed
+from .errors import BadParameter, SearchFailed
 from .field import ONE
 from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral,
-                     icosian_seed, t_prime)
+                     generate, icosian_seed, t_prime)
 from .quaternion import E2, Q_ONE, Quaternion, canonical_sorted
 
 
@@ -40,9 +40,6 @@ class Transform:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def key(self):
-        return (self.star, self.p.key(), self.q.key())
 
     def apply(self, r: Quaternion) -> Quaternion:
         if self.star:
@@ -85,7 +82,9 @@ def reflection(alpha: Quaternion) -> Transform:
 
 class TransformGroup:
     def __init__(self, elements, label: str = "", generators=()):
-        self.elements = tuple(sorted(set(elements), key=Transform.key))
+        by_q = canonical_sorted(set(elements), of=lambda t: t.q)
+        by_pair = canonical_sorted(by_q, of=lambda t: t.p)
+        self.elements = tuple(sorted(by_pair, key=lambda t: t.star))
         self.label = label
         self.generators = tuple(generators)
         self._set = frozenset(self.elements)
@@ -123,25 +122,6 @@ class TransformGroup:
     def generator_matrices(self):
         gens = self.generators or self.elements
         return [engine.transform_matrix(t) for t in gens]
-
-
-def transform_closure(generators, cap: int = 20000, label: str = "") -> TransformGroup:
-    gens = list(generators)
-    elems = {IDENTITY}
-    elems.update(gens)
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elems:
-                    elems.add(y)
-                    fresh.append(y)
-                    if len(elems) > cap:
-                        raise CapExceeded(f"transform closure exceeded {cap}")
-        frontier = fresh
-    return TransformGroup(elems, label, gens)
 
 
 def _pair_group(left: QuaternionSet, right_of, label: str, generators=()) -> TransformGroup:
@@ -260,7 +240,8 @@ def s3_of(p: Quaternion) -> TransformGroup:
             continue
         cand = Transform(t, a * t.conjugate() * a, True)
         if cand.apply(p) == p:
-            return transform_closure([rot, cand], cap=24, label=f"S3({p})")
+            gens = [rot, cand]
+            return TransformGroup(generate(gens, cap=24), f"S3({p})", gens)
     raise SearchFailed("no starred generator fixes the vertex")
 
 
@@ -281,15 +262,15 @@ def build_group(name: str, param: Quaternion = None) -> TransformGroup:
 
 def orbit(group: TransformGroup, v: Quaternion) -> tuple[Quaternion, ...]:
     """Canonically sorted orbit of v, computed by generator closure."""
-    pts = engine.orbit_points(v, group.generator_matrices())
-    return tuple(engine.quat_of(pt) for pt in pts)
+    pts = engine.closure_points([v.ivec], group.generator_matrices())
+    return canonical_sorted(engine.quat_of(pt) for pt in pts)
 
 
 def orbit_by_elements(group: TransformGroup, v: Quaternion) -> tuple[Quaternion, ...]:
     """Same orbit by applying every element; an independent cross-check."""
     mats, dens = group.compiled()
     pts = set(engine.apply_all(mats, dens, v))
-    return tuple(engine.quat_of(pt) for pt in engine.sort_points(pts))
+    return canonical_sorted(engine.quat_of(pt) for pt in pts)
 
 
 def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:
@@ -302,9 +283,9 @@ def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:
 
 class OrbitPartition:
     def __init__(self, suborbits):
-        self.suborbits = tuple(sorted(
-            (tuple(part) for part in suborbits),
-            key=lambda part: (len(part), part[0].key())))
+        by_first = canonical_sorted((tuple(part) for part in suborbits),
+                                    of=lambda part: part[0])
+        self.suborbits = tuple(sorted(by_first, key=len))
         self.sizes = tuple(sorted(len(part) for part in self.suborbits))
 
     def __repr__(self) -> str:
@@ -313,10 +294,10 @@ class OrbitPartition:
 
 def orbit_decompose(group: TransformGroup, points) -> OrbitPartition:
     """Partition a closed point set into orbits of the group."""
-    pts = [engine.point_of(q) for q in points]
+    pts = [q.ivec for q in points]
     parts = engine.partition_points(pts, group.generator_matrices())
     return OrbitPartition(
-        [tuple(engine.quat_of(pt) for pt in part) for part in parts])
+        [canonical_sorted(engine.quat_of(pt) for pt in part) for part in parts])
 
 
 def conjugate_group(group: TransformGroup, h: Transform) -> TransformGroup:

@@ -4,21 +4,18 @@ A quaternion over the field is a 16-vector of integers with a common
 denominator; every transform then acts as an integer 16x16 matrix with its
 own denominator.  Orbit closures and partitions become batched integer
 matrix products, with a gcd pass keeping every point in lowest terms.
-Results are exact; numpy only carries the (bounded) integer arithmetic.
+Results are exact: numpy carries the integer arithmetic only after a bound
+on the operands proves that no int64 entry can overflow.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import NotInvariant
 from .quaternion import _FTAB, _QTAB, Quaternion, quaternion_from_ivec
-
-_MAX_ABS = 1 << 52
 
 
 def _structure_tensors():
@@ -38,15 +35,21 @@ def _structure_tensors():
 
 
 _LSTRUCT, _RSTRUCT = _structure_tensors()
-_CONJ = np.diag([1, 1, 1, 1] + [-1] * 12).astype(np.int64)
 
 
-def thread_count() -> int:
-    return max(1, int(os.environ.get("ICOSIAN_THREADS", "1")))
+def _max_abs(arr: np.ndarray) -> int:
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
-def point_of(q: Quaternion) -> tuple[tuple[int, ...], int]:
-    return q.ivec
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in int64, raising OverflowError unless every entry provably fits.
+
+    Each entry is a sum of a.shape[-1] products, none larger in magnitude
+    than max|a| * max|b|.
+    """
+    if a.shape[-1] * _max_abs(a) * _max_abs(b) >= 1 << 63:
+        raise OverflowError("integer product could leave the int64 range")
+    return a @ b
 
 
 def quat_of(point) -> Quaternion:
@@ -54,34 +57,38 @@ def quat_of(point) -> Quaternion:
     return quaternion_from_ivec(vec, den)
 
 
-def transform_matrix(t) -> tuple[np.ndarray, int]:
-    """Integer matrix and denominator for r -> p r q (conjugating first if starred)."""
-    pvec, pden = t.p.ivec
-    qvec, qden = t.q.ivec
-    left = np.einsum("m,mrc->rc", np.array(pvec, dtype=np.int64), _LSTRUCT)
-    right = np.einsum("m,mrc->rc", np.array(qvec, dtype=np.int64), _RSTRUCT)
-    mat = left @ right
-    if t.star:
-        mat = mat @ _CONJ
-    den = pden * qden
-    g = gcd(den, *(int(v) for v in mat.ravel()))
-    if g > 1:
-        mat //= g
-        den //= g
-    return mat, den
+_BLOCK = 256  # transforms per batched product, bounding the int64 temporaries
+
+
+def _compile_block(transforms) -> tuple[np.ndarray, np.ndarray]:
+    n = len(transforms)
+    pvecs = np.array([t.p.ivec[0] for t in transforms], dtype=np.int64).reshape(n, 16)
+    qvecs = np.array([t.q.ivec[0] for t in transforms], dtype=np.int64).reshape(n, 16)
+    left = _matmul(pvecs, _LSTRUCT.reshape(16, 256)).reshape(n, 16, 16)
+    right = _matmul(qvecs, _RSTRUCT.reshape(16, 256)).reshape(n, 16, 16)
+    mats = _matmul(left, right)
+    mats[np.array([t.star for t in transforms], dtype=bool), :, 4:] *= -1
+    dens = np.array([t.p.ivec[1] * t.q.ivec[1] for t in transforms], dtype=np.int64)
+    g = np.gcd(np.gcd.reduce(mats.reshape(n, 256), axis=1), dens)
+    return mats // g[:, None, None], dens // g
 
 
 def compile_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
+    """Integer matrices and denominators for r -> p r q (conjugating first if starred)."""
     mats = np.empty((len(transforms), 16, 16), dtype=np.int64)
     dens = np.empty(len(transforms), dtype=np.int64)
-    for i, t in enumerate(transforms):
-        mats[i], dens[i] = transform_matrix(t)
+    for i in range(0, len(transforms), _BLOCK):
+        mats[i:i + _BLOCK], dens[i:i + _BLOCK] = _compile_block(transforms[i:i + _BLOCK])
     return mats, dens
 
 
+def transform_matrix(t) -> tuple[np.ndarray, int]:
+    """The matrix and denominator of one transform, as compile_transforms makes them."""
+    mats, dens = _compile_block([t])
+    return mats[0], int(dens[0])
+
+
 def _normalize_columns(block: np.ndarray, dens) -> list[tuple[tuple[int, ...], int]]:
-    if np.abs(block).max(initial=0) >= _MAX_ABS:
-        raise OverflowError("orbit coordinates escaped the safe integer range")
     out = []
     for col, den in zip(block, dens):
         vec = tuple(int(v) for v in col)
@@ -96,25 +103,11 @@ def _normalize_columns(block: np.ndarray, dens) -> list[tuple[tuple[int, ...], i
 def _apply_batch(mat: np.ndarray, mden: int, points) -> list[tuple[tuple[int, ...], int]]:
     arr = np.array([p[0] for p in points], dtype=np.int64)
     dens = [mden * p[1] for p in points]
-    return _normalize_columns(arr @ mat.T, dens)
-
-
-def _chunked(points, n):
-    size = max(1, (len(points) + n - 1) // n)
-    return [points[i:i + size] for i in range(0, len(points), size)]
+    return _normalize_columns(_matmul(arr, mat.T), dens)
 
 
 def _apply_generators(gens, frontier):
-    workers = thread_count()
-    jobs = [(mat, den, chunk)
-            for mat, den in gens
-            for chunk in _chunked(frontier, workers)]
-    if workers == 1 or len(jobs) == 1:
-        results = [_apply_batch(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda j: _apply_batch(*j), jobs))
-    return [pt for batch in results for pt in batch]
+    return [pt for mat, den in gens for pt in _apply_batch(mat, den, frontier)]
 
 
 def closure_points(seeds, gen_mats) -> dict[tuple[tuple[int, ...], int], int]:
@@ -133,10 +126,6 @@ def closure_points(seeds, gen_mats) -> dict[tuple[tuple[int, ...], int], int]:
     return seen
 
 
-def orbit_points(seed: Quaternion, gen_mats) -> list[tuple[tuple[int, ...], int]]:
-    return sort_points(closure_points([point_of(seed)], gen_mats))
-
-
 def partition_points(points, gen_mats) -> list[list[tuple[tuple[int, ...], int]]]:
     """Split the point set into connected components under the generators."""
     universe = {pt: False for pt in points}
@@ -149,24 +138,15 @@ def partition_points(points, gen_mats) -> list[list[tuple[tuple[int, ...], int]]
             if pt not in universe:
                 raise NotInvariant("generator image left the decomposed set")
             universe[pt] = True
-        parts.append(sort_points(component))
+        parts.append(list(component))
     return parts
-
-
-def sort_points(points) -> list[tuple[tuple[int, ...], int]]:
-    pts = list(points)
-    den = 1
-    for _, d in pts:
-        den = den * d // gcd(den, d)
-    pts.sort(key=lambda p: tuple(v * (den // p[1]) for v in p[0]))
-    return pts
 
 
 def apply_all(mats: np.ndarray, dens: np.ndarray, q: Quaternion):
     """Images of one point under a compiled stack of transforms."""
     vec, den = q.ivec
     arr = np.array(vec, dtype=np.int64)
-    images = np.einsum("nrc,c->nr", mats, arr)
+    images = _matmul(mats, arr)
     return _normalize_columns(images, [int(d) * den for d in dens])
 
 
@@ -185,12 +165,10 @@ _DOT_FORMS = _dot_forms()
 
 def pairwise_dots(points) -> tuple[np.ndarray, int]:
     """All scalar products as integer field 4-vectors over a common den**2."""
-    den = 1
-    for q in points:
-        d = q.ivec[1]
-        den = den * d // gcd(den, d)
+    den = lcm(*(q.ivec[1] for q in points))
     arr = np.array(
         [[v * (den // q.ivec[1]) for v in q.ivec[0]] for q in points],
         dtype=np.int64)
-    table = np.stack([arr @ form @ arr.T for form in _DOT_FORMS], axis=-1)
+    table = np.stack([_matmul(_matmul(arr, form), arr.T) for form in _DOT_FORMS],
+                     axis=-1)
     return table, den * den

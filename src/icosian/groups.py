@@ -58,24 +58,32 @@ class QuaternionGroup(QuaternionSet):
         return all(a * b in self for a in self.elements for b in self.elements)
 
 
-def closure(generators, cap: int = 200, label: str = "") -> QuaternionGroup:
-    """Multiplicative closure of the generators; raises CapExceeded past cap."""
-    elems = {Q_ONE}
+def generate(generators, cap: int) -> set:
+    """Every product of the generators, closed under right multiplication.
+
+    For generators of a finite group this is the whole group, identity
+    included; raises CapExceeded once more than cap elements are found.
+    """
     gens = list(generators)
-    frontier = list(gens)
-    elems.update(frontier)
+    elems = set(gens)
+    frontier = list(elems)
     while frontier:
-        new = []
+        fresh = []
         for x in frontier:
             for g in gens:
-                for y in (x * g, g * x):
-                    if y not in elems:
-                        elems.add(y)
-                        new.append(y)
-                        if len(elems) > cap:
-                            raise CapExceeded(f"closure exceeded {cap} elements")
-        frontier = new
-    return QuaternionGroup(elems, label)
+                y = x * g
+                if y not in elems:
+                    elems.add(y)
+                    fresh.append(y)
+                    if len(elems) > cap:
+                        raise CapExceeded(f"closure exceeded {cap} elements")
+        frontier = fresh
+    return elems
+
+
+def closure(generators, cap: int = 200, label: str = "") -> QuaternionGroup:
+    """Multiplicative closure of the generators; raises CapExceeded past cap."""
+    return QuaternionGroup(generate(generators, cap) | {Q_ONE}, label)
 
 
 def _halves(signs) -> Quaternion:
@@ -162,8 +170,8 @@ class ConjugacyClass:
 class ConjugacyClassTable:
     def __init__(self, group: QuaternionGroup, classes):
         self.group = group
-        self.classes = tuple(sorted(
-            classes, key=lambda c: (c.order, c.size, c.members[0].key())))
+        by_first = canonical_sorted(classes, of=lambda c: c.members[0])
+        self.classes = tuple(sorted(by_first, key=lambda c: (c.order, c.size)))
 
     def class_of(self, q: Quaternion) -> ConjugacyClass:
         for c in self.classes:

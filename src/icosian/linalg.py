@@ -51,10 +51,3 @@ def nullspace(matrix) -> list[list[FieldElement]]:
             vec[pc] = -rows[i][fc]
         basis.append(vec)
     return basis
-
-
-def rank(matrix) -> int:
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    return len(rows[0]) - len(nullspace(rows))

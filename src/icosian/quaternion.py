@@ -8,7 +8,7 @@ products and group-sized sweeps cheap while staying exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .field import FieldElement, ZERO, ONE
 
@@ -112,10 +112,14 @@ class Quaternion:
     def components(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
         return tuple(self.component(i) for i in range(4))
 
-    def key(self) -> tuple[Fraction, ...]:
-        """Lexicographic sort key: the 16 rational coefficients in order."""
-        den = self._den
-        return tuple(Fraction(v, den) for v in self._vec)
+    def key(self, den: int) -> tuple[int, ...]:
+        """Lexicographic sort key: the 16 rational coefficients times den.
+
+        den must be a common denominator of every quaternion compared, so
+        that the integers order exactly as the rationals do.
+        """
+        scale = den // self._den
+        return tuple(v * scale for v in self._vec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quaternion):
@@ -252,11 +256,13 @@ E2 = Quaternion(0, 0, 1)
 E3 = Quaternion(0, 0, 0, 1)
 
 
-def canonical_sorted(points) -> tuple[Quaternion, ...]:
-    """Sort by the 16 rational coefficients, scaled to one common denominator."""
-    pts = list(points)
-    den = 1
-    for p in pts:
-        d = p.ivec[1]
-        den = den * d // gcd(den, d)
-    return tuple(sorted(pts, key=lambda p: tuple(v * (den // p.ivec[1]) for v in p.ivec[0])))
+def canonical_sorted(items, of=lambda q: q) -> tuple:
+    """Sort by the 16 rational coefficients, scaled to one common denominator.
+
+    The items are quaternions, or are ordered by the quaternion of(item).
+    The sort is stable: sorting by one part, then stably by another, orders
+    by the second part first and breaks its ties by the first.
+    """
+    items = list(items)
+    den = lcm(*(of(x).ivec[1] for x in items))
+    return tuple(sorted(items, key=lambda x: of(x).key(den)))

@@ -76,13 +76,6 @@ def e8_roots() -> RootSystemData:
     return RootSystemData("E8", roots, metric="euclidean_part")
 
 
-def euclid_profile(roots) -> dict[Fraction, int]:
-    """Counts of rational scalar products of one root against the whole system."""
-    base = roots[0]
-    counts: Counter = Counter(base.euclid_dot(r) for r in roots)
-    return dict(counts)
-
-
 def euclid_profile_full(roots) -> set[tuple[tuple[Fraction, int], ...]]:
     """Profile of every root; a one-element set certifies homogeneity."""
     profiles = set()
@@ -175,18 +168,18 @@ def _reflection_matrices():
 
 def h4_orbit(mask) -> tuple[Quaternion, ...]:
     """Orbit of the masked weight sum under the four simple reflections."""
-    return _h4_orbit(_mask_tuple(mask))
+    return weight_orbit(_mask_tuple(mask))
 
 
-@lru_cache(maxsize=None)
-def _h4_orbit(mask) -> tuple[Quaternion, ...]:
-    weights = h4_weights()
+@lru_cache(maxsize=16)  # room for the 15 weight masks
+def weight_orbit(weights: tuple[int, int, int, int]) -> tuple[Quaternion, ...]:
+    """Canonically sorted W(H4) orbit of sum(w_i * omega_i), by the simple reflections."""
     seed = Quaternion(0)
-    for bit, w in zip(mask, weights):
-        if bit:
-            seed = seed + w
-    pts = engine.orbit_points(seed, list(_reflection_matrices()))
-    return tuple(engine.quat_of(pt) for pt in pts)
+    for w, omega in zip(weights, h4_weights()):
+        if w:
+            seed = seed + omega * w
+    pts = engine.closure_points([seed.ivec], _reflection_matrices())
+    return canonical_sorted(engine.quat_of(pt) for pt in pts)
 
 
 # The published orbit-by-orbit decompositions under W(D4):C3, as
@@ -216,6 +209,14 @@ ALL_MASKS = tuple(
 )
 
 
+def format_decomposition(total: int, sizes) -> str:
+    """'total = a+k(b)+...': each suborbit size once, with its multiplicity."""
+    terms = []
+    for size, count in sorted(Counter(sizes).items()):
+        terms.append(f"{count}({size})" if count > 1 else f"{size}")
+    return f"{total} = {'+'.join(terms)}"
+
+
 class WeightOrbitReport:
     def __init__(self, mask, orbit_size, decomposition, matched_lines, flagged_lines):
         self.mask = mask
@@ -225,10 +226,7 @@ class WeightOrbitReport:
         self.flagged_lines = tuple(flagged_lines)
 
     def format_line(self) -> str:
-        terms = []
-        for size, count in sorted(Counter(self.decomposition).items()):
-            terms.append(f"{count}({size})" if count > 1 else f"{size}")
-        return f"{self.orbit_size} = {'+'.join(terms)}"
+        return format_decomposition(self.orbit_size, self.decomposition)
 
     def __repr__(self) -> str:
         return f"<orbit {self.mask}: {self.format_line()}>"

@@ -19,14 +19,16 @@ def run_cli():
     The child imports the same ``icosian`` package as the test process: the
     directory holding that package goes in front of any inherited
     ``PYTHONPATH``, so the tests need no installed ``icosian`` script.
+    ``hashseed`` sets the child's ``PYTHONHASHSEED``, so that two runs can
+    differ in the iteration order of every set of strings.
     """
     package_root = os.path.dirname(os.path.dirname(icosian.__file__))
     pythonpath = [package_root, os.environ.get("PYTHONPATH")]
 
-    def run(*args, threads=None):
+    def run(*args, hashseed=None):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-        if threads is not None:
-            env["ICOSIAN_THREADS"] = threads
+        if hashseed is not None:
+            env["PYTHONHASHSEED"] = hashseed
         return subprocess.run([sys.executable, "-m", "icosian", *args],
                               env=env, capture_output=True, text=True)
 

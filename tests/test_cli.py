@@ -212,10 +212,10 @@ def test_orbit_regular(capsys):
 def test_console_script_and_determinism(tmp_path, run_cli, console_scripts):
     assert console_scripts["icosian"] == "icosian.cli:main"
     texts = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"snub-{threads}.off"
+    for seed in ("1", "2"):
+        out = tmp_path / f"snub-{seed}.off"
         result = run_cli("export", "snub24", "--format", "off", "--out", str(out),
-                         threads=threads)
+                         hashseed=seed)
         assert result.returncode == 0, result.stderr
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]

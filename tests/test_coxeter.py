@@ -1,16 +1,18 @@
 """Quaternion-pair transforms and the reflection groups they generate."""
 
+from fractions import Fraction
+
 import pytest
 
 from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, SQRT2, TAU,
                      BadParameter, CapExceeded, Quaternion, Transform, a4xc2,
                      binary_icosahedral, binary_tetrahedral, build_group,
                      icosian_seed, orbit, orbit_decompose, reflection, s3_of,
-                     s4_of, stabilizer, t_prime, transform_closure, wd4c3,
-                     wh3xc2, wh4)
+                     s4_of, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import (orbit_by_elements, seed_conjugator, snub_decompose,
                              wd4c3_conjugate, wd4c3_conjugate_pattern)
 from icosian.field import SIGMA, TAU as F_TAU
+from icosian.groups import generate
 
 
 def test_sign_canonicalization():
@@ -182,7 +184,21 @@ def test_seed_conjugator_lies_in_wh4():
 
 def test_transform_closure_cap():
     with pytest.raises(CapExceeded):
-        transform_closure([Transform(icosian_seed(), E2)], cap=3)
+        generate([Transform(icosian_seed(), E2)], cap=3)
+
+
+def fraction_key(q):
+    vec, den = q.ivec
+    return tuple(Fraction(v, den) for v in vec)
+
+
+def test_group_and_partition_order_match_fraction_order():
+    elems = wd4c3().elements
+    assert list(elems) == sorted(
+        elems, key=lambda t: (t.star, fraction_key(t.p), fraction_key(t.q)))
+    parts = orbit_decompose(wd4c3(), orbit(wh4(), icosian_seed())).suborbits
+    assert list(parts) == sorted(
+        parts, key=lambda part: (len(part), fraction_key(part[0])))
 
 
 def test_orbit_decompose_sizes():

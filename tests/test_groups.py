@@ -1,5 +1,7 @@
 """The binary polyhedral groups and their conjugacy data, pinned exactly."""
 
+from fractions import Fraction
+
 import pytest
 
 from icosian import (E1, HALF, Q_ONE, SIGMA, SQRT2, TAU, CapExceeded,
@@ -90,6 +92,10 @@ def test_conjugacy_profile():
         (1, 1), (2, 1), (3, 20), (4, 30), (5, 12), (5, 12),
         (6, 20), (10, 12), (10, 12))
     assert sum(c.size for c in table.classes) == 120
+    first = [tuple(Fraction(v, c.members[0].ivec[1]) for v in c.members[0].ivec[0])
+             for c in table.classes]
+    keys = [(c.order, c.size, k) for c, k in zip(table.classes, first)]
+    assert keys == sorted(keys)
 
 
 def test_class_12_plus():

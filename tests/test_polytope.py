@@ -157,6 +157,13 @@ def test_edge_graph_rejects_degenerate_input():
         edge_graph([Q_ONE, Quaternion(2)])
 
 
+def test_edge_graph_refuses_int64_overflow():
+    icos = binary_icosahedral().elements
+    assert len(edge_graph([q * (1 << 20) for q in icos])) == 720
+    with pytest.raises(OverflowError):
+        edge_graph([q * (1 << 33) for q in icos])
+
+
 def test_supporting_hyperplane_certificates():
     complex_ = snub_census()
     cell = icosa_cell(Q_ONE)

@@ -118,3 +118,21 @@ def test_galois_commutes_with_product(p, q):
 def test_norm_against_dot(q):
     assert q.norm() == q.dot(q)
     assert q.norm().sign() >= 0
+
+
+def fraction_key(q):
+    """The reference order: the 16 rational coefficients as fractions."""
+    vec, den = q.ivec
+    return tuple(Fraction(v, den) for v in vec)
+
+
+scaled = st.builds(lambda q, s: q * s, quaternions, st.sampled_from([ONE, HALF, SQRT2, SIGMA]))
+
+
+@given(st.lists(scaled, max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_canonical_sorted_matches_fraction_order(qs):
+    assert canonical_sorted(qs) == tuple(sorted(qs, key=fraction_key))
+    pairs = [(q, i) for i, q in enumerate(qs)]
+    assert canonical_sorted(pairs, of=lambda pair: pair[0]) == tuple(
+        sorted(pairs, key=lambda pair: fraction_key(pair[0])))
