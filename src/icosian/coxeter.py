@@ -63,9 +63,6 @@ class Transform:
             return Transform(self.q, self.p, True)
         return Transform(self.p.conjugate(), self.q.conjugate(), False)
 
-    def is_identity(self) -> bool:
-        return self == IDENTITY
-
     def __repr__(self) -> str:
         return f"[{self.p}, {self.q}]{'*' if self.star else ''}"
 
@@ -122,14 +119,6 @@ class TransformGroup:
     def generator_matrices(self):
         gens = self.generators or self.elements
         return [engine.transform_matrix(t) for t in gens]
-
-
-def _pair_group(left: QuaternionSet, right_of, label: str, generators=()) -> TransformGroup:
-    elems = []
-    for p in left:
-        for q, star in right_of(p):
-            elems.append(Transform(p, q, star))
-    return TransformGroup(elems, label, generators)
 
 
 def _group_generators(base: QuaternionSet):

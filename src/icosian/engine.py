@@ -1,20 +1,26 @@
-"""Bulk machinery for transform orbits.
+"""Bulk machinery for transform orbits and scalar-product tables.
 
 A quaternion over the field is a 16-vector of integers with a common
 denominator; every transform then acts as an integer 16x16 matrix with its
 own denominator.  Orbit closures and partitions become batched integer
 matrix products, with a gcd pass keeping every point in lowest terms.
-Results are exact: numpy carries the integer arithmetic only after a bound
-on the operands proves that no int64 entry can overflow.
+
+Every table of scalar products is made here too: each entry is a field
+4-vector of integers over one denominator, and distinct_values lifts the few
+distinct entries to field elements, so exact comparisons run once per value
+rather than once per pair.  Results are exact: numpy carries the integer
+arithmetic only after a bound on the operands proves that no int64 entry
+can overflow.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from .errors import NotInvariant
+from .field import FieldElement
 from .quaternion import _FTAB, _QTAB, Quaternion, quaternion_from_ivec
 
 
@@ -41,14 +47,19 @@ def _max_abs(arr: np.ndarray) -> int:
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
+def _check_bound(terms: int, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise OverflowError unless a sum of terms products of a and b entries fits int64."""
+    if terms * _max_abs(a) * _max_abs(b) >= 1 << 63:
+        raise OverflowError("integer product could leave the int64 range")
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b in int64, raising OverflowError unless every entry provably fits.
 
     Each entry is a sum of a.shape[-1] products, none larger in magnitude
     than max|a| * max|b|.
     """
-    if a.shape[-1] * _max_abs(a) * _max_abs(b) >= 1 << 63:
-        raise OverflowError("integer product could leave the int64 range")
+    _check_bound(a.shape[-1], a, b)
     return a @ b
 
 
@@ -89,15 +100,10 @@ def transform_matrix(t) -> tuple[np.ndarray, int]:
 
 
 def _normalize_columns(block: np.ndarray, dens) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for col, den in zip(block, dens):
-        vec = tuple(int(v) for v in col)
-        g = gcd(int(den), *vec)
-        if g > 1:
-            vec = tuple(v // g for v in vec)
-            den //= g
-        out.append((vec, int(den)))
-    return out
+    dens = np.asarray(dens, dtype=np.int64)
+    g = np.gcd(np.gcd.reduce(block, axis=1), dens)
+    vecs = (block // g[:, None]).tolist()
+    return [(tuple(v), d) for v, d in zip(vecs, (dens // g).tolist())]
 
 
 def _apply_batch(mat: np.ndarray, mden: int, points) -> list[tuple[tuple[int, ...], int]]:
@@ -163,12 +169,37 @@ def _dot_forms():
 _DOT_FORMS = _dot_forms()
 
 
-def pairwise_dots(points) -> tuple[np.ndarray, int]:
-    """All scalar products as integer field 4-vectors over a common den**2."""
-    den = lcm(*(q.ivec[1] for q in points))
-    arr = np.array(
-        [[v * (den // q.ivec[1]) for v in q.ivec[0]] for q in points],
-        dtype=np.int64)
-    table = np.stack([_matmul(_matmul(arr, form), arr.T) for form in _DOT_FORMS],
+def _common_ivecs(points) -> tuple[np.ndarray, int]:
+    """The 16-vectors of the points as integer rows over their lcm denominator."""
+    points = list(points)
+    dens = [q.ivec[1] for q in points]
+    den = lcm(*dens)
+    arr = np.array([q.ivec[0] for q in points], dtype=np.int64).reshape(len(points), 16)
+    scale = np.array([den // d for d in dens], dtype=np.int64)[:, None]
+    _check_bound(1, arr, scale)
+    return arr * scale, den
+
+
+def pairwise_dots(points, others=None) -> tuple[np.ndarray, int]:
+    """Scalar products of every point with every point of others (default: points).
+
+    table[i, j] holds the product of points[i] and others[j] as the integer
+    field 4-vector of its numerator over the returned denominator.
+    """
+    left, lden = _common_ivecs(points)
+    right, rden = (left, lden) if others is None else _common_ivecs(others)
+    table = np.stack([_matmul(_matmul(left, form), right.T) for form in _DOT_FORMS],
                      axis=-1)
-    return table, den * den
+    return table, lden * rden
+
+
+def distinct_values(table: np.ndarray, den: int) -> tuple[dict[FieldElement, int], np.ndarray]:
+    """The distinct entries of a dot table, and where each entry sits among them.
+
+    values maps each distinct entry, as a field element, to its position;
+    index holds that position for every entry, so the entries equal to x are
+    exactly index == values.get(x, -1).
+    """
+    rows, index = np.unique(table.reshape(-1, 4), axis=0, return_inverse=True)
+    values = {FieldElement._make(*row, den): i for i, row in enumerate(rows.tolist())}
+    return values, index.reshape(table.shape[:-1])

@@ -32,11 +32,6 @@ def _dot3(a: Point3, b: Point3) -> FieldElement:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def orientation(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
-    """Sign of det[b-a, c-a, d-a]."""
-    return _dot3(_cross(_sub(b, a), _sub(c, a)), _sub(d, a)).sign()
-
-
 def _cycle_order(points, idxs, normal) -> tuple[int, ...]:
     """Arrange coplanar convex-position points into their polygon cycle."""
     rest = list(idxs)

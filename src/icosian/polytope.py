@@ -16,7 +16,7 @@ import numpy as np
 from . import engine, hull, linalg
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      DegenerateInput)
-from .field import HALF, TAU, FieldElement, field_sqrt
+from .field import HALF, TAU, field_sqrt
 from .groups import (binary_icosahedral, binary_tetrahedral, icosian_seed,
                      t_prime)
 from .quaternion import E1, E2, E3, Quaternion, canonical_sorted
@@ -31,28 +31,18 @@ def snub24_vertices() -> tuple[Quaternion, ...]:
     return canonical_sorted(q for q in binary_icosahedral() if q not in tet)
 
 
-def _field_from_ints(vals, den) -> FieldElement:
-    return FieldElement._make(vals[0], vals[1], vals[2], vals[3], den)
-
-
 def edge_graph(vertices) -> tuple[tuple[int, int], ...]:
     """Pairs at the largest scalar product strictly below the common norm."""
     if len(vertices) < 2:
         raise DegenerateInput("need at least two vertices")
-    norm = vertices[0].norm()
-    if any(v.norm() != norm for v in vertices):
-        raise DegenerateInput("vertices do not share a norm")
     table, den = engine.pairwise_dots(vertices)
-    values = {tuple(int(x) for x in row)
-              for row in table.reshape(-1, 4)}
-    elems = sorted(_field_from_ints(v, den) for v in values)
-    threshold = max(x for x in elems if x < norm)
-    tn, td = threshold.raw
-    scale = den // td
-    target = np.array([v * scale for v in tn], dtype=np.int64)
-    mask = np.all(table == target, axis=-1)
-    pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask)) if i < j]
-    return tuple(sorted(pairs))
+    values, index = engine.distinct_values(table, den)
+    norm = vertices[0].norm()
+    if np.any(np.diagonal(index) != values[norm]):
+        raise DegenerateInput("vertices do not share a norm")
+    threshold = max(x for x in values if x < norm)
+    mask = np.triu(index == values[threshold], 1)
+    return tuple(map(tuple, np.argwhere(mask).tolist()))
 
 
 def adjacency(n: int, edges) -> list[set[int]]:
@@ -97,21 +87,18 @@ def supporting_hyperplane(vertex_indices, vertices):
         raise CertificationFailed("normal admits no exact unit scaling")
     normal = normal.scale(scale.invert())
     offset = normal.dot(base)
-    inside = set(vertex_indices)
-    side = 0
-    for i, v in enumerate(vertices):
-        if i in inside:
-            if normal.dot(v) != offset:
-                raise CertificationFailed("cell vertex off the hyperplane")
-            continue
-        s = (normal.dot(v) - offset).sign()
-        if s == 0:
-            raise CertificationFailed("outside vertex touches the hyperplane")
-        if side == 0:
-            side = s
-        elif s != side:
-            raise CertificationFailed("vertices on both sides of the hyperplane")
-    if side > 0:
+    table, den = engine.pairwise_dots([normal], vertices)
+    values, index = engine.distinct_values(table, den)
+    signs = np.array([(x - offset).sign() for x in values])[index[0]]
+    inside = list(vertex_indices)
+    if np.any(signs[inside]):
+        raise CertificationFailed("cell vertex off the hyperplane")
+    outside = set(np.delete(signs, inside).tolist())
+    if 0 in outside:
+        raise CertificationFailed("outside vertex touches the hyperplane")
+    if len(outside) > 1:
+        raise CertificationFailed("vertices on both sides of the hyperplane")
+    if 1 in outside:
         normal, offset = -normal, -offset
     if offset.sign() <= 0:
         raise CertificationFailed("hyperplane does not face away from the origin")
@@ -174,26 +161,18 @@ class PolytopeComplex:
 
 
 def _icosa_candidates(vertices, complement):
-    table, den = engine.pairwise_dots(list(vertices) + list(complement))
-    n = len(vertices)
-    out = []
-    tau_ints, tau_den = TAU_HALF.raw
-    scale = den // tau_den
-    target = np.array([v * scale for v in tau_ints], dtype=np.int64)
-    for k in range(len(complement)):
-        row = table[n + k, :n]
-        sel = np.nonzero(np.all(row == target, axis=-1))[0]
-        out.append(tuple(int(i) for i in sel))
-    return out
+    table, den = engine.pairwise_dots(complement, vertices)
+    values, index = engine.distinct_values(table, den)
+    mask = index == values.get(TAU_HALF, -1)
+    return [tuple(np.flatnonzero(row).tolist()) for row in mask]
 
 
 def _octa_candidates(vertices):
-    out = []
-    for c in t_prime():
-        dots = [(v.dot(c), i) for i, v in enumerate(vertices)]
-        top = max(d for d, _ in dots)
-        out.append(tuple(i for d, i in dots if d == top))
-    return out
+    table, den = engine.pairwise_dots(t_prime(), vertices)
+    values, index = engine.distinct_values(table, den)
+    # The exact rank of each entry among the distinct values, smallest first.
+    rank = np.argsort([values[x] for x in sorted(values)])[index]
+    return [tuple(np.flatnonzero(row == row.max()).tolist()) for row in rank]
 
 
 def cell_census(vertices) -> PolytopeComplex:

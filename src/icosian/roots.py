@@ -12,6 +12,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import engine, linalg
 from .coxeter import orbit_decompose, reflection, wd4c3
 from .errors import BadParameter, SearchFailed
@@ -78,11 +80,11 @@ def e8_roots() -> RootSystemData:
 
 def euclid_profile_full(roots) -> set[tuple[tuple[Fraction, int], ...]]:
     """Profile of every root; a one-element set certifies homogeneity."""
-    profiles = set()
-    for r in roots:
-        counts = Counter(r.euclid_dot(s) for s in roots)
-        profiles.add(tuple(sorted(counts.items())))
-    return profiles
+    table, den = engine.pairwise_dots(roots)
+    values, index = engine.distinct_values(table, den)
+    euclid = [x.euclidean_part() for x in values]
+    rows = np.unique(np.sort(index, axis=1), axis=0).tolist()
+    return {tuple(sorted(Counter(euclid[j] for j in row).items())) for row in rows}
 
 
 @lru_cache(maxsize=None)
@@ -114,28 +116,23 @@ def h4_simple_roots() -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
     Diagonal 1; consecutive products -1/2, -1/2, -tau/2; all other pairs 0.
     """
     icos = binary_icosahedral().elements
-    mhalf = -HALF * ONE
-    mtauhalf = -TAU * HALF
-    at_obtuse = {x: [] for x in icos}
-    at_sharp = {x: [] for x in icos}
-    ortho = {x: set() for x in icos}
-    for x in icos:
-        for y in icos:
-            d = x.dot(y)
-            if d == mhalf:
-                at_obtuse[x].append(y)
-            elif d == mtauhalf:
-                at_sharp[x].append(y)
-            elif d.is_zero():
-                ortho[x].add(y)
-    for a1 in icos:
+    table, den = engine.pairwise_dots(icos)
+    values, index = engine.distinct_values(table, den)
+
+    def neighbors(value):
+        return [np.flatnonzero(row).tolist() for row in index == values.get(value, -1)]
+
+    at_obtuse = neighbors(-HALF * ONE)
+    at_sharp = neighbors(-TAU * HALF)
+    ortho = (index == values.get(ZERO, -1)).tolist()
+    for a1 in range(len(icos)):
         for a2 in at_obtuse[a1]:
             for a3 in at_obtuse[a2]:
-                if a3 not in ortho[a1]:
+                if not ortho[a1][a3]:
                     continue
                 for a4 in at_sharp[a3]:
-                    if a4 in ortho[a1] and a4 in ortho[a2]:
-                        return (a1, a2, a3, a4)
+                    if ortho[a1][a4] and ortho[a2][a4]:
+                        return (icos[a1], icos[a2], icos[a3], icos[a4])
     raise SearchFailed("no icosian quadruple realizes the H4 diagram")
 
 

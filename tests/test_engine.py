@@ -1,0 +1,111 @@
+"""Engine kernels against the pure-Python FieldElement/Quaternion oracle."""
+
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from icosian import HALF, ONE, SIGMA, SQRT2, TAU, Quaternion, wh4
+from icosian.engine import apply_all, distinct_values, pairwise_dots, quat_of
+from icosian.errors import NotInGoldenSubfield
+from icosian.field import ZERO
+from icosian.roots import euclid_profile_full
+
+halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
+thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+coords = st.one_of(halves, thirds)
+base = st.builds(Quaternion, coords, coords, coords, coords)
+# Mixed denominators and radicals: halves, sqrt2-scaled and sigma-scaled.
+points = st.builds(lambda q, s: q * s, base, st.sampled_from([ONE, HALF, SQRT2, SIGMA]))
+golden_points = st.builds(lambda q, s: q * s, base, st.sampled_from([ONE, HALF, SIGMA, TAU]))
+point_lists = st.lists(points, min_size=1, max_size=6)
+
+
+def assert_table_is_oracle(rows, cols, table, den):
+    """Every entry, lifted through distinct_values, equals Quaternion.dot."""
+    values, index = distinct_values(table, den)
+    assert index.shape == (len(rows), len(cols))
+    assert sorted(values.values()) == list(range(len(values)))
+    lifted = {i: x for x, i in values.items()}
+    for i, p in enumerate(rows):
+        for j, q in enumerate(cols):
+            assert lifted[int(index[i, j])] == p.dot(q)
+            assert index[i, j] == values.get(p.dot(q), -1)
+    absent = sum((abs(x) for x in values), ONE)
+    assert not np.any(index == values.get(absent, -1))
+
+
+@given(point_lists, point_lists)
+@settings(max_examples=60, deadline=None)
+def test_pairwise_dots_match_quaternion_dot(rows, cols):
+    assert_table_is_oracle(rows, cols, *pairwise_dots(rows, cols))
+    assert_table_is_oracle(rows, rows, *pairwise_dots(rows))
+
+
+@given(st.lists(st.integers(0, 14399), min_size=1, max_size=8), points)
+@settings(max_examples=40, deadline=None)
+def test_apply_all_matches_transform_apply(picks, q):
+    group = wh4()
+    mats, dens = group.compiled()
+    images = apply_all(mats[picks], dens[picks], q)
+    for k, pt in zip(picks, images):
+        assert quat_of(pt) == group.elements[k].apply(q)
+        assert pt == quat_of(pt).ivec  # lowest terms, positive denominator
+
+
+@given(st.lists(points, min_size=1, max_size=4), st.integers(0, 66))
+@settings(max_examples=80, deadline=None)
+def test_pairwise_dots_raise_or_match_near_int64_limit(rows, bits):
+    scaled = [q * (1 << bits) for q in rows]
+    try:
+        result = pairwise_dots(scaled)
+    except OverflowError:
+        return
+    assert_table_is_oracle(scaled, scaled, *result)
+
+
+@given(points, st.integers(0, 66), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_apply_all_raises_or_matches_near_int64_limit(q, bits, shrink):
+    group = wh4()
+    mats, dens = group.compiled()
+    picks = [0, 1, 7199, 14399]
+    scaled = q * (Fraction(1, 1 << bits) if shrink else 1 << bits)
+    try:
+        images = apply_all(mats[picks], dens[picks], scaled)
+    except OverflowError:
+        return
+    for k, pt in zip(picks, images):
+        assert quat_of(pt) == group.elements[k].apply(scaled)
+
+
+def test_int64_limit_raises():
+    one = Quaternion(1)
+    # Scaling 2^62 to the common denominator 4 would wrap to 0 in int64.
+    with pytest.raises(OverflowError):
+        pairwise_dots([one * (1 << 62), one * Fraction(1, 4)])
+    with pytest.raises(OverflowError):
+        pairwise_dots([one * (1 << 64)])
+    mats, dens = wh4().compiled()
+    with pytest.raises(OverflowError):
+        apply_all(mats[:2], dens[:2], one * Fraction(1, 1 << 62))
+
+
+@given(st.lists(golden_points, min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_euclid_profile_full_matches_oracle(roots):
+    expected = {tuple(sorted(Counter(r.euclid_dot(s) for s in roots).items()))
+                for r in roots}
+    assert euclid_profile_full(roots) == expected
+
+
+@given(st.lists(golden_points, max_size=4), golden_points.filter(lambda q: q.norm() != ZERO),
+       st.integers(0, 5))
+@settings(max_examples=30, deadline=None)
+def test_euclid_profile_full_rejects_sqrt2_parts(roots, g, at):
+    # g . (sqrt2 g) = sqrt2 |g|^2 has a sqrt2 part.
+    roots = roots[:at] + [g * SQRT2] + roots[at:] + [g]
+    with pytest.raises(NotInGoldenSubfield):
+        euclid_profile_full(roots)
