@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import dual, exports, hull, polytope, roots, verify
 from .coxeter import orbit_decompose, wd4c3
@@ -76,28 +77,26 @@ def cmd_verify(args) -> int:
     return 0 if all(c.passed for c in certs) else 1
 
 
+@lru_cache(maxsize=None)
 def _export_complex(name: str):
+    """The complex an object name exports, built once per process."""
     if name == "snub24":
         return polytope.snub_census()
     if name == "600cell":
         return polytope.cell_census(binary_icosahedral().elements)
     if name == "24cell":
         return polytope.cell_census(binary_tetrahedral().elements)
-    return None
+    return dual.dual_complex()
 
 
 def _cell_geometry(name: str, index: int):
     """3D coordinates and hull faces of one cell, in the cell's own frame."""
-    if name == "dual-snub24":
-        cells = dual.dual_complex().cells
-        if not 0 <= index < len(cells):
-            raise InvalidSelector(f"cell index out of range 0..{len(cells) - 1}")
-        cell = cells[index]
-        return cell.coords, cell.faces
     complex_ = _export_complex(name)
     if not 0 <= index < len(complex_.cells):
         raise InvalidSelector(f"cell index out of range 0..{len(complex_.cells) - 1}")
     cell = complex_.cells[index]
+    if name == "dual-snub24":
+        return cell.coords, cell.faces
     coords = [polytope.frame_coords(cell.normal, complex_.vertices[i])
               for i in cell.vertex_indices]
     return coords, hull.convex_hull_faces(coords)
@@ -154,10 +153,6 @@ def cmd_export(args) -> int:
     else:
         if args.format == "json":
             text = exports.dumps(_build_doc(args.object))
-        elif args.object == "dual-snub24":
-            complex_ = dual.dual_complex()
-            coords = exports.quaternion_coords(complex_.vertices)
-            text = exports.off_text(coords, complex_.faces, args.digits, dimension=4)
         else:
             complex_ = _export_complex(args.object)
             coords = exports.quaternion_coords(complex_.vertices)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from . import engine
 from .errors import BadParameter, SearchFailed
-from .field import ONE
+from .field import HALF, ONE
 from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral,
                      generate, icosian_seed, t_prime)
 from .quaternion import E2, Q_ONE, Quaternion, canonical_sorted
@@ -121,86 +121,60 @@ class TransformGroup:
         return [engine.transform_matrix(t) for t in gens]
 
 
-def _group_generators(base: QuaternionSet):
-    """Pair generators [g,1], [1,g] plus plain conjugation, for g generating base."""
-    gens = [E2, _half_ones()]
+def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
+    """Every [p, q] and [p, q]* over base, generated by [g,1], [1,g] and conjugation."""
+    units = [E2, Quaternion(HALF, HALF, HALF, HALF)]
     if base.label == "I":
-        gens.append(icosian_seed())
-    out = []
-    for g in gens:
-        out.append(Transform(g, Q_ONE))
-        out.append(Transform(Q_ONE, g))
-    out.append(Transform(Q_ONE, Q_ONE, True))
-    return out
-
-
-def _half_ones() -> Quaternion:
-    from .field import HALF
-    return Quaternion(HALF, HALF, HALF, HALF)
+        units.append(icosian_seed())
+    gens = [t for g in units for t in (Transform(g, Q_ONE), Transform(Q_ONE, g))]
+    gens.append(Transform(Q_ONE, Q_ONE, True))
+    elems = [Transform(p, q, star) for p in base for q in base for star in (False, True)]
+    return TransformGroup(elems, label, gens)
 
 
 @lru_cache(maxsize=None)
 def wh4() -> TransformGroup:
     """The full symmetry group of the 600-cell, order 14400."""
-    icos = binary_icosahedral()
-    elems = []
-    for p in icos:
-        for q in icos:
-            elems.append(Transform(p, q))
-            elems.append(Transform(p, q, True))
-    return TransformGroup(elems, "W(H4)", _group_generators(icos))
+    return _pair_group(binary_icosahedral(), "W(H4)")
 
 
 @lru_cache(maxsize=None)
 def wd4c3() -> TransformGroup:
     """The snub 24-cell symmetry group W(D4):C3, order 576."""
-    tet = binary_tetrahedral()
+    return _pair_group(binary_tetrahedral(), "W(D4):C3")
+
+
+def _axis_group(base: QuaternionSet, q: Quaternion, signs, label: str) -> TransformGroup:
+    """[t, s conj(q) conj(t) q] and [t, s q conj(t) q]* for t in base and each sign s."""
+    qc = q.conjugate()
     elems = []
-    for p in tet:
-        for q in tet:
-            elems.append(Transform(p, q))
-            elems.append(Transform(p, q, True))
-    return TransformGroup(elems, "W(D4):C3", _group_generators(tet))
+    for t in base:
+        tc = t.conjugate()
+        for s in signs:
+            elems.append(Transform(t, s * (qc * tc * q)))
+            elems.append(Transform(t, s * (q * tc * q), True))
+    return TransformGroup(elems, label)
 
 
 def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
     """Order 240; maps the pair {q, -q} to itself, an icosahedral symmetry."""
     if q not in binary_icosahedral():
         raise BadParameter("conjugating point must lie in the binary icosahedral group")
-    qc = q.conjugate()
-    elems = []
-    for p in binary_icosahedral():
-        pc = p.conjugate()
-        for sign in (1, -1):
-            elems.append(Transform(p, sign * (qc * pc * q)))
-            elems.append(Transform(p, sign * (q * pc * q), True))
-    return TransformGroup(elems, f"W(H3)xC2^({q})")
+    return _axis_group(binary_icosahedral(), q, (1, -1), f"W(H3)xC2^({q})")
 
 
 def a4xc2(q: Quaternion) -> TransformGroup:
     """Order 24; fixes q in T while permuting the surrounding icosahedron."""
     if q not in binary_tetrahedral():
         raise BadParameter("center must lie in the binary tetrahedral group")
-    qc = q.conjugate()
-    elems = []
-    for t in binary_tetrahedral():
-        tc = t.conjugate()
-        elems.append(Transform(t, qc * tc * q))
-        elems.append(Transform(t, q * tc * q, True))
-    return TransformGroup(elems, f"A4xC2({q})")
+    return _axis_group(binary_tetrahedral(), q, (1,), f"A4xC2({q})")
 
 
 def s4_of(c: Quaternion) -> TransformGroup:
     """Order 24; the tetrahedral symmetry fixing a 24-cell cell center c in T'."""
     if c not in t_prime():
         raise BadParameter("center must lie in T'")
-    cc = c.conjugate()
-    elems = []
-    for t in binary_tetrahedral():
-        tc = t.conjugate()
-        elems.append(Transform(t, cc * tc * c))
-        elems.append(Transform(t, c * tc * c, True))
-    return TransformGroup(elems, f"S4({c})")
+    return _axis_group(binary_tetrahedral(), c, (1,), f"S4({c})")
 
 
 def snub_decompose(p: Quaternion) -> tuple[Quaternion, Quaternion]:

@@ -92,11 +92,6 @@ def dual_cell(p: Quaternion) -> DualCell:
     return DualCell(p, vertices, coords, kites, triangles)
 
 
-def _cycle_edges(face):
-    return [tuple(sorted((face[i], face[(i + 1) % len(face)])))
-            for i in range(len(face))]
-
-
 class DualComplex:
     """The 96 dual cells glued along shared faces."""
 
@@ -139,7 +134,6 @@ def dual_complex() -> DualComplex:
     cells = []
     faces: dict[tuple[int, ...], tuple[int, ...]] = {}
     incidence: Counter = Counter()
-    edges = set()
     for p in polytope.snub24_vertices():
         cell = dual_cell(p)
         cells.append(cell)
@@ -149,7 +143,7 @@ def dual_complex() -> DualComplex:
             key = tuple(sorted(cycle))
             faces.setdefault(key, cycle)
             incidence[key] += 1
-            edges.update(_cycle_edges(cycle))
+    edges = hull.edges_of_faces(faces.values())
     return DualComplex(vertices, sorted(edges), sorted(faces.values()),
                        cells, incidence)
 

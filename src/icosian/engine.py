@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotInvariant
 from .field import FieldElement
-from .quaternion import _FTAB, _QTAB, Quaternion, quaternion_from_ivec
+from .quaternion import _FTAB, _QTAB, Quaternion
 
 
 def _structure_tensors():
@@ -65,7 +65,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def quat_of(point) -> Quaternion:
     vec, den = point
-    return quaternion_from_ivec(vec, den)
+    return Quaternion._from_ivec(vec, den)
 
 
 _BLOCK = 256  # transforms per batched product, bounding the int64 temporaries

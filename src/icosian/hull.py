@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegenerateInput
-from .field import FieldElement, ZERO
+from .field import FieldElement
 
 Point3 = tuple[FieldElement, FieldElement, FieldElement]
 

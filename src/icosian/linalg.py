@@ -6,21 +6,11 @@ from .field import FieldElement, ONE, ZERO
 
 
 def solve(matrix, rhs) -> list[FieldElement]:
-    """Solve a square system by Gaussian elimination; raises on singular input."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].invert()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    """Solve a square system as the null vector (x, 1) of [A | -b]; raises on singular input."""
+    basis = nullspace([list(row) + [-b] for row, b in zip(matrix, rhs)])
+    if len(basis) != 1 or basis[0][-1] != ONE:
+        raise ZeroDivisionError("singular matrix")
+    return basis[0][:-1]
 
 
 def nullspace(matrix) -> list[list[FieldElement]]:

@@ -160,15 +160,9 @@ class PolytopeComplex:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
 
 
-def _icosa_candidates(vertices, complement):
-    table, den = engine.pairwise_dots(complement, vertices)
-    values, index = engine.distinct_values(table, den)
-    mask = index == values.get(TAU_HALF, -1)
-    return [tuple(np.flatnonzero(row).tolist()) for row in mask]
-
-
-def _octa_candidates(vertices):
-    table, den = engine.pairwise_dots(t_prime(), vertices)
+def _nearest(centers, vertices):
+    """For each center, the vertices at the largest exact scalar product with it."""
+    table, den = engine.pairwise_dots(centers, vertices)
     values, index = engine.distinct_values(table, den)
     # The exact rank of each entry among the distinct values, smallest first.
     rank = np.argsort([values[x] for x in sorted(values)])[index]
@@ -185,7 +179,7 @@ def cell_census(vertices) -> PolytopeComplex:
     faces = triangle_faces(vertices, edges)
     candidates: list[tuple[tuple[int, ...], str]] = []
     if vset == tet:
-        candidates += [(c, "octahedron") for c in _octa_candidates(vertices)]
+        candidates += [(c, "octahedron") for c in _nearest(t_prime(), vertices)]
     elif vset <= icos:
         complement = canonical_sorted(icos - vset)
         if complement and len(complement) != 24:
@@ -194,7 +188,7 @@ def cell_census(vertices) -> PolytopeComplex:
                        for c in _four_cliques(len(vertices), edges, faces)]
         if complement:
             candidates += [(c, "icosahedron")
-                           for c in _icosa_candidates(vertices, complement)]
+                           for c in _nearest(complement, vertices)]
     else:
         raise BadParameter("unsupported vertex set")
     cells = []

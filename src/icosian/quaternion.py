@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .field import FieldElement, ZERO, ONE
+from .field import FieldElement, ONE
 
 # u_i * u_j = sign * u_k for the quaternion units 1, e1, e2, e3
 _QTAB = {
@@ -244,10 +244,6 @@ class Quaternion:
         return out
 
     __repr__ = __str__
-
-
-def quaternion_from_ivec(vec, den) -> Quaternion:
-    return Quaternion._from_ivec(vec, den)
 
 
 Q_ONE = Quaternion(1)

@@ -17,10 +17,9 @@ import numpy as np
 from . import engine, linalg
 from .coxeter import orbit_decompose, reflection, wd4c3
 from .errors import BadParameter, SearchFailed
-from .field import HALF, ONE, SIGMA, TAU, ZERO, FieldElement
-from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral,
-                     d4_weight_orbits)
-from .quaternion import E1, E2, E3, Q_ONE, Quaternion, canonical_sorted
+from .field import HALF, ONE, SIGMA, TAU, ZERO
+from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
+from .quaternion import E1, E2, E3, Quaternion, canonical_sorted
 
 
 class RootSystemData:

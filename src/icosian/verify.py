@@ -21,7 +21,7 @@ from .field import HALF, SIGMA, SQRT2, TAU
 from .field import ONE as F_ONE
 from .groups import (binary_icosahedral, binary_octahedral,
                      binary_tetrahedral, conjugacy_classes, d4_weight_orbits,
-                     element_order, icosa_class_plus, icosian_seed, t_prime)
+                     icosa_class_plus, icosian_seed, t_prime)
 from .quaternion import E1, Q_ONE, canonical_sorted
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from icosian import e8_roots, snub24_vertices
+from icosian import cli, e8_roots, polytope, snub24_vertices
 from icosian.cli import main
 from icosian.exports import (decimal_str, dumps, field_to_json, off_text,
                              parse_field, parse_points, parse_quaternion,
@@ -162,6 +162,21 @@ def test_export_full_dual_off(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "4OFF"
     assert lines[1] == "144 432 480"
+
+
+def test_export_builds_each_census_once(monkeypatch, capsys):
+    calls = []
+    census = polytope.cell_census
+    monkeypatch.setattr(polytope, "cell_census",
+                        lambda vertices: calls.append(1) or census(vertices))
+    cli._export_complex.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["export", "24cell", "--cell", "3", "--format", "off",
+                         "--out", "-"]) == 0
+    finally:
+        cli._export_complex.cache_clear()
+    assert len(calls) == 1
 
 
 def test_selector_errors(capsys):

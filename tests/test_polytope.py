@@ -148,6 +148,13 @@ def test_snub_embeddings():
     assert embeddings[0] == snub24_vertices()
     complex_ = cell_census(embeddings[2])
     assert complex_.counts() == (96, 432, 480, 144)
+    # Each icosahedron is the twelve vertices nearest its removed center.
+    icosa = [c for c in complex_.cells if c.kind == "icosahedron"]
+    assert len(icosa) == 24
+    for cell in icosa:
+        assert len(cell.vertex_indices) == 12
+        assert all(cell.normal.dot(complex_.vertices[i]) == TAU_HALF
+                   for i in cell.vertex_indices)
 
 
 def test_edge_graph_rejects_degenerate_input():
