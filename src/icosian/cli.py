@@ -18,7 +18,6 @@ import sys
 from functools import lru_cache
 
 from . import dual, exports, hull, polytope, roots, verify
-from .coxeter import orbit_decompose, wd4c3
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      InvalidSelector)
 from .groups import binary_icosahedral, binary_tetrahedral, icosian_seed
@@ -176,15 +175,13 @@ def _parse_weights(text: str) -> tuple[int, int, int, int]:
 
 def cmd_orbit(args) -> int:
     weights = args.weights
-    pts = roots.weight_orbit(weights)
+    size, sizes = roots.weight_decomposition(weights)
     lines = [f"weights: {','.join(str(w) for w in weights)}",
-             f"orbit size: {len(pts)}"]
-    doc = {"weights": list(weights), "size": len(pts)}
+             f"orbit size: {size}"]
+    doc = {"weights": list(weights), "size": size}
     if args.decompose:
-        partition = orbit_decompose(wd4c3(), pts)
-        sizes = sorted(partition.sizes)
-        lines.append(f"decomposition: {roots.format_decomposition(len(pts), sizes)}")
-        doc["decomposition"] = sizes
+        lines.append(f"decomposition: {roots.format_decomposition(size, sizes)}")
+        doc["decomposition"] = list(sizes)
     print("\n".join(lines))
     if args.out:
         _write(args.out, exports.dumps(doc))

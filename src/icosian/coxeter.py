@@ -225,30 +225,25 @@ def build_group(name: str, param: Quaternion = None) -> TransformGroup:
 
 def orbit(group: TransformGroup, v: Quaternion) -> tuple[Quaternion, ...]:
     """Canonically sorted orbit of v, computed by generator closure."""
-    pts = engine.closure_points([v.ivec], group.generator_matrices())
-    return canonical_sorted(engine.quat_of(pt) for pt in pts)
+    return engine.quats_of(*engine.closure_points([v], group.generator_matrices()))
 
 
 def orbit_by_elements(group: TransformGroup, v: Quaternion) -> tuple[Quaternion, ...]:
     """Same orbit by applying every element; an independent cross-check."""
-    mats, dens = group.compiled()
-    pts = set(engine.apply_all(mats, dens, v))
-    return canonical_sorted(engine.quat_of(pt) for pt in pts)
+    rows, den = engine.apply_all(*group.compiled(), v)
+    return engine.quats_of(engine.distinct_rows(rows), den)
 
 
 def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:
-    mats, dens = group.compiled()
-    target = v.ivec
-    images = engine.apply_all(mats, dens, v)
-    elems = [t for t, img in zip(group.elements, images) if img == target]
+    rows, den = engine.apply_all(*group.compiled(), v)
+    fixed = (rows == [x * (den // v.ivec[1]) for x in v.ivec[0]]).all(axis=1)
+    elems = [t for t, hit in zip(group.elements, fixed.tolist()) if hit]
     return TransformGroup(elems, f"Stab_{group.label}({v})")
 
 
 class OrbitPartition:
     def __init__(self, suborbits):
-        by_first = canonical_sorted((tuple(part) for part in suborbits),
-                                    of=lambda part: part[0])
-        self.suborbits = tuple(sorted(by_first, key=len))
+        self.suborbits = tuple(sorted((tuple(part) for part in suborbits), key=len))
         self.sizes = tuple(sorted(len(part) for part in self.suborbits))
 
     def __repr__(self) -> str:
@@ -256,11 +251,12 @@ class OrbitPartition:
 
 
 def orbit_decompose(group: TransformGroup, points) -> OrbitPartition:
-    """Partition a closed point set into orbits of the group."""
-    pts = [q.ivec for q in points]
-    parts = engine.partition_points(pts, group.generator_matrices())
-    return OrbitPartition(
-        [canonical_sorted(engine.quat_of(pt) for pt in part) for part in parts])
+    """Partition a closed point set into canonically sorted orbits of the group."""
+    rows, den = engine.common_rows(points)
+    rows = engine.distinct_rows(rows)
+    labels = engine.partition_points(rows, group.generator_matrices())
+    return OrbitPartition(engine.quats_of(rows[labels == k], den)
+                          for k in sorted(set(labels.tolist())))
 
 
 def conjugate_group(group: TransformGroup, h: Transform) -> TransformGroup:

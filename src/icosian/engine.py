@@ -2,8 +2,9 @@
 
 A quaternion over the field is a 16-vector of integers with a common
 denominator; every transform then acts as an integer 16x16 matrix with its
-own denominator.  Orbit closures and partitions become batched integer
-matrix products, with a gcd pass keeping every point in lowest terms.
+own denominator.  A point set is one int64 array of rows over one
+denominator: closures and partitions are batched matrix products, and the
+rows' lexicographic order is the canonical order of the points.
 
 Every table of scalar products is made here too: each entry is a field
 4-vector of integers over one denominator, and distinct_values lifts the few
@@ -63,11 +64,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def quat_of(point) -> Quaternion:
-    vec, den = point
-    return Quaternion._from_ivec(vec, den)
-
-
 _BLOCK = 256  # transforms per batched product, bounding the int64 temporaries
 
 
@@ -99,61 +95,87 @@ def transform_matrix(t) -> tuple[np.ndarray, int]:
     return mats[0], int(dens[0])
 
 
-def _normalize_columns(block: np.ndarray, dens) -> list[tuple[tuple[int, ...], int]]:
-    dens = np.asarray(dens, dtype=np.int64)
-    g = np.gcd(np.gcd.reduce(block, axis=1), dens)
-    vecs = (block // g[:, None]).tolist()
-    return [(tuple(v), d) for v, d in zip(vecs, (dens // g).tolist())]
+def _keys(rows: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(rows).view("V128").ravel()  # equal rows, equal keys
 
 
-def _apply_batch(mat: np.ndarray, mden: int, points) -> list[tuple[tuple[int, ...], int]]:
-    arr = np.array([p[0] for p in points], dtype=np.int64)
-    dens = [mden * p[1] for p in points]
-    return _normalize_columns(_matmul(arr, mat.T), dens)
+def _scaled(rows: np.ndarray, k) -> np.ndarray:
+    _check_bound(1, rows, np.asarray(k))
+    return rows * k
 
 
-def _apply_generators(gens, frontier):
-    return [pt for mat, den in gens for pt in _apply_batch(mat, den, frontier)]
+def common_rows(points) -> tuple[np.ndarray, int]:
+    """The 16-vectors of the points as int64 rows over their lcm denominator."""
+    ivecs = [q.ivec for q in points]
+    den = lcm(*(d for _, d in ivecs))
+    arr = np.array([v for v, _ in ivecs], dtype=np.int64).reshape(len(ivecs), 16)
+    return _scaled(arr, np.array([den // d for _, d in ivecs], dtype=np.int64)[:, None]), den
 
 
-def closure_points(seeds, gen_mats) -> dict[tuple[tuple[int, ...], int], int]:
-    """BFS closure of seed points under generator matrices; insertion-indexed."""
-    seen: dict[tuple[tuple[int, ...], int], int] = {}
-    for s in seeds:
-        seen.setdefault(s, len(seen))
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for pt in _apply_generators(gen_mats, frontier):
-            if pt not in seen:
-                seen[pt] = len(seen)
-                fresh.append(pt)
-        frontier = fresh
-    return seen
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order: over one denominator, canonical order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]]
 
 
-def partition_points(points, gen_mats) -> list[list[tuple[tuple[int, ...], int]]]:
-    """Split the point set into connected components under the generators."""
-    universe = {pt: False for pt in points}
-    parts = []
-    for start in points:
-        if universe[start]:
-            continue
-        component = closure_points([start], gen_mats)
-        for pt in component:
-            if pt not in universe:
-                raise NotInvariant("generator image left the decomposed set")
-            universe[pt] = True
-        parts.append(list(component))
-    return parts
+def quats_of(rows: np.ndarray, den: int) -> tuple[Quaternion, ...]:
+    return tuple(Quaternion._from_ivec(row, den) for row in rows.tolist())
 
 
-def apply_all(mats: np.ndarray, dens: np.ndarray, q: Quaternion):
-    """Images of one point under a compiled stack of transforms."""
+def closure_points(seeds, gen_mats) -> tuple[np.ndarray, int]:
+    """The orbit of the seeds under the generators, as canonically ordered rows.
+
+    An image not integral over the rows' denominator multiplies that
+    denominator, and every row, by the missing factor.
+    """
+    m = lcm(*(d for _, d in gen_mats))  # every generator over one denominator, in one stack
+    mats = np.concatenate([_scaled(mat, m // d) for mat, d in gen_mats])
+    frontier, den = common_rows(seeds)
+    seen, rows = set(), frontier[:0]
+    while len(frontier):
+        fresh = {key: i for i, key in enumerate(_keys(frontier).tolist()) if key not in seen}
+        seen.update(fresh)
+        frontier = frontier[list(fresh.values())]
+        rows = np.concatenate([rows, frontier])
+        images = _matmul(frontier, mats.T).reshape(-1, 16)
+        cut = int(np.gcd.reduce(images.ravel(), initial=m))
+        if cut < m:
+            den *= m // cut
+            rows = _scaled(rows, m // cut)
+            seen = set(_keys(rows).tolist())
+        frontier = images // cut
+    return distinct_rows(rows), den
+
+
+def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:
+    """Label each of the distinct rows with the lowest row index in its orbit."""
+    keys = _keys(rows)
+    order = np.argsort(keys)
+    by_key = keys[order]
+    perms = []
+    for mat, d in gen_mats:
+        images = _matmul(rows, mat.T)
+        if (images % d).any():
+            raise NotInvariant("generator image is not integral over the set's denominator")
+        image_keys = _keys(images // d)
+        at = np.searchsorted(by_key, image_keys)
+        if np.any(np.searchsorted(by_key, image_keys, side="right") == at):
+            raise NotInvariant("generator image left the decomposed set")
+        perms.append(order[at])
+    labels, prev = np.arange(len(rows)), None
+    while not np.array_equal(labels, prev):
+        prev = labels
+        for perm in perms:
+            labels = np.minimum(labels, labels[perm])
+    return labels
+
+
+def apply_all(mats: np.ndarray, dens: np.ndarray, q: Quaternion) -> tuple[np.ndarray, int]:
+    """Images of one point under a compiled stack of transforms, over one denominator."""
     vec, den = q.ivec
-    arr = np.array(vec, dtype=np.int64)
-    images = _matmul(mats, arr)
-    return _normalize_columns(images, [int(d) * den for d in dens])
+    common = lcm(*dens.tolist())
+    images = _matmul(mats, np.array(vec, dtype=np.int64))
+    return _scaled(images, (common // dens)[:, None]), common * den
 
 
 def _dot_forms():
@@ -169,25 +191,14 @@ def _dot_forms():
 _DOT_FORMS = _dot_forms()
 
 
-def _common_ivecs(points) -> tuple[np.ndarray, int]:
-    """The 16-vectors of the points as integer rows over their lcm denominator."""
-    points = list(points)
-    dens = [q.ivec[1] for q in points]
-    den = lcm(*dens)
-    arr = np.array([q.ivec[0] for q in points], dtype=np.int64).reshape(len(points), 16)
-    scale = np.array([den // d for d in dens], dtype=np.int64)[:, None]
-    _check_bound(1, arr, scale)
-    return arr * scale, den
-
-
 def pairwise_dots(points, others=None) -> tuple[np.ndarray, int]:
     """Scalar products of every point with every point of others (default: points).
 
     table[i, j] holds the product of points[i] and others[j] as the integer
     field 4-vector of its numerator over the returned denominator.
     """
-    left, lden = _common_ivecs(points)
-    right, rden = (left, lden) if others is None else _common_ivecs(others)
+    left, lden = common_rows(points)
+    right, rden = (left, lden) if others is None else common_rows(others)
     table = np.stack([_matmul(_matmul(left, form), right.T) for form in _DOT_FORMS],
                      axis=-1)
     return table, lden * rden

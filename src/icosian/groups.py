@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import CapExceeded
+from .errors import CapExceeded, SearchFailed
 from .field import FieldElement, HALF, SIGMA, SQRT2, TAU
 from .quaternion import E1, E2, E3, Q_ONE, Quaternion, canonical_sorted
 
@@ -153,7 +153,7 @@ def element_order(q: Quaternion) -> int:
         acc = acc * q
         k += 1
         if k > 1000:
-            raise RuntimeError("not a finite-order element")
+            raise SearchFailed("not a finite-order element")
     return k
 
 

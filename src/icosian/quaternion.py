@@ -77,9 +77,6 @@ class Quaternion:
 
     @classmethod
     def _from_ivec(cls, vec, den) -> "Quaternion":
-        if den < 0:
-            vec = tuple(-v for v in vec)
-            den = -den
         self = object.__new__(cls)
         self._init(tuple(vec), den)
         return self

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine, linalg
-from .coxeter import orbit_decompose, reflection, wd4c3
+from .coxeter import reflection, wd4c3
 from .errors import BadParameter, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, ZERO
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
@@ -163,19 +163,21 @@ def _reflection_matrices():
 
 
 def h4_orbit(mask) -> tuple[Quaternion, ...]:
-    """Orbit of the masked weight sum under the four simple reflections."""
-    return weight_orbit(_mask_tuple(mask))
+    """Canonically sorted orbit of the masked weight sum under the four simple reflections."""
+    return engine.quats_of(*_weight_rows(_mask_tuple(mask)))
 
 
-@lru_cache(maxsize=16)  # room for the 15 weight masks
-def weight_orbit(weights: tuple[int, int, int, int]) -> tuple[Quaternion, ...]:
-    """Canonically sorted W(H4) orbit of sum(w_i * omega_i), by the simple reflections."""
-    seed = Quaternion(0)
-    for w, omega in zip(weights, h4_weights()):
-        if w:
-            seed = seed + omega * w
-    pts = engine.closure_points([seed.ivec], _reflection_matrices())
-    return canonical_sorted(engine.quat_of(pt) for pt in pts)
+def _weight_rows(weights: tuple[int, int, int, int]) -> tuple[np.ndarray, int]:
+    """The W(H4) orbit of sum(w_i * omega_i), by the simple reflections, as engine rows."""
+    seed = sum((omega * w for w, omega in zip(weights, h4_weights())), Quaternion(0))
+    return engine.closure_points([seed], _reflection_matrices())
+
+
+def weight_decomposition(weights: tuple[int, int, int, int]) -> tuple[int, tuple[int, ...]]:
+    """The size of a weight orbit and the sorted sizes of its W(D4):C3 orbits."""
+    rows, _ = _weight_rows(weights)
+    labels = engine.partition_points(rows, wd4c3().generator_matrices())
+    return len(rows), tuple(sorted(Counter(labels.tolist()).values()))
 
 
 # The published orbit-by-orbit decompositions under W(D4):C3, as
@@ -231,15 +233,12 @@ class WeightOrbitReport:
 @lru_cache(maxsize=None)
 def appendix_decompositions() -> tuple[WeightOrbitReport, ...]:
     """Every weight orbit decomposed under W(D4):C3, matched to the published table."""
-    group = wd4c3()
     reports = []
     for mask in ALL_MASKS:
-        pts = h4_orbit(mask)
-        partition = orbit_decompose(group, pts)
-        decomposition = tuple(sorted(partition.sizes))
+        size, decomposition = weight_decomposition(mask)
         matched, flagged = [], []
         for lineno, (total, summands) in enumerate(PUBLISHED_DECOMPOSITIONS, start=1):
-            if total != len(pts):
+            if total != size:
                 continue
             if tuple(sorted(summands)) == decomposition:
                 if sum(summands) == total:
@@ -249,7 +248,7 @@ def appendix_decompositions() -> tuple[WeightOrbitReport, ...]:
             elif sum(summands) != total:
                 # Inconsistent published line: match on total only, flagged.
                 flagged.append(lineno)
-        reports.append(WeightOrbitReport(mask, len(pts), decomposition, matched, flagged))
+        reports.append(WeightOrbitReport(mask, size, decomposition, matched, flagged))
     return tuple(reports)
 
 

@@ -224,6 +224,21 @@ def test_orbit_regular(capsys):
     assert lines[2] == "decomposition: 14400 = 25(576)"
 
 
+@pytest.mark.parametrize("weights, expected", [
+    ("2,0,1,3", "weights: 2,0,1,3\norbit size: 7200\n"
+                "decomposition: 7200 = 5(288)+10(576)\n"
+                '{"decomposition":[288,288,288,288,288,576,576,576,576,576,576,576,576,576,576],'
+                '"size":7200,"weights":[2,0,1,3]}\n'),
+    ("0,3,0,1", "weights: 0,3,0,1\norbit size: 3600\n"
+                "decomposition: 3600 = 144+4(288)+4(576)\n"
+                '{"decomposition":[144,288,288,288,288,576,576,576,576],'
+                '"size":3600,"weights":[0,3,0,1]}\n'),
+], ids=["2,0,1,3", "0,3,0,1"])
+def test_orbit_weights_beyond_masks(capsys, weights, expected):
+    assert main(["orbit", "--weights", weights, "--decompose", "--out", "-"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_console_script_and_determinism(tmp_path, run_cli, console_scripts):
     assert console_scripts["icosian"] == "icosian.cli:main"
     texts = []

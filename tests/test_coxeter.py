@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, SQRT2, TAU,
-                     BadParameter, CapExceeded, Quaternion, Transform, a4xc2,
+                     BadParameter, CapExceeded, NotInvariant, Quaternion, Transform, a4xc2,
                      binary_icosahedral, binary_tetrahedral, build_group,
                      icosian_seed, orbit, orbit_decompose, reflection, s3_of,
                      s4_of, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
@@ -206,6 +206,19 @@ def test_orbit_decompose_sizes():
     partition = orbit_decompose(wd4c3(), pts)
     assert partition.sizes == (24, 96)
     assert sum(partition.sizes) == len(pts)
+
+
+def test_orbit_decompose_rejects_a_set_that_is_not_closed():
+    vertices = binary_icosahedral().elements
+    with pytest.raises(NotInvariant, match="left the decomposed set"):
+        orbit_decompose(wd4c3(), vertices[1:])
+    # The 24 roots with two coordinates +-1 are one orbit over the denominator
+    # 1.  The generators [e2, 1] and [1, e2] permute +-1, +-e2 too, but
+    # [(1+e1+e2+e3)/2, 1] sends 1 to a point that needs the denominator 2.
+    roots = orbit(wd4c3(), Q_ONE + E1)
+    assert len(roots) == 24 and all(q.ivec[1] == 1 for q in roots)
+    with pytest.raises(NotInvariant, match="not integral"):
+        orbit_decompose(wd4c3(), roots + (Q_ONE, -Q_ONE, E2, -E2))
 
 
 def test_build_group_dispatch():

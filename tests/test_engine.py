@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosian import HALF, ONE, SIGMA, SQRT2, TAU, Quaternion, wh4
-from icosian.engine import apply_all, distinct_values, pairwise_dots, quat_of
+from icosian import (HALF, ONE, SIGMA, SQRT2, TAU, Quaternion, canonical_sorted,
+                     icosian_seed, orbit, s3_of, wd4c3, wh3xc2, wh4)
+from icosian.coxeter import orbit_by_elements
+from icosian.engine import apply_all, distinct_values, pairwise_dots, quats_of
 from icosian.errors import NotInGoldenSubfield
 from icosian.field import ZERO
 from icosian.roots import euclid_profile_full
@@ -49,10 +51,8 @@ def test_pairwise_dots_match_quaternion_dot(rows, cols):
 def test_apply_all_matches_transform_apply(picks, q):
     group = wh4()
     mats, dens = group.compiled()
-    images = apply_all(mats[picks], dens[picks], q)
-    for k, pt in zip(picks, images):
-        assert quat_of(pt) == group.elements[k].apply(q)
-        assert pt == quat_of(pt).ivec  # lowest terms, positive denominator
+    images = quats_of(*apply_all(mats[picks], dens[picks], q))
+    assert images == tuple(group.elements[k].apply(q) for k in picks)
 
 
 @given(st.lists(points, min_size=1, max_size=4), st.integers(0, 66))
@@ -74,11 +74,10 @@ def test_apply_all_raises_or_matches_near_int64_limit(q, bits, shrink):
     picks = [0, 1, 7199, 14399]
     scaled = q * (Fraction(1, 1 << bits) if shrink else 1 << bits)
     try:
-        images = apply_all(mats[picks], dens[picks], scaled)
+        images = quats_of(*apply_all(mats[picks], dens[picks], scaled))
     except OverflowError:
         return
-    for k, pt in zip(picks, images):
-        assert quat_of(pt) == group.elements[k].apply(scaled)
+    assert images == tuple(group.elements[k].apply(scaled) for k in picks)
 
 
 def test_int64_limit_raises():
@@ -88,9 +87,15 @@ def test_int64_limit_raises():
         pairwise_dots([one * (1 << 62), one * Fraction(1, 4)])
     with pytest.raises(OverflowError):
         pairwise_dots([one * (1 << 64)])
-    mats, dens = wh4().compiled()
+    # Images are rows over one denominator, never reduced: a tiny point is
+    # answered exactly, while numerators of 2^62 times a matrix entry overflow.
+    group = wh4()
+    mats, dens = group.compiled()
+    tiny = one * Fraction(1, 1 << 62)
+    assert quats_of(*apply_all(mats[:2], dens[:2], tiny)) == tuple(
+        t.apply(tiny) for t in group.elements[:2])
     with pytest.raises(OverflowError):
-        apply_all(mats[:2], dens[:2], one * Fraction(1, 1 << 62))
+        apply_all(mats[:2], dens[:2], one * (1 << 62))
 
 
 @given(st.lists(golden_points, min_size=1, max_size=5))
@@ -109,3 +114,35 @@ def test_euclid_profile_full_rejects_sqrt2_parts(roots, g, at):
     roots = roots[:at] + [g * SQRT2] + roots[at:] + [g]
     with pytest.raises(NotInGoldenSubfield):
         euclid_profile_full(roots)
+
+
+GROUPS = {"W(D4):C3": wd4c3, "W(H3)xC2": wh3xc2, "S3": lambda: s3_of(icosian_seed())}
+group_names = st.sampled_from(sorted(GROUPS))
+
+
+@given(group_names, points)
+@settings(max_examples=60, deadline=None)
+def test_orbit_matches_orbit_by_elements(name, q):
+    group = GROUPS[name]()
+    assert orbit(group, q) == orbit_by_elements(group, q)
+
+
+def test_orbit_grows_its_denominator():
+    # The images of -1 + e2 - e3/2 need a larger denominator than the lcm of
+    # the seed's and the generators' denominators: the closure must grow it.
+    q = Quaternion(-1, 0, 1, Fraction(-1, 2))
+    points = orbit(wh4(), q)
+    assert len(points) == 7200
+    assert points == orbit_by_elements(wh4(), q)
+
+
+@given(group_names, points, st.integers(40, 66))
+@settings(max_examples=40, deadline=None)
+def test_orbit_raises_or_matches_near_int64_limit(name, q, bits):
+    group = GROUPS[name]()
+    scaled = q * (1 << bits)
+    try:
+        points = orbit(group, scaled)
+    except OverflowError:
+        return
+    assert points == canonical_sorted({t.apply(scaled) for t in group})

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from icosian import (E1, HALF, Q_ONE, SIGMA, SQRT2, TAU, CapExceeded,
-                     Quaternion, binary_icosahedral, binary_octahedral,
-                     binary_tetrahedral, canonical_sorted, closure,
-                     conjugacy_classes, d4_weight_orbits, element_order,
-                     icosa_class_plus, icosian_seed, t_prime)
+                     Quaternion, SearchFailed, binary_icosahedral,
+                     binary_octahedral, binary_tetrahedral, canonical_sorted,
+                     closure, conjugacy_classes, d4_weight_orbits,
+                     element_order, icosa_class_plus, icosian_seed, t_prime)
 
 HALF_ONES = Quaternion(HALF, HALF, HALF, HALF)
 
@@ -59,6 +59,11 @@ def test_element_orders():
     assert element_order(E1) == 4
     assert element_order(HALF_ONES) == 6
     assert element_order(icosian_seed()) == 10
+
+
+def test_element_order_of_infinite_order_raises():
+    with pytest.raises(SearchFailed):
+        element_order(Quaternion(2))
 
 
 def test_icosahedral_cosets():
