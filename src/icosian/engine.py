@@ -9,9 +9,11 @@ rows' lexicographic order is the canonical order of the points.
 Every table of scalar products is made here too: each entry is a field
 4-vector of integers over one denominator, and distinct_values lifts the few
 distinct entries to field elements, so exact comparisons run once per value
-rather than once per pair.  Results are exact: numpy carries the integer
-arithmetic only after a bound on the operands proves that no int64 entry
-can overflow.
+rather than once per pair.  side_signs is the one place where bulk
+geometry takes exact signs: which side of each hyperplane every point lies
+on, for cell certificates and hull faces alike.  Results are exact: numpy
+carries the integer arithmetic only after a bound on the operands proves
+that no int64 entry can overflow.
 """
 
 from __future__ import annotations
@@ -214,3 +216,22 @@ def distinct_values(table: np.ndarray, den: int) -> tuple[dict[FieldElement, int
     rows, index = np.unique(table.reshape(-1, 4), axis=0, return_inverse=True)
     values = {FieldElement._make(*row, den): i for i, row in enumerate(rows.tolist())}
     return values, index.reshape(table.shape[:-1])
+
+
+_SIGN_BLOCK = 64  # normals per sign table, bounding its int64 temporaries
+
+
+def side_signs(normals, points, anchors) -> np.ndarray:
+    """Exact signs of (n_i, p_j) - (n_i, p_anchors[i]), as an int8 array [i, j].
+
+    Each block of normals makes one dot table, and each distinct difference
+    in it is signed once.
+    """
+    signs = np.empty((len(normals), len(points)), dtype=np.int8)
+    for lo in range(0, len(normals), _SIGN_BLOCK):
+        table, den = pairwise_dots(normals[lo:lo + _SIGN_BLOCK], points)
+        _check_bound(2, table, np.asarray(1))  # a difference of two entries
+        at = table[np.arange(len(table)), anchors[lo:lo + _SIGN_BLOCK]]
+        values, index = distinct_values(table - at[:, None], den)
+        signs[lo:lo + _SIGN_BLOCK] = np.array([x.sign() for x in values], dtype=np.int8)[index]
+    return signs

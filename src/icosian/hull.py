@@ -1,70 +1,43 @@
-"""Exact convex hulls of small 3D point sets.
+"""Exact convex hulls of small 3D point sets: cells and vertex figures.
 
-Supporting planes are enumerated over all triples with exact sign tests, so
-the result is a certificate: every reported face really bounds the hull and
-every face cycle is convex in its plane.  Intended for cells and vertex
-figures (a dozen points), not bulk geometry.
+The plane of every non-degenerate triple is tested against every point in
+one exact engine.side_signs table, and a plane with all points on one side
+is a face.  Two facets of a 3-polytope meet in an edge or not at all, so two
+points of a face are consecutive on its cycle exactly when another face
+holds both.  Cycles run counterclockwise seen from outside, from their
+lowest index.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
+import numpy as np
+
+from . import engine
 from .errors import DegenerateInput
 from .field import FieldElement
+from .quaternion import Quaternion
 
 Point3 = tuple[FieldElement, FieldElement, FieldElement]
 
 
-def _sub(a: Point3, b: Point3) -> Point3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _cross(a: Point3, b: Point3) -> Point3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot3(a: Point3, b: Point3) -> FieldElement:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cycle_order(points, idxs, normal) -> tuple[int, ...]:
-    """Arrange coplanar convex-position points into their polygon cycle."""
-    rest = list(idxs)
-    start = min(rest)
-    rest.remove(start)
-    cycle = [start]
-    current = start
-    while rest:
-        for cand in rest:
-            # cand is next on the cycle iff every other point sits on one side
-            base = points[current]
-            edge = _sub(points[cand], base)
-            ok = True
-            side = 0
-            for other in rest:
-                if other == cand:
-                    continue
-                s = _dot3(_cross(edge, _sub(points[other], base)), normal).sign()
-                if s == 0:
-                    ok = False
-                    break
-                if side == 0:
-                    side = s
-                elif s != side:
-                    ok = False
-                    break
-            if ok and side >= 0:
-                cycle.append(cand)
-                rest.remove(cand)
-                current = cand
-                break
-        else:
-            raise DegenerateInput("face points are not in convex position")
+def _cycle(face, shared, row_of, signs) -> tuple[int, ...]:
+    """The face's points in cycle order, from the pairs it shares with other faces."""
+    nbrs = {v: [w for w in face if w != v and shared[min(v, w), max(v, w)] > 1]
+            for v in face}
+    # Shared pairs lie on hull edges: a point inside a face or an edge breaks
+    # this, and with two neighbours each the pairs form the one polygon cycle.
+    if any(len(ws) != 2 for ws in nbrs.values()):
+        raise DegenerateInput("face points are not in convex position")
+    start = face[0]
+    x, y = nbrs[start]
+    # The triple (start, x, y) faces outward, other points below, iff x follows start.
+    cycle = [start, x if (signs[row_of[start, x, y]] < 0).any() else y]
+    while len(cycle) < len(face):
+        a, b = nbrs[cycle[-1]]
+        cycle.append(b if a == cycle[-2] else a)
     return tuple(cycle)
 
 
@@ -73,32 +46,19 @@ def convex_hull_faces(points: list[Point3]) -> tuple[tuple[int, ...], ...]:
     n = len(points)
     if n < 4:
         raise DegenerateInput("need at least four points")
-    faces = {}
+    pts = [Quaternion(0, *p) for p in points]
+    row_of, normals = {}, []
     for i, j, k in combinations(range(n), 3):
-        normal = _cross(_sub(points[j], points[i]), _sub(points[k], points[i]))
-        if all(x.is_zero() for x in normal):
-            continue
-        offset = _dot3(normal, points[i])
-        side = 0
-        support = []
-        for m in range(n):
-            s = (_dot3(normal, points[m]) - offset).sign()
-            if s == 0:
-                support.append(m)
-                continue
-            if side == 0:
-                side = s
-            elif s != side:
-                side = None
-                break
-        if side is None or side == 0:
-            continue
-        key = frozenset(support)
-        if key in faces:
-            continue
-        oriented = normal if side < 0 else tuple(-x for x in normal)
-        faces[key] = _cycle_order(points, support, oriented)
-    result = tuple(sorted(faces.values()))
+        w = (pts[j] - pts[i]) * (pts[k] - pts[i])
+        normal = w - w.conjugate()  # of pure quaternions: twice the cross product
+        if any(normal.ivec[0]):
+            row_of[i, j, k] = len(normals)
+            normals.append(normal)
+    signs = engine.side_signs(normals, pts, [t[0] for t in row_of])
+    one_sided = (signs > 0).any(axis=1) != (signs < 0).any(axis=1)
+    faces = {tuple(np.flatnonzero(row == 0).tolist()) for row in signs[one_sided]}
+    shared = Counter(pair for face in faces for pair in combinations(face, 2))
+    result = tuple(sorted(_cycle(face, shared, row_of, signs) for face in faces))
     if len({v for f in result for v in f}) != n:
         raise DegenerateInput("some input point is not a hull vertex")
     return result

@@ -3,7 +3,9 @@
 Vertex sets are exact quaternions; edges come from maximal scalar products,
 faces from triangles, and every cell is certified by an exact supporting
 hyperplane: its vertices reach the plane, all other vertices stay strictly
-below.  The 120-cell appears as the coset union hosting the second snub copy.
+below.  Each cell's normal comes from its own nullspace; the signs of a
+whole census come from one engine.side_signs table.  The 120-cell appears
+as the coset union hosting the second snub copy.
 """
 
 from __future__ import annotations
@@ -73,36 +75,52 @@ def _four_cliques(n: int, edges, triangles) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def certify_cells(candidates, vertices):
+    """Exact certificates (unit normal, offset), one side-of-hyperplane table for all.
+
+    Each cell's vertices lie on its hyperplane, every other vertex and the
+    origin strictly below.  A failing list raises for its first failing
+    cell, with that cell's first failing check.
+    """
+    normals, failure = [], None
+    for idxs in candidates:
+        base = vertices[idxs[0]]
+        rows = [[(vertices[i] - base).component(c) for c in range(4)] for i in idxs[1:]]
+        basis = linalg.nullspace(rows)
+        if len(basis) != 1:
+            failure = "cell does not span a hyperplane"
+            break
+        normal = Quaternion(*basis[0])
+        scale = field_sqrt(normal.norm())
+        if scale is None:
+            failure = "normal admits no exact unit scaling"
+            break
+        normals.append(normal.scale(scale.invert()))
+    # The last column is the origin: its sign is that of -offset.
+    signs = engine.side_signs(normals, [*vertices, Quaternion()],
+                              [idxs[0] for idxs in candidates[:len(normals)]])
+    out = []
+    for idxs, normal, row in zip(candidates, normals, signs):
+        if np.any(row[list(idxs)]):
+            raise CertificationFailed("cell vertex off the hyperplane")
+        outside = set(np.delete(row[:-1], list(idxs)).tolist())
+        if 0 in outside:
+            raise CertificationFailed("outside vertex touches the hyperplane")
+        if len(outside) > 1:
+            raise CertificationFailed("vertices on both sides of the hyperplane")
+        side = 1 if 1 in outside else -1
+        if row[-1] != side:
+            raise CertificationFailed("hyperplane does not face away from the origin")
+        normal = normal if side < 0 else -normal
+        out.append((normal, normal.dot(vertices[idxs[0]])))
+    if failure is not None:
+        raise CertificationFailed(failure)
+    return out
+
+
 def supporting_hyperplane(vertex_indices, vertices):
-    """Exact certificate (unit normal, offset): equality on the cell, strict below elsewhere."""
-    cell = [vertices[i] for i in vertex_indices]
-    base = cell[0]
-    rows = [[(w - base).component(c) for c in range(4)] for w in cell[1:]]
-    basis = linalg.nullspace(rows)
-    if len(basis) != 1:
-        raise CertificationFailed("cell does not span a hyperplane")
-    normal = Quaternion(*basis[0])
-    scale = field_sqrt(normal.norm())
-    if scale is None:
-        raise CertificationFailed("normal admits no exact unit scaling")
-    normal = normal.scale(scale.invert())
-    offset = normal.dot(base)
-    table, den = engine.pairwise_dots([normal], vertices)
-    values, index = engine.distinct_values(table, den)
-    signs = np.array([(x - offset).sign() for x in values])[index[0]]
-    inside = list(vertex_indices)
-    if np.any(signs[inside]):
-        raise CertificationFailed("cell vertex off the hyperplane")
-    outside = set(np.delete(signs, inside).tolist())
-    if 0 in outside:
-        raise CertificationFailed("outside vertex touches the hyperplane")
-    if len(outside) > 1:
-        raise CertificationFailed("vertices on both sides of the hyperplane")
-    if 1 in outside:
-        normal, offset = -normal, -offset
-    if offset.sign() <= 0:
-        raise CertificationFailed("hyperplane does not face away from the origin")
-    return normal, offset
+    """Exact certificate (unit normal, offset) of one cell: see certify_cells."""
+    return certify_cells([vertex_indices], vertices)[0]
 
 
 class Cell:
@@ -191,10 +209,9 @@ def cell_census(vertices) -> PolytopeComplex:
                            for c in _nearest(complement, vertices)]
     else:
         raise BadParameter("unsupported vertex set")
-    cells = []
-    for idxs, kind in candidates:
-        normal, offset = supporting_hyperplane(idxs, vertices)
-        cells.append(Cell(idxs, kind, normal, offset))
+    certificates = certify_cells([idxs for idxs, _ in candidates], vertices)
+    cells = [Cell(idxs, kind, normal, offset)
+             for (idxs, kind), (normal, offset) in zip(candidates, certificates)]
     return PolytopeComplex(vertices, edges, faces, cells)
 
 

@@ -231,6 +231,12 @@ def suite_snub() -> Certificate:
     return cert
 
 
+def _edge_norms(vertices, face) -> tuple:
+    """The squared edge lengths of a face cycle, in increasing order."""
+    return tuple(sorted((vertices[a] - vertices[b]).norm()
+                        for a, b in zip(face, face[1:] + face[:1])))
+
+
 def suite_dual() -> Certificate:
     cert = Certificate("dual")
     c = cert.checks
@@ -260,18 +266,10 @@ def suite_dual() -> Certificate:
     short = SIGMA ** 4 * HALF
     long_ = HALF
     base = TAU * TAU * HALF
-    kite_metrics = set()
-    for f in cell.kites:
-        edges = tuple(sorted((cell.vertices[f[i]] - cell.vertices[f[(i + 1) % 4]]).norm()
-                             for i in range(4)))
-        kite_metrics.add(edges)
-    _eq(c, "dual.kite-metrics", {(short, short, long_, long_)}, kite_metrics)
-    tri_metrics = set()
-    for f in cell.triangles:
-        edges = tuple(sorted((cell.vertices[f[i]] - cell.vertices[f[(i + 1) % 3]]).norm()
-                             for i in range(3)))
-        tri_metrics.add(edges)
-    _eq(c, "dual.triangle-metrics", {(long_, long_, base)}, tri_metrics,
+    _eq(c, "dual.kite-metrics", {(short, short, long_, long_)},
+        {_edge_norms(cell.vertices, f) for f in cell.kites})
+    _eq(c, "dual.triangle-metrics", {(long_, long_, base)},
+        {_edge_norms(cell.vertices, f) for f in cell.triangles},
         note="two legs 1/2 and base tau^2/2: the legs are the short sides")
     level = {seed.dot(v) for v in cell.vertices}
     _eq(c, "dual.cell-hyperplane", {dual.LEVEL}, level)

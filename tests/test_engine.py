@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from icosian import (HALF, ONE, SIGMA, SQRT2, TAU, Quaternion, canonical_sorted,
                      icosian_seed, orbit, s3_of, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import orbit_by_elements
-from icosian.engine import apply_all, distinct_values, pairwise_dots, quats_of
+from icosian.engine import (_SIGN_BLOCK, apply_all, distinct_values, pairwise_dots,
+                            quats_of, side_signs)
 from icosian.errors import NotInGoldenSubfield
 from icosian.field import ZERO
 from icosian.roots import euclid_profile_full
@@ -44,6 +45,31 @@ def assert_table_is_oracle(rows, cols, table, den):
 def test_pairwise_dots_match_quaternion_dot(rows, cols):
     assert_table_is_oracle(rows, cols, *pairwise_dots(rows, cols))
     assert_table_is_oracle(rows, rows, *pairwise_dots(rows))
+
+
+def assert_signs_are_oracle(normals, pts, anchors):
+    signs = side_signs(normals, pts, anchors)
+    assert signs.shape == (len(normals), len(pts)) and signs.dtype == np.int8
+    for i, (n, a) in enumerate(zip(normals, anchors)):
+        assert signs[i].tolist() == [(n.dot(p) - n.dot(pts[a])).sign() for p in pts]
+
+
+@given(point_lists, point_lists, st.integers(0, 66), st.data())
+@settings(max_examples=60, deadline=None)
+def test_side_signs_match_quaternion_dot(normals, pts, bits, data):
+    anchors = data.draw(st.lists(st.integers(0, len(pts) - 1),
+                                 min_size=len(normals), max_size=len(normals)))
+    assert_signs_are_oracle(normals, pts, anchors)
+    # More normals than one block: the second block has other denominators.
+    many = [n * (1 + k % 3) for k, n in enumerate(normals * _SIGN_BLOCK)][:_SIGN_BLOCK + 5]
+    assert_signs_are_oracle(many, pts, (anchors * _SIGN_BLOCK)[:len(many)])
+    # Sized toward the int64 limit: raise OverflowError or stay exact.
+    scale = 1 << bits
+    try:
+        assert_signs_are_oracle([n * scale for n in normals], [p * scale for p in pts],
+                                anchors)
+    except OverflowError:
+        pass
 
 
 @given(st.lists(st.integers(0, 14399), min_size=1, max_size=8), points)

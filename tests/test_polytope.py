@@ -1,6 +1,7 @@
 """Certified cell structure of the snub 24-cell and its neighbours."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,8 @@ from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
                      vertex_figure)
 from icosian.errors import BadParameter, CertificationFailed, DegenerateInput
 from icosian.field import HALF, ONE, SIGMA, TAU, FieldElement
-from icosian.polytope import frame_coords, supporting_hyperplane
+from icosian.hull import convex_hull_faces
+from icosian.polytope import certify_cells, frame_coords, supporting_hyperplane
 from icosian.quaternion import Quaternion
 
 TAU_HALF = TAU * HALF
@@ -179,14 +181,81 @@ def test_supporting_hyperplane_certificates():
     # A cell plus a vertex off its hyperplane no longer spans one.
     tet = next(c for c in complex_.cells if c.kind == "tetrahedron")
     outside = next(i for i in range(96) if i not in tet.vertex_indices)
-    with pytest.raises(CertificationFailed):
+    with pytest.raises(CertificationFailed, match="does not span"):
         supporting_hyperplane(tet.vertex_indices + (outside,), complex_.vertices)
     # An equatorial slice has the remaining vertices on both sides.
     equator = [i for i, v in enumerate(complex_.vertices)
                if v.component(0).is_zero()]
     assert len(equator) == 24
-    with pytest.raises(CertificationFailed):
+    with pytest.raises(CertificationFailed, match="both sides"):
         supporting_hyperplane(equator, complex_.vertices)
+
+
+def test_certify_cells_raises_for_the_first_failing_cell():
+    complex_ = snub_census()
+    good = [c.vertex_indices for c in complex_.cells[:6]]
+    assert certify_cells(good, complex_.vertices) == [
+        (c.normal, c.offset) for c in complex_.cells[:6]]
+    outside = next(i for i in range(96) if i not in good[0])
+    flat = good[0] + (outside,)
+    equator = tuple(i for i, v in enumerate(complex_.vertices)
+                    if v.component(0).is_zero())
+    # A sign failure and a normal failure are both reported in list order.
+    with pytest.raises(CertificationFailed, match="both sides"):
+        certify_cells(good[:3] + [equator] + good[3:], complex_.vertices)
+    with pytest.raises(CertificationFailed, match="both sides"):
+        certify_cells(good[:3] + [equator, flat] + good[3:], complex_.vertices)
+    with pytest.raises(CertificationFailed, match="does not span"):
+        certify_cells(good[:3] + [flat, equator] + good[3:], complex_.vertices)
+
+
+def test_certify_cells_orients_and_rejects_touching_planes():
+    tesseract = [Quaternion(*p) for p in product((0, 1), repeat=4)]
+    far = [i for i, q in enumerate(tesseract) if q.component(0) == ONE]
+    near = [i for i, q in enumerate(tesseract) if q.component(0).is_zero()]
+    assert certify_cells([far], tesseract) == [(Q_ONE, ONE)]
+    with pytest.raises(CertificationFailed, match="outside vertex touches"):
+        certify_cells([far[:-1]], tesseract)
+    # The facet through the origin does not face away from it.
+    with pytest.raises(CertificationFailed, match="face away from the origin"):
+        certify_cells([far, near], tesseract)
+
+
+def test_certificates_match_scalar_oracle():
+    """Every certificate, checked with Quaternion.dot and exact comparisons alone."""
+    snub = snub_census()
+    cell24 = cell_census(binary_tetrahedral().elements)
+    cell600 = cell_census(binary_icosahedral().elements)
+    for complex_, cells in ((snub, snub.cells), (cell24, cell24.cells),
+                            (cell600, cell600.cells[::37])):
+        for cell in cells:
+            assert cell.normal.dot(cell.normal) == ONE
+            assert cell.offset > 0
+            for i, v in enumerate(complex_.vertices):
+                if i in cell.vertex_indices:
+                    assert cell.normal.dot(v) == cell.offset
+                else:
+                    assert cell.normal.dot(v) < cell.offset
+
+
+CUBE = [tuple(map(FieldElement, p)) for p in product((0, 2), repeat=3)]
+
+
+def test_convex_hull_faces_of_a_cube():
+    assert convex_hull_faces(CUBE) == ((0, 1, 3, 2), (0, 2, 6, 4), (0, 4, 5, 1),
+                                       (1, 5, 7, 3), (2, 3, 7, 6), (4, 6, 7, 5))
+    with pytest.raises(DegenerateInput, match="need at least four points"):
+        convex_hull_faces(CUBE[:3])
+
+
+@pytest.mark.parametrize("extra, message", [
+    ((1, 1, 0), "not in convex position"),  # a face centre: on a face, on no edge
+    ((1, 0, 0), "not in convex position"),  # an edge midpoint
+    ((1, 1, 1), "not a hull vertex"),       # the centre
+])
+def test_convex_hull_faces_rejects_non_extreme_points(extra, message):
+    with pytest.raises(DegenerateInput, match=message):
+        convex_hull_faces(CUBE + [tuple(map(FieldElement, extra))])
 
 
 def test_frame_coords_orthonormal():
