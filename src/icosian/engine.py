@@ -9,15 +9,18 @@ rows' lexicographic order is the canonical order of the points.
 Every table of scalar products is made here too: each entry is a field
 4-vector of integers over one denominator, and distinct_values lifts the few
 distinct entries to field elements, so exact comparisons run once per value
-rather than once per pair.  side_signs is the one place where bulk
-geometry takes exact signs: which side of each hyperplane every point lies
-on, for cell certificates and hull faces alike.  Results are exact: numpy
-carries the integer arithmetic only after a bound on the operands proves
-that no int64 entry can overflow.
+rather than once per pair.  Hyperplane normals are made here as well:
+cross_rows is the generalised cross product of integer rows, so a
+certificate or hull face needs no field solver.  side_signs is the one place
+where bulk geometry takes exact signs: which side of each hyperplane every
+point lies on, for cell certificates and hull faces alike.  Results are
+exact: numpy carries the integer arithmetic only after a bound on the
+operands proves that no int64 entry can overflow.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import lcm
 
 import numpy as np
@@ -114,10 +117,25 @@ def common_rows(points) -> tuple[np.ndarray, int]:
     return _scaled(arr, np.array([den // d for _, d in ivecs], dtype=np.int64)[:, None]), den
 
 
+def _sorted_runs(rows: np.ndarray):
+    """The rows' lexicographic order, the sorted rows, and which differ from their predecessor."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return order, rows, fresh
+
+
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows in lexicographic order: over one denominator, canonical order."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return rows[np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]]
+    _, rows, fresh = _sorted_runs(rows)
+    return rows[fresh]
+
+
+def differences(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """rows[index[:, k]] - rows[index[:, 0]] for k >= 1, raising OverflowError rather than wrap."""
+    _check_bound(2, rows, np.asarray(1))
+    return rows[index[:, 1:]] - rows[index[:, :1]]
 
 
 def quats_of(rows: np.ndarray, den: int) -> tuple[Quaternion, ...]:
@@ -193,6 +211,10 @@ def _dot_forms():
 _DOT_FORMS = _dot_forms()
 
 
+def _dot_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return np.stack([_matmul(_matmul(left, form), right.T) for form in _DOT_FORMS], axis=-1)
+
+
 def pairwise_dots(points, others=None) -> tuple[np.ndarray, int]:
     """Scalar products of every point with every point of others (default: points).
 
@@ -201,37 +223,107 @@ def pairwise_dots(points, others=None) -> tuple[np.ndarray, int]:
     """
     left, lden = common_rows(points)
     right, rden = (left, lden) if others is None else common_rows(others)
-    table = np.stack([_matmul(_matmul(left, form), right.T) for form in _DOT_FORMS],
-                     axis=-1)
-    return table, lden * rden
+    return _dot_rows(left, right), lden * rden
 
 
 def distinct_values(table: np.ndarray, den: int) -> tuple[dict[FieldElement, int], np.ndarray]:
     """The distinct entries of a dot table, and where each entry sits among them.
 
-    values maps each distinct entry, as a field element, to its position;
-    index holds that position for every entry, so the entries equal to x are
-    exactly index == values.get(x, -1).
+    values maps each distinct entry, as a field element, to its position in
+    the entries' lexicographic order; index holds that position for every
+    entry, so the entries equal to x are exactly index == values.get(x, -1).
     """
-    rows, index = np.unique(table.reshape(-1, 4), axis=0, return_inverse=True)
-    values = {FieldElement._make(*row, den): i for i, row in enumerate(rows.tolist())}
+    flat = table.reshape(-1, 4)
+    order, rows, fresh = _sorted_runs(flat)
+    index = np.empty(len(flat), dtype=np.intp)
+    index[order] = np.cumsum(fresh) - 1
+    values = {FieldElement._make(*row, den): i for i, row in enumerate(rows[fresh].tolist())}
     return values, index.reshape(table.shape[:-1])
+
+
+def _field_table():
+    """w_p * w_q = mult[p, c] * w_c, with q = perm[p, c], for the radicals w."""
+    perm = np.zeros((4, 4), dtype=np.intp)
+    mult = np.zeros((4, 4), dtype=np.int64)
+    for (p, q), (c, m) in _FTAB.items():
+        perm[p, c], mult[p, c] = q, m
+    return perm, mult
+
+
+_FPERM, _FMULT = _field_table()
+
+
+def _cross_stages():
+    """The two batches of twelve signed field products that make cross_rows.
+
+    The first makes the minors M_jk = b_j c_k - b_k c_j for the six pairs
+    j < k; the second makes each n_l as the sum over i != l of
+    eps_ijkl a_i M_jk, with (j, k) the other two indices in order.  Each
+    batch is given as the components of its left and right factors and the
+    weights sign * mult[p, c] of its products.
+    """
+    pairs = list(combinations(range(4), 2))
+    j, k = np.array(pairs).T
+    minors = np.r_[j, k], np.r_[k, j], np.repeat([1, -1], len(pairs))
+    terms = []
+    for l in range(4):
+        for i in range(4):
+            if i != l:
+                rest = tuple(x for x in range(4) if x not in (i, l))
+                perm = (i, *rest, l)
+                inversions = sum(perm[s] > perm[t] for s, t in combinations(range(4), 2))
+                terms.append((i, pairs.index(rest), (-1) ** inversions))
+    return [(x, y, (sign[:, None, None] * _FMULT)[..., None])
+            for x, y, sign in (minors, np.array(terms).T)]
+
+
+_MINOR_STAGE, _TERM_STAGE = _cross_stages()
+# A coefficient of a field product x * y is at most f * max|x| * max|y|, f the
+# largest column sum of _FMULT.  A minor sums 2 such products, and a
+# coefficient of n sums 3 products of a coefficient of a with a minor.
+_CROSS_BOUND = 3 * 2 * int(_FMULT.sum(axis=0).max()) ** 2
+
+
+def _signed_products(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sign_t * x[t] * y[t] for field 4-vectors x[t] and y[t], each coefficient a row."""
+    return sum(x[:, p, None] * y[:, _FPERM[p]] * weights[:, p] for p in range(4))
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Generalised cross products n_l = eps_ijkl a_i b_j c_k of int64 quaternion rows.
+
+    Row r is orthogonal to a[r], b[r] and c[r], and is zero exactly when
+    they are linearly dependent.  Its entries are the integer numerators of
+    n over the product of the inputs' denominators: only its direction is
+    used.  One bound on max|a| max|b| max|c| covers every partial sum.
+    """
+    # Component, coefficient, row: each coefficient is one contiguous run of rows.
+    a, b, c = (np.ascontiguousarray(np.reshape(x, (-1, 4, 4)).transpose(1, 2, 0))
+               for x in (a, b, c))
+    _check_bound(_CROSS_BOUND * max(_max_abs(a), 1), b, c)  # a zero a still needs minors
+    at_b, at_c, weights = _MINOR_STAGE
+    minors = _signed_products(b[at_b], c[at_c], weights).reshape(2, 6, 4, -1).sum(axis=0)
+    at_a, at_minor, weights = _TERM_STAGE
+    terms = _signed_products(a[at_a], minors[at_minor], weights)
+    return np.ascontiguousarray(terms.reshape(4, 3, 4, -1).sum(axis=1).reshape(16, -1).T)
 
 
 _SIGN_BLOCK = 64  # normals per sign table, bounding its int64 temporaries
 
 
-def side_signs(normals, points, anchors) -> np.ndarray:
+def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:
     """Exact signs of (n_i, p_j) - (n_i, p_anchors[i]), as an int8 array [i, j].
 
-    Each block of normals makes one dot table, and each distinct difference
-    in it is signed once.
+    normals and points are int64 quaternion rows, each row over any positive
+    denominator, since positive scaling changes no sign.  Each block of
+    normals makes one dot table, and each distinct difference in it is
+    signed once.
     """
     signs = np.empty((len(normals), len(points)), dtype=np.int8)
     for lo in range(0, len(normals), _SIGN_BLOCK):
-        table, den = pairwise_dots(normals[lo:lo + _SIGN_BLOCK], points)
+        table = _dot_rows(normals[lo:lo + _SIGN_BLOCK], points)
         _check_bound(2, table, np.asarray(1))  # a difference of two entries
         at = table[np.arange(len(table)), anchors[lo:lo + _SIGN_BLOCK]]
-        values, index = distinct_values(table - at[:, None], den)
+        values, index = distinct_values(table - at[:, None], 1)
         signs[lo:lo + _SIGN_BLOCK] = np.array([x.sign() for x in values], dtype=np.int8)[index]
     return signs

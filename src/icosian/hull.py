@@ -1,8 +1,10 @@
 """Exact convex hulls of small 3D point sets: cells and vertex figures.
 
-The plane of every non-degenerate triple is tested against every point in
-one exact engine.side_signs table, and a plane with all points on one side
-is a face.  Two facets of a 3-polytope meet in an edge or not at all, so two
+The normal of every triple is the cross product of two of its edges, all
+made by one engine.cross_rows call over integer rows.  The plane of every
+non-degenerate triple is tested against every point in one exact
+engine.side_signs table, and a plane with all points on one side is a
+face.  Two facets of a 3-polytope meet in an edge or not at all, so two
 points of a face are consecutive on its cycle exactly when another face
 holds both.  Cycles run counterclockwise seen from outside, from their
 lowest index.
@@ -46,15 +48,17 @@ def convex_hull_faces(points: list[Point3]) -> tuple[tuple[int, ...], ...]:
     n = len(points)
     if n < 4:
         raise DegenerateInput("need at least four points")
-    pts = [Quaternion(0, *p) for p in points]
-    row_of, normals = {}, []
-    for i, j, k in combinations(range(n), 3):
-        w = (pts[j] - pts[i]) * (pts[k] - pts[i])
-        normal = w - w.conjugate()  # of pure quaternions: twice the cross product
-        if any(normal.ivec[0]):
-            row_of[i, j, k] = len(normals)
-            normals.append(normal)
-    signs = engine.side_signs(normals, pts, [t[0] for t in row_of])
+    rows, _ = engine.common_rows([Quaternion(0, *p) for p in points])
+    triples = np.array(list(combinations(range(n), 3)))
+    edges = engine.differences(rows, triples)
+    one = np.zeros_like(edges[:, 0])
+    one[:, 0] = 1
+    # cross_rows(1, u, v) is the cross product u x v of the pure quaternions.
+    normals = engine.cross_rows(one, edges[:, 0], edges[:, 1])
+    spanning = normals.any(axis=1)
+    triples = triples[spanning]
+    row_of = {t: r for r, t in enumerate(map(tuple, triples.tolist()))}
+    signs = engine.side_signs(normals[spanning], rows, triples[:, 0])
     one_sided = (signs > 0).any(axis=1) != (signs < 0).any(axis=1)
     faces = {tuple(np.flatnonzero(row == 0).tolist()) for row in signs[one_sided]}
     shared = Counter(pair for face in faces for pair in combinations(face, 2))

@@ -3,9 +3,12 @@
 Vertex sets are exact quaternions; edges come from maximal scalar products,
 faces from triangles, and every cell is certified by an exact supporting
 hyperplane: its vertices reach the plane, all other vertices stay strictly
-below.  Each cell's normal comes from its own nullspace; the signs of a
-whole census come from one engine.side_signs table.  The 120-cell appears
-as the coset union hosting the second snub copy.
+below.  The normals of a whole census are one engine.cross_rows call over
+each cell's first three edges, and only a cell whose first four vertices
+are coplanar solves its own nullspace; the signs come from one
+engine.side_signs table, and each distinct squared norm takes one exact
+square root.  The 120-cell appears as the coset union hosting the second
+snub copy.
 """
 
 from __future__ import annotations
@@ -42,7 +45,10 @@ def edge_graph(vertices) -> tuple[tuple[int, int], ...]:
     norm = vertices[0].norm()
     if np.any(np.diagonal(index) != values[norm]):
         raise DegenerateInput("vertices do not share a norm")
-    threshold = max(x for x in values if x < norm)
+    below = [x for x in values if x < norm]
+    if not below:  # by Cauchy-Schwarz, only coincident points reach the norm
+        raise DegenerateInput("vertices coincide: no scalar product below the norm")
+    threshold = max(below)
     mask = np.triu(index == values[threshold], 1)
     return tuple(map(tuple, np.argwhere(mask).tolist()))
 
@@ -79,30 +85,40 @@ def certify_cells(candidates, vertices):
     """Exact certificates (unit normal, offset), one side-of-hyperplane table for all.
 
     Each cell's vertices lie on its hyperplane, every other vertex and the
-    origin strictly below.  A failing list raises for its first failing
-    cell, with that cell's first failing check.
+    origin strictly below.  The normal is the cross product of the cell's
+    first three edges from its first vertex, or, when its first four
+    vertices are coplanar, the nullspace of all its edges.  A failing list
+    raises for its first failing cell, with that cell's first failing check.
     """
-    normals, failure = [], None
-    for idxs in candidates:
-        base = vertices[idxs[0]]
-        rows = [[(vertices[i] - base).component(c) for c in range(4)] for i in idxs[1:]]
-        basis = linalg.nullspace(rows)
+    rows, _ = engine.common_rows(vertices)
+    # A cell of fewer than four vertices repeats its first: its cross row is zero.
+    firsts = np.array([(tuple(idxs) + (idxs[0],) * 3)[:4] for idxs in candidates],
+                      dtype=np.intp).reshape(-1, 4)
+    normals = engine.cross_rows(*engine.differences(rows, firsts).transpose(1, 0, 2))
+    failure = None
+    for t in np.flatnonzero(~normals.any(axis=1)):  # the first four vertices are coplanar
+        idxs, base = candidates[t], vertices[candidates[t][0]]
+        basis = linalg.nullspace([[(vertices[i] - base).component(c) for c in range(4)]
+                                  for i in idxs[1:]])
         if len(basis) != 1:
             failure = "cell does not span a hyperplane"
+            normals = normals[:t]
             break
-        normal = Quaternion(*basis[0])
-        scale = field_sqrt(normal.norm())
-        if scale is None:
-            failure = "normal admits no exact unit scaling"
-            break
-        normals.append(normal.scale(scale.invert()))
+        normals[t] = Quaternion(*basis[0]).ivec[0]
     # The last column is the origin: its sign is that of -offset.
-    signs = engine.side_signs(normals, [*vertices, Quaternion()],
-                              [idxs[0] for idxs in candidates[:len(normals)]])
-    out = []
-    for idxs, normal, row in zip(candidates, normals, signs):
+    points = np.vstack([rows, np.zeros((1, 16), dtype=np.int64)])
+    signs = engine.side_signs(normals, points, firsts[:len(normals), 0])
+    inverse_roots, out = {}, []
+    for idxs, normal, row in zip(candidates, engine.quats_of(normals, 1), signs):
+        # A cross-product normal misses some cell vertex iff the cell has rank 4.
         if np.any(row[list(idxs)]):
-            raise CertificationFailed("cell vertex off the hyperplane")
+            raise CertificationFailed("cell does not span a hyperplane")
+        norm = normal.norm()
+        if norm not in inverse_roots:
+            root = field_sqrt(norm)
+            inverse_roots[norm] = None if root is None else root.invert()
+        if inverse_roots[norm] is None:
+            raise CertificationFailed("normal admits no exact unit scaling")
         outside = set(np.delete(row[:-1], list(idxs)).tolist())
         if 0 in outside:
             raise CertificationFailed("outside vertex touches the hyperplane")
@@ -111,7 +127,7 @@ def certify_cells(candidates, vertices):
         side = 1 if 1 in outside else -1
         if row[-1] != side:
             raise CertificationFailed("hyperplane does not face away from the origin")
-        normal = normal if side < 0 else -normal
+        normal = normal.scale(inverse_roots[norm] if side < 0 else -inverse_roots[norm])
         out.append((normal, normal.dot(vertices[idxs[0]])))
     if failure is not None:
         raise CertificationFailed(failure)

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosian import (HALF, ONE, SIGMA, SQRT2, TAU, Quaternion, canonical_sorted,
-                     icosian_seed, orbit, s3_of, wd4c3, wh3xc2, wh4)
+from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion,
+                     canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, wd4c3,
+                     wh3xc2, wh4)
 from icosian.coxeter import orbit_by_elements
-from icosian.engine import (_SIGN_BLOCK, apply_all, distinct_values, pairwise_dots,
-                            quats_of, side_signs)
+from icosian.engine import (_SIGN_BLOCK, apply_all, common_rows, cross_rows,
+                            distinct_values, pairwise_dots, quats_of, side_signs)
 from icosian.errors import NotInGoldenSubfield
-from icosian.field import ZERO
+from icosian.field import SQRT10, ZERO, FieldElement
+from icosian.linalg import nullspace
 from icosian.roots import euclid_profile_full
 
 halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
@@ -48,7 +50,9 @@ def test_pairwise_dots_match_quaternion_dot(rows, cols):
 
 
 def assert_signs_are_oracle(normals, pts, anchors):
-    signs = side_signs(normals, pts, anchors)
+    # Each normal row over its own denominator: positive scaling keeps every sign.
+    normal_rows = np.concatenate([common_rows([n])[0] for n in normals])
+    signs = side_signs(normal_rows, common_rows(pts)[0], anchors)
     assert signs.shape == (len(normals), len(pts)) and signs.dtype == np.int8
     for i, (n, a) in enumerate(zip(normals, anchors)):
         assert signs[i].tolist() == [(n.dot(p) - n.dot(pts[a])).sign() for p in pts]
@@ -68,6 +72,65 @@ def test_side_signs_match_quaternion_dot(normals, pts, bits, data):
     try:
         assert_signs_are_oracle([n * scale for n in normals], [p * scale for p in pts],
                                 anchors)
+    except OverflowError:
+        pass
+
+
+coefficients = st.one_of(st.integers(-2, 2), st.integers(-(1 << 62), 1 << 62))
+entries = st.lists(st.tuples(*[coefficients] * 4), min_size=1, max_size=12)
+
+
+@given(entries, st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_distinct_values_match_sorted_oracle(rows, den):
+    rows = rows + rows[::2]  # repeated entries, out of order
+    table = np.array(rows, dtype=np.int64).reshape(1, len(rows), 4)
+    values, index = distinct_values(table, den)
+    distinct = sorted(set(rows))
+    assert values == {FieldElement._make(*row, den): i for i, row in enumerate(distinct)}
+    assert sorted(values.values()) == list(range(len(distinct)))
+    assert index.tolist() == [[distinct.index(row) for row in rows]]
+
+
+scalars = st.sampled_from([ZERO, ONE, -HALF, SQRT2, SIGMA, -TAU])
+
+
+def cross_oracle(a, b, c):
+    """The cross row as a quaternion, checked against Quaternion.dot and nullspace."""
+    rows, _ = common_rows([a, b, c])
+    (n,) = quats_of(cross_rows(rows[:1], rows[1:2], rows[2:]), 1)
+    assert all(n.dot(x) == ZERO for x in (a, b, c))
+    basis = nullspace([list(x.components) for x in (a, b, c)])
+    assert (n != Quaternion()) == (len(basis) == 1)
+    if len(basis) == 1:
+        assert projective_equal(n, Quaternion(*basis[0])) or \
+            projective_equal(-n, Quaternion(*basis[0]))
+    return n
+
+
+@given(points, points, points, scalars, scalars, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_cross_rows_match_nullspace(a, b, c, s, t, dependent):
+    # A dependent third row is a field combination of the first two.
+    cross_oracle(a, b, a * s + b * t if dependent else c)
+
+
+@given(st.tuples(coords, coords, coords), st.tuples(coords, coords, coords),
+       st.sampled_from([ONE, HALF, SQRT2, SIGMA]))
+@settings(max_examples=60, deadline=None)
+def test_cross_rows_of_one_is_the_hull_normal(u, v, s):
+    u, v = Quaternion(0, *u) * s, Quaternion(0, *v)
+    rows, _ = common_rows([Q_ONE, u, v])
+    (n,) = quats_of(cross_rows(rows[:1], rows[1:2], rows[2:]), 1)
+    w = u * v
+    assert projective_equal(n, w - w.conjugate())
+
+
+@given(points, points, points, st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_cross_rows_raise_or_match_near_int64_limit(a, b, c, bits):
+    try:
+        cross_oracle(*(q * (1 << bits) for q in (a, b, c)))
     except OverflowError:
         pass
 
@@ -122,6 +185,16 @@ def test_int64_limit_raises():
         t.apply(tiny) for t in group.elements[:2])
     with pytest.raises(OverflowError):
         apply_all(mats[:2], dens[:2], one * (1 << 62))
+    # The cross product of sqrt10 x e1, e2, e3 is 10 sqrt10 x^3: refused at
+    # x = 2^20, where it leaves int64 though x^3 does not, and exact below.
+    for bits in (16, 20):
+        rows, _ = common_rows([e * SQRT10 * (1 << bits) for e in (E1, E2, E3)])
+        try:
+            (n,) = quats_of(cross_rows(rows[:1], rows[1:2], rows[2:]), 1)
+        except OverflowError:
+            assert bits == 20
+        else:
+            assert bits == 16 and n == -Q_ONE * SQRT10 * 10 * (1 << 48)
 
 
 @given(st.lists(golden_points, min_size=1, max_size=5))

@@ -11,6 +11,7 @@ from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
                      projective_equal, snub24_vertices, snub_census,
                      snub_embeddings_in_600cell, t_prime, tetra_cells_at,
                      vertex_figure)
+from icosian import polytope
 from icosian.errors import BadParameter, CertificationFailed, DegenerateInput
 from icosian.field import HALF, ONE, SIGMA, TAU, FieldElement
 from icosian.hull import convex_hull_faces
@@ -164,6 +165,8 @@ def test_edge_graph_rejects_degenerate_input():
         edge_graph([Q_ONE])
     with pytest.raises(DegenerateInput):
         edge_graph([Q_ONE, Quaternion(2)])
+    with pytest.raises(DegenerateInput, match="vertices coincide"):
+        edge_graph([Q_ONE, Q_ONE])
 
 
 def test_edge_graph_refuses_int64_overflow():
@@ -207,6 +210,29 @@ def test_certify_cells_raises_for_the_first_failing_cell():
         certify_cells(good[:3] + [equator, flat] + good[3:], complex_.vertices)
     with pytest.raises(CertificationFailed, match="does not span"):
         certify_cells(good[:3] + [flat, equator] + good[3:], complex_.vertices)
+
+
+def test_certify_cells_solves_a_coplanar_prefix(monkeypatch):
+    """A cell whose first four vertices are coplanar takes the nullspace path."""
+    complex_ = snub_census()
+    assert certify_cells([], complex_.vertices) == []
+    cell = icosa_cell(Q_ONE)
+    members = set(cell.vertex_indices)
+    centre = cell.normal.scale(cell.offset)
+    vertices = complex_.vertices
+    # An edge and its opposite edge, through the centre, form a golden rectangle.
+    a, b = next(e for e in complex_.edges if members.issuperset(e))
+    opposite = [complex_.index(centre * 2 - vertices[i]) for i in (a, b)]
+    rectangle = (a, b, *opposite)
+    calls = []
+    nullspace = polytope.linalg.nullspace
+    monkeypatch.setattr(polytope.linalg, "nullspace",
+                        lambda rows: calls.append(rows) or nullspace(rows))
+    reordered = rectangle + tuple(i for i in cell.vertex_indices if i not in rectangle)
+    assert certify_cells([reordered], vertices) == [(cell.normal, cell.offset)]
+    assert len(calls) == 1
+    assert certify_cells([cell.vertex_indices], vertices) == [(cell.normal, cell.offset)]
+    assert len(calls) == 1
 
 
 def test_certify_cells_orients_and_rejects_touching_planes():
