@@ -96,8 +96,8 @@ def _cell_geometry(name: str, index: int):
     cell = complex_.cells[index]
     if name == "dual-snub24":
         return cell.coords, cell.faces
-    coords = [polytope.frame_coords(cell.normal, complex_.vertices[i])
-              for i in cell.vertex_indices]
+    coords = polytope.frame_coords(cell.normal,
+                                   [complex_.vertices[i] for i in cell.vertex_indices])
     return coords, hull.convex_hull_faces(coords)
 
 

@@ -3,18 +3,27 @@
 A pair and its negation act identically, so representatives are fixed by
 making the first nonzero coefficient of p positive.  The groups built here
 are the reflection groups acting on the 600-cell and the snub 24-cell.
+
+A TransformGroup holds its elements as int64 rows (star | p | q) over one
+denominator, made by engine.products and put in canonical order by one
+engine.distinct_rows; Transform objects are built only when asked for.
+Compositions, conjugate groups and stabilizers are batched products of
+those rows.  Transform and Quaternion arithmetic stay the scalar
+operations, and the independent path of compiled() and orbit_by_elements.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from . import engine
 from .errors import BadParameter, SearchFailed
 from .field import HALF, ONE
 from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral,
                      generate, icosian_seed, t_prime)
-from .quaternion import E2, Q_ONE, Quaternion, canonical_sorted
+from .quaternion import E2, Q_ONE, Quaternion
 
 
 class Transform:
@@ -78,35 +87,76 @@ def reflection(alpha: Quaternion) -> Transform:
 
 
 class TransformGroup:
+    """A finite group of transforms, as distinct int64 rows (star | p | q) over one denominator.
+
+    Column 0 is 1 for a starred transform, columns 1-16 hold p, whose first
+    nonzero coefficient is positive, and columns 17-32 hold q; den is in
+    lowest terms.  The rows' lexicographic order is the canonical element
+    order: unstarred first, then by p, then by q, each as rationals.
+    """
+
     def __init__(self, elements, label: str = "", generators=()):
-        by_q = canonical_sorted(set(elements), of=lambda t: t.q)
-        by_pair = canonical_sorted(by_q, of=lambda t: t.p)
-        self.elements = tuple(sorted(by_pair, key=lambda t: t.star))
+        elements = list(elements)
+        pq, den = engine.common_rows([t.p for t in elements] + [t.q for t in elements])
+        star = np.array([t.star for t in elements], dtype=np.int64)[:, None]
+        self._fill(np.hstack([star, pq[:len(elements)], pq[len(elements):]]), den,
+                   label, generators)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, den: int, label: str = "",
+                  generators=()) -> "TransformGroup":
+        """The group of the transforms given as (star | p | q) rows over den.
+
+        The rows may come in any order, with repeats and with either sign of a pair.
+        """
+        self = cls.__new__(cls)
+        self._fill(rows, den, label, generators)
+        return self
+
+    def _fill(self, rows, den, label, generators):
+        # Negate (p, q) where p's first nonzero coefficient is negative, as Transform does.
+        p = rows[:, 1:17]
+        first = np.take_along_axis(p, (p != 0).argmax(axis=1)[:, None], axis=1)
+        sign = np.where(first < 0, -1, 1)
+        rows = engine.distinct_rows(np.hstack([rows[:, :1], rows[:, 1:] * sign]))
+        g = int(np.gcd.reduce(rows[:, 1:].ravel(), initial=den))
+        rows[:, 1:] //= g
+        self.rows, self.den = rows, den // g
         self.label = label
         self.generators = tuple(generators)
-        self._set = frozenset(self.elements)
-        self._compiled = None
+        self._elements = self._set = self._compiled = None
+
+    @property
+    def elements(self) -> tuple[Transform, ...]:
+        if self._elements is None:
+            self._elements = tuple(
+                Transform(Quaternion._from_ivec(row[1:17], self.den),
+                          Quaternion._from_ivec(row[17:], self.den), row[0])
+                for row in self.rows.tolist())
+        return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, t) -> bool:
+        if self._set is None:
+            self._set = frozenset(self.elements)
         return t in self._set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransformGroup):
             return NotImplemented
-        return self._set == other._set
+        return self.den == other.den and np.array_equal(self.rows, other.rows)
 
     def __hash__(self) -> int:
-        return hash(self._set)
+        return hash((self.den, self.rows.tobytes()))
 
     def __repr__(self) -> str:
         return f"<{self.label or 'group'}: {self.order} transforms>"
@@ -120,6 +170,29 @@ class TransformGroup:
         gens = self.generators or self.elements
         return [engine.transform_matrix(t) for t in gens]
 
+    def images(self, v: Quaternion) -> tuple[np.ndarray, int]:
+        """p v q, or p conj(v) q when starred, for every element in order.
+
+        The images are int64 rows over the one returned denominator.
+        """
+        row, vden = engine.common_rows([v])
+        r = np.where(self.rows[:, :1] == 1, engine.conjugates(row), row)
+        images = engine.products(engine.products(self.rows[:, 1:17], r), self.rows[:, 17:])
+        return images, self.den ** 2 * vden
+
+
+def _quat_rows(*quats) -> tuple[np.ndarray, ...]:
+    """Each quaternion as a (1, 16) row, all over one returned denominator."""
+    rows, den = engine.common_rows(quats)
+    return (*np.split(rows, len(quats)), den)
+
+
+def _transform_rows(star, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(star | p | q) rows from p and q rows over one denominator, broadcast against each other."""
+    p, q = (np.broadcast_to(x, np.broadcast_shapes(p.shape, q.shape)).reshape(-1, 16)
+            for x in (p, q))
+    return np.hstack([np.full((len(p), 1), int(star)), p, q])
+
 
 def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
     """Every [p, q] and [p, q]* over base, generated by [g,1], [1,g] and conjugation."""
@@ -128,8 +201,9 @@ def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
         units.append(icosian_seed())
     gens = [t for g in units for t in (Transform(g, Q_ONE), Transform(Q_ONE, g))]
     gens.append(Transform(Q_ONE, Q_ONE, True))
-    elems = [Transform(p, q, star) for p in base for q in base for star in (False, True)]
-    return TransformGroup(elems, label, gens)
+    rows, den = engine.common_rows(base.elements)
+    pairs = [_transform_rows(star, rows[:, None], rows[None, :]) for star in (0, 1)]
+    return TransformGroup.from_rows(np.concatenate(pairs), den, label, gens)
 
 
 @lru_cache(maxsize=None)
@@ -146,14 +220,16 @@ def wd4c3() -> TransformGroup:
 
 def _axis_group(base: QuaternionSet, q: Quaternion, signs, label: str) -> TransformGroup:
     """[t, s conj(q) conj(t) q] and [t, s q conj(t) q]* for t in base and each sign s."""
-    qc = q.conjugate()
-    elems = []
-    for t in base:
-        tc = t.conjugate()
-        for s in signs:
-            elems.append(Transform(t, s * (qc * tc * q)))
-            elems.append(Transform(t, s * (q * tc * q), True))
-    return TransformGroup(elems, label)
+    rows, den = engine.common_rows(base.elements)
+    qr, qden = engine.common_rows([q])
+    tc = engine.conjugates(rows)
+    unstarred = engine.products(engine.products(engine.conjugates(qr), tc), qr)
+    starred = engine.products(engine.products(qr, tc), qr)
+    common = den * qden ** 2
+    p = engine.rescaled(rows, den, common)
+    parts = [_transform_rows(star, p, s * x)
+             for star, x in ((0, unstarred), (1, starred)) for s in signs]
+    return TransformGroup.from_rows(np.concatenate(parts), common, label)
 
 
 def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
@@ -235,10 +311,10 @@ def orbit_by_elements(group: TransformGroup, v: Quaternion) -> tuple[Quaternion,
 
 
 def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:
-    rows, den = engine.apply_all(*group.compiled(), v)
-    fixed = (rows == [x * (den // v.ivec[1]) for x in v.ivec[0]]).all(axis=1)
-    elems = [t for t, hit in zip(group.elements, fixed.tolist()) if hit]
-    return TransformGroup(elems, f"Stab_{group.label}({v})")
+    rows, den = group.images(v)
+    row, vden = engine.common_rows([v])
+    fixed = (rows == engine.rescaled(row, vden, den)).all(axis=1)
+    return TransformGroup.from_rows(group.rows[fixed], group.den, f"Stab_{group.label}({v})")
 
 
 class OrbitPartition:
@@ -259,11 +335,28 @@ def orbit_decompose(group: TransformGroup, points) -> OrbitPartition:
                           for k in sorted(set(labels.tolist())))
 
 
+def _compose(a, b):
+    """The transforms a_i after b_i, for (star, p, q) triples of broadcastable rows.
+
+    [p, q] after [r, s] is [p r, s q]; [p, q]* after [r, s] is
+    [p conj(s), conj(r) q]*; either way the star of [r, s] flips with a's.
+    p and q of a triple share a denominator; the result's is their product.
+    """
+    star_a, p, q = a
+    star_b, r, s = b
+    flip = star_a == 1
+    right = np.where(flip, engine.conjugates(s), r)
+    left = np.where(flip, engine.conjugates(r), s)
+    return star_a ^ star_b, engine.products(p, right), engine.products(left, q)
+
+
 def conjugate_group(group: TransformGroup, h: Transform) -> TransformGroup:
+    """h g h^-1 for every g in the group, composed as rows."""
     hinv = h.inverse()
-    return TransformGroup(
-        [h * g * hinv for g in group],
-        f"{group.label}^({h})")
+    hp, hq, ip, iq, hden = _quat_rows(h.p, h.q, hinv.p, hinv.q)
+    g = group.rows[:, :1], group.rows[:, 1:17], group.rows[:, 17:]
+    rows = np.hstack(_compose(_compose((h.star, hp, hq), g), (hinv.star, ip, iq)))
+    return TransformGroup.from_rows(rows, hden * group.den * hden, f"{group.label}^({h})")
 
 
 def seed_conjugator(i: int, j: int) -> Transform:
@@ -280,11 +373,13 @@ def wd4c3_conjugate(i: int, j: int) -> TransformGroup:
 def wd4c3_conjugate_pattern(i: int, j: int) -> TransformGroup:
     """Direct construction [p^i T p^-i, p^j T p^-j] + [p^i T conj(p)^j, p^i T conj(p)^j]*."""
     p = icosian_seed()
-    pi, pj = p ** i, p ** j
-    pic, pjc = pi.conjugate(), pj.conjugate()
-    elems = []
-    for t in binary_tetrahedral():
-        for s in binary_tetrahedral():
-            elems.append(Transform(pi * t * pic, pj * s * pjc))
-            elems.append(Transform(pi * t * pjc, pi * s * pjc, True))
-    return TransformGroup(elems, f"W(D4):C3^({i},{j})")
+    pi, pj, den = _quat_rows(p ** i, p ** j)
+    rows, tden = engine.common_rows(binary_tetrahedral().elements)
+    pic, pjc = engine.conjugates(pi), engine.conjugates(pj)
+    a = engine.products(engine.products(pi, rows), pic)
+    b = engine.products(engine.products(pj, rows), pjc)
+    c = engine.products(engine.products(pi, rows), pjc)
+    parts = [_transform_rows(0, a[:, None], b[None, :]),
+             _transform_rows(1, c[:, None], c[None, :])]
+    return TransformGroup.from_rows(np.concatenate(parts), den * tden * den,
+                                    f"W(D4):C3^({i},{j})")

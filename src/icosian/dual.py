@@ -83,7 +83,7 @@ def dual_cell(p: Quaternion) -> DualCell:
     for v in vertices:
         if p.dot(v) != LEVEL:
             raise CoplanarityFailed("reciprocated center misses the cell hyperplane")
-    coords = [polytope.frame_coords(p, v) for v in vertices]
+    coords = polytope.frame_coords(p, vertices)
     faces = hull.convex_hull_faces(coords)
     kites = tuple(f for f in faces if len(f) == 4)
     triangles = tuple(f for f in faces if len(f) == 3)

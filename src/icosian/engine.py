@@ -1,10 +1,15 @@
-"""Bulk machinery for transform orbits and scalar-product tables.
+"""Bulk machinery for transform orbits, group tables and scalar-product tables.
 
 A quaternion over the field is a 16-vector of integers with a common
 denominator; every transform then acts as an integer 16x16 matrix with its
 own denominator.  A point set is one int64 array of rows over one
 denominator: closures and partitions are batched matrix products, and the
-rows' lexicographic order is the canonical order of the points.
+rows' lexicographic order is the canonical order of the points.  RowIndex
+finds rows in such a set by binary search over their sorted byte keys.
+
+products is the one batched Hamilton product: group closure checks,
+conjugacy classes and the rows of every transform group are tables of it,
+so no group-sized sweep multiplies Quaternion objects one pair at a time.
 
 Every table of scalar products is made here too: each entry is a field
 4-vector of integers over one denominator, and distinct_values lifts the few
@@ -69,6 +74,54 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+# For each coefficient s of a, the product a b adds a_s * _PW[s] * b[_PIDX[s]]:
+# a signed, scaled permutation of b's coefficients, read off the left
+# multiplication tensor, which has one nonzero entry per row.
+_PIDX = np.abs(_LSTRUCT).argmax(axis=2)
+_PW = np.take_along_axis(_LSTRUCT, _PIDX[..., None], axis=2)[..., 0]
+# A coefficient of a b sums its terms, none larger than |w| max|a| max|b|.
+_PRODUCT_BOUND = int(np.abs(_PW).sum(axis=0).max())
+_PRODUCT_BLOCK = 4096  # products per batch, bounding the int64 temporaries
+
+
+def _product_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for broadcastable rows, summed over the coefficients of a."""
+    out = a[..., :1] * (b[..., _PIDX[0]] * _PW[0])
+    for s in range(1, 16):
+        out += a[..., s:s + 1] * (b[..., _PIDX[s]] * _PW[s])
+    return out
+
+
+def products(a, b) -> np.ndarray:
+    """Hamilton products of broadcastable int64 quaternion rows, shape (..., 16).
+
+    Entry i is the numerator of a[i] b[i] over the product of the two
+    denominators; a[:, None] and b[None, :] make the whole product table.
+    Raises OverflowError unless every coefficient provably fits int64: the
+    arithmetic wraps modulo 2**64, so a result in range is exact.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    _check_bound(_PRODUCT_BOUND, a, b)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    # Blocks run along the leading axis of the arrays, made at least 2-D; an
+    # operand of length 1 there goes whole to every block, never broadcast.
+    out = np.empty(np.broadcast_shapes(shape, (1, 16)), dtype=np.int64)
+    a, b = (x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in (a, b))
+    step = max(1, _PRODUCT_BLOCK * 16 // int(np.prod(out.shape[1:])))
+    for lo in range(0, len(out), step):
+        out[lo:lo + step] = _product_block(*(x if len(x) == 1 else x[lo:lo + step]
+                                             for x in (a, b)))
+    return out.reshape(shape)
+
+
+_CONJ = np.repeat([1, -1, -1, -1], 4)
+
+
+def conjugates(rows: np.ndarray) -> np.ndarray:
+    """The quaternion conjugates of int64 rows, over the same denominators."""
+    return rows * _CONJ
+
+
 _BLOCK = 256  # transforms per batched product, bounding the int64 temporaries
 
 
@@ -109,6 +162,11 @@ def _scaled(rows: np.ndarray, k) -> np.ndarray:
     return rows * k
 
 
+def rescaled(rows: np.ndarray, den: int, common: int) -> np.ndarray:
+    """Rows over den as rows over common, a multiple of den; OverflowError rather than wrap."""
+    return _scaled(rows, common // den)
+
+
 def common_rows(points) -> tuple[np.ndarray, int]:
     """The 16-vectors of the points as int64 rows over their lcm denominator."""
     ivecs = [q.ivec for q in points]
@@ -130,6 +188,25 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows in lexicographic order: over one denominator, canonical order."""
     _, rows, fresh = _sorted_runs(rows)
     return rows[fresh]
+
+
+class RowIndex:
+    """Where int64 rows sit in a fixed set of rows, by binary search over byte keys."""
+
+    def __init__(self, rows: np.ndarray):
+        keys = _keys(rows)
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """The index of each query row among the rows, or -1 where it is absent."""
+        keys = _keys(queries)
+        at = np.searchsorted(self._keys, keys)
+        hit = at < len(self._keys)
+        hit[hit] = self._keys[at[hit]] == keys[hit]
+        found = np.full(len(keys), -1, dtype=np.intp)
+        found[hit] = self._order[at[hit]]
+        return found
 
 
 def differences(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -169,19 +246,16 @@ def closure_points(seeds, gen_mats) -> tuple[np.ndarray, int]:
 
 def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:
     """Label each of the distinct rows with the lowest row index in its orbit."""
-    keys = _keys(rows)
-    order = np.argsort(keys)
-    by_key = keys[order]
+    index = RowIndex(rows)
     perms = []
     for mat, d in gen_mats:
         images = _matmul(rows, mat.T)
         if (images % d).any():
             raise NotInvariant("generator image is not integral over the set's denominator")
-        image_keys = _keys(images // d)
-        at = np.searchsorted(by_key, image_keys)
-        if np.any(np.searchsorted(by_key, image_keys, side="right") == at):
+        perm = index.find(images // d)
+        if (perm < 0).any():
             raise NotInvariant("generator image left the decomposed set")
-        perms.append(order[at])
+        perms.append(perm)
     labels, prev = np.arange(len(rows)), None
     while not np.array_equal(labels, prev):
         prev = labels

@@ -2,6 +2,9 @@
 
 The binary tetrahedral group doubles as the 24-cell vertex set; five of its
 left cosets tile the binary icosahedral group, which is the 600-cell.
+Closure checks and conjugacy classes read whole product tables made by
+engine.products over the elements' integer rows, and look each product up
+in the sorted rows of the group.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import CapExceeded, SearchFailed
+from . import engine
+from .errors import CapExceeded, NotInvariant, SearchFailed
 from .field import FieldElement, HALF, SIGMA, SQRT2, TAU
 from .quaternion import E1, E2, E3, Q_ONE, Quaternion, canonical_sorted
 
@@ -52,10 +56,23 @@ class QuaternionSet:
 
 
 class QuaternionGroup(QuaternionSet):
-    """A QuaternionSet that is closed under multiplication and conjugation."""
+    """A QuaternionSet meant to be a group; is_closed certifies that it is one.
+
+    A finite set of nonzero quaternions closed under products is a group, so
+    is_closed checks products only.
+    """
 
     def is_closed(self) -> bool:
-        return all(a * b in self for a in self.elements for b in self.elements)
+        """Whether every product of two elements is an element, from one product table.
+
+        Over the rows' denominator d, a product is an element exactly when
+        its numerator over d**2 is integral over d and its quotient is a row.
+        """
+        rows, den = engine.common_rows(self.elements)
+        table = engine.products(rows[:, None], rows[None, :]).reshape(-1, 16)
+        if (table % den).any():
+            return False
+        return bool((engine.RowIndex(rows).find(table // den) >= 0).all())
 
 
 def generate(generators, cap: int) -> set:
@@ -186,16 +203,26 @@ class ConjugacyClassTable:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(group: QuaternionGroup = None) -> ConjugacyClassTable:
+    """The classes of the group, each read from one column of the table of g x conj(g).
+
+    Raises NotInvariant if a conjugate is not an element.
+    """
     if group is None:
         group = binary_icosahedral()
+    rows, den = engine.common_rows(group.elements)
+    left = engine.products(rows[:, None], rows[None, :])
+    table = engine.products(left, engine.conjugates(rows)[:, None]).reshape(-1, 16)
+    at = engine.RowIndex(rows).find(table // den ** 2)
+    if (table % den ** 2).any() or (at < 0).any():
+        raise NotInvariant("a conjugate left the group")
+    at = at.reshape(len(rows), len(rows))
     seen = set()
     classes = []
-    for x in group:
-        if x in seen:
-            continue
-        members = {g * x * g.conjugate() for g in group}
-        seen.update(members)
-        classes.append(ConjugacyClass(members, element_order(x)))
+    for x, column in enumerate(at.T.tolist()):
+        if x not in seen:
+            seen.update(column)
+            classes.append(ConjugacyClass({group.elements[i] for i in column},
+                                          element_order(group.elements[x])))
     return ConjugacyClassTable(group, classes)
 
 

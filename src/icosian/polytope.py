@@ -258,9 +258,10 @@ def tetra_cells_at(p: Quaternion):
     return tets, [c.normal for c in tets]
 
 
-def frame_coords(basis_vector: Quaternion, x: Quaternion):
-    """Coordinates of x against the frame (e1 u, e2 u, e3 u) of a unit u."""
-    return tuple((unit * basis_vector).dot(x) for unit in (E1, E2, E3))
+def frame_coords(basis_vector: Quaternion, points) -> list[tuple]:
+    """Coordinates of each point against the frame (e1 u, e2 u, e3 u) of a unit u."""
+    frame = [unit * basis_vector for unit in (E1, E2, E3)]
+    return [tuple(f.dot(x) for f in frame) for x in points]
 
 
 class VertexFigure:
@@ -286,7 +287,7 @@ def vertex_figure(p: Quaternion) -> VertexFigure:
     for q in neighbors:
         if q.dot(p) != TAU_HALF:
             raise CoplanarityFailed("neighbor misses the vertex-figure hyperplane")
-    coords = [frame_coords(p, q) for q in neighbors]
+    coords = frame_coords(p, neighbors)
     faces = hull.convex_hull_faces(coords)
     return VertexFigure(p, neighbors, coords, faces)
 
@@ -307,20 +308,22 @@ def build_120cell() -> Cell120:
     pd_bar = p.galois().conjugate()
     tp = t_prime()
     groups: dict[str, list[Quaternion]] = {"tp": [], "sp": [], "m": [], "n": []}
+    pairs = [(i, j) for i in range(5) for j in range(5)]
+    prefixes, pden = engine.common_rows([(p ** i) * (pd_bar ** j) for i, j in pairs])
+    rows, den = engine.common_rows(tp.elements)
+    table = engine.products(prefixes[:, None], rows[None, :])
     everything = []
-    for i in range(5):
-        for j in range(5):
-            prefix = (p ** i) * (pd_bar ** j)
-            coset = [prefix * t for t in tp]
-            everything.extend(coset)
-            if i == 0 and j == 0:
-                groups["tp"].extend(coset)
-            elif i == j:
-                groups["sp"].extend(coset)
-            elif i == 0 or j == 0:
-                groups["m"].extend(coset)
-            else:
-                groups["n"].extend(coset)
+    for (i, j), coset in zip(pairs, table):
+        coset = engine.quats_of(coset, pden * den)
+        everything.extend(coset)
+        if i == 0 and j == 0:
+            groups["tp"].extend(coset)
+        elif i == j:
+            groups["sp"].extend(coset)
+        elif i == 0 or j == 0:
+            groups["m"].extend(coset)
+        else:
+            groups["n"].extend(coset)
     vertices = canonical_sorted(everything)
     if len(vertices) != 600:
         raise CertificationFailed("coset union failed to produce 600 distinct vertices")

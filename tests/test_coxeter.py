@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, SQRT2, TAU,
-                     BadParameter, CapExceeded, NotInvariant, Quaternion, Transform, a4xc2,
-                     binary_icosahedral, binary_tetrahedral, build_group,
-                     icosian_seed, orbit, orbit_decompose, reflection, s3_of,
-                     s4_of, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
+                     BadParameter, CapExceeded, NotInvariant, Quaternion, Transform,
+                     TransformGroup, a4xc2, binary_icosahedral, binary_tetrahedral,
+                     build_group, canonical_sorted, icosian_seed, orbit, orbit_decompose,
+                     reflection, s3_of, s4_of, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import (orbit_by_elements, seed_conjugator, snub_decompose,
                              wd4c3_conjugate, wd4c3_conjugate_pattern)
+from icosian.engine import apply_all, common_rows
 from icosian.field import SIGMA, TAU as F_TAU
 from icosian.groups import generate
 
@@ -228,3 +229,70 @@ def test_build_group_dispatch():
     assert len(build_group("S4", t_prime().elements[0]).elements) == 24
     with pytest.raises(BadParameter):
         build_group("nope")
+
+
+def scalar_order(transforms):
+    """The canonical order as made from Transform objects: by q, then stably by p, then by star."""
+    by_q = canonical_sorted(set(transforms), of=lambda t: t.q)
+    by_pair = canonical_sorted(by_q, of=lambda t: t.p)
+    return tuple(sorted(by_pair, key=lambda t: t.star))
+
+
+def scalar_axis_group(base, q, signs):
+    qc = q.conjugate()
+    return [Transform(t, s * (qc * t.conjugate() * q), star) if not star else
+            Transform(t, s * (q * t.conjugate() * q), star)
+            for t in base for s in signs for star in (False, True)]
+
+
+def scalar_pattern(i, j):
+    p = icosian_seed()
+    pi, pj = p ** i, p ** j
+    tet = binary_tetrahedral()
+    a = [pi * t * pi.conjugate() for t in tet]
+    b = [pj * t * pj.conjugate() for t in tet]
+    c = [pi * t * pj.conjugate() for t in tet]
+    return [Transform(x, y) for x in a for y in b] + [Transform(x, y, True) for x in c for y in c]
+
+
+def scalar_stabilizer(group, v):
+    """The elements fixing v, found through the compiled matrices."""
+    (target,), den = common_rows([v])
+    rows, rden = apply_all(*group.compiled(), v)
+    fixed = (rows == target * (rden // den)).all(axis=1)
+    return [t for t, hit in zip(group.elements, fixed.tolist()) if hit]
+
+
+def scalar_s3(seed):
+    return generate(s3_of(seed).generators, cap=24)
+
+
+def scalar_conjugate(i, j):
+    h = seed_conjugator(i, j)
+    return [h * g * h.inverse() for g in wd4c3().elements]
+
+
+SEED = icosian_seed()
+TET = binary_tetrahedral()
+CONSTRUCTORS = {
+    "wd4c3": (wd4c3, lambda: [Transform(p, q, star) for p in TET for q in TET
+                              for star in (False, True)]),
+    "wh3xc2": (lambda: wh3xc2(SEED),
+               lambda: scalar_axis_group(binary_icosahedral(), SEED, (1, -1))),
+    "a4xc2": (lambda: a4xc2(E1), lambda: scalar_axis_group(TET, E1, (1,))),
+    "s4": (lambda: s4_of(t_prime().elements[0]),
+           lambda: scalar_axis_group(TET, t_prime().elements[0], (1,))),
+    "s3": (lambda: s3_of(SEED), lambda: scalar_s3(SEED)),
+    "conjugate": (lambda: wd4c3_conjugate(1, 1), lambda: scalar_conjugate(1, 1)),
+    "pattern": (lambda: wd4c3_conjugate_pattern(1, 1), lambda: scalar_pattern(1, 1)),
+    "stabilizer": (lambda: stabilizer(wh4(), SEED), lambda: scalar_stabilizer(wh4(), SEED)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_group_rows_keep_the_scalar_order(name):
+    build, scalar = CONSTRUCTORS[name]
+    group = build()
+    assert group.elements == scalar_order(scalar())
+    assert len(group) == len(group.elements) == len(group.rows)
+    assert group == TransformGroup(group.elements)

@@ -11,8 +11,9 @@ from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion
                      canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, wd4c3,
                      wh3xc2, wh4)
 from icosian.coxeter import orbit_by_elements
-from icosian.engine import (_SIGN_BLOCK, apply_all, common_rows, cross_rows,
-                            distinct_values, pairwise_dots, quats_of, side_signs)
+from icosian.engine import (_PRODUCT_BLOCK, _SIGN_BLOCK, _product_block, apply_all,
+                            common_rows, cross_rows, distinct_values, pairwise_dots,
+                            products, quats_of, side_signs)
 from icosian.errors import NotInGoldenSubfield
 from icosian.field import SQRT10, ZERO, FieldElement
 from icosian.linalg import nullspace
@@ -92,6 +93,44 @@ def test_distinct_values_match_sorted_oracle(rows, den):
     assert index.tolist() == [[distinct.index(row) for row in rows]]
 
 
+def assert_products_are_oracle(xs, ys):
+    """The product table and the row-wise products equal Quaternion.__mul__."""
+    (left, lden), (right, rden) = common_rows(xs), common_rows(ys)
+    table = products(left[:, None], right[None, :])
+    assert table.shape == (len(xs), len(ys), 16)
+    for row, x in zip(table, xs):
+        assert quats_of(row, lden * rden) == tuple(x * y for y in ys)
+    k = min(len(xs), len(ys))
+    assert quats_of(products(left[:k], right[:k]), lden * rden) == tuple(
+        x * y for x, y in zip(xs, ys))
+
+
+@given(point_lists, point_lists)
+@settings(max_examples=60, deadline=None)
+def test_products_match_quaternion_mul(xs, ys):
+    assert_products_are_oracle(xs, ys)
+
+
+@given(point_lists, point_lists, st.integers(0, 66))
+@settings(max_examples=60, deadline=None)
+def test_products_raise_or_match_near_int64_limit(xs, ys, bits):
+    try:
+        assert_products_are_oracle([x * (1 << bits) for x in xs], ys)
+    except OverflowError:
+        pass
+
+
+def test_products_blocks_match_one_batch():
+    # A table of more products than one block, taken in several blocks.
+    rows, _ = common_rows([icosian_seed() * q for q in (Q_ONE, E1, E2, E3, E1 * SQRT2)])
+    rows = np.concatenate([rows * k for k in range(1, 40)])
+    assert len(rows) ** 2 > 2 * _PRODUCT_BLOCK
+    a, b = np.broadcast_arrays(rows[:, None], rows[None, :])
+    assert np.array_equal(products(rows[:, None], rows[None, :]), _product_block(a, b))
+    assert np.array_equal(products(a.reshape(-1, 16), rows[3]),
+                          _product_block(a.reshape(-1, 16), rows[3]))
+
+
 scalars = st.sampled_from([ZERO, ONE, -HALF, SQRT2, SIGMA, -TAU])
 
 
@@ -142,6 +181,20 @@ def test_apply_all_matches_transform_apply(picks, q):
     mats, dens = group.compiled()
     images = quats_of(*apply_all(mats[picks], dens[picks], q))
     assert images == tuple(group.elements[k].apply(q) for k in picks)
+
+
+@given(points, st.integers(0, 66), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_group_images_raise_or_match_near_int64_limit(q, bits, shrink):
+    # The images stabilizer reads, made by products from the group's rows.
+    group = wh4()
+    picks = [0, 1, 7199, 14399]
+    scaled = q * (Fraction(1, 1 << bits) if shrink else 1 << bits)
+    try:
+        rows, den = group.images(scaled)
+    except OverflowError:
+        return
+    assert quats_of(rows[picks], den) == tuple(group.elements[k].apply(scaled) for k in picks)
 
 
 @given(st.lists(points, min_size=1, max_size=4), st.integers(0, 66))
@@ -195,6 +248,16 @@ def test_int64_limit_raises():
             assert bits == 20
         else:
             assert bits == 16 and n == -Q_ONE * SQRT10 * 10 * (1 << 48)
+    # (sqrt10 x)^2 = 10 x^2: refused at x = 2^30, where it leaves int64 though
+    # max|a| max|b| = 2^60 does not, and exact at x = 2^28.
+    for bits in (28, 30):
+        rows, _ = common_rows([one * SQRT10 * (1 << bits)])
+        try:
+            (square,) = quats_of(products(rows, rows), 1)
+        except OverflowError:
+            assert bits == 30
+        else:
+            assert bits == 28 and square == one * 10 * (1 << 56)
 
 
 @given(st.lists(golden_points, min_size=1, max_size=5))

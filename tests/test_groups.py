@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from icosian import (E1, HALF, Q_ONE, SIGMA, SQRT2, TAU, CapExceeded,
-                     Quaternion, SearchFailed, binary_icosahedral,
-                     binary_octahedral, binary_tetrahedral, canonical_sorted,
-                     closure, conjugacy_classes, d4_weight_orbits,
+                     NotInvariant, Quaternion, QuaternionGroup, SearchFailed,
+                     binary_icosahedral, binary_octahedral, binary_tetrahedral,
+                     canonical_sorted, closure, conjugacy_classes, d4_weight_orbits,
                      element_order, icosa_class_plus, icosian_seed, t_prime)
 
 HALF_ONES = Quaternion(HALF, HALF, HALF, HALF)
@@ -32,6 +32,16 @@ def test_groups_are_closed():
     assert binary_tetrahedral().is_closed()
     assert binary_octahedral().is_closed()
     assert binary_icosahedral().is_closed()
+
+
+def test_is_closed_finds_products_missing_from_the_set():
+    """T' with 1: products of two T' elements land in T, mostly outside the set."""
+    assert not QuaternionGroup(list(t_prime()) + [Q_ONE]).is_closed()
+
+
+def test_is_closed_finds_products_off_the_denominator():
+    """{1, e1/2}: (e1/2)^2 = -1/4 is not integral over the set's denominator 2."""
+    assert not QuaternionGroup([Q_ONE, E1 * HALF]).is_closed()
 
 
 def test_t_prime_is_not_a_group():
@@ -123,6 +133,21 @@ def test_octahedral_classes():
     table = conjugacy_classes(binary_octahedral())
     assert sum(c.size for c in table.classes) == 48
     assert len(table.classes) == 8
+
+
+def test_classes_of_a_set_that_is_not_a_group_raise():
+    # e1/2 * 1 * conj(e1/2) = 1/4 is not an element.
+    with pytest.raises(NotInvariant, match="left the group"):
+        conjugacy_classes(QuaternionGroup([Q_ONE, E1 * HALF]))
+
+
+def test_classes_match_scalar_conjugation():
+    for group in (binary_octahedral(), binary_icosahedral()):
+        table = conjugacy_classes(group)
+        for c in table.classes:
+            x = c.members[0]
+            assert set(c.members) == {g * x * g.conjugate() for g in group}
+            assert c.order == element_order(x)
 
 
 def test_set_indexing():

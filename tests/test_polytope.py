@@ -286,9 +286,8 @@ def test_convex_hull_faces_rejects_non_extreme_points(extra, message):
 
 def test_frame_coords_orthonormal():
     p = icosian_seed()
-    assert frame_coords(p, E1 * p) == (1, 0, 0)
-    assert frame_coords(p, E1 * p + E3 * p) == (1, 0, 1)
-    assert frame_coords(p, p.scale(TAU)) == (0, 0, 0)
+    points = [E1 * p, E1 * p + E3 * p, p.scale(TAU)]
+    assert frame_coords(p, points) == [(1, 0, 0), (1, 0, 1), (0, 0, 0)]
 
 
 def test_projective_equal():
