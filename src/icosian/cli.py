@@ -30,9 +30,12 @@ VERIFY_SUITES = ("table1", "e8", "groups", "snub", "dual", "appendix", "all")
 def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise BadParameter(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _build_doc(name: str) -> dict:
@@ -173,9 +176,22 @@ def _parse_weights(text: str) -> tuple[int, int, int, int]:
     return vals
 
 
+def _parse_digits(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("digits must be an integer")
+    if digits < 1:
+        raise argparse.ArgumentTypeError("digits must be at least 1")
+    return digits
+
+
 def cmd_orbit(args) -> int:
     weights = args.weights
-    size, sizes = roots.weight_decomposition(weights)
+    try:
+        size, sizes = roots.weight_decomposition(weights)
+    except OverflowError as exc:
+        raise BadParameter(f"weights too large for exact int64 arithmetic: {exc}") from exc
     lines = [f"weights: {','.join(str(w) for w in weights)}",
              f"orbit size: {size}"]
     doc = {"weights": list(weights), "size": size}
@@ -213,7 +229,7 @@ def make_parser() -> argparse.ArgumentParser:
                           help="the vertex figure at the generating vertex")
     p_export.add_argument("--dual-cell", action="store_true",
                           help="the dual cell at the generating vertex")
-    p_export.add_argument("--digits", type=int, default=17,
+    p_export.add_argument("--digits", type=_parse_digits, default=17,
                           help="significant digits for OFF output (default 17)")
     p_export.add_argument("--out", required=True, help="output path, - for stdout")
     p_export.set_defaults(fn=cmd_export)

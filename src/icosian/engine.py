@@ -7,25 +7,27 @@ denominator: closures and partitions are batched matrix products, and the
 rows' lexicographic order is the canonical order of the points.  RowIndex
 finds rows in such a set by binary search over their sorted byte keys.
 
-products is the one batched Hamilton product: group closure checks,
-conjugacy classes and the rows of every transform group are tables of it,
-so no group-sized sweep multiplies Quaternion objects one pair at a time.
+All multiplication is one 16x16 table, made once by _product_table: the
+structure tensors that compile transforms and the bilinear forms of the
+scalar product are read off it.  products is the one batched Hamilton
+product on it: group closure checks, conjugacy classes and the rows of
+every transform group are tables of it, so no group-sized sweep multiplies
+Quaternion objects one pair at a time.
 
 Every table of scalar products is made here too: each entry is a field
 4-vector of integers over one denominator, and distinct_values lifts the few
 distinct entries to field elements, so exact comparisons run once per value
-rather than once per pair.  Hyperplane normals are made here as well:
-cross_rows is the generalised cross product of integer rows, so a
-certificate or hull face needs no field solver.  side_signs is the one place
-where bulk geometry takes exact signs: which side of each hyperplane every
-point lies on, for cell certificates and hull faces alike.  Results are
-exact: numpy carries the integer arithmetic only after a bound on the
-operands proves that no int64 entry can overflow.
+rather than once per pair.  Hyperplane normals are products as well:
+cross_rows is the generalised cross product (c b-bar a - a b-bar c) / 2 of
+integer rows, so a certificate needs no field solver.  side_signs is the
+one place where bulk geometry takes exact signs: which side of each
+hyperplane every point lies on, for cell certificates and hull faces alike.
+Results are exact: numpy carries the integer arithmetic only after a bound
+on the operands proves that no int64 entry can overflow.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import lcm
 
 import numpy as np
@@ -35,23 +37,29 @@ from .field import FieldElement
 from .quaternion import _FTAB, _QTAB, Quaternion
 
 
-def _structure_tensors():
-    left = np.zeros((16, 16, 16), dtype=np.int64)
-    right = np.zeros((16, 16, 16), dtype=np.int64)
-    for j in range(4):
-        for b in range(4):
-            m = 4 * j + b
-            for i in range(4):
-                for a in range(4):
-                    c0, mult = _FTAB[(b, a)]
-                    k, s = _QTAB[(j, i)]
-                    left[m, 4 * k + c0, 4 * i + a] += s * mult
-                    k, s = _QTAB[(i, j)]
-                    right[m, 4 * k + c0, 4 * i + a] += s * mult
-    return left, right
+def _product_table() -> tuple[np.ndarray, np.ndarray]:
+    """(a b)_t = sum over s of a_s * w[s, t] * b[idx[s, t]], for 16-vectors a and b.
+
+    The one multiplication table: unit signs times radical multipliers.  For
+    each coefficient s of a, the product adds a signed, scaled permutation of
+    b's coefficients; every other table of this module is read off it.
+    """
+    idx = np.zeros((16, 16), dtype=np.intp)
+    w = np.zeros((16, 16), dtype=np.int64)
+    for (i, j), (k, sign) in _QTAB.items():
+        for (a, b), (c, mult) in _FTAB.items():
+            s, t = 4 * i + a, 4 * k + c
+            idx[s, t], w[s, t] = 4 * j + b, sign * mult
+    return idx, w
 
 
-_LSTRUCT, _RSTRUCT = _structure_tensors()
+_PIDX, _PW = _product_table()
+_S, _T = np.indices((16, 16))
+# _LSTRUCT[s] multiplies by basis element s from the left, _RSTRUCT[s] from the right.
+_LSTRUCT = np.zeros((16, 16, 16), dtype=np.int64)
+_LSTRUCT[_S, _T, _PIDX] = _PW
+_RSTRUCT = np.zeros((16, 16, 16), dtype=np.int64)
+_RSTRUCT[_PIDX, _T, _S] = _PW
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -74,11 +82,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-# For each coefficient s of a, the product a b adds a_s * _PW[s] * b[_PIDX[s]]:
-# a signed, scaled permutation of b's coefficients, read off the left
-# multiplication tensor, which has one nonzero entry per row.
-_PIDX = np.abs(_LSTRUCT).argmax(axis=2)
-_PW = np.take_along_axis(_LSTRUCT, _PIDX[..., None], axis=2)[..., 0]
 # A coefficient of a b sums its terms, none larger than |w| max|a| max|b|.
 _PRODUCT_BOUND = int(np.abs(_PW).sum(axis=0).max())
 _PRODUCT_BLOCK = 4096  # products per batch, bounding the int64 temporaries
@@ -107,7 +110,7 @@ def products(a, b) -> np.ndarray:
     # operand of length 1 there goes whole to every block, never broadcast.
     out = np.empty(np.broadcast_shapes(shape, (1, 16)), dtype=np.int64)
     a, b = (x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in (a, b))
-    step = max(1, _PRODUCT_BLOCK * 16 // int(np.prod(out.shape[1:])))
+    step = max(1, _PRODUCT_BLOCK * 16 // max(1, int(np.prod(out.shape[1:]))))
     for lo in range(0, len(out), step):
         out[lo:lo + step] = _product_block(*(x if len(x) == 1 else x[lo:lo + step]
                                              for x in (a, b)))
@@ -272,17 +275,10 @@ def apply_all(mats: np.ndarray, dens: np.ndarray, q: Quaternion) -> tuple[np.nda
     return _scaled(images, (common // dens)[:, None]), common * den
 
 
-def _dot_forms():
-    forms = np.zeros((4, 16, 16), dtype=np.int64)
-    for i in range(4):
-        for a in range(4):
-            for b in range(4):
-                c, m = _FTAB[(a, b)]
-                forms[c, 4 * i + a, 4 * i + b] += m
-    return forms
-
-
-_DOT_FORMS = _dot_forms()
+# Form c gives coefficient c of the scalar product (x, y), the real part of
+# x y-bar: x @ _DOT_FORMS[c] @ y, read off the table's first four columns.
+_DOT_FORMS = np.zeros((4, 16, 16), dtype=np.int64)
+_DOT_FORMS[_T[:, :4], _S[:, :4], _PIDX[:, :4]] = _PW[:, :4] * _CONJ[_PIDX[:, :4]]
 
 
 def _dot_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -315,71 +311,18 @@ def distinct_values(table: np.ndarray, den: int) -> tuple[dict[FieldElement, int
     return values, index.reshape(table.shape[:-1])
 
 
-def _field_table():
-    """w_p * w_q = mult[p, c] * w_c, with q = perm[p, c], for the radicals w."""
-    perm = np.zeros((4, 4), dtype=np.intp)
-    mult = np.zeros((4, 4), dtype=np.int64)
-    for (p, q), (c, m) in _FTAB.items():
-        perm[p, c], mult[p, c] = q, m
-    return perm, mult
-
-
-_FPERM, _FMULT = _field_table()
-
-
-def _cross_stages():
-    """The two batches of twelve signed field products that make cross_rows.
-
-    The first makes the minors M_jk = b_j c_k - b_k c_j for the six pairs
-    j < k; the second makes each n_l as the sum over i != l of
-    eps_ijkl a_i M_jk, with (j, k) the other two indices in order.  Each
-    batch is given as the components of its left and right factors and the
-    weights sign * mult[p, c] of its products.
-    """
-    pairs = list(combinations(range(4), 2))
-    j, k = np.array(pairs).T
-    minors = np.r_[j, k], np.r_[k, j], np.repeat([1, -1], len(pairs))
-    terms = []
-    for l in range(4):
-        for i in range(4):
-            if i != l:
-                rest = tuple(x for x in range(4) if x not in (i, l))
-                perm = (i, *rest, l)
-                inversions = sum(perm[s] > perm[t] for s, t in combinations(range(4), 2))
-                terms.append((i, pairs.index(rest), (-1) ** inversions))
-    return [(x, y, (sign[:, None, None] * _FMULT)[..., None])
-            for x, y, sign in (minors, np.array(terms).T)]
-
-
-_MINOR_STAGE, _TERM_STAGE = _cross_stages()
-# A coefficient of a field product x * y is at most f * max|x| * max|y|, f the
-# largest column sum of _FMULT.  A minor sums 2 such products, and a
-# coefficient of n sums 3 products of a coefficient of a with a minor.
-_CROSS_BOUND = 3 * 2 * int(_FMULT.sum(axis=0).max()) ** 2
-
-
-def _signed_products(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sign_t * x[t] * y[t] for field 4-vectors x[t] and y[t], each coefficient a row."""
-    return sum(x[:, p, None] * y[:, _FPERM[p]] * weights[:, p] for p in range(4))
-
-
 def cross_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Generalised cross products n_l = eps_ijkl a_i b_j c_k of int64 quaternion rows.
 
     Row r is orthogonal to a[r], b[r] and c[r], and is zero exactly when
     they are linearly dependent.  Its entries are the integer numerators of
-    n over the product of the inputs' denominators: only its direction is
-    used.  One bound on max|a| max|b| max|c| covers every partial sum.
+    n = (c b-bar a - a b-bar c) / 2 over the product of the inputs'
+    denominators: only its direction is used.  The two triple products come
+    from products, and their difference is bounded before it is taken.
     """
-    # Component, coefficient, row: each coefficient is one contiguous run of rows.
-    a, b, c = (np.ascontiguousarray(np.reshape(x, (-1, 4, 4)).transpose(1, 2, 0))
-               for x in (a, b, c))
-    _check_bound(_CROSS_BOUND * max(_max_abs(a), 1), b, c)  # a zero a still needs minors
-    at_b, at_c, weights = _MINOR_STAGE
-    minors = _signed_products(b[at_b], c[at_c], weights).reshape(2, 6, 4, -1).sum(axis=0)
-    at_a, at_minor, weights = _TERM_STAGE
-    terms = _signed_products(a[at_a], minors[at_minor], weights)
-    return np.ascontiguousarray(terms.reshape(4, 3, 4, -1).sum(axis=1).reshape(16, -1).T)
+    both = products(np.stack([c, a]), products(conjugates(b), np.stack([a, c])))
+    _check_bound(2, both, np.asarray(1))  # a difference of two entries
+    return (both[0] - both[1]) // 2
 
 
 _SIGN_BLOCK = 64  # normals per sign table, bounding its int64 temporaries

@@ -125,6 +125,8 @@ def _ilog10(f: Fraction) -> int:
 
 def decimal_str(x: FieldElement, digits: int = 17) -> str:
     """x rounded to `digits` significant digits, correctly, via interval refinement."""
+    if digits < 1:
+        raise ValueError("need at least one significant digit")
     sign = x.sign()
     if sign == 0:
         return "0"

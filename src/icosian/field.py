@@ -12,8 +12,6 @@ from math import gcd, isqrt
 
 from .errors import NotInGoldenSubfield
 
-_RAD = (1, 2, 5, 10)
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):

@@ -1,7 +1,8 @@
 """Exact convex hulls of small 3D point sets: cells and vertex figures.
 
-The normal of every triple is the cross product of two of its edges, all
-made by one engine.cross_rows call over integer rows.  The plane of every
+The normal of every triple is the cross product u x v of two of its edges:
+for pure quaternions that is the vector part of u v, so the normals of all
+triples are one engine.products call over integer rows.  The plane of every
 non-degenerate triple is tested against every point in one exact
 engine.side_signs table, and a plane with all points on one side is a
 face.  Two facets of a 3-polytope meet in an edge or not at all, so two
@@ -51,10 +52,9 @@ def convex_hull_faces(points: list[Point3]) -> tuple[tuple[int, ...], ...]:
     rows, _ = engine.common_rows([Quaternion(0, *p) for p in points])
     triples = np.array(list(combinations(range(n), 3)))
     edges = engine.differences(rows, triples)
-    one = np.zeros_like(edges[:, 0])
-    one[:, 0] = 1
-    # cross_rows(1, u, v) is the cross product u x v of the pure quaternions.
-    normals = engine.cross_rows(one, edges[:, 0], edges[:, 1])
+    # For pure quaternions u v = -(u, v) + u x v: the normal is its vector part.
+    normals = engine.products(edges[:, 0], edges[:, 1])
+    normals[:, :4] = 0
     spanning = normals.any(axis=1)
     triples = triples[spanning]
     row_of = {t: r for r, t in enumerate(map(tuple, triples.tolist()))}

@@ -27,6 +27,14 @@ def test_decimal_str_pins():
     assert decimal_str(SQRT2 * HALF, digits=4) == "0.7071"
 
 
+def test_decimal_str_needs_a_digit():
+    for digits in (0, -1):
+        with pytest.raises(ValueError):
+            decimal_str(TAU, digits=digits)
+        with pytest.raises(ValueError):
+            decimal_str(ZERO, digits=digits)
+
+
 def test_decimal_str_tracks_float():
     for x in (TAU, SQRT2, TAU * TAU * HALF, SQRT2 + TAU):
         assert abs(float(decimal_str(x)) - float(x)) < 1e-15
@@ -198,10 +206,38 @@ def test_usage_errors_exit_2():
                  ["build", "bogus", "--out", "-"],
                  ["orbit", "--weights", "0,0,0,0"],
                  ["orbit", "--weights", "1,2,3"],
-                 ["orbit", "--weights", "a,b,c,d"]):
+                 ["orbit", "--weights", "a,b,c,d"],
+                 ["export", "24cell", "--format", "off", "--digits", "0", "--out", "-"],
+                 ["export", "24cell", "--format", "off", "--digits", "-2", "--out", "-"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+def test_orbit_weights_past_int64_exit_2(capsys):
+    assert main(["orbit", "--weights", "99999999999999999,0,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    # Large weights that keep every product inside int64 are still answered.
+    assert main(["orbit", "--weights", "99999999999,0,0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "orbit size: 2400"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["build", "24cell", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+    assert not out.parent.exists()
+
+
+def test_bad_input_reports_without_traceback(tmp_path, run_cli):
+    for args in (("export", "24cell", "--format", "off", "--digits", "0", "--out", "-"),
+                 ("orbit", "--weights", "99999999999999999,0,0,1"),
+                 ("build", "24cell", "--out", str(tmp_path / "missing" / "x.json"))):
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert "error:" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_orbit_command(tmp_path, capsys):

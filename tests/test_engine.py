@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -131,6 +132,12 @@ def test_products_blocks_match_one_batch():
                           _product_block(a.reshape(-1, 16), rows[3]))
 
 
+def test_products_and_cross_rows_of_no_rows():
+    none = np.zeros((0, 16), dtype=np.int64)
+    assert products(np.zeros((2, 0, 16), dtype=np.int64), none).shape == (2, 0, 16)
+    assert cross_rows(none, none, none).shape == (0, 16)
+
+
 scalars = st.sampled_from([ZERO, ONE, -HALF, SQRT2, SIGMA, -TAU])
 
 
@@ -154,6 +161,25 @@ def test_cross_rows_match_nullspace(a, b, c, s, t, dependent):
     cross_oracle(a, b, a * s + b * t if dependent else c)
 
 
+def levi_civita_cross(a, b, c):
+    """n_l = sum of eps_ijkl a_i b_j c_k, in FieldElement arithmetic."""
+    n = [ZERO] * 4
+    for perm in permutations(range(4)):
+        i, j, k, l = perm
+        term = a.component(i) * b.component(j) * c.component(k)
+        n[l] += -term if sum(x > y for x, y in combinations(perm, 2)) % 2 else term
+    return Quaternion(*n)
+
+
+@given(st.lists(st.tuples(points, points, points), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_cross_rows_match_levi_civita(triples):
+    # Each input over its own denominator: the rows are numerators over their product.
+    (ra, da), (rb, db), (rc, dc) = (common_rows(xs) for xs in zip(*triples))
+    assert quats_of(cross_rows(ra, rb, rc), da * db * dc) == tuple(
+        levi_civita_cross(*t) for t in triples)
+
+
 @given(st.tuples(coords, coords, coords), st.tuples(coords, coords, coords),
        st.sampled_from([ONE, HALF, SQRT2, SIGMA]))
 @settings(max_examples=60, deadline=None)
@@ -163,6 +189,12 @@ def test_cross_rows_of_one_is_the_hull_normal(u, v, s):
     (n,) = quats_of(cross_rows(rows[:1], rows[1:2], rows[2:]), 1)
     w = u * v
     assert projective_equal(n, w - w.conjugate())
+    # The hull takes its normals as the vector part of u v: cross_rows(1, u, v).
+    one = np.zeros_like(rows[:1])
+    one[0, 0] = 1
+    vector = products(rows[1:2], rows[2:])
+    vector[:, :4] = 0
+    assert np.array_equal(vector, cross_rows(one, rows[1:2], rows[2:]))
 
 
 @given(points, points, points, st.integers(0, 30))

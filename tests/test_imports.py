@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import icosian
 
-MODULES = sorted(p for p in Path(icosian.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(icosian.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +25,46 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def private_definitions(source: str) -> set[str]:
+    """Module-level private functions, classes and assigned names (not dunders)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names a source reads: as a name, an attribute or an imported name.
+
+    Storing into a subscript, as in ``_TABLE[i] = x``, does not read the table.
+    """
+    tree = ast.parse(source)
+    stored_into = {id(node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if id(node) not in stored_into:
+                read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def dead_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each module-level private name that no source reads."""
+    read = set().union(*(names_read(text) for text in sources.values()))
+    return sorted((module, name) for module, text in sources.items()
+                  for name in private_definitions(text) - read)
+
+
 def test_unused_imports_are_found():
     source = ("from __future__ import annotations\n"
               "import numpy as np\nimport os.path\n"
@@ -32,6 +73,27 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["Z", "os"]
 
 
+def test_dead_private_names_are_found():
+    sample = ("import numpy as np\n"
+              "_USED = 1\n_DEAD = 2\n"
+              "_TABLE = np.zeros(3)\n_TABLE[0] = _USED\n"
+              "_A, _B = 1, 2\n_NOTE: str = 'x'\n"
+              "__all__ = ['public']\n"
+              "def _helper():\n    return _A\n"
+              "def _orphan():\n    pass\n"
+              "class _Kind:\n    def _method(self):\n        pass\n"
+              "def public():\n    return _helper()\n")
+    other = "from .sample import _B\nfrom . import sample\nx = sample._Kind\n"
+    assert dead_private_names({"sample": sample, "other": other}) == [
+        ("sample", "_DEAD"), ("sample", "_NOTE"), ("sample", "_TABLE"),
+        ("sample", "_orphan")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert dead_private_names(sources) == []
