@@ -181,8 +181,8 @@ def _parse_digits(text: str) -> int:
         digits = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("digits must be an integer")
-    if digits < 1:
-        raise argparse.ArgumentTypeError("digits must be at least 1")
+    if not 1 <= digits <= exports.MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"digits must be 1 to {exports.MAX_DIGITS}")
     return digits
 
 
@@ -230,7 +230,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--dual-cell", action="store_true",
                           help="the dual cell at the generating vertex")
     p_export.add_argument("--digits", type=_parse_digits, default=17,
-                          help="significant digits for OFF output (default 17)")
+                          help="significant digits for OFF output, "
+                               f"1 to {exports.MAX_DIGITS} (default 17)")
     p_export.add_argument("--out", required=True, help="output path, - for stdout")
     p_export.set_defaults(fn=cmd_export)
 

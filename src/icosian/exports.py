@@ -1,30 +1,46 @@
 """Serialization: canonical JSON documents and OFF geometry files.
 
 JSON stores every coordinate as exact rational strings on the basis
-(1, sqrt2, sqrt5, sqrt10), so files round-trip bit for bit.  OFF files carry
-correctly rounded decimals: each printed value is the true real number
-rounded to the requested number of significant digits, established through
-interval refinement rather than floating point.
+(1, sqrt2, sqrt5, sqrt10), so files round-trip bit for bit; each string is
+written from the field's integer numerators and denominator with one gcd.
+OFF files carry correctly rounded decimals: each printed value is the true
+real number rounded to the requested number of significant digits
+(1 to MAX_DIGITS), established by integer interval refinement: the
+enclosure's integer bounds are compared with integer powers of ten and
+rounded half-even with one divmod, with no Fraction and no floating point.
+Each distinct (value, digits) pair is rendered once per process.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from . import hull
 from .field import FieldElement
 from .quaternion import Quaternion
 
 _BASIS = ("1", "sqrt2", "sqrt5", "sqrt10")
+# Fixed well inside Python's default 4300-digit limit on int-to-str
+# conversion, which the interpreter and PYTHONINTMAXSTRDIGITS can change,
+# so which requests are answered does not depend on the environment.
+MAX_DIGITS = 1000
+
+
+def _coefficients_to_json(nums, den: int) -> dict:
+    """Each nonzero n / den as Fraction's string, for integers n and den > 0."""
+    out = {}
+    for name, n in zip(_BASIS, nums):
+        if n:
+            g = gcd(n, den)
+            out[name] = str(n // g) if g == den else f"{n // g}/{den // g}"
+    return out
 
 
 def field_to_json(x: FieldElement) -> dict:
-    out = {}
-    for name, part in zip(_BASIS, (x.a, x.b, x.c, x.d)):
-        if part:
-            out[name] = str(part)
-    return out
+    return _coefficients_to_json(*x.raw)
 
 
 def parse_field(doc) -> FieldElement:
@@ -35,7 +51,8 @@ def parse_field(doc) -> FieldElement:
 
 
 def quaternion_to_json(q: Quaternion) -> list:
-    return [field_to_json(q.component(i)) for i in range(4)]
+    vec, den = q.ivec
+    return [_coefficients_to_json(vec[i:i + 4], den) for i in range(0, 16, 4)]
 
 
 def parse_quaternion(doc) -> Quaternion:
@@ -105,28 +122,37 @@ def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _round_half_even(f: Fraction) -> int:
-    q, r = divmod(f.numerator, f.denominator)
-    twice = 2 * r
-    if twice > f.denominator or (twice == f.denominator and q % 2):
-        q += 1
-    return q
+def _floor_log10(p: int, q: int) -> int:
+    """floor(log10(p / q)) for positive integers p and q."""
+    def below(e: int) -> bool:  # p / q < 10**e
+        return p < q * 10 ** e if e >= 0 else p * 10 ** -e < q
 
-
-def _ilog10(f: Fraction) -> int:
-    e = len(str(abs(f.numerator))) - len(str(f.denominator))
-    ten = Fraction(10)
-    while ten ** e > f:
+    e = (p.bit_length() - q.bit_length()) * 30103 // 100000
+    while below(e):
         e -= 1
-    while ten ** (e + 1) <= f:
+    while not below(e + 1):
         e += 1
     return e
 
 
+def _round_scaled(p: int, q: int, k: int) -> int:
+    """p / q * 10**k rounded half-even to an integer, for q > 0."""
+    if k >= 0:
+        p *= 10 ** k
+    else:
+        q *= 10 ** -k
+    m, r = divmod(p, q)
+    twice = 2 * r
+    if twice > q or (twice == q and m % 2):
+        m += 1
+    return m
+
+
+@lru_cache(maxsize=None)
 def decimal_str(x: FieldElement, digits: int = 17) -> str:
     """x rounded to `digits` significant digits, correctly, via interval refinement."""
-    if digits < 1:
-        raise ValueError("need at least one significant digit")
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"significant digits must be 1 to {MAX_DIGITS}")
     sign = x.sign()
     if sign == 0:
         return "0"
@@ -136,13 +162,11 @@ def decimal_str(x: FieldElement, digits: int = 17) -> str:
     while True:
         ilo, ihi = y._enclosure(bits)
         scale = den << bits
-        lo, hi = Fraction(ilo, scale), Fraction(ihi, scale)
-        if lo > 0:
-            e_lo, e_hi = _ilog10(lo), _ilog10(hi)
+        if ilo > 0:
+            e_lo, e_hi = _floor_log10(ilo, scale), _floor_log10(ihi, scale)
             if e_lo == e_hi:
-                shift = Fraction(10) ** (digits - 1 - e_lo)
-                m_lo = _round_half_even(lo * shift)
-                m_hi = _round_half_even(hi * shift)
+                m_lo = _round_scaled(ilo, scale, digits - 1 - e_lo)
+                m_hi = _round_scaled(ihi, scale, digits - 1 - e_lo)
                 if m_lo == m_hi:
                     m, e = m_lo, e_lo
                     break

@@ -4,14 +4,89 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from icosian import cli, e8_roots, polytope, snub24_vertices
 from icosian.cli import main
-from icosian.exports import (decimal_str, dumps, field_to_json, off_text,
+from icosian.exports import (MAX_DIGITS, decimal_str, dumps, field_to_json, off_text,
                              parse_field, parse_points, parse_quaternion,
                              points_to_json, quaternion_to_json)
-from icosian.field import HALF, ONE, SQRT2, TAU, ZERO, FieldElement
+from icosian.field import HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldElement
 from icosian.quaternion import Quaternion
+
+
+# The Fraction renderer that the integer-only decimal_str replaced: the
+# oracle it must match digit for digit.
+def _round_half_even(f: Fraction) -> int:
+    q, r = divmod(f.numerator, f.denominator)
+    twice = 2 * r
+    if twice > f.denominator or (twice == f.denominator and q % 2):
+        q += 1
+    return q
+
+
+def _ilog10(f: Fraction) -> int:
+    e = len(str(abs(f.numerator))) - len(str(f.denominator))
+    ten = Fraction(10)
+    while ten ** e > f:
+        e -= 1
+    while ten ** (e + 1) <= f:
+        e += 1
+    return e
+
+
+def oracle_decimal_str(x: FieldElement, digits: int = 17) -> str:
+    sign = x.sign()
+    if sign == 0:
+        return "0"
+    y = -x if sign < 0 else x
+    den = y.raw[1]
+    bits = 64
+    while True:
+        ilo, ihi = y._enclosure(bits)
+        scale = den << bits
+        lo, hi = Fraction(ilo, scale), Fraction(ihi, scale)
+        if lo > 0:
+            e_lo, e_hi = _ilog10(lo), _ilog10(hi)
+            if e_lo == e_hi:
+                shift = Fraction(10) ** (digits - 1 - e_lo)
+                m_lo = _round_half_even(lo * shift)
+                m_hi = _round_half_even(hi * shift)
+                if m_lo == m_hi:
+                    m, e = m_lo, e_lo
+                    break
+        bits *= 2
+    ds = str(m)
+    if len(ds) > digits:
+        ds = ds[:-1]
+        e += 1
+    if -4 <= e < digits:
+        if e >= 0:
+            head, tail = ds[: e + 1], ds[e + 1:]
+            out = head + ("." + tail if tail else "")
+        else:
+            out = "0." + "0" * (-e - 1) + ds
+    else:
+        out = ds[0] + "." + ds[1:] + ("e%+03d" % e)
+    return ("-" + out) if sign < 0 else out
+
+
+digit_counts = st.integers(1, 40)
+coefficients = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+# Values with sqrt2, sqrt5 and sqrt10 parts over unrelated denominators.
+radicals = st.builds(FieldElement, coefficients, coefficients, coefficients, coefficients)
+# Rationals at a power of ten and just either side of it.
+near_powers = st.builds(lambda k, off, neg: (-1 if neg else 1) * FieldElement(
+                            Fraction(10) ** k + off * Fraction(1, 10**40)),
+                        st.integers(-30, 30), st.sampled_from([-1, 0, 1]), st.booleans())
+# The engine tests' mixed-denominator quaternions: halves and thirds,
+# scaled by 1, 1/2, sqrt2 or sigma; their products add sqrt10 parts.
+halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
+thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+coords = st.one_of(halves, thirds)
+base = st.builds(Quaternion, coords, coords, coords, coords)
+points = st.builds(lambda q, s: q * s, base, st.sampled_from([ONE, HALF, SQRT2, SIGMA]))
+quaternions = st.one_of(points, st.builds(lambda p, q: p * q, points, points))
 
 
 def test_decimal_str_pins():
@@ -28,7 +103,7 @@ def test_decimal_str_pins():
 
 
 def test_decimal_str_needs_a_digit():
-    for digits in (0, -1):
+    for digits in (0, -1, MAX_DIGITS + 1):
         with pytest.raises(ValueError):
             decimal_str(TAU, digits=digits)
         with pytest.raises(ValueError):
@@ -40,11 +115,34 @@ def test_decimal_str_tracks_float():
         assert abs(float(decimal_str(x)) - float(x)) < 1e-15
 
 
+@given(st.one_of(radicals, near_powers), digit_counts)
+def test_decimal_str_matches_fraction_oracle(x, digits):
+    assert decimal_str(x, digits) == oracle_decimal_str(x, digits)
+
+
+@given(st.integers(1, 10**12), st.integers(-20, 20), st.booleans(), digit_counts)
+def test_decimal_str_ties_match_fraction_oracle(m, j, neg, digits):
+    """(10 m + 5) * 10**j is an exact tie at len(str(m)) digits."""
+    x = (-1 if neg else 1) * FieldElement((10 * m + 5) * Fraction(10) ** j)
+    for d in {len(str(m)), digits}:
+        assert decimal_str(x, d) == oracle_decimal_str(x, d)
+
+
 def test_field_json_round_trip():
     assert field_to_json(TAU) == {"1": "1/2", "sqrt5": "1/2"}
     assert field_to_json(ZERO) == {}
     for x in (TAU, -HALF, SQRT2 + TAU, FieldElement(0, 0, 0, Fraction(7, 3))):
         assert parse_field(field_to_json(x)) == x
+
+
+@given(quaternions)
+def test_json_writers_match_fraction_strings(q):
+    for i in range(4):
+        x = q.component(i)
+        nums, den = x.raw
+        assert field_to_json(x) == {name: str(Fraction(n, den)) for name, n in
+                                    zip(("1", "sqrt2", "sqrt5", "sqrt10"), nums) if n}
+    assert quaternion_to_json(q) == [field_to_json(q.component(i)) for i in range(4)]
 
 
 def test_quaternion_json_round_trip():
@@ -234,10 +332,21 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 def test_bad_input_reports_without_traceback(tmp_path, run_cli):
     for args in (("export", "24cell", "--format", "off", "--digits", "0", "--out", "-"),
                  ("orbit", "--weights", "99999999999999999,0,0,1"),
-                 ("build", "24cell", "--out", str(tmp_path / "missing" / "x.json"))):
+                 ("build", "24cell", "--out", str(tmp_path / "missing" / "x.json")),
+                 # Past MAX_DIGITS, before Python's int-to-str limit and past it.
+                 *(("export", "24cell", "--cell", "0", "--format", "off",
+                    "--digits", digits, "--out", "-")
+                   for digits in (str(MAX_DIGITS + 1), "4000"))):
         result = run_cli(*args)
         assert result.returncode == 2, result.stderr
         assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_export_at_digit_limit(capsys):
+    assert main(["export", "24cell", "--cell", "0", "--format", "off",
+                 "--digits", str(MAX_DIGITS), "--out", "-"]) == 0
+    first = capsys.readouterr().out.splitlines()[2].split()[0].lstrip("-")
+    assert first.startswith("0.7071") and len(first) == len("0.") + MAX_DIGITS
 
 
 def test_orbit_command(tmp_path, capsys):
