@@ -202,7 +202,10 @@ def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
     gens = [t for g in units for t in (Transform(g, Q_ONE), Transform(Q_ONE, g))]
     gens.append(Transform(Q_ONE, Q_ONE, True))
     rows, den = engine.common_rows(base.elements)
-    pairs = [_transform_rows(star, rows[:, None], rows[None, :]) for star in (0, 1)]
+    # [p, q] and [-p, -q] act alike: p runs over the half of base whose
+    # first nonzero coefficient is positive, so no pair is made twice.
+    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    pairs = [_transform_rows(star, rows[lead > 0][:, None], rows[None, :]) for star in (0, 1)]
     return TransformGroup.from_rows(np.concatenate(pairs), den, label, gens)
 
 

@@ -7,18 +7,29 @@ sends tetrahedron centers to themselves and icosahedron centers to
 T' + S' + (tau/sqrt2) T, with 144 points on three radii.  The dual cell of p
 is the convex hull of its eight reciprocated centers, which all lie on the
 hyperplane (p, x) = tau^2/(2 sqrt2): three kites and six triangles.
+
+W(D4):C3 moves the seed vertex onto all 96 snub vertices, so the 96 dual
+cells are congruent: dual_complex certifies one hull, at the seed, and
+moves it by one group element per snub vertex.  Each image cell is checked
+exactly, in one batch: its vertices are dual vertices on the image
+vertex's hyperplane, and they are the reciprocated centers of the census
+cells there.  Its faces are the seed's, relabelled, and reversed by the
+starred elements, which reverse orientation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import lcm
 
-from . import hull, polytope
+import numpy as np
+
+from . import coxeter, engine, hull, polytope
 from .coxeter import Transform
 from .errors import BadParameter, CertificationFailed, CoplanarityFailed
 from .field import HALF, SQRT2, TAU
-from .groups import binary_tetrahedral, t_prime
+from .groups import binary_tetrahedral, icosian_seed, t_prime
 from .quaternion import E1, Q_ONE, Quaternion, canonical_sorted
 
 LEVEL = TAU * TAU * SQRT2 * HALF * HALF
@@ -66,14 +77,14 @@ class DualCell:
 def dual_cell(p: Quaternion) -> DualCell:
     """The dual cell of a snub vertex, certified in its own hyperplane."""
     census = polytope.snub_census()
-    if p not in set(census.vertices):
+    if p not in census:
         raise BadParameter("vertex must lie on the snub 24-cell")
     at_p = census.cells_at(p)
     tets = [c.normal for c in at_p if c.kind == "tetrahedron"]
     icosa = [c.normal for c in at_p if c.kind == "icosahedron"]
     if len(tets) != 5 or len(icosa) != 3:
         raise CertificationFailed("snub vertex is not surrounded by 5+3 cells")
-    tp = set(t_prime().elements)
+    tp = t_prime()
     central = [c for c in tets if c in tp]
     if len(central) != 1:
         raise CertificationFailed("expected exactly one tetrahedron center on T'")
@@ -127,16 +138,104 @@ class DualComplex:
         return "<dual complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
 
 
-@lru_cache(maxsize=None)
-def dual_complex() -> DualComplex:
+def _find(points, rows: np.ndarray, den: int) -> np.ndarray:
+    """The index of each row over den among the points, or -1 where it is none of them."""
+    prows, pden = engine.common_rows(points)
+    common = lcm(den, pden)
+    index = engine.RowIndex(engine.rescaled(prows, pden, common))
+    return index.find(engine.rescaled(rows.reshape(-1, 16), den, common))
+
+
+def _relabel(face, label, reverse: bool) -> tuple[int, ...]:
+    """A face cycle under new vertex labels, reversed if asked, from its lowest label."""
+    cycle = [label[i] for i in face]
+    if reverse:
+        cycle.reverse()
+    k = cycle.index(min(cycle))
+    return tuple(cycle[k:] + cycle[:k])
+
+
+# Dual-vertex classes in the order of a cell's vertices: scaled 24-cell, T', S'.
+_CELL_CLASSES = (0, 0, 0, 1, 2, 2, 2, 2)
+
+
+def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
+    """The images of a dual cell under transforms given as (star | p | q) rows over den.
+
+    All images come from one pair of engine.products calls and are checked
+    exactly, in batch: each transform moves the cell's vertex p onto a
+    snub vertex p', its eight vertices onto dual vertices v' with
+    (p', v') = LEVEL, and those onto the reciprocated centers of the five
+    tetrahedra and three icosahedra at p'.  Each image is then put in the
+    form dual_cell gives it; any failed check raises CertificationFailed.
+    """
+    census = polytope.snub_census()
     vertices = dual_vertices()
     index = {q: i for i, q in enumerate(vertices)}
-    cells = []
+    seed, sden = engine.common_rows((cell.vertex,) + cell.vertices)
+    starred = rows[:, 0] == 1
+    moved = np.where(starred[:, None, None], engine.conjugates(seed), seed)
+    images = engine.products(engine.products(rows[:, None, 1:17], moved), rows[:, None, 17:])
+    iden = den * den * sden
+    at = _find(census.vertices, images[:, 0], iden)
+    if (at < 0).any():
+        raise CertificationFailed("transform moves the cell's vertex off the snub 24-cell")
+    found = _find(vertices, images[:, 1:], iden).reshape(len(rows), 8)
+    if (found < 0).any():
+        raise CertificationFailed("transform moves a cell vertex off the dual vertices")
+    levels, _ = engine.distinct_values(engine.dot_rows(images[:, :1], images[:, 1:]), iden * iden)
+    if set(levels) != {LEVEL}:
+        raise CertificationFailed("image vertex misses its cell hyperplane")
+    around = [census.incidence[k] for k in at.tolist()]
+    if any(len(cells) != 8 for cells in around):
+        raise CertificationFailed("snub vertex is not surrounded by 5+3 cells")
+    centers = np.array([index.get(c.normal if c.kind == "tetrahedron"
+                                  else c.normal.scale(TAU_OVER_SQRT2), -1)
+                        for c in census.cells])
+    if (centers < 0).any():
+        raise CertificationFailed("a reciprocated cell center is not a dual vertex")
+    if not np.array_equal(np.sort(centers[np.array(around)], axis=1), np.sort(found, axis=1)):
+        raise CertificationFailed("image cell is not the reciprocated cells at its vertex")
+    classes = np.full(len(vertices), 2)
+    classes[centers[[c.kind == "icosahedron" for c in census.cells]]] = 0
+    classes[[index[q] for q in t_prime()]] = 1
+    # Within a class, dual-vertex order is canonical order: dual_vertices is sorted.
+    order = np.lexsort((found, classes[found]))
+    ordered = np.take_along_axis(found, order, axis=1)
+    if (classes[ordered] != _CELL_CLASSES).any():
+        raise CertificationFailed("image cell is not three scaled, one T' and four S' centers")
+    labels = np.argsort(order, axis=1).tolist()
+    vertex_sets = [[vertices[i] for i in row] for row in ordered.tolist()]
+    points = [census.vertices[k] for k in at.tolist()]
+    out = []
+    for p, vset, label, reverse, coords in zip(
+            points, vertex_sets, labels, starred.tolist(),
+            polytope.batched_frame_coords(points, vertex_sets)):
+        faces = sorted(_relabel(f, label, reverse) for f in cell.faces)
+        out.append(DualCell(p, vset, coords, tuple(f for f in faces if len(f) == 4),
+                            tuple(f for f in faces if len(f) == 3)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def dual_complex() -> DualComplex:
+    """The 96 dual cells: the seed's certified cell moved by W(D4):C3 onto every snub vertex.
+
+    The element moving the seed onto a snub vertex is the first, in
+    canonical order, of those that do.
+    """
+    seed = icosian_seed()
+    group = coxeter.wd4c3()
+    snub = polytope.snub24_vertices()
+    reached, first = np.unique(_find(snub, *group.images(seed)), return_index=True)
+    if not np.array_equal(reached, np.arange(len(snub))):
+        raise CertificationFailed("W(D4):C3 does not move the seed onto every snub vertex")
+    vertices = dual_vertices()
+    index = {q: i for i, q in enumerate(vertices)}
+    cells = _transport(dual_cell(seed), group.rows[first], group.den)
     faces: dict[tuple[int, ...], tuple[int, ...]] = {}
     incidence: Counter = Counter()
-    for p in polytope.snub24_vertices():
-        cell = dual_cell(p)
-        cells.append(cell)
+    for cell in cells:
         ids = [index[v] for v in cell.vertices]
         for face in cell.faces:
             cycle = tuple(ids[i] for i in face)

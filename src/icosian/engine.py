@@ -281,8 +281,16 @@ _DOT_FORMS = np.zeros((4, 16, 16), dtype=np.int64)
 _DOT_FORMS[_T[:, :4], _S[:, :4], _PIDX[:, :4]] = _PW[:, :4] * _CONJ[_PIDX[:, :4]]
 
 
-def _dot_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return np.stack([_matmul(_matmul(left, form), right.T) for form in _DOT_FORMS], axis=-1)
+def dot_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Scalar products of int64 quaternion rows, as field 4-vectors: shape (..., a, b, 4).
+
+    left (..., a, 16) and right (..., b, 16) broadcast over their leading
+    axes, so a stack of cells makes one block-diagonal table.  Entry
+    [..., i, j] is the numerator of (left[i], right[j]) over the product of
+    the two denominators.
+    """
+    right = np.swapaxes(right, -1, -2)
+    return np.stack([_matmul(_matmul(left, form), right) for form in _DOT_FORMS], axis=-1)
 
 
 def pairwise_dots(points, others=None) -> tuple[np.ndarray, int]:
@@ -293,7 +301,7 @@ def pairwise_dots(points, others=None) -> tuple[np.ndarray, int]:
     """
     left, lden = common_rows(points)
     right, rden = (left, lden) if others is None else common_rows(others)
-    return _dot_rows(left, right), lden * rden
+    return dot_rows(left, right), lden * rden
 
 
 def distinct_values(table: np.ndarray, den: int) -> tuple[dict[FieldElement, int], np.ndarray]:
@@ -338,7 +346,7 @@ def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:
     """
     signs = np.empty((len(normals), len(points)), dtype=np.int8)
     for lo in range(0, len(normals), _SIGN_BLOCK):
-        table = _dot_rows(normals[lo:lo + _SIGN_BLOCK], points)
+        table = dot_rows(normals[lo:lo + _SIGN_BLOCK], points)
         _check_bound(2, table, np.asarray(1))  # a difference of two entries
         at = table[np.arange(len(table)), anchors[lo:lo + _SIGN_BLOCK]]
         values, index = distinct_values(table - at[:, None], 1)

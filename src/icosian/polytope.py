@@ -6,9 +6,9 @@ hyperplane: its vertices reach the plane, all other vertices stay strictly
 below.  The normals of a whole census are one engine.cross_rows call over
 each cell's first three edges, and only a cell whose first four vertices
 are coplanar solves its own nullspace; the signs come from one
-engine.side_signs table, and each distinct squared norm takes one exact
-square root.  The 120-cell appears as the coset union hosting the second
-snub copy.
+engine.side_signs table, the norms and offsets from one engine.dot_rows
+table each, and each distinct squared norm takes one exact square root.
+The 120-cell appears as the coset union hosting the second snub copy.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def certify_cells(candidates, vertices):
     vertices are coplanar, the nullspace of all its edges.  A failing list
     raises for its first failing cell, with that cell's first failing check.
     """
-    rows, _ = engine.common_rows(vertices)
+    rows, den = engine.common_rows(vertices)
     # A cell of fewer than four vertices repeats its first: its cross row is zero.
     firsts = np.array([(tuple(idxs) + (idxs[0],) * 3)[:4] for idxs in candidates],
                       dtype=np.intp).reshape(-1, 4)
@@ -108,14 +108,16 @@ def certify_cells(candidates, vertices):
     # The last column is the origin: its sign is that of -offset.
     points = np.vstack([rows, np.zeros((1, 16), dtype=np.int64)])
     signs = engine.side_signs(normals, points, firsts[:len(normals), 0])
-    inverse_roots, out = {}, []
-    for idxs, normal, row in zip(candidates, engine.quats_of(normals, 1), signs):
+    norm_values, norm_at = engine.distinct_values(
+        engine.dot_rows(normals[:, None], normals[:, None])[:, 0, 0], 1)
+    norms = list(norm_values)
+    inverse_roots, scales = {}, []
+    for idxs, norm, row in zip(candidates, norm_at.tolist(), signs):
         # A cross-product normal misses some cell vertex iff the cell has rank 4.
         if np.any(row[list(idxs)]):
             raise CertificationFailed("cell does not span a hyperplane")
-        norm = normal.norm()
         if norm not in inverse_roots:
-            root = field_sqrt(norm)
+            root = field_sqrt(norms[norm])
             inverse_roots[norm] = None if root is None else root.invert()
         if inverse_roots[norm] is None:
             raise CertificationFailed("normal admits no exact unit scaling")
@@ -127,11 +129,18 @@ def certify_cells(candidates, vertices):
         side = 1 if 1 in outside else -1
         if row[-1] != side:
             raise CertificationFailed("hyperplane does not face away from the origin")
-        normal = normal.scale(inverse_roots[norm] if side < 0 else -inverse_roots[norm])
-        out.append((normal, normal.dot(vertices[idxs[0]])))
+        scales.append(inverse_roots[norm] if side < 0 else -inverse_roots[norm])
     if failure is not None:
         raise CertificationFailed(failure)
-    return out
+    # Unit normals are products with scalar quaternions, one row per distinct scale.
+    distinct = {s: k for k, s in enumerate(dict.fromkeys(scales))}
+    scale_rows, sden = engine.common_rows([Quaternion(s) for s in distinct])
+    units = engine.products(scale_rows[[distinct[s] for s in scales]], normals)
+    offset_values, offset_at = engine.distinct_values(
+        engine.dot_rows(units[:, None], rows[firsts[:, :1]])[:, 0, 0], sden * den)
+    offsets = list(offset_values)
+    return [(normal, offsets[k])
+            for normal, k in zip(engine.quats_of(units, sden), offset_at.tolist())]
 
 
 def supporting_hyperplane(vertex_indices, vertices):
@@ -157,9 +166,18 @@ class PolytopeComplex:
         self.faces = tuple(faces)
         self.cells = tuple(cells)
         self._index = {q: i for i, q in enumerate(self.vertices)}
+        # incidence[i]: the indices of the cells holding vertex i, in cell order.
+        at = [[] for _ in self.vertices]
+        for k, cell in enumerate(self.cells):
+            for i in cell.vertex_indices:
+                at[i].append(k)
+        self.incidence = tuple(map(tuple, at))
 
     def index(self, q: Quaternion) -> int:
         return self._index[q]
+
+    def __contains__(self, q) -> bool:
+        return q in self._index
 
     def counts(self) -> tuple[int, int, int, int]:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.cells))
@@ -169,8 +187,7 @@ class PolytopeComplex:
         return v - e + f - c
 
     def cells_at(self, q: Quaternion) -> list[Cell]:
-        i = self.index(q)
-        return [c for c in self.cells if i in c.vertex_indices]
+        return [self.cells[k] for k in self.incidence[self.index(q)]]
 
     def face_cell_incidence(self) -> Counter:
         counts: Counter = Counter()
@@ -250,7 +267,7 @@ def icosa_cell(t: Quaternion) -> Cell:
 def tetra_cells_at(p: Quaternion):
     """The five tetrahedra holding a snub vertex, with their unit centers."""
     complex_ = snub_census()
-    if p not in set(complex_.vertices):
+    if p not in complex_:
         raise BadParameter("vertex must lie on the snub 24-cell")
     tets = [c for c in complex_.cells_at(p) if c.kind == "tetrahedron"]
     if len(tets) != 5:
@@ -258,10 +275,30 @@ def tetra_cells_at(p: Quaternion):
     return tets, [c.normal for c in tets]
 
 
+_FRAME_UNITS = engine.common_rows([E1, E2, E3])[0]  # over 1
+
+
+def batched_frame_coords(bases, point_sets) -> list[list[tuple]]:
+    """frame_coords of each point set against its basis vector, from one dot table.
+
+    The point sets must be equally long.  The frames of all bases are one
+    engine.products call, their scalar products with the points one
+    block-diagonal engine.dot_rows table, and each distinct coordinate is
+    lifted to a field element once.
+    """
+    brows, bden = engine.common_rows(bases)
+    prows, pden = engine.common_rows([x for points in point_sets for x in points])
+    frames = engine.products(_FRAME_UNITS[None], brows[:, None])
+    table = engine.dot_rows(frames, prows.reshape(len(brows), -1, 16))
+    values, index = engine.distinct_values(table, bden * pden)
+    lifted = list(values)
+    return [[tuple(lifted[k] for k in point) for point in axes.T.tolist()]
+            for axes in index]
+
+
 def frame_coords(basis_vector: Quaternion, points) -> list[tuple]:
     """Coordinates of each point against the frame (e1 u, e2 u, e3 u) of a unit u."""
-    frame = [unit * basis_vector for unit in (E1, E2, E3)]
-    return [tuple(f.dot(x) for f in frame) for x in points]
+    return batched_frame_coords([basis_vector], [points])[0]
 
 
 class VertexFigure:
@@ -278,7 +315,7 @@ class VertexFigure:
 def vertex_figure(p: Quaternion) -> VertexFigure:
     """The nine snub neighbors of p in the frame (e1 p, e2 p, e3 p)."""
     complex_ = snub_census()
-    if p not in set(complex_.vertices):
+    if p not in complex_:
         raise BadParameter("vertex must lie on the snub 24-cell")
     i = complex_.index(p)
     nbrs = sorted(j for e in complex_.edges for j, k in ((e[1], e[0]), (e[0], e[1]))

@@ -285,6 +285,25 @@ def test_export_builds_each_census_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys, run_cli):
+    """A usage error, a cell export and the whole export in one process print
+    exactly what each prints run alone."""
+    whole = ["export", "24cell", "--format", "off", "--out", "-"]
+    runs = [["orbit", "--weights", "1,2,3"], whole[:2] + ["--cell", "3"] + whole[2:], whole]
+    together = []
+    for argv in runs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        together.append((rc, captured.out, captured.err))
+    alone = [run_cli(*argv) for argv in runs]
+    assert together == [(r.returncode, r.stdout, r.stderr) for r in alone]
+    assert [rc for rc, _, _ in together] == [2, 0, 0]
+    assert cli._parser() is cli._parser()
+
+
 def test_selector_errors(capsys):
     assert main(["export", "24cell", "--vertex-figure", "--format", "off",
                  "--out", "-"]) == 2

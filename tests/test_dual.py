@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from icosian import (CELL_ROTATION, Q_ONE, Quaternion, binary_tetrahedral,
-                     build_120cell, cell_rotation_orbit, dual_cell,
+from icosian import (CELL_ROTATION, E1, E2, E3, Q_ONE, Quaternion, Transform,
+                     TransformGroup, binary_icosahedral, binary_tetrahedral,
+                     build_120cell, cell_census, cell_rotation_orbit, dual_cell,
                      dual_complex, dual_vertices, icosian_seed, rotate_cell,
-                     snub24_vertices, t_prime, vertex_surroundings)
-from icosian.dual import LEVEL, TAU_OVER_SQRT2
-from icosian.errors import BadParameter
+                     snub24_vertices, snub_census, t_prime, vertex_surroundings,
+                     wd4c3)
+from icosian.dual import LEVEL, TAU_OVER_SQRT2, _transport
+from icosian.errors import BadParameter, CertificationFailed
+from icosian.polytope import batched_frame_coords, frame_coords
 from icosian.field import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO,
                            FieldElement)
 
@@ -169,3 +172,53 @@ def test_bad_parameters():
         dual_cell(Q_ONE)
     with pytest.raises(BadParameter):
         vertex_surroundings(Q_ONE)
+
+
+def test_transported_cells_match_direct_hulls():
+    """Every cell moved from the seed equals the hull certified at its own vertex."""
+    cells = dual_complex().cells
+    assert [cell.vertex for cell in cells] == list(snub24_vertices())
+    for cell in cells:
+        direct = dual_cell(cell.vertex)
+        for field in ("vertex", "vertices", "coords", "kites", "triangles"):
+            assert getattr(cell, field) == getattr(direct, field), (cell.vertex, field)
+
+
+def test_transport_rejects_a_transform_outside_the_group():
+    seed = dual_cell(icosian_seed())
+    outside = TransformGroup([Transform(icosian_seed(), Q_ONE)])
+    assert Transform(icosian_seed(), Q_ONE) not in wd4c3()
+    with pytest.raises(CertificationFailed):
+        _transport(seed, outside.rows, outside.den)
+
+
+def test_every_group_element_moves_the_seed_cell_onto_a_direct_hull():
+    """All 576 elements, starred ones (which reverse the face cycles) included."""
+    group = wd4c3()
+    cells = _transport(dual_cell(icosian_seed()), group.rows, group.den)
+    assert Counter(cell.vertex for cell in cells) == {p: 6 for p in snub24_vertices()}
+    for cell in cells:
+        direct = dual_cell(cell.vertex)
+        assert (cell.vertices, cell.coords, cell.kites, cell.triangles) == (
+            direct.vertices, direct.coords, direct.kites, direct.triangles)
+
+
+def scalar_frame_coords(u, points):
+    """The frame coordinates by scalar Quaternion.dot: the oracle of the batched kernel."""
+    frame = [unit * u for unit in (E1, E2, E3)]
+    return [tuple(f.dot(x) for f in frame) for x in points]
+
+
+def test_batched_frame_coords_match_scalar_dot():
+    snub = snub_census()
+    tet = next(c for c in snub.cells if c.kind == "tetrahedron")
+    icosa = next(c for c in snub.cells if c.kind == "icosahedron")
+    cell600 = cell_census(binary_icosahedral().elements)
+    cases = [(c.normal, [complex_.vertices[i] for i in c.vertex_indices])
+             for complex_, c in ((snub, tet), (snub, icosa), (cell600, cell600.cells[7]))]
+    duals = [dual_cell(p) for p in snub24_vertices()[:5]]
+    cases += [(cell.vertex, cell.vertices) for cell in duals]
+    for u, points in cases:
+        assert frame_coords(u, points) == scalar_frame_coords(u, points)
+    assert batched_frame_coords([c.vertex for c in duals], [c.vertices for c in duals]) == [
+        scalar_frame_coords(c.vertex, c.vertices) for c in duals]

@@ -95,6 +95,14 @@ def test_each_vertex_in_five_tetrahedra_and_three_icosahedra():
         tetra_cells_at(Q_ONE)
 
 
+def test_cells_at_reads_the_incidence():
+    for complex_ in (snub_census(), cell_census(binary_tetrahedral().elements)):
+        for i, q in enumerate(complex_.vertices):
+            assert q in complex_
+            assert complex_.cells_at(q) == [c for c in complex_.cells if i in c.vertex_indices]
+    assert Q_ONE not in snub_census()
+
+
 def test_vertex_figure():
     p = snub_census().vertices[0]
     figure = vertex_figure(p)
