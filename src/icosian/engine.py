@@ -4,8 +4,12 @@ A quaternion over the field is a 16-vector of integers with a common
 denominator; every transform then acts as an integer 16x16 matrix with its
 own denominator.  A point set is one int64 array of rows over one
 denominator: closures and partitions are batched matrix products, and the
-rows' lexicographic order is the canonical order of the points.  RowIndex
-finds rows in such a set by binary search over their sorted byte keys.
+rows' lexicographic order is the canonical order of the points.  RowKey is
+the one way rows are keyed: it packs each row into as few int64 words as
+the bounds on its columns allow, in that order, so sorting, deduplication
+and RowIndex's binary search all run on one int64 per row when it fits one
+word.  Orbits and partitions run on the coordinate support that their
+generators keep, so columns that stay zero cost no arithmetic.
 
 All multiplication is one 16x16 table, made once by _product_table: the
 structure tensors that compile transforms and the bilinear forms of the
@@ -156,10 +160,6 @@ def transform_matrix(t) -> tuple[np.ndarray, int]:
     return mats[0], int(dens[0])
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(rows).view("V128").ravel()  # equal rows, equal keys
-
-
 def _scaled(rows: np.ndarray, k) -> np.ndarray:
     _check_bound(1, rows, np.asarray(k))
     return rows * k
@@ -178,13 +178,72 @@ def common_rows(points) -> tuple[np.ndarray, int]:
     return _scaled(arr, np.array([den // d for _, d in ivecs], dtype=np.int64)[:, None]), den
 
 
+_WORD = (1 << 64) - 1  # columns share a word while their radices multiply to at most this
+
+
+class RowKey:
+    """An order-preserving key for int64 rows, packed by a bound on each column.
+
+    Column k holds entries x with |x| <= bounds[k]: a balanced digit in radix
+    2 bounds[k] + 1.  Consecutive columns share one int64 word while their
+    radices multiply to at most 2**64 - 1, so no word or partial sum leaves
+    +-(2**63 - 1).  A column of zeros costs nothing; a column that fits no
+    shared word takes a word of its own, raw.  For rows within the bounds,
+    equal rows have equal words and comparing the words in order compares
+    the rows lexicographically.  The packing is planned on Python ints, so no
+    bound raises or wraps.
+    """
+
+    def __init__(self, bounds):
+        self._lo = np.array([-min(b, 1 << 63) for b in bounds], dtype=np.int64)
+        self._hi = np.array([min(b, (1 << 63) - 1) for b in bounds], dtype=np.int64)
+        words, size = [[]], 1  # each word's columns, most significant first
+        for k, b in enumerate(bounds):
+            if b == 0:
+                continue
+            if size * (2 * b + 1) > _WORD and words[-1]:
+                words.append([])
+                size = 1
+            words[-1].append(k)
+            size *= 2 * b + 1
+        self._weights = np.zeros((len(bounds), len(words)), dtype=np.int64)
+        for w, word in enumerate(words):
+            value = 1
+            for k in reversed(word):
+                self._weights[k, w] = value
+                value *= 2 * bounds[k] + 1
+
+    @classmethod
+    def of(cls, rows: np.ndarray, spread: int = 1) -> RowKey:
+        """The key on spread times the largest magnitude in each column of the rows."""
+        lo, hi = rows.min(axis=0, initial=0).tolist(), rows.max(axis=0, initial=0).tolist()
+        return cls([spread * max(-a, b) for a, b in zip(lo, hi)])
+
+    def fits(self, rows: np.ndarray) -> np.ndarray:
+        """Which rows lie within the bounds: only those have keys."""
+        return ((rows >= self._lo) & (rows <= self._hi)).all(axis=1)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """One key per row within the bounds, in the rows' lexicographic order.
+
+        With one word the key is that int64.  Otherwise it is the bytes of
+        the words, big-endian with the sign bit flipped, so that comparing
+        bytes compares words.
+        """
+        words = rows @ self._weights
+        if words.shape[1] == 1:
+            return words[:, 0]
+        return (words ^ (-1 << 63)).astype(">i8").view(f"V{8 * words.shape[1]}").ravel()
+
+
 def _sorted_runs(rows: np.ndarray):
     """The rows' lexicographic order, the sorted rows, and which differ from their predecessor."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
+    keys = RowKey.of(rows).keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
     fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return order, rows, fresh
+    fresh[1:] = keys[1:] != keys[:-1]
+    return order, rows[order], fresh
 
 
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -193,22 +252,35 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[fresh]
 
 
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each query sits, or would go, in the sorted keys, and whether it is there."""
+    at = np.searchsorted(keys, queries)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == queries[hit]
+    return at, hit
+
+
 class RowIndex:
-    """Where int64 rows sit in a fixed set of rows, by binary search over byte keys."""
+    """Where int64 rows sit in a fixed set of rows, by binary search over their row keys.
+
+    The keys are one int64 per row when the rows' column bounds pack into
+    one word.  A query outside those bounds is no row of the set.
+    """
 
     def __init__(self, rows: np.ndarray):
-        keys = _keys(rows)
+        self._key = RowKey.of(rows)
+        keys = self._key.keys(rows)
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
 
     def find(self, queries: np.ndarray) -> np.ndarray:
         """The index of each query row among the rows, or -1 where it is absent."""
-        keys = _keys(queries)
-        at = np.searchsorted(self._keys, keys)
-        hit = at < len(self._keys)
-        hit[hit] = self._keys[at[hit]] == keys[hit]
-        found = np.full(len(keys), -1, dtype=np.intp)
-        found[hit] = self._order[at[hit]]
+        found = np.full(len(queries), -1, dtype=np.intp)
+        inside = np.flatnonzero(self._key.fits(queries))
+        keys = self._key.keys(queries[inside])
+        ordered = np.argsort(keys)  # a sorted batch searches faster
+        at, hit = _lookup(self._keys, keys[ordered])
+        found[inside[ordered[hit]]] = self._order[at[hit]]
         return found
 
 
@@ -222,37 +294,71 @@ def quats_of(rows: np.ndarray, den: int) -> tuple[Quaternion, ...]:
     return tuple(Quaternion._from_ivec(row, den) for row in rows.tolist())
 
 
+def _support(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The fewest columns that hold every row's nonzero entries and that each matrix keeps.
+
+    Column j reaches column i when some matrix has a nonzero entry [i, j];
+    an image of a row zero outside the support is then zero outside it too.
+    """
+    reach = (mats != 0).any(axis=0)
+    cols = rows.any(axis=0)
+    while True:
+        grown = cols | reach[:, cols].any(axis=1)
+        if np.array_equal(grown, cols):
+            return np.flatnonzero(cols)
+        cols = grown
+
+
 def closure_points(seeds, gen_mats) -> tuple[np.ndarray, int]:
     """The orbit of the seeds under the generators, as canonically ordered rows.
 
-    An image not integral over the rows' denominator multiplies that
-    denominator, and every row, by the missing factor.
+    The search runs on the support of the seeds (see _support) and keeps the
+    sorted row keys of the points found; a frontier outside the key's bounds
+    re-keys them on twice its largest entries.  An image not integral over
+    the rows' denominator multiplies that denominator, and every row, by the
+    missing factor.
     """
     m = lcm(*(d for _, d in gen_mats))  # every generator over one denominator, in one stack
-    mats = np.concatenate([_scaled(mat, m // d) for mat, d in gen_mats])
-    frontier, den = common_rows(seeds)
-    seen, rows = set(), frontier[:0]
+    mats = np.stack([_scaled(mat, m // d) for mat, d in gen_mats])
+    seeds, den = common_rows(seeds)
+    cols = _support(seeds, mats)
+    mats = mats[:, cols[:, None], cols].reshape(len(mats) * len(cols), len(cols))
+    frontier = seeds[:, cols]
+    found, key = [frontier[:0]], None
     while len(frontier):
-        fresh = {key: i for i, key in enumerate(_keys(frontier).tolist()) if key not in seen}
-        seen.update(fresh)
-        frontier = frontier[list(fresh.values())]
-        rows = np.concatenate([rows, frontier])
-        images = _matmul(frontier, mats.T).reshape(-1, 16)
+        if key is None or not key.fits(frontier).all():
+            found = [np.concatenate(found)]
+            key = RowKey.of(np.concatenate([found[0], frontier]), 2)
+            seen = np.sort(key.keys(found[0]))
+        keys, first = np.unique(key.keys(frontier), return_index=True)
+        at, hit = _lookup(seen, keys)
+        seen = np.insert(seen, at[~hit], keys[~hit])
+        frontier = frontier[first[~hit]]
+        found.append(frontier)
+        images = _matmul(frontier, mats.T).reshape(len(frontier) * len(gen_mats), len(cols))
         cut = int(np.gcd.reduce(images.ravel(), initial=m))
         if cut < m:
             den *= m // cut
-            rows = _scaled(rows, m // cut)
-            seen = set(_keys(rows).tolist())
+            found, key = [_scaled(np.concatenate(found), m // cut)], None
         frontier = images // cut
-    return distinct_rows(rows), den
+    rows = distinct_rows(np.concatenate(found))
+    out = np.zeros((len(rows), 16), dtype=np.int64)
+    out[:, cols] = rows
+    return out, den
 
 
 def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:
-    """Label each of the distinct rows with the lowest row index in its orbit."""
+    """Label each of the distinct rows with the lowest row index in its orbit.
+
+    The images are taken on the rows' support (see _support), where every
+    image of a row lies.
+    """
+    cols = _support(rows, np.stack([mat for mat, _ in gen_mats]))
+    rows = rows[:, cols]
     index = RowIndex(rows)
     perms = []
     for mat, d in gen_mats:
-        images = _matmul(rows, mat.T)
+        images = _matmul(rows, mat[cols[:, None], cols].T)
         if (images % d).any():
             raise NotInvariant("generator image is not integral over the set's denominator")
         perm = index.find(images // d)
@@ -349,6 +455,7 @@ def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:
         table = dot_rows(normals[lo:lo + _SIGN_BLOCK], points)
         _check_bound(2, table, np.asarray(1))  # a difference of two entries
         at = table[np.arange(len(table)), anchors[lo:lo + _SIGN_BLOCK]]
-        values, index = distinct_values(table - at[:, None], 1)
+        table -= at[:, None]
+        values, index = distinct_values(table, 1)
         signs[lo:lo + _SIGN_BLOCK] = np.array([x.sign() for x in values], dtype=np.int8)[index]
     return signs

@@ -4,7 +4,8 @@ benchmarks/refs.json holds the sha256 of the stdout of every build and
 export request of the geometry benchmark; this test only reads it.  The
 geometry benchmark exports OFF only, so a sample of ``--format json``
 exports is pinned here by digests recorded before the JSON writers were
-made Fraction-free.
+made Fraction-free, and so are three ``orbit --decompose`` reports, recorded
+before orbits were keyed on packed rows.
 """
 
 import hashlib
@@ -65,3 +66,17 @@ def test_json_export_matches_pinned_digest(args, capsys):
     assert cli.main(["export", *args, *JSON]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == JSON_DIGESTS[args]
+
+
+ORBIT_DIGESTS = {
+    "1,2,3,4": "73b561593ef739ce56a01f95776b5671b13a2e8c2ecaf013eb97baf26d9a9ac9",
+    "2,0,1,0": "e75d4a7fb9d91e34eb24a024673099a32230639126ae0702d99a91f53f6ad55b",
+    "0,3,0,1": "8f9c4ef3a36ff535bf13920c974670398ec769e54d4567265dc41b51a2f2486d",
+}
+
+
+@pytest.mark.parametrize("weights", ORBIT_DIGESTS)
+def test_orbit_decomposition_matches_pinned_digest(weights, capsys):
+    assert cli.main(["orbit", "--weights", weights, "--decompose"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == ORBIT_DIGESTS[weights]

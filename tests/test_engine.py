@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from hypothesis import given, settings, strategies as st
 from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion,
                      canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, wd4c3,
                      wh3xc2, wh4)
-from icosian.coxeter import orbit_by_elements
-from icosian.engine import (_PRODUCT_BLOCK, _SIGN_BLOCK, _product_block, apply_all,
-                            common_rows, cross_rows, distinct_values, pairwise_dots,
-                            products, quats_of, side_signs)
-from icosian.errors import NotInGoldenSubfield
+from icosian.coxeter import orbit_by_elements, reflection
+from icosian.engine import (_PRODUCT_BLOCK, _SIGN_BLOCK, RowIndex, _product_block, apply_all,
+                            closure_points, common_rows, cross_rows, distinct_rows,
+                            distinct_values, pairwise_dots, partition_points, products,
+                            quats_of, side_signs, transform_matrix)
+from icosian.errors import NotInGoldenSubfield, NotInvariant
 from icosian.field import SQRT10, ZERO, FieldElement
 from icosian.linalg import nullspace
-from icosian.roots import euclid_profile_full
+from icosian.roots import euclid_profile_full, h4_simple_roots
 
 halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
 thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -340,3 +342,147 @@ def test_orbit_raises_or_matches_near_int64_limit(name, q, bits):
     except OverflowError:
         return
     assert points == canonical_sorted({t.apply(scaled) for t in group})
+
+
+# Row keys: int64 rows whose columns each hold zeros, small, mid-sized or any entries.
+column_bounds = st.sampled_from([0, 1, 2, 1 << 20, 2**63 - 1])
+
+
+@st.composite
+def row_sets(draw):
+    """Distinct rows in drawn order, each column within a drawn bound, and one row more."""
+    bounds = draw(st.lists(column_bounds, min_size=1, max_size=7))
+    row = st.tuples(*[st.integers(-b, b) for b in bounds])
+    rows = draw(st.lists(row, min_size=2, max_size=14, unique=True))
+    return rows[:-1], rows[-1], bounds
+
+
+@given(row_sets())
+@settings(max_examples=150, deadline=None)
+def test_distinct_rows_match_sorted_set(drawn):
+    rows, extra, _ = drawn
+    repeated = rows + [extra] + rows[::2]  # repeated rows, out of order
+    arr = np.array(repeated, dtype=np.int64)
+    assert list(map(tuple, distinct_rows(arr).tolist())) == sorted(set(repeated))
+
+
+def non_members(rows, extra, width):
+    """Rows absent from rows: past a column's bound, nonzero where all are zero, or extra."""
+    out = [extra]
+    for k in range(width):
+        column = [r[k] for r in rows]
+        for beyond in (max(map(abs, column)) + 1, -max(map(abs, column)) - 1):
+            if abs(beyond) < 2**63:
+                out += [r[:k] + (beyond,) + r[k + 1:] for r in rows[:2]]
+    return out
+
+
+@given(row_sets())
+@settings(max_examples=150, deadline=None)
+def test_row_index_matches_dict(drawn):
+    rows, extra, bounds = drawn
+    index = RowIndex(np.array(rows, dtype=np.int64))
+    where = {row: i for i, row in enumerate(rows)}
+    absent = non_members(rows, extra, len(bounds))
+    assert all(q not in where for q in absent)
+    queries = rows[::-1] + absent
+    found = index.find(np.array(queries, dtype=np.int64).reshape(len(queries), len(bounds)))
+    assert found.tolist() == [where.get(q, -1) for q in queries]
+
+
+def byte_key_closure(seeds, gen_mats):
+    """closure_points as a dict BFS over 128-byte row keys, on all 16 columns."""
+    def keys(rows):
+        return np.ascontiguousarray(rows).view("V128").ravel()
+    m = lcm(*(d for _, d in gen_mats))
+    mats = np.concatenate([mat * (m // d) for mat, d in gen_mats])
+    frontier, den = common_rows(seeds)
+    seen, rows = set(), frontier[:0]
+    while len(frontier):
+        fresh = {key: i for i, key in enumerate(keys(frontier).tolist()) if key not in seen}
+        seen.update(fresh)
+        frontier = frontier[list(fresh.values())]
+        rows = np.concatenate([rows, frontier])
+        images = (frontier @ mats.T).reshape(-1, 16)
+        cut = int(np.gcd.reduce(images.ravel(), initial=m))
+        if cut < m:
+            den *= m // cut
+            rows = rows * (m // cut)
+            seen = set(keys(rows).tolist())
+        frontier = images // cut
+    return rows[np.lexsort(rows.T[::-1])], den
+
+
+def byte_key_partition(rows, gen_mats):
+    """partition_points by a dict from 128-byte row keys to indices, on all 16 columns."""
+    keys = np.ascontiguousarray(rows).view("V128").ravel().tolist()
+    where = {key: i for i, key in enumerate(keys)}
+    perms = []
+    for mat, d in gen_mats:
+        images = rows @ mat.T
+        if (images % d).any():
+            raise NotInvariant("generator image is not integral over the set's denominator")
+        keys = np.ascontiguousarray(images // d).view("V128").ravel().tolist()
+        if any(key not in where for key in keys):
+            raise NotInvariant("generator image left the decomposed set")
+        perms.append(np.array([where[key] for key in keys]))
+    labels, prev = np.arange(len(rows)), None
+    while not np.array_equal(labels, prev):
+        prev = labels
+        for perm in perms:
+            labels = np.minimum(labels, labels[perm])
+    return labels
+
+
+GENERATORS = {
+    "H4 reflections": lambda: [transform_matrix(reflection(a)) for a in h4_simple_roots()],
+    **{name: lambda make=make: make().generator_matrices() for name, make in GROUPS.items()},
+}
+
+
+def assert_orbits_are_oracle(seeds, closing, parting):
+    rows, den = closure_points(seeds, GENERATORS[closing]())
+    expected_rows, expected_den = byte_key_closure(seeds, GENERATORS[closing]())
+    assert den == expected_den and np.array_equal(rows, expected_rows)
+    gens = GENERATORS[parting]()
+    try:
+        expected = byte_key_partition(rows, gens)
+    except NotInvariant:
+        with pytest.raises(NotInvariant):
+            partition_points(rows, gens)
+    else:
+        assert np.array_equal(partition_points(rows, gens), expected)
+
+
+# W(H3)xC2 lists no generators, so its 240 elements part only its own orbits.
+PARTING = ("H4 reflections", "S3", "W(D4):C3")
+
+
+@given(st.lists(st.one_of(golden_points, points), min_size=1, max_size=1),
+       st.sampled_from(sorted(GENERATORS)), st.sampled_from(PARTING), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_closure_and_partition_match_byte_key_oracles(seeds, closing, parting, own):
+    assert_orbits_are_oracle(seeds, closing, closing if own else parting)
+
+
+@pytest.mark.parametrize("closing", sorted(GENERATORS))
+def test_closure_and_partition_of_sqrt2_and_golden_seeds(closing):
+    seeds = [icosian_seed() * SQRT2, Quaternion(TAU, 0, SIGMA, HALF)]
+    for parting in sorted({closing, *PARTING}):
+        assert_orbits_are_oracle(seeds, closing, parting)
+
+
+def test_partition_raises_where_an_image_leaves_bounds_or_support():
+    # W(D4):C3 maps 1 to e2, which is nonzero where the set {1} is all zero;
+    # it maps 2 to 2 e2, past the bound 1 that {2, e2} puts on that column.
+    cases = [(common_rows(points)[0], wd4c3().generator_matrices())
+             for points in ([Q_ONE], [Q_ONE * 2, E2])]
+    # A shear adds column 0 to column 1: the image of the set's one row
+    # agrees with that row on the row's own support.
+    shear = np.eye(16, dtype=np.int64)
+    shear[1, 0] = 1
+    cases.append((np.eye(16, dtype=np.int64)[:1], [(shear, 1)]))
+    for rows, gens in cases:
+        for partition in (partition_points, byte_key_partition):
+            with pytest.raises(NotInvariant):
+                partition(rows, gens)
