@@ -104,6 +104,30 @@ def _cell_geometry(name: str, index: int):
     return coords, hull.convex_hull_faces(coords)
 
 
+def _selected_part(args):
+    """3D coordinates, faces and the other JSON fields of the part one selector picks."""
+    if args.vertex_figure:
+        figure = polytope.vertex_figure(icosian_seed())
+        return figure.coords, figure.faces, {
+            "object": "snub24-vertex-figure",
+            "vertex": exports.quaternion_to_json(figure.vertex),
+            "neighbors": exports.points_to_json(figure.neighbors),
+            "faces": [list(f) for f in figure.faces],
+        }
+    if args.dual_cell:
+        cell = dual.dual_cell(icosian_seed())
+        return cell.coords, cell.faces, {
+            "object": "snub24-dual-cell",
+            "vertex": exports.quaternion_to_json(cell.vertex),
+            "points": exports.points_to_json(cell.vertices),
+            "kites": [list(f) for f in cell.kites],
+            "triangles": [list(f) for f in cell.triangles],
+        }
+    coords, faces = _cell_geometry(args.object, args.cell)
+    return coords, faces, {"object": f"{args.object}-cell-{args.cell}",
+                           "faces": [list(f) for f in faces]}
+
+
 def cmd_export(args) -> int:
     selectors = [s for s in ("cell", "vertex_figure", "dual_cell")
                  if getattr(args, s) is not None and getattr(args, s) is not False]
@@ -114,51 +138,20 @@ def cmd_export(args) -> int:
     if args.dual_cell and args.object not in ("snub24", "dual-snub24"):
         raise InvalidSelector("--dual-cell applies to snub24 or dual-snub24 only")
 
-    if args.vertex_figure:
-        figure = polytope.vertex_figure(icosian_seed())
-        if args.format == "off":
-            text = exports.off_text(figure.coords, figure.faces, args.digits)
-        else:
-            text = exports.dumps({
-                "object": "snub24-vertex-figure",
-                "vertex": exports.quaternion_to_json(figure.vertex),
-                "neighbors": exports.points_to_json(figure.neighbors),
-                "coords": [[exports.field_to_json(c) for c in row]
-                           for row in figure.coords],
-                "faces": [list(f) for f in figure.faces],
-            })
-    elif args.dual_cell:
-        cell = dual.dual_cell(icosian_seed())
-        if args.format == "off":
-            text = exports.off_text(cell.coords, cell.faces, args.digits)
-        else:
-            text = exports.dumps({
-                "object": "snub24-dual-cell",
-                "vertex": exports.quaternion_to_json(cell.vertex),
-                "points": exports.points_to_json(cell.vertices),
-                "coords": [[exports.field_to_json(c) for c in row]
-                           for row in cell.coords],
-                "kites": [list(f) for f in cell.kites],
-                "triangles": [list(f) for f in cell.triangles],
-            })
-    elif args.cell is not None:
-        coords, faces = _cell_geometry(args.object, args.cell)
-        if args.format == "off":
-            text = exports.off_text(coords, faces, args.digits)
-        else:
-            text = exports.dumps({
-                "object": f"{args.object}-cell-{args.cell}",
-                "coords": [[exports.field_to_json(c) for c in row]
-                           for row in coords],
-                "faces": [list(f) for f in faces],
-            })
-    else:
+    if not selectors:
         if args.format == "json":
             text = exports.dumps(_build_doc(args.object))
         else:
             complex_ = _export_complex(args.object)
             coords = exports.quaternion_coords(complex_.vertices)
             text = exports.off_text(coords, complex_.faces, args.digits, dimension=4)
+    else:
+        coords, faces, fields = _selected_part(args)
+        if args.format == "off":
+            text = exports.off_text(coords, faces, args.digits)
+        else:
+            text = exports.dumps({**fields, "coords": [[exports.field_to_json(c) for c in row]
+                                                       for row in coords]})
     _write(args.out, text)
     return 0
 

@@ -2,7 +2,10 @@
 
 A pair and its negation act identically, so representatives are fixed by
 making the first nonzero coefficient of p positive.  The groups built here
-are the reflection groups acting on the 600-cell and the snub 24-cell.
+are the reflection groups acting on the 600-cell and the snub 24-cell, and
+their point stabilizers: A4xC2 (of a point of T), S4 (of a point of T') and
+S3 (of a snub vertex) are each stabilizer(wd4c3(), v), read off one images
+table; W(H3)xC2, the stabilizer of an axis in W(H4), keeps a direct formula.
 
 A TransformGroup holds its elements as int64 rows (star | p | q) over one
 denominator, made by engine.products and put in canonical order by one
@@ -21,8 +24,8 @@ import numpy as np
 from . import engine
 from .errors import BadParameter, SearchFailed
 from .field import HALF, ONE
-from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral,
-                     generate, icosian_seed, t_prime)
+from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral, icosian_seed,
+                     t_prime)
 from .quaternion import E2, Q_ONE, Quaternion
 
 
@@ -221,9 +224,16 @@ def wd4c3() -> TransformGroup:
     return _pair_group(binary_tetrahedral(), "W(D4):C3")
 
 
-def _axis_group(base: QuaternionSet, q: Quaternion, signs, label: str) -> TransformGroup:
-    """[t, s conj(q) conj(t) q] and [t, s q conj(t) q]* for t in base and each sign s."""
-    rows, den = engine.common_rows(base.elements)
+def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
+    """Order 240; maps the pair {q, -q} to itself, an icosahedral symmetry.
+
+    The elements are [t, +-conj(q) conj(t) q] and [t, +-q conj(t) q]* for t in
+    I, made directly: reading them off the images of q under all of W(H4)
+    costs about twenty times as much.
+    """
+    if q not in binary_icosahedral():
+        raise BadParameter("conjugating point must lie in the binary icosahedral group")
+    rows, den = engine.common_rows(binary_icosahedral().elements)
     qr, qden = engine.common_rows([q])
     tc = engine.conjugates(rows)
     unstarred = engine.products(engine.products(engine.conjugates(qr), tc), qr)
@@ -231,60 +241,32 @@ def _axis_group(base: QuaternionSet, q: Quaternion, signs, label: str) -> Transf
     common = den * qden ** 2
     p = engine.rescaled(rows, den, common)
     parts = [_transform_rows(star, p, s * x)
-             for star, x in ((0, unstarred), (1, starred)) for s in signs]
-    return TransformGroup.from_rows(np.concatenate(parts), common, label)
-
-
-def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
-    """Order 240; maps the pair {q, -q} to itself, an icosahedral symmetry."""
-    if q not in binary_icosahedral():
-        raise BadParameter("conjugating point must lie in the binary icosahedral group")
-    return _axis_group(binary_icosahedral(), q, (1, -1), f"W(H3)xC2^({q})")
+             for star, x in ((0, unstarred), (1, starred)) for s in (1, -1)]
+    return TransformGroup.from_rows(np.concatenate(parts), common, f"W(H3)xC2^({q})")
 
 
 def a4xc2(q: Quaternion) -> TransformGroup:
-    """Order 24; fixes q in T while permuting the surrounding icosahedron."""
+    """Order 24; the stabilizer in W(D4):C3 of q in T, permuting the surrounding icosahedron."""
     if q not in binary_tetrahedral():
         raise BadParameter("center must lie in the binary tetrahedral group")
-    return _axis_group(binary_tetrahedral(), q, (1,), f"A4xC2({q})")
+    return stabilizer(wd4c3(), q)
 
 
 def s4_of(c: Quaternion) -> TransformGroup:
-    """Order 24; the tetrahedral symmetry fixing a 24-cell cell center c in T'."""
+    """Order 24; the stabilizer in W(D4):C3 of a 24-cell cell center c in T'."""
     if c not in t_prime():
         raise BadParameter("center must lie in T'")
-    return _axis_group(binary_tetrahedral(), c, (1,), f"S4({c})")
-
-
-def snub_decompose(p: Quaternion) -> tuple[Quaternion, Quaternion]:
-    """Write sqrt2 * p as tau*a + sigma*b with a, b in T'."""
-    from .field import SIGMA, SQRT2, TAU
-    target = SQRT2 * p
-    for a in t_prime():
-        rest = target - TAU * a
-        for b in t_prime():
-            if SIGMA * b == rest:
-                return a, b
-    raise SearchFailed(f"{p} has no tau/sigma split over T'")
+    return stabilizer(wd4c3(), c)
 
 
 def s3_of(p: Quaternion) -> TransformGroup:
-    """Order 6; permutes the three tetrahedra at a snub vertex p away from its mirror pair."""
-    from .field import SIGMA, TAU
-    a, b = snub_decompose(p)
-    s1 = b * a.conjugate()
-    s2 = b.conjugate() * a
-    rot = Transform(s1, s2)
-    if rot.apply(p) != p:
-        raise SearchFailed("rotation generator does not fix the vertex")
-    for t in binary_tetrahedral():
-        if t == Q_ONE or t == -Q_ONE:
-            continue
-        cand = Transform(t, a * t.conjugate() * a, True)
-        if cand.apply(p) == p:
-            gens = [rot, cand]
-            return TransformGroup(generate(gens, cap=24), f"S3({p})", gens)
-    raise SearchFailed("no starred generator fixes the vertex")
+    """Order 6; the stabilizer in W(D4):C3 of a snub vertex p, a point of I outside T.
+
+    It permutes the three tetrahedra at p away from its mirror pair.
+    """
+    if p not in binary_icosahedral() or p in binary_tetrahedral():
+        raise SearchFailed(f"{p} is not a snub 24-cell vertex")
+    return stabilizer(wd4c3(), p)
 
 
 def build_group(name: str, param: Quaternion = None) -> TransformGroup:

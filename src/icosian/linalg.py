@@ -1,16 +1,8 @@
-"""Small exact linear solvers over the field; structural zero tests pick pivots."""
+"""An exact null-space basis over the field; structural zero tests pick pivots."""
 
 from __future__ import annotations
 
 from .field import FieldElement, ONE, ZERO
-
-
-def solve(matrix, rhs) -> list[FieldElement]:
-    """Solve a square system as the null vector (x, 1) of [A | -b]; raises on singular input."""
-    basis = nullspace([list(row) + [-b] for row, b in zip(matrix, rhs)])
-    if len(basis) != 1 or basis[0][-1] != ONE:
-        raise ZeroDivisionError("singular matrix")
-    return basis[0][:-1]
 
 
 def nullspace(matrix) -> list[list[FieldElement]]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import engine, linalg
+from . import engine
 from .coxeter import reflection, wd4c3
 from .errors import BadParameter, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, ZERO
@@ -137,15 +137,16 @@ def h4_simple_roots() -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
 
 @lru_cache(maxsize=None)
 def h4_weights() -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
-    """Fundamental weights: (w_i, a_j) = delta_ij * (a_j, a_j) / 2, solved exactly."""
+    """Fundamental weights: (w_i, a_j) = delta_ij * (a_j, a_j) / 2.
+
+    w_i is orthogonal to the other three simple roots, so it is their
+    engine.cross_rows normal n_i, scaled by (a_i, a_i) / (2 (n_i, a_i)).
+    """
     simple = h4_simple_roots()
-    out = []
-    for i in range(4):
-        matrix = [[a.component(col) for col in range(4)] for a in simple]
-        rhs = [simple[i].norm() * HALF if j == i else ZERO for j in range(4)]
-        sol = linalg.solve(matrix, rhs)
-        out.append(Quaternion(*sol))
-    return tuple(out)
+    rows, _ = engine.common_rows(simple)
+    others = rows[[[j for j in range(4) if j != i] for i in range(4)]]
+    normals = engine.quats_of(engine.cross_rows(*others.transpose(1, 0, 2)), 1)
+    return tuple(n * (a.norm() * HALF / n.dot(a)) for n, a in zip(normals, simple))
 
 
 def _mask_tuple(mask) -> tuple[int, int, int, int]:

@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, SQRT2, TAU,
-                     BadParameter, CapExceeded, NotInvariant, Quaternion, Transform,
-                     TransformGroup, a4xc2, binary_icosahedral, binary_tetrahedral,
-                     build_group, canonical_sorted, icosian_seed, orbit, orbit_decompose,
-                     reflection, s3_of, s4_of, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
-from icosian.coxeter import (orbit_by_elements, seed_conjugator, snub_decompose,
-                             wd4c3_conjugate, wd4c3_conjugate_pattern)
+from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceeded,
+                     NotInvariant, Quaternion, SearchFailed, Transform, TransformGroup, a4xc2,
+                     binary_icosahedral, binary_tetrahedral, build_group, canonical_sorted,
+                     icosian_seed, orbit, orbit_decompose, reflection, s3_of, s4_of,
+                     snub24_vertices, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
+from icosian.coxeter import (orbit_by_elements, seed_conjugator, wd4c3_conjugate,
+                             wd4c3_conjugate_pattern)
 from icosian.engine import apply_all, common_rows
-from icosian.field import SIGMA, TAU as F_TAU
 from icosian.groups import generate
 
 
@@ -152,13 +151,6 @@ def test_wh3xc2_preserves_axis():
     assert sum(1 for q in images if q == seed) == 120
 
 
-def test_snub_decompose():
-    p = icosian_seed()
-    a, b = snub_decompose(p)
-    assert a in t_prime() and b in t_prime()
-    assert F_TAU * a + SIGMA * b == SQRT2 * p
-
-
 def test_conjugate_groups_match_pattern():
     for i, j in ((1, 1), (2, 3)):
         conj = wd4c3_conjugate(i, j)
@@ -239,6 +231,7 @@ def scalar_order(transforms):
 
 
 def scalar_axis_group(base, q, signs):
+    """[t, s conj(q) conj(t) q] and [t, s q conj(t) q]* for t in base and each sign s."""
     qc = q.conjugate()
     return [Transform(t, s * (qc * t.conjugate() * q), star) if not star else
             Transform(t, s * (q * t.conjugate() * q), star)
@@ -264,7 +257,7 @@ def scalar_stabilizer(group, v):
 
 
 def scalar_s3(seed):
-    return generate(s3_of(seed).generators, cap=24)
+    return [t for t in wd4c3().elements if t.apply(seed) == seed]
 
 
 def scalar_conjugate(i, j):
@@ -296,3 +289,22 @@ def test_group_rows_keep_the_scalar_order(name):
     assert group.elements == scalar_order(scalar())
     assert len(group) == len(group.elements) == len(group.rows)
     assert group == TransformGroup(group.elements)
+
+
+def test_a4xc2_and_s4_match_the_axis_formula_at_every_center():
+    for make, centers in ((a4xc2, TET), (s4_of, t_prime())):
+        for c in centers:
+            assert make(c).elements == scalar_order(scalar_axis_group(TET, c, (1,)))
+
+
+def test_s3_matches_the_scalar_stabilizer_on_a_sample():
+    sample = snub24_vertices()[::12]
+    assert len(sample) == 8
+    for p in sample:
+        assert s3_of(p).elements == scalar_order(scalar_s3(p))
+
+
+def test_s3_rejects_a_point_that_is_not_a_snub_vertex():
+    for point in (TET.elements[0], t_prime().elements[0], Q_ONE + E1):
+        with pytest.raises(SearchFailed):
+            s3_of(point)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from icosian import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO, FieldElement,
                      NotInGoldenSubfield, field_sqrt)
 from icosian.field import SQRT10
-from icosian.linalg import solve
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +125,6 @@ def test_field_sqrt_pins():
     assert field_sqrt(FieldElement(3)) is None
     assert field_sqrt(FieldElement(-1)) is None
     assert field_sqrt(SQRT2) is None
-
-
-def test_solve_nonsingular_system():
-    matrix = [[TAU, ONE, ZERO], [SQRT2, ZERO, HALF], [ONE, SIGMA, SQRT5]]
-    rhs = [ONE, SQRT10, -TAU]
-    x = solve(matrix, rhs)
-    assert [sum((a * v for a, v in zip(row, x)), ZERO) for row in matrix] == rhs
-
-
-@pytest.mark.parametrize("rhs", [[ONE, TAU], [ONE, ONE]],
-                         ids=["consistent", "inconsistent"])
-def test_solve_rejects_singular_systems(rhs):
-    # The second row is tau times the first.
-    with pytest.raises(ZeroDivisionError):
-        solve([[ONE, SQRT2], [TAU, TAU * SQRT2]], rhs)
 
 
 # ---------------------------------------------------------------------------
