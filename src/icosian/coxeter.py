@@ -197,11 +197,17 @@ def _transform_rows(star, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.hstack([np.full((len(p), 1), int(star)), p, q])
 
 
-def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
-    """Every [p, q] and [p, q]* over base, generated by [g,1], [1,g] and conjugation."""
+def _units(base: QuaternionSet) -> list[Quaternion]:
+    """Generators of the unit group T, or of I, which adds the tenth root p."""
     units = [E2, Quaternion(HALF, HALF, HALF, HALF)]
     if base.label == "I":
         units.append(icosian_seed())
+    return units
+
+
+def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
+    """Every [p, q] and [p, q]* over base, generated by [g,1], [1,g] and conjugation."""
+    units = _units(base)
     gens = [t for g in units for t in (Transform(g, Q_ONE), Transform(Q_ONE, g))]
     gens.append(Transform(Q_ONE, Q_ONE, True))
     rows, den = engine.common_rows(base.elements)
@@ -229,10 +235,14 @@ def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
 
     The elements are [t, +-conj(q) conj(t) q] and [t, +-q conj(t) q]* for t in
     I, made directly: reading them off the images of q under all of W(H4)
-    costs about twenty times as much.
+    costs about twenty times as much.  t -> [t, conj(q) conj(t) q] is a
+    homomorphism, so the images of I's generators, [1, -1] and [1, q q]*
+    generate the group.
     """
     if q not in binary_icosahedral():
         raise BadParameter("conjugating point must lie in the binary icosahedral group")
+    gens = [Transform(t, q.conjugate() * t.conjugate() * q) for t in _units(binary_icosahedral())]
+    gens += [Transform(Q_ONE, -Q_ONE), Transform(Q_ONE, q * q, True)]
     rows, den = engine.common_rows(binary_icosahedral().elements)
     qr, qden = engine.common_rows([q])
     tc = engine.conjugates(rows)
@@ -242,7 +252,7 @@ def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
     p = engine.rescaled(rows, den, common)
     parts = [_transform_rows(star, p, s * x)
              for star, x in ((0, unstarred), (1, starred)) for s in (1, -1)]
-    return TransformGroup.from_rows(np.concatenate(parts), common, f"W(H3)xC2^({q})")
+    return TransformGroup.from_rows(np.concatenate(parts), common, f"W(H3)xC2^({q})", gens)
 
 
 def a4xc2(q: Quaternion) -> TransformGroup:

@@ -9,7 +9,11 @@ the one way rows are keyed: it packs each row into as few int64 words as
 the bounds on its columns allow, in that order, so sorting, deduplication
 and RowIndex's binary search all run on one int64 per row when it fits one
 word.  Orbits and partitions run on the coordinate support that their
-generators keep, so columns that stay zero cost no arithmetic.
+generators keep, so columns that stay zero cost no arithmetic.  A closure
+may move a frame, k points together, keyed on the whole frame: one closure
+of the frame of the four fundamental weights gives every W(H4) weight orbit.
+The closure keeps only the sorted keys of what it has found and reads the
+rows back from them at the end (RowKey.rows).
 
 All multiplication is one 16x16 table, made once by _product_table: the
 structure tensors that compile transforms and the bilinear forms of the
@@ -181,6 +185,24 @@ def common_rows(points) -> tuple[np.ndarray, int]:
 _WORD = (1 << 64) - 1  # columns share a word while their radices multiply to at most this
 
 
+_FOLD = 64  # rows reduced as one long row by _column_range
+
+
+def _column_range(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest entry of each column, each taken with 0.
+
+    numpy reduces along a column of short rows slowly, so each run of _FOLD
+    rows is read as one long row: one reduction over the runs, then one over
+    the _FOLD rows of its result, and the rows past the last run.
+    """
+    n, c = rows.shape
+    cut = n - n % _FOLD
+    runs, rest = rows[:cut].reshape(cut // _FOLD, _FOLD * c), rows[cut:]
+    lo = runs.min(axis=0, initial=0).reshape(_FOLD, c).min(axis=0)
+    hi = runs.max(axis=0, initial=0).reshape(_FOLD, c).max(axis=0)
+    return np.minimum(lo, rest.min(axis=0, initial=0)), np.maximum(hi, rest.max(axis=0, initial=0))
+
+
 class RowKey:
     """An order-preserving key for int64 rows, packed by a bound on each column.
 
@@ -195,6 +217,7 @@ class RowKey:
     """
 
     def __init__(self, bounds):
+        self.bounds = list(bounds)
         self._lo = np.array([-min(b, 1 << 63) for b in bounds], dtype=np.int64)
         self._hi = np.array([min(b, (1 << 63) - 1) for b in bounds], dtype=np.int64)
         words, size = [[]], 1  # each word's columns, most significant first
@@ -206,6 +229,7 @@ class RowKey:
                 size = 1
             words[-1].append(k)
             size *= 2 * b + 1
+        self._words = words
         self._weights = np.zeros((len(bounds), len(words)), dtype=np.int64)
         for w, word in enumerate(words):
             value = 1
@@ -216,8 +240,13 @@ class RowKey:
     @classmethod
     def of(cls, rows: np.ndarray, spread: int = 1) -> RowKey:
         """The key on spread times the largest magnitude in each column of the rows."""
-        lo, hi = rows.min(axis=0, initial=0).tolist(), rows.max(axis=0, initial=0).tolist()
-        return cls([spread * max(-a, b) for a, b in zip(lo, hi)])
+        lo, hi = _column_range(rows)
+        return cls([spread * max(-a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+
+    def covers(self, rows: np.ndarray) -> bool:
+        """Whether every row lies within the bounds."""
+        lo, hi = _column_range(rows)
+        return bool((lo >= self._lo).all() and (hi <= self._hi).all())
 
     def fits(self, rows: np.ndarray) -> np.ndarray:
         """Which rows lie within the bounds: only those have keys."""
@@ -234,6 +263,29 @@ class RowKey:
         if words.shape[1] == 1:
             return words[:, 0]
         return (words ^ (-1 << 63)).astype(">i8").view(f"V{8 * words.shape[1]}").ravel()
+
+    def rows(self, keys: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """The rows that have these keys: the inverse of keys.
+
+        Each word is read back one balanced digit at a time, least significant
+        first.  dtype must hold every bound, so every entry fits it.
+        """
+        if len(self._words) == 1:
+            words = keys[:, None]
+        else:
+            words = keys.view(">i8").reshape(len(keys), -1).astype(np.int64) ^ (-1 << 63)
+        out = np.zeros((len(keys), len(self.bounds)), dtype=dtype)
+        for value, word in zip(words.T, self._words):
+            for k in word[:0:-1]:
+                bound = self.bounds[k]
+                value, digit = np.divmod(value, 2 * bound + 1)
+                over = digit > bound
+                digit[over] -= 2 * bound + 1
+                value[over] += 1
+                out[:, k] = digit
+            if word:
+                out[:, word[0]] = value  # the most significant column: no radix above it
+        return out
 
 
 def _sorted_runs(rows: np.ndarray):
@@ -312,39 +364,72 @@ def _support(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def closure_points(seeds, gen_mats) -> tuple[np.ndarray, int]:
     """The orbit of the seeds under the generators, as canonically ordered rows.
 
-    The search runs on the support of the seeds (see _support) and keeps the
-    sorted row keys of the points found; a frontier outside the key's bounds
-    re-keys them on twice its largest entries.  An image not integral over
-    the rows' denominator multiplies that denominator, and every row, by the
-    missing factor.
+    A seed is a point, or a frame: a tuple of k points that the generators
+    move together.  Points come back as int64 rows of shape (n, 16).  Frames
+    come back as rows of shape (n, k, 16), ordered on the whole frame, in the
+    narrowest integer type that holds the key's bounds, and so every entry:
+    a frame table is looked up, so its user widens what it computes with.
+    The search runs on the support
+    of the seeds (see _support) and keeps only the sorted row keys of the
+    rows found; a frontier outside the key's bounds re-keys them on twice its
+    largest entries.  An image not integral over the rows' denominator
+    multiplies that denominator, and every row, by the missing factor.
     """
+    seeds = list(seeds)
+    framed = bool(seeds) and not isinstance(seeds[0], Quaternion)
+    frames = [tuple(s) for s in seeds] if framed else [(s,) for s in seeds]
+    k = len(frames[0]) if frames else 1
     m = lcm(*(d for _, d in gen_mats))  # every generator over one denominator, in one stack
     mats = np.stack([_scaled(mat, m // d) for mat, d in gen_mats])
-    seeds, den = common_rows(seeds)
-    cols = _support(seeds, mats)
-    mats = mats[:, cols[:, None], cols].reshape(len(mats) * len(cols), len(cols))
-    frontier = seeds[:, cols]
-    found, key = [frontier[:0]], None
+    points, den = common_rows([q for frame in frames for q in frame])
+    cols = _support(points, mats)
+    g, c = len(mats), len(cols)
+    mats = mats[:, cols[:, None], cols].reshape(g * c, c)
+    frontier = points[:, cols].reshape(len(frames), k * c)
+    key, seen = _rekey(frontier[:0], frontier)
     while len(frontier):
-        if key is None or not key.fits(frontier).all():
-            found = [np.concatenate(found)]
-            key = RowKey.of(np.concatenate([found[0], frontier]), 2)
-            seen = np.sort(key.keys(found[0]))
+        if not key.covers(frontier):
+            key, seen = _rekey(key.rows(seen), frontier)
         keys, first = np.unique(key.keys(frontier), return_index=True)
         at, hit = _lookup(seen, keys)
         seen = np.insert(seen, at[~hit], keys[~hit])
         frontier = frontier[first[~hit]]
-        found.append(frontier)
-        images = _matmul(frontier, mats.T).reshape(len(frontier) * len(gen_mats), len(cols))
-        cut = int(np.gcd.reduce(images.ravel(), initial=m))
-        if cut < m:
+        n = len(frontier)
+        images = _matmul(frontier.reshape(n * k, c), mats.T)  # each point under each generator
+        images = images.reshape(n, k, g, c).transpose(0, 2, 1, 3).reshape(n * g, k * c)
+        frontier = images // m
+        # A product that wraps (only within m of -2**63) reads as a remainder,
+        # which the gcd then settles exactly.
+        if (frontier * m != images).any():
+            cut = int(np.gcd.reduce(images.ravel(), initial=m))
+            frontier = images // cut
             den *= m // cut
-            found, key = [_scaled(np.concatenate(found), m // cut)], None
-        frontier = images // cut
-    rows = distinct_rows(np.concatenate(found))
-    out = np.zeros((len(rows), 16), dtype=np.int64)
-    out[:, cols] = rows
-    return out, den
+            key, seen = _rekey(_scaled(key.rows(seen), m // cut), frontier)
+    # The key's bounds on all 16 columns of each point, zero off the support,
+    # make the same packing: it reads the rows back in place.
+    bounds = [0] * (k * 16)
+    for j, bound in zip((16 * np.arange(k)[:, None] + cols).ravel().tolist(), key.bounds):
+        bounds[j] = bound
+    dtype = np.int64  # holds every entry, whatever the bounds
+    if framed:
+        dtype = next((t for t in (np.int8, np.int16, np.int32)
+                      if max(bounds) <= np.iinfo(t).max), dtype)
+    rows = RowKey(bounds).rows(seen, dtype)
+    return rows.reshape((len(rows), k, 16) if framed else (len(rows), 16)), den
+
+
+def _rekey(held: np.ndarray, frontier: np.ndarray) -> tuple[RowKey, np.ndarray]:
+    """A key on twice the largest entries of the held rows and the frontier, and
+    the held rows' keys, sorted because the held rows are in lexicographic order."""
+    key = RowKey.of(np.concatenate([held, frontier]), 2)
+    return key, key.keys(held)
+
+
+def distinct_labelled(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order, each with the least label among its copies."""
+    order, rows, fresh = _sorted_runs(rows)
+    starts = np.flatnonzero(fresh)
+    return rows[starts], np.minimum.reduceat(labels[order], starts)
 
 
 def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:

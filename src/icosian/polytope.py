@@ -189,23 +189,19 @@ class PolytopeComplex:
     def cells_at(self, q: Quaternion) -> list[Cell]:
         return [self.cells[k] for k in self.incidence[self.index(q)]]
 
+    def _cells_holding(self, vertex_indices) -> int:
+        """How many cells hold every one of the vertices: their cell lists' intersection."""
+        first, *rest = vertex_indices
+        return len(set(self.incidence[first]).intersection(*(self.incidence[i] for i in rest)))
+
     def face_cell_incidence(self) -> Counter:
-        counts: Counter = Counter()
-        for cell in self.cells:
-            cset = set(cell.vertex_indices)
-            for face in self.faces:
-                if cset.issuperset(face):
-                    counts[face] += 1
-        return counts
+        """The number of cells holding each face that some cell holds."""
+        counts = ((face, self._cells_holding(face)) for face in self.faces)
+        return Counter({face: n for face, n in counts if n})
 
     def edge_cell_valences(self) -> Counter:
-        per_edge: Counter = Counter()
-        for cell in self.cells:
-            cset = set(cell.vertex_indices)
-            for edge in self.edges:
-                if cset.issuperset(edge):
-                    per_edge[edge] += 1
-        return Counter(per_edge.values())
+        """How many edges lie in each number of cells, over the edges that some cell holds."""
+        return Counter(n for n in map(self._cells_holding, self.edges) if n)
 
     def __repr__(self) -> str:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()

@@ -3,7 +3,11 @@
 D4 and F4 live inside the binary tetrahedral/octahedral setup; E8 appears as
 icosians scored with the rational part of the golden split; H4 is the 120
 icosians themselves.  The weight orbits of W(H4) and their decomposition
-under the snub symmetry group are computed here as well.
+under the snub symmetry group are computed here as well, all from one
+table: the W(H4) orbit of the frame of the four fundamental weights, closed
+once, with each frame labelled once by its W(D4):C3 coset.  The orbit of a
+weight sum(w_i omega_i) is the table's rows weighted by w, and the coset
+labels split it into W(D4):C3 orbits.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import engine
 from .coxeter import reflection, wd4c3
-from .errors import BadParameter, SearchFailed
+from .errors import BadParameter, NotInvariant, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, ZERO
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
 from .quaternion import E1, E2, E3, Quaternion, canonical_sorted
@@ -163,22 +167,68 @@ def _reflection_matrices():
     return tuple(engine.transform_matrix(reflection(a)) for a in h4_simple_roots())
 
 
+@lru_cache(maxsize=None)
+def _weight_table() -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
+    """The W(H4) orbit of the frame of fundamental weights, and each frame's H-coset.
+
+    The closure gives one frame (g w_1, ..., g w_4) over den for each g in
+    W(H4); table[i, g] is g w_i, on the columns cols that hold the nonzero
+    entries, in the narrow integer type of the closure's frames; bound is
+    the largest magnitude.  cosets[g] labels the W(D4):C3 orbit of g rho,
+    for the regular weight rho = w_1 + ... + w_4: the coset H g.
+    """
+    frames, den = engine.closure_points([h4_weights()], _reflection_matrices())
+    cols = np.flatnonzero(frames.any(axis=(0, 1)))
+    table = np.ascontiguousarray(frames[:, :, cols].transpose(1, 0, 2))
+    bound = max(int(table.max()), -int(table.min()))
+    rho = _weighted(table, bound, (1, 1, 1, 1))
+    if len(engine.distinct_rows(rho)) != len(rho):
+        raise NotInvariant("the weight frames do not move rho regularly")
+    cosets = engine.partition_points(_on_all_columns(rho, cols), wd4c3().generator_matrices())
+    return table, cols, den, bound, cosets
+
+
+def _weighted(table: np.ndarray, bound: int, weights) -> np.ndarray:
+    """sum(w_i * table[i]) in int64, raising OverflowError unless it provably fits."""
+    if sum(abs(w) for w in weights) * bound >= 1 << 63:
+        raise OverflowError("weighted orbit rows could leave the int64 range")
+    rows = np.zeros(table.shape[1:], dtype=np.int64)
+    for w, omega in zip(weights, table):
+        if w:
+            rows += omega * np.int64(w)
+    return rows
+
+
+def _on_all_columns(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows on the columns cols, as rows on all 16 columns."""
+    out = np.zeros((len(rows), 16), dtype=np.int64)
+    out[:, cols] = rows
+    return out
+
+
+def _weight_orbit(weights) -> tuple[np.ndarray, int, np.ndarray]:
+    """The W(H4) orbit of sum(w_i * omega_i) as canonically ordered rows over den,
+    and each point's W(D4):C3 orbit as the least coset that maps the weight onto it.
+
+    The point g(sum w_i omega_i) is sum w_i g(omega_i), read off the weight
+    table.  The image of a coset H g is one W(D4):C3 orbit, so two images
+    are equal or disjoint, and the least coset reaching a point labels its orbit.
+    """
+    table, cols, den, bound, cosets = _weight_table()
+    rows, labels = engine.distinct_labelled(_weighted(table, bound, weights), cosets)
+    return _on_all_columns(rows, cols), den, labels
+
+
 def h4_orbit(mask) -> tuple[Quaternion, ...]:
-    """Canonically sorted orbit of the masked weight sum under the four simple reflections."""
-    return engine.quats_of(*_weight_rows(_mask_tuple(mask)))
-
-
-def _weight_rows(weights: tuple[int, int, int, int]) -> tuple[np.ndarray, int]:
-    """The W(H4) orbit of sum(w_i * omega_i), by the simple reflections, as engine rows."""
-    seed = sum((omega * w for w, omega in zip(weights, h4_weights())), Quaternion(0))
-    return engine.closure_points([seed], _reflection_matrices())
+    """Canonically sorted W(H4) orbit of the masked weight sum."""
+    rows, den, _ = _weight_orbit(_mask_tuple(mask))
+    return engine.quats_of(rows, den)
 
 
 def weight_decomposition(weights: tuple[int, int, int, int]) -> tuple[int, tuple[int, ...]]:
     """The size of a weight orbit and the sorted sizes of its W(D4):C3 orbits."""
-    rows, _ = _weight_rows(weights)
-    labels = engine.partition_points(rows, wd4c3().generator_matrices())
-    return len(rows), tuple(sorted(Counter(labels.tolist()).values()))
+    rows, _, labels = _weight_orbit(weights)
+    return len(rows), tuple(sorted(np.unique(labels, return_counts=True)[1].tolist()))
 
 
 # The published orbit-by-orbit decompositions under W(D4):C3, as

@@ -331,14 +331,20 @@ def test_usage_errors_exit_2():
         assert err.value.code == 2
 
 
+# The weight table's entries are at most 9 over its denominator, so weights
+# summing to 2**63 / 9 or more could leave int64; these sum to 1.1e18 + 1.
+PAST_INT64 = "1100000000000000000,0,0,1"
+
+
 def test_orbit_weights_past_int64_exit_2(capsys):
-    assert main(["orbit", "--weights", "99999999999999999,0,0,1"]) == 2
+    assert main(["orbit", "--weights", PAST_INT64]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    # Large weights that keep every product inside int64 are still answered.
-    assert main(["orbit", "--weights", "99999999999,0,0,1"]) == 0
-    assert capsys.readouterr().out.splitlines()[1] == "orbit size: 2400"
+    # Large weights that keep every sum inside int64 are still answered.
+    for weights in ("99999999999,0,0,1", "99999999999999999,0,0,1"):
+        assert main(["orbit", "--weights", weights]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "orbit size: 2400"
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -350,7 +356,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 def test_bad_input_reports_without_traceback(tmp_path, run_cli):
     for args in (("export", "24cell", "--format", "off", "--digits", "0", "--out", "-"),
-                 ("orbit", "--weights", "99999999999999999,0,0,1"),
+                 ("orbit", "--weights", PAST_INT64),
                  ("build", "24cell", "--out", str(tmp_path / "missing" / "x.json")),
                  # Past MAX_DIGITS, before Python's int-to-str limit and past it.
                  *(("export", "24cell", "--cell", "0", "--format", "off",

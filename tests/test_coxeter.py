@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceeded,
@@ -11,7 +12,7 @@ from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceede
                      snub24_vertices, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import (orbit_by_elements, seed_conjugator, wd4c3_conjugate,
                              wd4c3_conjugate_pattern)
-from icosian.engine import apply_all, common_rows
+from icosian.engine import apply_all, common_rows, quats_of
 from icosian.groups import generate
 
 
@@ -160,14 +161,24 @@ def test_conjugate_groups_match_pattern():
 
 
 def test_conjugate_preserves_conjugated_snub():
-    """The (i, i) conjugate of the snub group acts on the i-th snub copy."""
+    """The (i, i) conjugate of the snub group acts on the i-th snub copy: every
+    one of its 576 elements permutes the copy's 96 points."""
     from icosian import snub_embeddings_in_600cell
-    copies = snub_embeddings_in_600cell()
+    copy = snub_embeddings_in_600cell()[1]
     group = wd4c3_conjugate(1, 1)
-    target = set(copies[1])
-    gens = group.generators if group.generators else group.elements[:8]
-    for t in gens:
-        assert {t.apply(q) for q in target} == target
+    assert len(group) == 576 and len(copy) == 96
+    where = {q: i for i, q in enumerate(copy)}
+    # table[i, g]: where element g sends point i; a KeyError leaves the copy.
+    table = np.array([[where[x] for x in quats_of(*group.images(q))] for q in copy])
+    assert np.array_equal(np.sort(table, axis=0), np.repeat(np.arange(96)[:, None], 576, axis=1))
+
+
+@pytest.mark.parametrize("q", [Q_ONE, icosian_seed(), binary_icosahedral().elements[77]])
+def test_wh3xc2_generators_make_the_group(q):
+    group = wh3xc2(q)
+    assert 0 < len(group.generators) < len(group)
+    assert TransformGroup(generate(group.generators, cap=240)) == group
+    assert orbit(group, E1 + q) == orbit_by_elements(group, E1 + q)
 
 
 def test_seed_conjugator_lies_in_wh4():

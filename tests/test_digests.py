@@ -5,7 +5,8 @@ export request of the geometry benchmark; this test only reads it.  The
 geometry benchmark exports OFF only, so a sample of ``--format json``
 exports is pinned here by digests recorded before the JSON writers were
 made Fraction-free, and so are three ``orbit --decompose`` reports, recorded
-before orbits were keyed on packed rows.
+before orbits were keyed on packed rows, and all fifteen masked ones, recorded
+before every weight orbit was read off one table of weight frames.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from icosian import cli
+from icosian.roots import ALL_MASKS
 
 REFS = json.loads((Path(__file__).resolve().parents[1] / "benchmarks" / "refs.json")
                   .read_text())["geometry"]
@@ -80,3 +82,11 @@ def test_orbit_decomposition_matches_pinned_digest(weights, capsys):
     assert cli.main(["orbit", "--weights", weights, "--decompose"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == ORBIT_DIGESTS[weights]
+
+
+def test_every_masked_orbit_report_matches_pinned_digest(capsys):
+    for mask in ALL_MASKS:
+        weights = ",".join(map(str, mask))
+        assert cli.main(["orbit", "--weights", weights, "--decompose", "--out", "-"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "ab3a925395554d180bde1398a217e7a06bc03261c8eb7015dc966b3377dd3e35"

@@ -13,8 +13,9 @@ from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion
                      canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, wd4c3,
                      wh3xc2, wh4)
 from icosian.coxeter import orbit_by_elements, reflection
-from icosian.engine import (_PRODUCT_BLOCK, _SIGN_BLOCK, RowIndex, _product_block, apply_all,
-                            closure_points, common_rows, cross_rows, distinct_rows,
+from icosian.engine import (_FOLD, _PRODUCT_BLOCK, _SIGN_BLOCK, RowIndex, RowKey,
+                            _column_range, _product_block, apply_all, closure_points,
+                            common_rows, cross_rows, distinct_labelled, distinct_rows,
                             distinct_values, pairwise_dots, partition_points, products,
                             quats_of, side_signs, transform_matrix)
 from icosian.errors import NotInGoldenSubfield, NotInvariant
@@ -344,6 +345,60 @@ def test_orbit_raises_or_matches_near_int64_limit(name, q, bits):
     assert points == canonical_sorted({t.apply(scaled) for t in group})
 
 
+def frames_by_elements(group, frame):
+    """The images of a frame under every element, as tuples of quaternions."""
+    images = [quats_of(*group.images(q)) for q in frame]
+    return set(zip(*images))
+
+
+def frames_of(rows, den):
+    return [tuple(quats_of(frame, den)) for frame in rows.astype(np.int64)]
+
+
+@given(group_names, points, points)
+@settings(max_examples=40, deadline=None)
+def test_frame_closure_matches_element_images(name, a, b):
+    group = GROUPS[name]()
+    rows, den = closure_points([(a, b)], group.generator_matrices())
+    assert rows.shape[1:] == (2, 16)
+    flat = rows.reshape(len(rows), 32).astype(np.int64)
+    assert np.array_equal(distinct_rows(flat), flat)  # distinct, in lexicographic order
+    assert set(frames_of(rows, den)) == frames_by_elements(group, (a, b))
+    # A frame of one point is that point's orbit.
+    single, single_den = closure_points([(a,)], group.generator_matrices())
+    expected, expected_den = closure_points([a], group.generator_matrices())
+    assert single_den == expected_den
+    assert np.array_equal(single[:, 0], expected)
+
+
+def test_frame_closure_grows_its_denominator():
+    q = Quaternion(-1, 0, 1, Fraction(-1, 2))  # see test_orbit_grows_its_denominator
+    frame = (q, icosian_seed())
+    rows, den = closure_points([frame], wh4().generator_matrices())
+    assert len(rows) == 14400
+    assert set(frames_of(rows, den)) == frames_by_elements(wh4(), frame)
+
+
+def test_frame_closure_keeps_entries_past_its_narrow_types():
+    # The key's bound, twice the largest entry, leaves int64; the entries do not.
+    x = Quaternion((1 << 62) + 1)
+    rows, den = closure_points([(x, -x)], [(np.eye(16, dtype=np.int64), 1)])
+    assert rows.dtype == np.int64 and den == 1
+    assert rows[:, :, 0].tolist() == [[(1 << 62) + 1, -(1 << 62) - 1]]
+
+
+@given(group_names, points, points, st.integers(40, 66))
+@settings(max_examples=30, deadline=None)
+def test_frame_closure_raises_or_matches_near_int64_limit(name, a, b, bits):
+    group = GROUPS[name]()
+    frame = (a * (1 << bits), b)
+    try:
+        rows, den = closure_points([frame], group.generator_matrices())
+    except OverflowError:
+        return
+    assert set(frames_of(rows, den)) == {tuple(t.apply(q) for q in frame) for t in group}
+
+
 # Row keys: int64 rows whose columns each hold zeros, small, mid-sized or any entries.
 column_bounds = st.sampled_from([0, 1, 2, 1 << 20, 2**63 - 1])
 
@@ -364,6 +419,41 @@ def test_distinct_rows_match_sorted_set(drawn):
     repeated = rows + [extra] + rows[::2]  # repeated rows, out of order
     arr = np.array(repeated, dtype=np.int64)
     assert list(map(tuple, distinct_rows(arr).tolist())) == sorted(set(repeated))
+
+
+@given(st.integers(0, 3 * _FOLD), st.integers(0, 5), st.sampled_from([1, 1 << 40, 2**63 - 1]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_column_range_matches_column_reductions(n, width, bound, seed):
+    rows = np.random.default_rng(seed).integers(-bound, bound, size=(n, width), endpoint=True)
+    lo, hi = _column_range(rows)
+    assert lo.tolist() == [min([0, *column]) for column in rows.T.tolist()]
+    assert hi.tolist() == [max([0, *column]) for column in rows.T.tolist()]
+
+
+@given(row_sets(), st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_row_key_reads_its_rows_back(drawn, spread):
+    rows, extra, _ = drawn
+    arr = np.array(rows + [extra], dtype=np.int64)
+    key = RowKey.of(arr, spread)
+    keys = np.sort(key.keys(arr))
+    assert list(map(tuple, key.rows(keys).tolist())) == sorted(set(map(tuple, arr.tolist())))
+
+
+@given(row_sets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_distinct_labelled_takes_each_rows_least_label(drawn, data):
+    rows, extra, _ = drawn
+    repeated = rows + [extra] + rows[::2]
+    labels = data.draw(st.lists(st.integers(0, 5), min_size=len(repeated),
+                                max_size=len(repeated)))
+    least = {}
+    for row, label in zip(repeated, labels):
+        least[row] = min(label, least.get(row, label))
+    out, out_labels = distinct_labelled(np.array(repeated, dtype=np.int64), np.array(labels))
+    assert list(map(tuple, out.tolist())) == sorted(least)
+    assert out_labels.tolist() == [least[row] for row in sorted(least)]
 
 
 def non_members(rows, extra, width):
@@ -454,8 +544,7 @@ def assert_orbits_are_oracle(seeds, closing, parting):
         assert np.array_equal(partition_points(rows, gens), expected)
 
 
-# W(H3)xC2 lists no generators, so its 240 elements part only its own orbits.
-PARTING = ("H4 reflections", "S3", "W(D4):C3")
+PARTING = ("H4 reflections", "S3", "W(D4):C3", "W(H3)xC2")
 
 
 @given(st.lists(st.one_of(golden_points, points), min_size=1, max_size=1),

@@ -48,6 +48,26 @@ def test_edge_cell_valences():
     assert snub_census().edge_cell_valences() == {3: 288, 4: 144}
 
 
+def subset_incidence(complex_):
+    """face_cell_incidence and edge_cell_valences by testing every face and edge
+    against every cell's vertex set."""
+    faces, per_edge = Counter(), Counter()
+    for cell in complex_.cells:
+        cset = set(cell.vertex_indices)
+        faces.update(face for face in complex_.faces if cset.issuperset(face))
+        per_edge.update(edge for edge in complex_.edges if cset.issuperset(edge))
+    return faces, Counter(per_edge.values())
+
+
+@pytest.mark.parametrize("group", ["snub", "T", "I"])
+def test_incidence_counters_match_subset_tests(group):
+    complex_ = snub_census() if group == "snub" else cell_census(
+        (binary_tetrahedral() if group == "T" else binary_icosahedral()).elements)
+    faces, valences = subset_incidence(complex_)
+    assert complex_.face_cell_incidence() == faces
+    assert complex_.edge_cell_valences() == valences
+
+
 def test_cell_hyperplanes_face_outward():
     complex_ = snub_census()
     for cell in complex_.cells:

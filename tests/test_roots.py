@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icosian import (HALF, Quaternion, appendix_decompositions,
                      binary_icosahedral, binary_octahedral,
@@ -13,8 +14,9 @@ from icosian import (HALF, Quaternion, appendix_decompositions,
                      snub24_vertices, snub_sum_form, wd4c3)
 from icosian.errors import BadParameter
 from icosian.field import ONE, SIGMA, SQRT2, TAU
-from icosian.roots import (ALL_MASKS, d4_data, e8_minus_24cells,
-                           euclid_profile_full)
+from icosian.engine import closure_points, partition_points, quats_of
+from icosian.roots import (ALL_MASKS, _reflection_matrices, _weight_orbit, d4_data,
+                           e8_minus_24cells, euclid_profile_full, weight_decomposition)
 
 
 def test_e8_is_two_icosian_shells():
@@ -200,3 +202,27 @@ def test_suborbits_are_wd4c3_orbits():
     total = [q for part in partition.suborbits for q in part]
     assert len(total) == 600
     assert set(total) == set(pts)
+
+
+def closure_weight_orbit(weights):
+    """A weight orbit by its own closure under the simple reflections and its own
+    W(D4):C3 partition: the orbit's points and its sorted part sizes."""
+    seed = sum((omega * w for w, omega in zip(weights, h4_weights())), Quaternion(0))
+    rows, den = closure_points([seed], _reflection_matrices())
+    labels = partition_points(rows, wd4c3().generator_matrices())
+    return quats_of(rows, den), tuple(sorted(Counter(labels.tolist()).values()))
+
+
+def test_weight_orbits_match_their_own_closures():
+    for mask in ALL_MASKS:
+        points, parts = closure_weight_orbit(mask)
+        assert h4_orbit(mask) == points
+        assert weight_decomposition(mask) == (len(points), parts)
+
+
+@given(st.tuples(*[st.integers(0, 6)] * 4))
+@settings(max_examples=25, deadline=None)
+def test_weighted_orbits_match_their_own_closures(weights):
+    points, parts = closure_weight_orbit(weights)
+    assert quats_of(*_weight_orbit(weights)[:2]) == points
+    assert weight_decomposition(weights) == (len(points), parts)
