@@ -11,8 +11,10 @@ A TransformGroup holds its elements as int64 rows (star | p | q) over one
 denominator, made by engine.products and put in canonical order by one
 engine.distinct_rows; Transform objects are built only when asked for.
 Compositions, conjugate groups and stabilizers are batched products of
-those rows.  Transform and Quaternion arithmetic stay the scalar
-operations, and the independent path of compiled() and orbit_by_elements.
+those rows.  An orbit is closed on engine.closure_points under the
+generators' matrices; orbit_by_elements cross-checks it from images, the
+products of v with every element's rows, which share no code with those
+matrices.  Transform and Quaternion arithmetic stay the scalar operations.
 """
 
 from __future__ import annotations
@@ -300,8 +302,8 @@ def orbit(group: TransformGroup, v: Quaternion) -> tuple[Quaternion, ...]:
 
 
 def orbit_by_elements(group: TransformGroup, v: Quaternion) -> tuple[Quaternion, ...]:
-    """Same orbit by applying every element; an independent cross-check."""
-    rows, den = engine.apply_all(*group.compiled(), v)
+    """Same orbit from the images of v under every element; an independent cross-check."""
+    rows, den = group.images(v)
     return engine.quats_of(engine.distinct_rows(rows), den)
 
 
@@ -346,12 +348,14 @@ def _compose(a, b):
 
 
 def conjugate_group(group: TransformGroup, h: Transform) -> TransformGroup:
-    """h g h^-1 for every g in the group, composed as rows."""
+    """h g h^-1 for every g in the group, composed as rows; generated by the
+    conjugates of the group's generators."""
     hinv = h.inverse()
     hp, hq, ip, iq, hden = _quat_rows(h.p, h.q, hinv.p, hinv.q)
     g = group.rows[:, :1], group.rows[:, 1:17], group.rows[:, 17:]
     rows = np.hstack(_compose(_compose((h.star, hp, hq), g), (hinv.star, ip, iq)))
-    return TransformGroup.from_rows(rows, hden * group.den * hden, f"{group.label}^({h})")
+    return TransformGroup.from_rows(rows, hden * group.den * hden, f"{group.label}^({h})",
+                                    [h * t * hinv for t in group.generators])
 
 
 def seed_conjugator(i: int, j: int) -> Transform:

@@ -9,8 +9,10 @@ the one way rows are keyed: it packs each row into as few int64 words as
 the bounds on its columns allow, in that order, so sorting, deduplication
 and RowIndex's binary search all run on one int64 per row when it fits one
 word.  Orbits and partitions run on the coordinate support that their
-generators keep, so columns that stay zero cost no arithmetic.  A closure
-may move a frame, k points together, keyed on the whole frame: one closure
+generators keep, so columns that stay zero cost no arithmetic.
+closure_points is the one closure routine: it closes transform orbits, the
+binary polyhedral groups (the orbit of 1 under right multiplication) and
+frames, k points moved together and keyed on the whole frame: one closure
 of the frame of the four fundamental weights gives every W(H4) weight orbit.
 The closure keeps only the sorted keys of what it has found and reads the
 rows back from them at the end (RowKey.rows).
@@ -40,7 +42,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import NotInvariant
+from .errors import CapExceeded, NotInvariant
 from .field import FieldElement
 from .quaternion import _FTAB, _QTAB, Quaternion
 
@@ -361,7 +363,7 @@ def _support(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
         cols = grown
 
 
-def closure_points(seeds, gen_mats) -> tuple[np.ndarray, int]:
+def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
     """The orbit of the seeds under the generators, as canonically ordered rows.
 
     A seed is a point, or a frame: a tuple of k points that the generators
@@ -374,6 +376,8 @@ def closure_points(seeds, gen_mats) -> tuple[np.ndarray, int]:
     rows found; a frontier outside the key's bounds re-keys them on twice its
     largest entries.  An image not integral over the rows' denominator
     multiplies that denominator, and every row, by the missing factor.
+    Raises CapExceeded as soon as more than cap rows are found, before the
+    next round's images are made, so an infinite orbit stops there.
     """
     seeds = list(seeds)
     framed = bool(seeds) and not isinstance(seeds[0], Quaternion)
@@ -393,6 +397,8 @@ def closure_points(seeds, gen_mats) -> tuple[np.ndarray, int]:
         keys, first = np.unique(key.keys(frontier), return_index=True)
         at, hit = _lookup(seen, keys)
         seen = np.insert(seen, at[~hit], keys[~hit])
+        if cap is not None and len(seen) > cap:
+            raise CapExceeded(f"closure exceeded {cap} points")
         frontier = frontier[first[~hit]]
         n = len(frontier)
         images = _matmul(frontier.reshape(n * k, c), mats.T)  # each point under each generator
@@ -456,14 +462,6 @@ def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:
         for perm in perms:
             labels = np.minimum(labels, labels[perm])
     return labels
-
-
-def apply_all(mats: np.ndarray, dens: np.ndarray, q: Quaternion) -> tuple[np.ndarray, int]:
-    """Images of one point under a compiled stack of transforms, over one denominator."""
-    vec, den = q.ivec
-    common = lcm(*dens.tolist())
-    images = _matmul(mats, np.array(vec, dtype=np.int64))
-    return _scaled(images, (common // dens)[:, None]), common * den
 
 
 # Form c gives coefficient c of the scalar product (x, y), the real part of

@@ -2,7 +2,9 @@
 
 The binary tetrahedral group doubles as the 24-cell vertex set; five of its
 left cosets tile the binary icosahedral group, which is the 600-cell.
-Closure checks and conjugacy classes read whole product tables made by
+closure makes a group from generators on engine.closure_points, the one
+closure routine, as the orbit of 1 under right multiplication.  Closure
+checks and conjugacy classes read whole product tables made by
 engine.products over the elements' integer rows, and look each product up
 in the sorted rows of the group.
 """
@@ -14,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import engine
-from .errors import CapExceeded, NotInvariant, SearchFailed
+from .errors import NotInvariant, SearchFailed
 from .field import FieldElement, HALF, SIGMA, SQRT2, TAU
 from .quaternion import E1, E2, E3, Q_ONE, Quaternion, canonical_sorted
 
@@ -75,32 +77,17 @@ class QuaternionGroup(QuaternionSet):
         return bool((engine.RowIndex(rows).find(table // den) >= 0).all())
 
 
-def generate(generators, cap: int) -> set:
-    """Every product of the generators, closed under right multiplication.
-
-    For generators of a finite group this is the whole group, identity
-    included; raises CapExceeded once more than cap elements are found.
-    """
-    gens = list(generators)
-    elems = set(gens)
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elems:
-                    elems.add(y)
-                    fresh.append(y)
-                    if len(elems) > cap:
-                        raise CapExceeded(f"closure exceeded {cap} elements")
-        frontier = fresh
-    return elems
-
-
 def closure(generators, cap: int = 200, label: str = "") -> QuaternionGroup:
-    """Multiplicative closure of the generators; raises CapExceeded past cap."""
-    return QuaternionGroup(generate(generators, cap) | {Q_ONE}, label)
+    """The group the generators make: the orbit of 1 under right multiplication.
+
+    engine.closure_points closes 1 under the generators' right-multiplication
+    matrices, so every product of generators is found, 1 included.  Raises
+    CapExceeded once more than cap elements are found, or OverflowError if
+    the elements' integers would leave int64 first.
+    """
+    from .coxeter import Transform  # coxeter imports this module
+    mats = [engine.transform_matrix(Transform(Q_ONE, g)) for g in list(generators) or [Q_ONE]]
+    return QuaternionGroup(engine.quats_of(*engine.closure_points([Q_ONE], mats, cap)), label)
 
 
 def _halves(signs) -> Quaternion:

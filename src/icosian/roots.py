@@ -86,7 +86,7 @@ def euclid_profile_full(roots) -> set[tuple[tuple[Fraction, int], ...]]:
     table, den = engine.pairwise_dots(roots)
     values, index = engine.distinct_values(table, den)
     euclid = [x.euclidean_part() for x in values]
-    rows = np.unique(np.sort(index, axis=1), axis=0).tolist()
+    rows = engine.distinct_rows(np.sort(index, axis=1)).tolist()
     return {tuple(sorted(Counter(euclid[j] for j in row).items())) for row in rows}
 
 

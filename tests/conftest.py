@@ -1,4 +1,4 @@
-"""Shared fixtures for tests that run the command line in a child process."""
+"""Shared fixtures: the command line in a child process, and a closure oracle."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import icosian
+from icosian import CapExceeded
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -64,3 +65,34 @@ def console_scripts():
         return scripts
     assert tomllib.loads(text)["project"]["scripts"] == scripts
     return scripts
+
+
+def _generate(generators, cap: int) -> set:
+    """Every product of the generators, closed under right multiplication.
+
+    A breadth-first search over a set of objects with a product, Quaternion
+    or Transform: for generators of a finite group it finds the whole group,
+    identity included, and raises CapExceeded once more than cap elements
+    are found.
+    """
+    gens = list(generators)
+    elems = set(gens)
+    frontier = list(elems)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in elems:
+                    elems.add(y)
+                    fresh.append(y)
+                    if len(elems) > cap:
+                        raise CapExceeded(f"closure exceeded {cap} elements")
+        frontier = fresh
+    return elems
+
+
+@pytest.fixture
+def generate():
+    """The object-by-object closure oracle that engine.closure_points must match."""
+    return _generate

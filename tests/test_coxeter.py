@@ -12,8 +12,7 @@ from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceede
                      snub24_vertices, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import (orbit_by_elements, seed_conjugator, wd4c3_conjugate,
                              wd4c3_conjugate_pattern)
-from icosian.engine import apply_all, common_rows, quats_of
-from icosian.groups import generate
+from icosian.engine import closure_points, common_rows, quats_of, transform_matrix
 
 
 def test_sign_canonicalization():
@@ -174,7 +173,7 @@ def test_conjugate_preserves_conjugated_snub():
 
 
 @pytest.mark.parametrize("q", [Q_ONE, icosian_seed(), binary_icosahedral().elements[77]])
-def test_wh3xc2_generators_make_the_group(q):
+def test_wh3xc2_generators_make_the_group(q, generate):
     group = wh3xc2(q)
     assert 0 < len(group.generators) < len(group)
     assert TransformGroup(generate(group.generators, cap=240)) == group
@@ -186,9 +185,22 @@ def test_seed_conjugator_lies_in_wh4():
     assert h in set(wh4().elements)
 
 
-def test_transform_closure_cap():
+@pytest.mark.parametrize("i, j", [(1, 1), (2, 3)])
+def test_conjugate_generators_make_the_group(i, j, generate):
+    group = wd4c3_conjugate(i, j)
+    assert 0 < len(group.generators) < len(group)
+    assert TransformGroup(generate(group.generators, cap=576)) == group
+    p = icosian_seed()
+    assert orbit(group, E1 + p) == orbit_by_elements(group, E1 + p)
+
+
+def test_transform_closure_cap(generate):
+    # r -> p r e2 has order 20, so the orbit of 1 outgrows a cap of 3.
+    t = Transform(icosian_seed(), E2)
     with pytest.raises(CapExceeded):
-        generate([Transform(icosian_seed(), E2)], cap=3)
+        closure_points([Q_ONE], [transform_matrix(t)], cap=3)
+    with pytest.raises(CapExceeded):
+        generate([t], cap=3)
 
 
 def fraction_key(q):
@@ -260,10 +272,10 @@ def scalar_pattern(i, j):
 
 
 def scalar_stabilizer(group, v):
-    """The elements fixing v, found through the compiled matrices."""
-    (target,), den = common_rows([v])
-    rows, rden = apply_all(*group.compiled(), v)
-    fixed = (rows == target * (rden // den)).all(axis=1)
+    """The elements fixing v, found through the compiled matrices: M v = d v."""
+    (vec,), _ = common_rows([v])
+    mats, dens = group.compiled()
+    fixed = (mats @ vec == dens[:, None] * vec).all(axis=1)
     return [t for t, hit in zip(group.elements, fixed.tolist()) if hit]
 
 

@@ -93,12 +93,36 @@ def test_closure_from_generators():
     assert group.is_closed()
     icosa = closure([HALF_ONES, icosian_seed()], cap=500)
     assert len(icosa) == 120
+    assert closure([]).elements == (Q_ONE,)
 
 
 def test_closure_cap():
     doubling = Quaternion(2)
     with pytest.raises(CapExceeded):
         closure([doubling], cap=50)
+    # 2^k leaves int64 before the default cap of 200 is reached: refused, not wrapped.
+    with pytest.raises(OverflowError):
+        closure([doubling])
+
+
+BINARY_GENERATORS = {
+    "2T": (lambda: [E1, HALF_ONES], binary_tetrahedral),
+    "2O": (lambda: [HALF_ONES, t_prime().elements[0]], binary_octahedral),
+    "2I": (lambda: [HALF_ONES, icosian_seed()], binary_icosahedral),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_GENERATORS))
+def test_closure_cap_boundary_matches_the_oracle(name, generate):
+    """A cap equal to the order passes and one below it raises, as in the oracle BFS."""
+    make_gens, group = BINARY_GENERATORS[name]
+    gens, order = make_gens(), len(group())
+    closed = closure(gens, cap=order)
+    assert closed == group() == QuaternionGroup(generate(gens, cap=order))
+    with pytest.raises(CapExceeded):
+        closure(gens, cap=order - 1)
+    with pytest.raises(CapExceeded):
+        generate(gens, cap=order - 1)
 
 
 def test_conjugacy_profile():

@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name is read somewhere in the package."""
+"""Every name a module of the package imports is used in that module,
+every module-level private name is read somewhere in the package, and the
+command line loads no numpy module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +101,30 @@ def test_no_unused_imports(path):
 def test_no_dead_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert dead_private_names(sources) == []
+
+
+# Each command runs in one child process, whose stdout is discarded; the
+# child prints the numpy.ma modules loaded by then.
+NO_MA_CHILD = """
+import contextlib, io, sys
+from icosian.cli import main
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_commands_leave_numpy_ma_unimported():
+    """numpy.ma costs about 25 ms to import and no command uses it; a bare
+    np.unique(..., axis=0) would load it."""
+    package_root = os.path.dirname(os.path.dirname(icosian.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    commands = ["verify all", "build dual-snub24 --out -",
+                "export 600cell --cell 5 --format off --out -",
+                "orbit --weights 1,1,1,1 --decompose"]
+    done = subprocess.run([sys.executable, "-c", NO_MA_CHILD, *commands],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
