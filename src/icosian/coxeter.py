@@ -103,8 +103,8 @@ class TransformGroup:
     def __init__(self, elements, label: str = "", generators=()):
         elements = list(elements)
         pq, den = engine.common_rows([t.p for t in elements] + [t.q for t in elements])
-        star = np.array([t.star for t in elements], dtype=np.int64)[:, None]
-        self._fill(np.hstack([star, pq[:len(elements)], pq[len(elements):]]), den,
+        star = np.array([t.star for t in elements], dtype=np.int64)
+        self._fill(_transform_rows((star, pq[:len(elements)], pq[len(elements):])), den,
                    label, generators)
 
     @classmethod
@@ -112,7 +112,9 @@ class TransformGroup:
                   generators=()) -> "TransformGroup":
         """The group of the transforms given as (star | p | q) rows over den.
 
-        The rows may come in any order, with repeats and with either sign of a pair.
+        The rows may come in any order, with repeats and with either sign of
+        a pair.  The group takes the rows over: their signs are normalised in
+        place.
         """
         self = cls.__new__(cls)
         self._fill(rows, den, label, generators)
@@ -121,10 +123,10 @@ class TransformGroup:
     def _fill(self, rows, den, label, generators):
         # Negate (p, q) where p's first nonzero coefficient is negative, as Transform does.
         p = rows[:, 1:17]
-        first = np.take_along_axis(p, (p != 0).argmax(axis=1)[:, None], axis=1)
-        sign = np.where(first < 0, -1, 1)
-        rows = engine.distinct_rows(np.hstack([rows[:, :1], rows[:, 1:] * sign]))
-        g = int(np.gcd.reduce(rows[:, 1:].ravel(), initial=den))
+        first = np.take_along_axis(p, (p != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+        rows[first < 0, 1:] *= -1
+        rows = engine.distinct_rows(rows)
+        g = int(np.gcd.reduce(rows[:, 1:], axis=None, initial=den))
         rows[:, 1:] //= g
         self.rows, self.den = rows, den // g
         self.label = label
@@ -192,11 +194,20 @@ def _quat_rows(*quats) -> tuple[np.ndarray, ...]:
     return (*np.split(rows, len(quats)), den)
 
 
-def _transform_rows(star, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(star | p | q) rows from p and q rows over one denominator, broadcast against each other."""
-    p, q = (np.broadcast_to(x, np.broadcast_shapes(p.shape, q.shape)).reshape(-1, 16)
-            for x in (p, q))
-    return np.hstack([np.full((len(p), 1), int(star)), p, q])
+def _transform_rows(*parts) -> np.ndarray:
+    """(star | p | q) rows in one table, a block of rows per (star, p, q) part.
+
+    Within a part, star, p and q rows over one denominator broadcast against
+    each other, and each block is filled in place.
+    """
+    shapes = [np.broadcast_shapes(np.shape(star), p.shape[:-1], q.shape[:-1])
+              for star, p, q in parts]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    rows = np.empty((sum(sizes), 33), dtype=np.int64)
+    for (star, p, q), shape, block in zip(parts, shapes, np.split(rows, np.cumsum(sizes)[:-1])):
+        block = block.reshape(shape + (33,))
+        block[..., 0], block[..., 1:17], block[..., 17:] = star, p, q
+    return rows
 
 
 def _units(base: QuaternionSet) -> list[Quaternion]:
@@ -216,8 +227,8 @@ def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
     # [p, q] and [-p, -q] act alike: p runs over the half of base whose
     # first nonzero coefficient is positive, so no pair is made twice.
     lead = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
-    pairs = [_transform_rows(star, rows[lead > 0][:, None], rows[None, :]) for star in (0, 1)]
-    return TransformGroup.from_rows(np.concatenate(pairs), den, label, gens)
+    p, q = rows[lead > 0][:, None], rows[None, :]
+    return TransformGroup.from_rows(_transform_rows((0, p, q), (1, p, q)), den, label, gens)
 
 
 @lru_cache(maxsize=None)
@@ -252,9 +263,9 @@ def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
     starred = engine.products(engine.products(qr, tc), qr)
     common = den * qden ** 2
     p = engine.rescaled(rows, den, common)
-    parts = [_transform_rows(star, p, s * x)
-             for star, x in ((0, unstarred), (1, starred)) for s in (1, -1)]
-    return TransformGroup.from_rows(np.concatenate(parts), common, f"W(H3)xC2^({q})", gens)
+    rows = _transform_rows(*((star, p, s * x)
+                             for star, x in ((0, unstarred), (1, starred)) for s in (1, -1)))
+    return TransformGroup.from_rows(rows, common, f"W(H3)xC2^({q})", gens)
 
 
 def a4xc2(q: Quaternion) -> TransformGroup:
@@ -378,7 +389,5 @@ def wd4c3_conjugate_pattern(i: int, j: int) -> TransformGroup:
     a = engine.products(engine.products(pi, rows), pic)
     b = engine.products(engine.products(pj, rows), pjc)
     c = engine.products(engine.products(pi, rows), pjc)
-    parts = [_transform_rows(0, a[:, None], b[None, :]),
-             _transform_rows(1, c[:, None], c[None, :])]
-    return TransformGroup.from_rows(np.concatenate(parts), den * tden * den,
-                                    f"W(D4):C3^({i},{j})")
+    rows = _transform_rows((0, a[:, None], b[None, :]), (1, c[:, None], c[None, :]))
+    return TransformGroup.from_rows(rows, den * tden * den, f"W(D4):C3^({i},{j})")

@@ -8,14 +8,12 @@ rows' lexicographic order is the canonical order of the points.  RowKey is
 the one way rows are keyed: it packs each row into as few int64 words as
 the bounds on its columns allow, in that order, so sorting, deduplication
 and RowIndex's binary search all run on one int64 per row when it fits one
-word.  Orbits and partitions run on the coordinate support that their
-generators keep, so columns that stay zero cost no arithmetic.
-closure_points is the one closure routine: it closes transform orbits, the
-binary polyhedral groups (the orbit of 1 under right multiplication) and
-frames, k points moved together and keyed on the whole frame: one closure
-of the frame of the four fundamental weights gives every W(H4) weight orbit.
-The closure keeps only the sorted keys of what it has found and reads the
-rows back from them at the end (RowKey.rows).
+word.  closure_points is the one closure routine: it closes transform
+orbits, the binary polyhedral groups (the orbit of 1 under right
+multiplication) and frames, k points moved together and keyed on the whole
+frame: one closure of the frame of the four fundamental weights gives every
+W(H4) weight orbit.  The closure keeps only the sorted keys of what it has
+found and reads the rows back from them at the end (RowKey.rows).
 
 All multiplication is one 16x16 table, made once by _product_table: the
 structure tensors that compile transforms and the bilinear forms of the
@@ -23,6 +21,15 @@ scalar product are read off it.  products is the one batched Hamilton
 product on it: group closure checks, conjugacy classes and the rows of
 every transform group are tables of it, so no group-sized sweep multiplies
 Quaternion objects one pair at a time.
+
+One rule of coefficient support holds for every bulk kernel: a column that
+is zero in every row, and that the arithmetic cannot make nonzero, costs
+nothing.  Icosians and the W(H4) rows lie in Q(sqrt5)^4, so 8 of their 16
+columns are zero.  closure_points and partition_points act on the columns
+that _support finds the generators keep; products multiplies only the table
+terms that its operands' nonzero columns reach (_product_plan), and dot_rows
+takes only the forms and columns they reach (_dot_plan).  Each plan is made
+once per pair of supports, and its int64 bound counts only the kept terms.
 
 Every table of scalar products is made here too: each entry is a field
 4-vector of integers over one denominator, and distinct_values lifts the few
@@ -38,6 +45,7 @@ on the operands proves that no int64 entry can overflow.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -72,11 +80,14 @@ _RSTRUCT = np.zeros((16, 16, 16), dtype=np.int64)
 _RSTRUCT[_PIDX, _T, _S] = _PW
 
 
-def _max_abs(arr: np.ndarray) -> int:
+def _max_abs(arr) -> int:
+    """The largest magnitude among the entries of an array; an int is its own."""
+    if isinstance(arr, int):
+        return abs(arr)
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
-def _check_bound(terms: int, a: np.ndarray, b: np.ndarray) -> None:
+def _check_bound(terms: int, a, b) -> None:
     """Raise OverflowError unless a sum of terms products of a and b entries fits int64."""
     if terms * _max_abs(a) * _max_abs(b) >= 1 << 63:
         raise OverflowError("integer product could leave the int64 range")
@@ -92,16 +103,51 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-# A coefficient of a b sums its terms, none larger than |w| max|a| max|b|.
-_PRODUCT_BOUND = int(np.abs(_PW).sum(axis=0).max())
+def _nonzero(rows: np.ndarray) -> tuple[bytes, int]:
+    """The coefficient support of (..., 16) rows, as 16 bool bytes, and their largest magnitude."""
+    lo, hi = _column_range(rows.reshape(-1, 16))
+    return ((lo != 0) | (hi != 0)).tobytes(), max(-int(lo.min()), int(hi.max()))
+
+
+# (a b)_t = sum over r of b_r * _BW[r, t] * a[_BIDX[r, t]]: the same table, by b's coefficient.
+_BIDX = np.zeros((16, 16), dtype=np.intp)
+_BIDX[_PIDX, _T] = _S
+_BW = np.zeros((16, 16), dtype=np.int64)
+_BW[_PIDX, _T] = _PW
+
+
+@lru_cache(maxsize=None)
+def _product_plan(a_support: bytes, b_support: bytes):
+    """The terms of a b that two coefficient supports keep, as (flip, terms, out, bound).
+
+    Term (s, t) of the table multiplies a_s into (a b)_t and is kept when a_s
+    and b_idx[s, t] both lie in support.  The sum runs over the coefficients
+    of a that some kept term reads, or over those of b when flip is set and
+    fewer of b's are read; each term of it is one column slice of that
+    operand times the other operand's gathered columns and their weights, on
+    the output columns out that the kept terms reach: every other one is
+    zero.  bound is the largest sum of kept |w| into one output column.
+    """
+    a, b = (np.frombuffer(x, dtype=bool) for x in (a_support, b_support))
+    kept = a[:, None] & b[_PIDX]  # [s, t]
+    bound = int((np.abs(_PW) * kept).sum(axis=0).max())
+    outs = np.flatnonzero(kept.any(axis=0))
+    by_a, by_b = (np.flatnonzero(k.any(axis=1)) for k in (kept, kept[_BIDX, _T]))
+    flip = len(by_b) < len(by_a)
+    cols, idx, w = (by_b, _BIDX, _BW) if flip else (by_a, _PIDX, _PW)
+    terms = tuple((slice(s, s + 1), idx[s, outs], w[s, outs]) for s in cols.tolist())
+    return flip, terms, outs, bound
+
+
 _PRODUCT_BLOCK = 4096  # products per batch, bounding the int64 temporaries
 
 
-def _product_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b for broadcastable rows, summed over the coefficients of a."""
-    out = a[..., :1] * (b[..., _PIDX[0]] * _PW[0])
-    for s in range(1, 16):
-        out += a[..., s:s + 1] * (b[..., _PIDX[s]] * _PW[s])
+def _product_block(outer: np.ndarray, inner: np.ndarray, terms) -> np.ndarray:
+    """The sum of outer[..., col] * inner[..., idx] * w over the plan's terms."""
+    (col, idx, w), *rest = terms
+    out = outer[..., col] * (inner[..., idx] * w)
+    for col, idx, w in rest:
+        out += outer[..., col] * (inner[..., idx] * w)
     return out
 
 
@@ -110,20 +156,27 @@ def products(a, b) -> np.ndarray:
 
     Entry i is the numerator of a[i] b[i] over the product of the two
     denominators; a[:, None] and b[None, :] make the whole product table.
-    Raises OverflowError unless every coefficient provably fits int64: the
-    arithmetic wraps modulo 2**64, so a result in range is exact.
+    Only the terms that the operands' coefficient supports keep are
+    multiplied (see _product_plan).  Raises OverflowError unless every
+    coefficient provably fits int64: the arithmetic wraps modulo 2**64, so a
+    result in range is exact.
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    _check_bound(_PRODUCT_BOUND, a, b)
+    (a_support, a_max), (b_support, b_max) = _nonzero(a), _nonzero(b)
+    flip, terms, cols, bound = _product_plan(a_support, b_support)
+    _check_bound(bound, a_max, b_max)
     shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.zeros(np.broadcast_shapes(shape, (1, 16)), dtype=np.int64)
+    if not terms:
+        return out.reshape(shape)
     # Blocks run along the leading axis of the arrays, made at least 2-D; an
     # operand of length 1 there goes whole to every block, never broadcast.
-    out = np.empty(np.broadcast_shapes(shape, (1, 16)), dtype=np.int64)
     a, b = (x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in (a, b))
+    outer, inner = (b, a) if flip else (a, b)
     step = max(1, _PRODUCT_BLOCK * 16 // max(1, int(np.prod(out.shape[1:]))))
     for lo in range(0, len(out), step):
-        out[lo:lo + step] = _product_block(*(x if len(x) == 1 else x[lo:lo + step]
-                                             for x in (a, b)))
+        out[lo:lo + step, ..., cols] = _product_block(
+            *(x if len(x) == 1 else x[lo:lo + step] for x in (outer, inner)), terms)
     return out.reshape(shape)
 
 
@@ -291,19 +344,19 @@ class RowKey:
 
 
 def _sorted_runs(rows: np.ndarray):
-    """The rows' lexicographic order, the sorted rows, and which differ from their predecessor."""
+    """The rows' lexicographic order, and which sorted rows differ from their predecessor."""
     keys = RowKey.of(rows).keys(rows)
     order = np.argsort(keys)
     keys = keys[order]
     fresh = np.ones(len(rows), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]
-    return order, rows[order], fresh
+    return order, fresh
 
 
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows in lexicographic order: over one denominator, canonical order."""
-    _, rows, fresh = _sorted_runs(rows)
-    return rows[fresh]
+    order, fresh = _sorted_runs(rows)
+    return rows[order[fresh]]
 
 
 def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +393,7 @@ class RowIndex:
 
 def differences(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
     """rows[index[:, k]] - rows[index[:, 0]] for k >= 1, raising OverflowError rather than wrap."""
-    _check_bound(2, rows, np.asarray(1))
+    _check_bound(2, rows, 1)
     return rows[index[:, 1:]] - rows[index[:, :1]]
 
 
@@ -433,9 +486,9 @@ def _rekey(held: np.ndarray, frontier: np.ndarray) -> tuple[RowKey, np.ndarray]:
 
 def distinct_labelled(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows in lexicographic order, each with the least label among its copies."""
-    order, rows, fresh = _sorted_runs(rows)
+    order, fresh = _sorted_runs(rows)
     starts = np.flatnonzero(fresh)
-    return rows[starts], np.minimum.reduceat(labels[order], starts)
+    return rows[order[starts]], np.minimum.reduceat(labels[order], starts)
 
 
 def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:
@@ -470,16 +523,43 @@ _DOT_FORMS = np.zeros((4, 16, 16), dtype=np.int64)
 _DOT_FORMS[_T[:, :4], _S[:, :4], _PIDX[:, :4]] = _PW[:, :4] * _CONJ[_PIDX[:, :4]]
 
 
+@lru_cache(maxsize=None)
+def _dot_plan(left_support: bytes, right_support: bytes):
+    """The forms two coefficient supports reach, as (left cols, right cols, forms, coeffs).
+
+    Coefficient c is reached when _DOT_FORMS[c] has a nonzero entry [s, r]
+    with s in the left support and r in the right.  forms holds the reached
+    forms on the support columns, as [s, c, r].
+    """
+    left, right = (np.frombuffer(x, dtype=bool) for x in (left_support, right_support))
+    kept = (_DOT_FORMS != 0) & left[:, None] & right
+    coeffs, lcols, rcols = (np.flatnonzero(kept.any(axis=axes))
+                            for axes in ((1, 2), (0, 2), (0, 1)))
+    forms = _DOT_FORMS[coeffs[:, None, None], lcols[:, None], rcols].transpose(1, 0, 2)
+    return lcols, rcols, forms, coeffs
+
+
 def dot_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Scalar products of int64 quaternion rows, as field 4-vectors: shape (..., a, b, 4).
 
     left (..., a, 16) and right (..., b, 16) broadcast over their leading
     axes, so a stack of cells makes one block-diagonal table.  Entry
     [..., i, j] is the numerator of (left[i], right[j]) over the product of
-    the two denominators.
+    the two denominators.  Only the coefficients and columns that the two
+    coefficient supports reach are computed (see _dot_plan); the rest are 0.
     """
-    right = np.swapaxes(right, -1, -2)
-    return np.stack([_matmul(_matmul(left, form), right) for form in _DOT_FORMS], axis=-1)
+    lcols, rcols, forms, coeffs = _dot_plan(_nonzero(left)[0], _nonzero(right)[0])
+    a, b = left.shape[-2], right.shape[-2]
+    out = np.zeros(np.broadcast_shapes(left.shape[:-2], right.shape[:-2]) + (a, b, 4),
+                   dtype=np.int64)
+    if not len(coeffs):
+        return out
+    nl, nc, nr = forms.shape
+    mid = _matmul(left[..., lcols], forms.reshape(nl, nc * nr))  # [..., i, (c, r)]
+    mid = mid.reshape(mid.shape[:-2] + (a * nc, nr))
+    table = _matmul(mid, np.swapaxes(right[..., rcols], -1, -2))  # [..., (i, c), j]
+    out[..., coeffs] = np.swapaxes(table.reshape(table.shape[:-2] + (a, nc, b)), -1, -2)
+    return out
 
 
 def pairwise_dots(points, others=None) -> tuple[np.ndarray, int]:
@@ -501,10 +581,11 @@ def distinct_values(table: np.ndarray, den: int) -> tuple[dict[FieldElement, int
     entry, so the entries equal to x are exactly index == values.get(x, -1).
     """
     flat = table.reshape(-1, 4)
-    order, rows, fresh = _sorted_runs(flat)
+    order, fresh = _sorted_runs(flat)
+    rows = flat[order[fresh]]
     index = np.empty(len(flat), dtype=np.intp)
     index[order] = np.cumsum(fresh) - 1
-    values = {FieldElement._make(*row, den): i for i, row in enumerate(rows[fresh].tolist())}
+    values = {FieldElement._make(*row, den): i for i, row in enumerate(rows.tolist())}
     return values, index.reshape(table.shape[:-1])
 
 
@@ -518,11 +599,20 @@ def cross_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     from products, and their difference is bounded before it is taken.
     """
     both = products(np.stack([c, a]), products(conjugates(b), np.stack([a, c])))
-    _check_bound(2, both, np.asarray(1))  # a difference of two entries
+    _check_bound(2, both, 1)  # a difference of two entries
     return (both[0] - both[1]) // 2
 
 
 _SIGN_BLOCK = 64  # normals per sign table, bounding its int64 temporaries
+
+
+def _block_signs(normals: np.ndarray, points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """side_signs of one block of normals: its dot table, differenced in place."""
+    table = dot_rows(normals, points)
+    _check_bound(2, table, 1)  # a difference of two entries
+    table -= table[np.arange(len(table)), anchors][:, None]
+    values, index = distinct_values(table, 1)
+    return np.array([x.sign() for x in values], dtype=np.int8)[index]
 
 
 def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:
@@ -531,14 +621,10 @@ def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:
     normals and points are int64 quaternion rows, each row over any positive
     denominator, since positive scaling changes no sign.  Each block of
     normals makes one dot table, and each distinct difference in it is
-    signed once.
+    signed once; a block's table is gone before the next block's is made.
     """
     signs = np.empty((len(normals), len(points)), dtype=np.int8)
     for lo in range(0, len(normals), _SIGN_BLOCK):
-        table = dot_rows(normals[lo:lo + _SIGN_BLOCK], points)
-        _check_bound(2, table, np.asarray(1))  # a difference of two entries
-        at = table[np.arange(len(table)), anchors[lo:lo + _SIGN_BLOCK]]
-        table -= at[:, None]
-        values, index = distinct_values(table, 1)
-        signs[lo:lo + _SIGN_BLOCK] = np.array([x.sign() for x in values], dtype=np.int8)[index]
+        hi = lo + _SIGN_BLOCK
+        signs[lo:hi] = _block_signs(normals[lo:hi], points, anchors[lo:hi])
     return signs

@@ -331,3 +331,33 @@ def test_s3_rejects_a_point_that_is_not_a_snub_vertex():
     for point in (TET.elements[0], t_prime().elements[0], Q_ONE + E1):
         with pytest.raises(SearchFailed):
             s3_of(point)
+
+
+def concatenated_pair_rows(base):
+    """Every [p, q] and [p, q]* over base as (star | p | q) rows over one denominator.
+
+    Built as the pair groups once were: two star halves concatenated, the
+    signs normalised through a stacked copy, then sorted by np.lexsort and
+    reduced by the gcd.
+    """
+    rows, den = common_rows(base.elements)
+    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    p, q = (x.reshape(-1, 16) for x in np.broadcast_arrays(rows[lead > 0][:, None], rows[None, :]))
+    table = np.concatenate([np.hstack([np.full((len(p), 1), star), p, q]) for star in (0, 1)])
+    first = np.take_along_axis(table[:, 1:17], (table[:, 1:17] != 0).argmax(axis=1)[:, None],
+                               axis=1)
+    table = np.hstack([table[:, :1], table[:, 1:] * np.where(first < 0, -1, 1)])
+    table = table[np.lexsort(table.T[::-1])]
+    table = table[np.r_[True, (table[1:] != table[:-1]).any(axis=1)]]
+    g = int(np.gcd.reduce(table[:, 1:].ravel(), initial=den))
+    table[:, 1:] //= g
+    return table, den // g
+
+
+@pytest.mark.parametrize("make, base", [(wh4, binary_icosahedral), (wd4c3, binary_tetrahedral)])
+def test_pair_groups_match_the_concatenated_construction(make, base):
+    rows, den = concatenated_pair_rows(base())
+    group = make()
+    assert group.den == den
+    assert group.rows.dtype == rows.dtype and group.rows.shape == rows.shape
+    assert group.rows.tobytes() == rows.tobytes()

@@ -13,11 +13,11 @@ from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion
                      canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, wd4c3,
                      wh3xc2, wh4)
 from icosian.coxeter import orbit_by_elements, reflection
-from icosian.engine import (_FOLD, _PRODUCT_BLOCK, _SIGN_BLOCK, RowIndex, RowKey,
-                            _column_range, _product_block, closure_points,
+from icosian.engine import (_DOT_FORMS, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, _SIGN_BLOCK,
+                            RowIndex, RowKey, _column_range, _matmul, closure_points,
                             common_rows, cross_rows, distinct_labelled, distinct_rows,
-                            distinct_values, pairwise_dots, partition_points, products,
-                            quats_of, side_signs, transform_matrix)
+                            distinct_values, dot_rows, pairwise_dots, partition_points,
+                            products, quats_of, side_signs, transform_matrix)
 from icosian.errors import NotInGoldenSubfield, NotInvariant
 from icosian.field import SQRT10, ZERO, FieldElement
 from icosian.linalg import nullspace
@@ -124,15 +124,120 @@ def test_products_raise_or_match_near_int64_limit(xs, ys, bits):
         pass
 
 
+# The kernels as they were before they read the operands' coefficient
+# supports: every term of the product table, and all four scalar-product
+# forms on all 16 columns, each under its bound on every term.
+ORACLE_PRODUCT_BOUND = int(np.abs(_PW).sum(axis=0).max())  # 72
+
+
+def oracle_product_block(a, b):
+    """a b for broadcastable rows in 16 passes, summed over the coefficients of a."""
+    out = a[..., :1] * (b[..., _PIDX[0]] * _PW[0])
+    for s in range(1, 16):
+        out += a[..., s:s + 1] * (b[..., _PIDX[s]] * _PW[s])
+    return out
+
+
+def oracle_products(a, b):
+    """The 16-pass product, refused unless 72 max|a| max|b| < 2**63."""
+    if ORACLE_PRODUCT_BOUND * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) \
+            >= 1 << 63:
+        raise OverflowError("integer product could leave the int64 range")
+    return oracle_product_block(*np.broadcast_arrays(a, b))
+
+
+def oracle_dot_rows(left, right):
+    """All four forms on all 16 columns, each a pair of bounded int64 matmuls."""
+    right = np.swapaxes(right, -1, -2)
+    return np.stack([_matmul(_matmul(left, form), right) for form in _DOT_FORMS], axis=-1)
+
+
+def exact_products(a, b):
+    return oracle_product_block(*np.broadcast_arrays(a.astype(object), b.astype(object)))
+
+
+def exact_dot_rows(left, right):
+    right = np.swapaxes(right.astype(object), -1, -2)
+    return np.stack([left.astype(object) @ form.astype(object) @ right for form in _DOT_FORMS],
+                    axis=-1)
+
+
 def test_products_blocks_match_one_batch():
     # A table of more products than one block, taken in several blocks.
     rows, _ = common_rows([icosian_seed() * q for q in (Q_ONE, E1, E2, E3, E1 * SQRT2)])
     rows = np.concatenate([rows * k for k in range(1, 40)])
     assert len(rows) ** 2 > 2 * _PRODUCT_BLOCK
     a, b = np.broadcast_arrays(rows[:, None], rows[None, :])
-    assert np.array_equal(products(rows[:, None], rows[None, :]), _product_block(a, b))
+    assert np.array_equal(products(rows[:, None], rows[None, :]), oracle_product_block(a, b))
     assert np.array_equal(products(a.reshape(-1, 16), rows[3]),
-                          _product_block(a.reshape(-1, 16), rows[3]))
+                          oracle_product_block(a.reshape(-1, 16), rows[3]))
+
+
+# Coefficient k of a quaternion component is column 4 i + k, over the radicals
+# 1, sqrt2, sqrt5, sqrt10: the golden columns are closed under products, the
+# others (sqrt2 alone, say) are not.
+COLUMN_MASKS = {
+    "empty": 0,
+    "all": 0xFFFF,
+    "golden": sum(1 << (4 * i + k) for i in range(4) for k in (0, 2)),
+    "rational": sum(1 << (4 * i) for i in range(4)),
+    "sqrt2": sum(1 << (4 * i + 1) for i in range(4)),
+    "sqrt2 coset": sum(1 << (4 * i + k) for i in range(4) for k in (1, 3)),
+    "real": 0b1111,
+    **{f"column {j}": 1 << j for j in range(16)},
+}
+masks = st.one_of(st.sampled_from(sorted(COLUMN_MASKS.values())), st.integers(0, 0xFFFF))
+
+
+def masked_rows(rng, shape, mask, bits):
+    """Random int64 rows of the shape, zero outside the mask, entries below 2**bits."""
+    high = (1 << bits) - 1
+    rows = rng.integers(-high, high, size=shape + (16,), endpoint=True)
+    return rows * np.array([(mask >> j) & 1 for j in range(16)], dtype=np.int64)
+
+
+def kernel_shapes(n, m):
+    """(a, b) shapes for products: a table, elementwise rows, and rows against one row."""
+    return [((n, 1), (1, m)), ((n,), (n,)), ((n,), ()), ((), (m,)), ((2, n), (1, n))]
+
+
+def assert_kernel_is_oracle(kernel, oracle, exact, a, b):
+    """kernel equals the exact product; it raises only where the oracle's bound does."""
+    try:
+        expected = oracle(a, b)
+    except OverflowError:
+        expected = None
+    try:
+        got = kernel(a, b)
+    except OverflowError:
+        assert expected is None
+        return
+    truth = exact(a, b)
+    assert got.dtype == np.int64 and got.shape == truth.shape
+    assert got.astype(object).tolist() == truth.tolist()
+    if expected is not None:
+        assert np.array_equal(got, expected)
+
+
+@given(masks, masks, st.integers(0, 5), st.integers(0, 5), st.integers(1, 63),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_products_on_any_supports_match_the_16_pass_oracle(amask, bmask, n, m, bits, seed):
+    rng = np.random.default_rng(seed)
+    for ashape, bshape in kernel_shapes(n, m):
+        a, b = masked_rows(rng, ashape, amask, bits), masked_rows(rng, bshape, bmask, bits)
+        assert_kernel_is_oracle(products, oracle_products, exact_products, a, b)
+
+
+@given(masks, masks, st.integers(0, 5), st.integers(0, 5), st.integers(1, 63),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_dot_rows_on_any_supports_match_the_four_form_oracle(lmask, rmask, n, m, bits, seed):
+    rng = np.random.default_rng(seed)
+    # Plain tables, a stack of tables, and a stack against one shared right side.
+    for lshape, rshape in (((n,), (m,)), ((2, n), (2, m)), ((3, n), (m,)), ((1, n), (2, m))):
+        left, right = masked_rows(rng, lshape, lmask, bits), masked_rows(rng, rshape, rmask, bits)
+        assert_kernel_is_oracle(dot_rows, oracle_dot_rows, exact_dot_rows, left, right)
 
 
 def test_products_and_cross_rows_of_no_rows():
