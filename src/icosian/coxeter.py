@@ -11,10 +11,12 @@ A TransformGroup holds its elements as int64 rows (star | p | q) over one
 denominator, made by engine.products and put in canonical order by one
 engine.distinct_rows; Transform objects are built only when asked for.
 Compositions, conjugate groups and stabilizers are batched products of
-those rows.  An orbit is closed on engine.closure_points under the
-generators' matrices; orbit_by_elements cross-checks it from images, the
-products of v with every element's rows, which share no code with those
-matrices.  Transform and Quaternion arithmetic stay the scalar operations.
+those rows, and every action on points is engine.act.  An orbit is a
+breadth-first search on engine.closure_points under the generators'
+matrices; orbit_by_elements cross-checks it by another algorithm, the
+images of v under every element.  Both rest on engine.products, since a
+matrix is act on the unit rows.  Transform and Quaternion arithmetic stay
+the scalar operations.
 """
 
 from __future__ import annotations
@@ -170,12 +172,15 @@ class TransformGroup:
 
     def compiled(self):
         if self._compiled is None:
-            self._compiled = engine.compile_transforms(self.elements)
+            self._compiled = engine.compile_transforms(self.rows, self.den)
         return self._compiled
 
     def generator_matrices(self):
-        gens = self.generators or self.elements
-        return [engine.transform_matrix(t) for t in gens]
+        """The generators' matrices; with none listed, every element's, in one batch."""
+        if self.generators:
+            return [engine.transform_matrix(t) for t in self.generators]
+        mats, dens = self.compiled()
+        return list(zip(mats, dens.tolist()))
 
     def images(self, v: Quaternion) -> tuple[np.ndarray, int]:
         """p v q, or p conj(v) q when starred, for every element in order.
@@ -183,9 +188,7 @@ class TransformGroup:
         The images are int64 rows over the one returned denominator.
         """
         row, vden = engine.common_rows([v])
-        r = np.where(self.rows[:, :1] == 1, engine.conjugates(row), row)
-        images = engine.products(engine.products(self.rows[:, 1:17], r), self.rows[:, 17:])
-        return images, self.den ** 2 * vden
+        return engine.act(self.rows, row)[:, 0], self.den ** 2 * vden
 
 
 def _quat_rows(*quats) -> tuple[np.ndarray, ...]:
@@ -258,9 +261,8 @@ def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
     gens += [Transform(Q_ONE, -Q_ONE), Transform(Q_ONE, q * q, True)]
     rows, den = engine.common_rows(binary_icosahedral().elements)
     qr, qden = engine.common_rows([q])
-    tc = engine.conjugates(rows)
-    unstarred = engine.products(engine.products(engine.conjugates(qr), tc), qr)
-    starred = engine.products(engine.products(qr, tc), qr)
+    unstarred, starred = engine.act(_transform_rows((1, engine.conjugates(qr), qr), (1, qr, qr)),
+                                    rows)
     common = den * qden ** 2
     p = engine.rescaled(rows, den, common)
     rows = _transform_rows(*((star, p, s * x)
@@ -386,8 +388,6 @@ def wd4c3_conjugate_pattern(i: int, j: int) -> TransformGroup:
     pi, pj, den = _quat_rows(p ** i, p ** j)
     rows, tden = engine.common_rows(binary_tetrahedral().elements)
     pic, pjc = engine.conjugates(pi), engine.conjugates(pj)
-    a = engine.products(engine.products(pi, rows), pic)
-    b = engine.products(engine.products(pj, rows), pjc)
-    c = engine.products(engine.products(pi, rows), pjc)
+    a, b, c = engine.act(_transform_rows((0, pi, pic), (0, pj, pjc), (0, pi, pjc)), rows)
     rows = _transform_rows((0, a[:, None], b[None, :]), (1, c[:, None], c[None, :]))
     return TransformGroup.from_rows(rows, den * tden * den, f"W(D4):C3^({i},{j})")

@@ -162,7 +162,7 @@ _CELL_CLASSES = (0, 0, 0, 1, 2, 2, 2, 2)
 def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
     """The images of a dual cell under transforms given as (star | p | q) rows over den.
 
-    All images come from one pair of engine.products calls and are checked
+    All images come from one engine.act call and are checked
     exactly, in batch: each transform moves the cell's vertex p onto a
     snub vertex p', its eight vertices onto dual vertices v' with
     (p', v') = LEVEL, and those onto the reciprocated centers of the five
@@ -173,9 +173,7 @@ def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
     vertices = dual_vertices()
     index = {q: i for i, q in enumerate(vertices)}
     seed, sden = engine.common_rows((cell.vertex,) + cell.vertices)
-    starred = rows[:, 0] == 1
-    moved = np.where(starred[:, None, None], engine.conjugates(seed), seed)
-    images = engine.products(engine.products(rows[:, None, 1:17], moved), rows[:, None, 17:])
+    images = engine.act(rows, seed)
     iden = den * den * sden
     at = _find(census.vertices, images[:, 0], iden)
     if (at < 0).any():
@@ -209,7 +207,7 @@ def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
     points = [census.vertices[k] for k in at.tolist()]
     out = []
     for p, vset, label, reverse, coords in zip(
-            points, vertex_sets, labels, starred.tolist(),
+            points, vertex_sets, labels, (rows[:, 0] == 1).tolist(),
             polytope.batched_frame_coords(points, vertex_sets)):
         faces = sorted(_relabel(f, label, reverse) for f in cell.faces)
         out.append(DualCell(p, vset, coords, tuple(f for f in faces if len(f) == 4),

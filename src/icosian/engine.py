@@ -15,12 +15,13 @@ frame: one closure of the frame of the four fundamental weights gives every
 W(H4) weight orbit.  The closure keeps only the sorted keys of what it has
 found and reads the rows back from them at the end (RowKey.rows).
 
-All multiplication is one 16x16 table, made once by _product_table: the
-structure tensors that compile transforms and the bilinear forms of the
-scalar product are read off it.  products is the one batched Hamilton
-product on it: group closure checks, conjugacy classes and the rows of
-every transform group are tables of it, so no group-sized sweep multiplies
-Quaternion objects one pair at a time.
+All multiplication is one 16x16 table, made once by _product_table, and
+the bilinear forms of the scalar product are read off it.  products is the
+one multiplication kernel on it: group closure checks, conjugacy classes
+and the rows of every transform group are tables of it, so no group-sized
+sweep multiplies Quaternion objects one pair at a time.  act applies
+transforms, as (star | p | q) rows, to point rows by two products calls,
+and a transform's 16x16 matrix is act on the 16 unit rows.
 
 One rule of coefficient support holds for every bulk kernel: a column that
 is zero in every row, and that the arithmetic cannot make nonzero, costs
@@ -73,11 +74,6 @@ def _product_table() -> tuple[np.ndarray, np.ndarray]:
 
 _PIDX, _PW = _product_table()
 _S, _T = np.indices((16, 16))
-# _LSTRUCT[s] multiplies by basis element s from the left, _RSTRUCT[s] from the right.
-_LSTRUCT = np.zeros((16, 16, 16), dtype=np.int64)
-_LSTRUCT[_S, _T, _PIDX] = _PW
-_RSTRUCT = np.zeros((16, 16, 16), dtype=np.int64)
-_RSTRUCT[_PIDX, _T, _S] = _PW
 
 
 def _max_abs(arr) -> int:
@@ -188,34 +184,33 @@ def conjugates(rows: np.ndarray) -> np.ndarray:
     return rows * _CONJ
 
 
-_BLOCK = 256  # transforms per batched product, bounding the int64 temporaries
+def act(transforms: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Every transform, given as (star | p | q) int64 rows, applied to every point row.
+
+    Entry [i, j] is p_i r_j q_i, or p_i conj(r_j) q_i where transform i is
+    starred, over the points' denominator times the square of the
+    transforms' denominator: shape (len(transforms), len(points), 16).
+    """
+    moved = np.where(transforms[:, :1, None] == 1, conjugates(points), points)
+    return products(products(transforms[:, None, 1:17], moved), transforms[:, None, 17:])
 
 
-def _compile_block(transforms) -> tuple[np.ndarray, np.ndarray]:
-    n = len(transforms)
-    pvecs = np.array([t.p.ivec[0] for t in transforms], dtype=np.int64).reshape(n, 16)
-    qvecs = np.array([t.q.ivec[0] for t in transforms], dtype=np.int64).reshape(n, 16)
-    left = _matmul(pvecs, _LSTRUCT.reshape(16, 256)).reshape(n, 16, 16)
-    right = _matmul(qvecs, _RSTRUCT.reshape(16, 256)).reshape(n, 16, 16)
-    mats = _matmul(left, right)
-    mats[np.array([t.star for t in transforms], dtype=bool), :, 4:] *= -1
-    dens = np.array([t.p.ivec[1] * t.q.ivec[1] for t in transforms], dtype=np.int64)
-    g = np.gcd(np.gcd.reduce(mats.reshape(n, 256), axis=1), dens)
+def compile_transforms(rows: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer matrices and denominators of the transforms given as (star | p | q) rows over den.
+
+    Column j of matrix i is transform i applied to unit row j; each matrix
+    and den**2 are reduced by the gcd of its entries and den**2.
+    """
+    mats = act(rows, np.eye(16, dtype=np.int64)).transpose(0, 2, 1)
+    dens = np.full(len(rows), den * den, dtype=np.int64)
+    g = np.gcd(np.gcd.reduce(mats.reshape(len(rows), 256), axis=1), dens)
     return mats // g[:, None, None], dens // g
-
-
-def compile_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
-    """Integer matrices and denominators for r -> p r q (conjugating first if starred)."""
-    mats = np.empty((len(transforms), 16, 16), dtype=np.int64)
-    dens = np.empty(len(transforms), dtype=np.int64)
-    for i in range(0, len(transforms), _BLOCK):
-        mats[i:i + _BLOCK], dens[i:i + _BLOCK] = _compile_block(transforms[i:i + _BLOCK])
-    return mats, dens
 
 
 def transform_matrix(t) -> tuple[np.ndarray, int]:
     """The matrix and denominator of one transform, as compile_transforms makes them."""
-    mats, dens = _compile_block([t])
+    pq, den = common_rows([t.p, t.q])
+    mats, dens = compile_transforms(np.hstack([[int(t.star)], pq.ravel()])[None], den)
     return mats[0], int(dens[0])
 
 
@@ -424,11 +419,11 @@ def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
     come back as rows of shape (n, k, 16), ordered on the whole frame, in the
     narrowest integer type that holds the key's bounds, and so every entry:
     a frame table is looked up, so its user widens what it computes with.
-    The search runs on the support
-    of the seeds (see _support) and keeps only the sorted row keys of the
-    rows found; a frontier outside the key's bounds re-keys them on twice its
-    largest entries.  An image not integral over the rows' denominator
-    multiplies that denominator, and every row, by the missing factor.
+    The search runs on the support of the seeds (see _support) and keeps
+    only the sorted row keys of the rows found; a frontier outside the key's
+    bounds re-keys them on twice its largest entries.  An image not integral
+    over the rows' denominator multiplies that denominator, and every row,
+    by the missing factor.
     Raises CapExceeded as soon as more than cap rows are found, before the
     next round's images are made, so an infinite orbit stops there.
     """

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion,
-                     canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, wd4c3,
-                     wh3xc2, wh4)
-from icosian.coxeter import orbit_by_elements, reflection
-from icosian.engine import (_DOT_FORMS, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, _SIGN_BLOCK,
-                            RowIndex, RowKey, _column_range, _matmul, closure_points,
-                            common_rows, cross_rows, distinct_labelled, distinct_rows,
-                            distinct_values, dot_rows, pairwise_dots, partition_points,
-                            products, quats_of, side_signs, transform_matrix)
+from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion, Transform,
+                     canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, s4_of,
+                     t_prime, wd4c3, wh3xc2, wh4)
+from icosian.coxeter import orbit_by_elements, reflection, wd4c3_conjugate
+from icosian.engine import (_DOT_FORMS, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, _S, _SIGN_BLOCK, _T,
+                            RowIndex, RowKey, _column_range, _matmul, act, closure_points,
+                            common_rows, compile_transforms, cross_rows, distinct_labelled,
+                            distinct_rows, distinct_values, dot_rows, pairwise_dots,
+                            partition_points, products, quats_of, side_signs, transform_matrix)
 from icosian.errors import NotInGoldenSubfield, NotInvariant
 from icosian.field import SQRT10, ZERO, FieldElement
 from icosian.linalg import nullspace
@@ -314,23 +314,110 @@ def test_cross_rows_raise_or_match_near_int64_limit(a, b, c, bits):
         pass
 
 
-@given(st.lists(st.integers(0, 14399), min_size=1, max_size=8), points)
+@given(st.lists(st.integers(0, 14399), min_size=1, max_size=8), st.integers(7200, 14399),
+       points, st.lists(points, min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
-def test_group_images_match_transform_apply(picks, q):
+def test_group_images_match_transform_apply(picks, starred, q, qs):
     group = wh4()
     rows, den = group.images(q)
     assert quats_of(rows[picks], den) == tuple(group.elements[k].apply(q) for k in picks)
+    # act applies the picks, one starred at least, to several points at once.
+    picks = picks + [starred]
+    assert group.rows[starred, 0] == 1
+    points_rows, pden = common_rows(qs)
+    table = act(group.rows[picks], points_rows)
+    assert table.shape == (len(picks), len(qs), 16)
+    for k, images in zip(picks, table):
+        assert quats_of(images, group.den ** 2 * pden) == tuple(
+            group.elements[k].apply(x) for x in qs)
 
 
 def test_compiled_matrices_match_group_images():
-    # compiled() is kept for the benchmark's layer map: its matrices, applied
-    # with a plain @ over their own denominators, give the images products make.
+    # compiled() compiles the groups that list no generators for
+    # generator_matrices, and the benchmark's layer map times it: its
+    # matrices, applied with a plain @ over their own denominators, give the
+    # images of one point, both made by act.
     group = wh4()
     mats, dens = group.compiled()
     q = icosian_seed() + E1 * SQRT2 * HALF
     (vec,), vden = common_rows([q])
     rows, den = group.images(q)
     assert np.array_equal((mats @ vec) * (den // vden), rows * dens[:, None])
+
+
+# The compiler as it was before every action ran on products: two structure
+# tensors off the product table, and three bounded matmuls per transform.
+# ORACLE_LSTRUCT[s] multiplies by basis element s from the left, ORACLE_RSTRUCT[s] from the right.
+ORACLE_LSTRUCT = np.zeros((16, 16, 16), dtype=np.int64)
+ORACLE_LSTRUCT[_S, _T, _PIDX] = _PW
+ORACLE_RSTRUCT = np.zeros((16, 16, 16), dtype=np.int64)
+ORACLE_RSTRUCT[_PIDX, _T, _S] = _PW
+
+
+def oracle_compile_block(transforms):
+    """Matrices and denominators of Transform objects, each over its own p and q denominators."""
+    n = len(transforms)
+    pvecs = np.array([t.p.ivec[0] for t in transforms], dtype=np.int64).reshape(n, 16)
+    qvecs = np.array([t.q.ivec[0] for t in transforms], dtype=np.int64).reshape(n, 16)
+    left = _matmul(pvecs, ORACLE_LSTRUCT.reshape(16, 256)).reshape(n, 16, 16)
+    right = _matmul(qvecs, ORACLE_RSTRUCT.reshape(16, 256)).reshape(n, 16, 16)
+    mats = _matmul(left, right)
+    mats[np.array([t.star for t in transforms], dtype=bool), :, 4:] *= -1
+    dens = np.array([t.p.ivec[1] * t.q.ivec[1] for t in transforms], dtype=np.int64)
+    g = np.gcd(np.gcd.reduce(mats.reshape(n, 256), axis=1), dens)
+    return mats // g[:, None, None], dens // g
+
+
+COMPILED_GROUPS = {
+    "W(H4)": wh4,
+    "W(D4):C3": wd4c3,
+    "W(D4):C3^(1,1)": lambda: wd4c3_conjugate(1, 1),
+    "W(H3)xC2": lambda: wh3xc2(icosian_seed()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_GROUPS))
+def test_compile_transforms_matches_the_structure_tensor_oracle(name):
+    group = COMPILED_GROUPS[name]()
+    mats, dens = compile_transforms(group.rows, group.den)
+    elements = group.elements
+    for lo in range(0, len(elements), 256):
+        oracle_mats, oracle_dens = oracle_compile_block(elements[lo:lo + 256])
+        assert mats[lo:lo + 256].tobytes() == oracle_mats.tobytes()
+        assert dens[lo:lo + 256].tobytes() == oracle_dens.tobytes()
+    assert mats.shape == (len(elements), 16, 16) and dens.dtype == np.int64
+
+
+UNIT_QUATS = quats_of(np.eye(16, dtype=np.int64), 1)
+
+
+@given(points, points, st.booleans(), st.integers(0, 66), st.integers(0, 66))
+@settings(max_examples=80, deadline=None)
+def test_compile_transforms_raise_or_match_near_int64_limit(p, q, star, pbits, qbits):
+    t = Transform(p * (1 << pbits), q * (1 << qbits), star)
+    try:
+        expected = oracle_compile_block([t])
+    except OverflowError:
+        expected = None
+    try:
+        mat, den = transform_matrix(t)
+    except OverflowError:
+        return
+    assert tuple(quats_of(mat.T, den)) == tuple(t.apply(u) for u in UNIT_QUATS)
+    if expected is not None:
+        assert mat.tobytes() == expected[0][0].tobytes() and den == int(expected[1][0])
+
+
+@pytest.mark.parametrize("group", [lambda: s3_of(icosian_seed()),
+                                   lambda: s4_of(t_prime().elements[0])], ids=["S3", "S4"])
+def test_generator_matrices_without_generators_compile_every_element(group):
+    group = group()
+    assert not group.generators
+    got = group.generator_matrices()
+    expected = [transform_matrix(t) for t in group.elements]
+    assert len(got) == len(expected) == group.order
+    for (mat, den), (emat, eden) in zip(got, expected):
+        assert type(den) is int and den == eden and mat.tobytes() == emat.tobytes()
 
 
 @given(points, st.integers(0, 66), st.booleans())
