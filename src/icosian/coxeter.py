@@ -177,10 +177,10 @@ class TransformGroup:
 
     def generator_matrices(self):
         """The generators' matrices; with none listed, every element's, in one batch."""
-        if self.generators:
-            return [engine.transform_matrix(t) for t in self.generators]
-        mats, dens = self.compiled()
-        return list(zip(mats, dens.tolist()))
+        if not self.generators:
+            mats, dens = self.compiled()
+            return list(zip(mats, dens.tolist()))
+        return [engine.transform_matrix(t) for t in self.generators]
 
     def images(self, v: Quaternion) -> tuple[np.ndarray, int]:
         """p v q, or p conj(v) q when starred, for every element in order.

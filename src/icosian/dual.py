@@ -162,12 +162,12 @@ _CELL_CLASSES = (0, 0, 0, 1, 2, 2, 2, 2)
 def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
     """The images of a dual cell under transforms given as (star | p | q) rows over den.
 
-    All images come from one engine.act call and are checked
-    exactly, in batch: each transform moves the cell's vertex p onto a
-    snub vertex p', its eight vertices onto dual vertices v' with
-    (p', v') = LEVEL, and those onto the reciprocated centers of the five
-    tetrahedra and three icosahedra at p'.  Each image is then put in the
-    form dual_cell gives it; any failed check raises CertificationFailed.
+    All images come from one engine.act call and are checked exactly, in
+    batch: each transform moves the cell's vertex p onto a snub vertex p',
+    its eight vertices onto dual vertices v' with (p', v') = LEVEL, and
+    those onto the reciprocated centers of the five tetrahedra and three
+    icosahedra at p'.  Each image is then put in the form dual_cell gives
+    it; any failed check raises CertificationFailed.
     """
     census = polytope.snub_census()
     vertices = dual_vertices()
