@@ -403,7 +403,7 @@ def test_compile_transforms_raise_or_match_near_int64_limit(p, q, star, pbits, q
         mat, den = transform_matrix(t)
     except OverflowError:
         return
-    assert tuple(quats_of(mat.T, den)) == tuple(t.apply(u) for u in UNIT_QUATS)
+    assert quats_of(mat.T, den) == tuple(t.apply(u) for u in UNIT_QUATS)
     if expected is not None:
         assert mat.tobytes() == expected[0][0].tobytes() and den == int(expected[1][0])
 
