@@ -176,11 +176,8 @@ class TransformGroup:
         return self._compiled
 
     def generator_matrices(self):
-        """The generators' matrices; with none listed, every element's, in one batch."""
-        if not self.generators:
-            mats, dens = self.compiled()
-            return list(zip(mats, dens.tolist()))
-        return [engine.transform_matrix(t) for t in self.generators]
+        gens = self.generators or self.elements
+        return [engine.transform_matrix(t) for t in gens]
 
     def images(self, v: Quaternion) -> tuple[np.ndarray, int]:
         """p v q, or p conj(v) q when starred, for every element in order.

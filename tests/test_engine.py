@@ -15,9 +15,9 @@ from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion
 from icosian.coxeter import orbit_by_elements, reflection, wd4c3_conjugate
 from icosian.engine import (_DOT_FORMS, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, _S, _SIGN_BLOCK, _T,
                             RowIndex, RowKey, _column_range, _matmul, act, closure_points,
-                            common_rows, compile_transforms, cross_rows, distinct_labelled,
-                            distinct_rows, distinct_values, dot_rows, pairwise_dots,
-                            partition_points, products, quats_of, side_signs, transform_matrix)
+                            common_rows, cross_rows, distinct_labelled, distinct_rows,
+                            distinct_values, dot_rows, pairwise_dots, partition_points, products,
+                            quats_of, side_signs, transform_matrix)
 from icosian.errors import NotInGoldenSubfield, NotInvariant
 from icosian.field import SQRT10, ZERO, FieldElement
 from icosian.linalg import nullspace
@@ -333,10 +333,9 @@ def test_group_images_match_transform_apply(picks, starred, q, qs):
 
 
 def test_compiled_matrices_match_group_images():
-    # compiled() compiles the groups that list no generators for
-    # generator_matrices, and the benchmark's layer map times it: its
-    # matrices, applied with a plain @ over their own denominators, give the
-    # images of one point, both made by act.
+    # compiled() has no caller in src/, but the benchmark's layer map times
+    # it: its matrices, applied with a plain @ over their own denominators,
+    # give the images of one point, both made by act.
     group = wh4()
     mats, dens = group.compiled()
     q = icosian_seed() + E1 * SQRT2 * HALF
@@ -379,7 +378,9 @@ COMPILED_GROUPS = {
 @pytest.mark.parametrize("name", sorted(COMPILED_GROUPS))
 def test_compile_transforms_matches_the_structure_tensor_oracle(name):
     group = COMPILED_GROUPS[name]()
-    mats, dens = compile_transforms(group.rows, group.den)
+    # compiled() is compile_transforms(rows, den), cached on the group, so
+    # W(H4) is compiled once for this test and the one above.
+    mats, dens = group.compiled()
     elements = group.elements
     for lo in range(0, len(elements), 256):
         oracle_mats, oracle_dens = oracle_compile_block(elements[lo:lo + 256])
