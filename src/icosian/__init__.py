@@ -25,8 +25,9 @@ from .groups import (ConjugacyClass, ConjugacyClassTable, QuaternionGroup,
                      d4_weight_orbits, element_order, icosa_class_plus,
                      icosian_seed, t_prime)
 from .polytope import (Cell, Cell120, PolytopeComplex, VertexFigure,
-                       build_120cell, cell_census, edge_graph, icosa_cell,
-                       projective_equal, snub24_vertices, snub_census,
+                       build_120cell, cell_census, edge_graph,
+                       embedding_censuses, icosa_cell, projective_equal,
+                       snub24_vertices, snub_census,
                        snub_embeddings_in_600cell, tetra_cells_at,
                        vertex_figure)
 from .quaternion import E1, E2, E3, Q_ONE, Quaternion, canonical_sorted
@@ -51,6 +52,7 @@ __all__ = [
     "cell_census", "cell_rotation_orbit", "closure", "conjugacy_classes",
     "d4_weight_orbits",
     "dual_cell", "dual_complex", "dual_vertices", "e8_roots", "edge_graph",
+    "embedding_censuses",
     "element_order", "f4_roots", "field_sqrt", "format_appendix_table",
     "h4_orbit", "h4_simple_roots", "h4_weights", "icosa_cell",
     "icosa_class_plus", "icosian_seed", "orbit", "orbit_decompose",

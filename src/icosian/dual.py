@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
@@ -138,14 +137,6 @@ class DualComplex:
         return "<dual complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
 
 
-def _find(points, rows: np.ndarray, den: int) -> np.ndarray:
-    """The index of each row over den among the points, or -1 where it is none of them."""
-    prows, pden = engine.common_rows(points)
-    common = lcm(den, pden)
-    index = engine.RowIndex(engine.rescaled(prows, pden, common))
-    return index.find(engine.rescaled(rows.reshape(-1, 16), den, common))
-
-
 def _relabel(face, label, reverse: bool) -> tuple[int, ...]:
     """A face cycle under new vertex labels, reversed if asked, from its lowest label."""
     cycle = [label[i] for i in face]
@@ -175,10 +166,10 @@ def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
     seed, sden = engine.common_rows((cell.vertex,) + cell.vertices)
     images = engine.act(rows, seed)
     iden = den * den * sden
-    at = _find(census.vertices, images[:, 0], iden)
+    at = engine.locate(census.vertices, images[:, 0], iden)
     if (at < 0).any():
         raise CertificationFailed("transform moves the cell's vertex off the snub 24-cell")
-    found = _find(vertices, images[:, 1:], iden).reshape(len(rows), 8)
+    found = engine.locate(vertices, images[:, 1:], iden).reshape(len(rows), 8)
     if (found < 0).any():
         raise CertificationFailed("transform moves a cell vertex off the dual vertices")
     levels, _ = engine.distinct_values(engine.dot_rows(images[:, :1], images[:, 1:]), iden * iden)
@@ -225,7 +216,7 @@ def dual_complex() -> DualComplex:
     seed = icosian_seed()
     group = coxeter.wd4c3()
     snub = polytope.snub24_vertices()
-    reached, first = np.unique(_find(snub, *group.images(seed)), return_index=True)
+    reached, first = np.unique(engine.locate(snub, *group.images(seed)), return_index=True)
     if not np.array_equal(reached, np.arange(len(snub))):
         raise CertificationFailed("W(D4):C3 does not move the seed onto every snub vertex")
     vertices = dual_vertices()

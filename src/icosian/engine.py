@@ -386,6 +386,14 @@ class RowIndex:
         return found
 
 
+def locate(points, rows: np.ndarray, den: int) -> np.ndarray:
+    """The index of each row over den among the points, or -1 where it is none of them."""
+    prows, pden = common_rows(points)
+    common = lcm(den, pden)
+    index = RowIndex(rescaled(prows, pden, common))
+    return index.find(rescaled(rows.reshape(-1, 16), den, common))
+
+
 def differences(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
     """rows[index[:, k]] - rows[index[:, 0]] for k >= 1, raising OverflowError rather than wrap."""
     _check_bound(2, rows, 1)

@@ -8,7 +8,15 @@ each cell's first three edges, and only a cell whose first four vertices
 are coplanar solves its own nullspace; the signs come from one
 engine.side_signs table, the norms and offsets from one engine.dot_rows
 table each, and each distinct squared norm takes one exact square root.
-The 120-cell appears as the coset union hosting the second snub copy.
+
+A census is certified up to symmetry (transport_cells): left
+multiplication by a group that permutes the vertices moves a certified
+cell onto its whole orbit, so certify_cells sees one cell per orbit, and
+each moved certificate is the unique one of its image cell.  Every move is
+checked exactly: the multiplier permutes the vertex rows, the images of a
+representative are candidates, and every candidate is reached.  The five
+snub embeddings are the snub census conjugated by p^i, checked the same
+way.  The 120-cell appears as the coset union hosting the second snub copy.
 """
 
 from __future__ import annotations
@@ -216,8 +224,70 @@ def _nearest(centers, vertices):
     return [tuple(np.flatnonzero(row == row.max()).tolist()) for row in rank]
 
 
-def cell_census(vertices) -> PolytopeComplex:
-    """Certified cells of the snub 24-cell, the 600-cell, or the 24-cell."""
+_MOVE_BLOCK = 2048  # vertex images per lookup, bounding the product table
+
+
+def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
+    """certify_cells of the candidates, certifying one cell per orbit of the multipliers.
+
+    The multipliers, given as quaternion rows over den, act on the left:
+    r -> h r.  engine.products moves every vertex by every multiplier, a
+    block of images at a time, and one RowIndex finds each image among the
+    vertices; each must be one.  h then permutes the vertices, so it is a
+    unit and a rotation about the origin, and it moves a cell's certificate
+    (n, c) to (h n, c), the unique certificate of the image cell.  When the
+    multipliers form a group, every orbit of cells holds a cell at the least
+    vertex of some vertex orbit.  So, in candidate order, each such
+    candidate that no image has reached yet is a representative: certify_cells
+    certifies the representatives in one call, and each representative's
+    images under all the multipliers must be candidates.  A candidate that
+    no image reaches raises, as does any other failed check.
+    """
+    vrows, vden = engine.common_rows(vertices)
+    at_vertex = engine.RowIndex(engine.rescaled(vrows, vden, den * vden))
+    step = max(1, _MOVE_BLOCK // len(vertices))
+    perm = np.vstack([at_vertex.find(engine.products(rows[lo:lo + step, None], vrows[None])
+                                     .reshape(-1, 16)).reshape(-1, len(vertices))
+                      for lo in range(0, len(rows), step)])
+    if (perm < 0).any():
+        raise CertificationFailed("multiplier moves a vertex off the vertex set")
+    # Cells as sorted vertex-index rows, padded with -1 to one width.
+    width = max(map(len, candidates), default=0)
+    table = np.array([sorted(idxs) + [-1] * (width - len(idxs)) for idxs in candidates],
+                     dtype=np.intp).reshape(len(candidates), width)
+    at_cell = engine.RowIndex(table)
+    # Whether each vertex is the least of its orbit; the last entry answers for the pad -1.
+    least = np.append(perm.min(axis=0) == np.arange(len(vertices)), False)
+    source = np.full(len(candidates), -1)  # the representative each candidate is an image of
+    mover = np.zeros(len(candidates), dtype=np.intp)  # and the multiplier moving it there
+    representatives = []
+    for k in np.flatnonzero(least[table].any(axis=1)).tolist():
+        if source[k] >= 0:
+            continue
+        idxs = candidates[k]
+        images = np.full((len(rows), width), -1, dtype=np.intp)
+        images[:, :len(idxs)] = np.sort(perm[:, list(idxs)], axis=1)
+        images = at_cell.find(images)
+        if (images < 0).any():
+            raise CertificationFailed("multiplier moves a certified cell off the candidates")
+        fresh = np.flatnonzero(source[images] < 0)
+        source[images[fresh]], mover[images[fresh]] = len(representatives), fresh
+        representatives.append(idxs)
+    if (source < 0).any():
+        raise CertificationFailed("no certified cell moves onto a candidate")
+    certificates = certify_cells(representatives, vertices)
+    nrows, nden = engine.common_rows([normal for normal, _ in certificates])
+    moved = engine.quats_of(engine.products(rows[mover], nrows[source]), den * nden)
+    return [(normal, certificates[k][1]) for normal, k in zip(moved, source.tolist())]
+
+
+def _census_input(vertices):
+    """The canonical vertices, edges, faces, candidate cells and symmetry coset of a set.
+
+    Candidates are (vertex indices, kind) pairs.  The coset is the set
+    itself when it is a group, T or I, and otherwise its 24-point complement
+    in I: a conjugate of T, or a coset of one.
+    """
     vertices = canonical_sorted(vertices)
     vset = set(vertices)
     icos = set(binary_icosahedral().elements)
@@ -225,6 +295,7 @@ def cell_census(vertices) -> PolytopeComplex:
     edges = edge_graph(vertices)
     faces = triangle_faces(vertices, edges)
     candidates: list[tuple[tuple[int, ...], str]] = []
+    coset = vertices
     if vset == tet:
         candidates += [(c, "octahedron") for c in _nearest(t_prime(), vertices)]
     elif vset <= icos:
@@ -236,9 +307,26 @@ def cell_census(vertices) -> PolytopeComplex:
         if complement:
             candidates += [(c, "icosahedron")
                            for c in _nearest(complement, vertices)]
+            coset = complement
     else:
         raise BadParameter("unsupported vertex set")
-    certificates = certify_cells([idxs for idxs, _ in candidates], vertices)
+    return vertices, edges, faces, candidates, coset
+
+
+def cell_census(vertices) -> PolytopeComplex:
+    """Certified cells of the snub 24-cell, the 600-cell, or the 24-cell.
+
+    The cells are certified up to symmetry by transport_cells.  The
+    multipliers are c conj(c0) for c in the set's coset (see _census_input),
+    c0 its first point: the coset itself when it is a group, and for a
+    coset G g of a group G, the group G, whose left multiplication keeps
+    G g, and so the vertex set, in place.
+    """
+    vertices, edges, faces, candidates, coset = _census_input(vertices)
+    rows, den = engine.common_rows(coset)
+    multipliers = engine.products(rows, engine.conjugates(rows[:1]))
+    certificates = transport_cells([idxs for idxs, _ in candidates], vertices,
+                                   multipliers, den * den)
     cells = [Cell(idxs, kind, normal, offset)
              for (idxs, kind), (normal, offset) in zip(candidates, certificates)]
     return PolytopeComplex(vertices, edges, faces, cells)
@@ -369,18 +457,66 @@ def build_120cell() -> Cell120:
     )
 
 
-def snub_embeddings_in_600cell() -> tuple[tuple[Quaternion, ...], ...]:
-    """Five snub copies I - p^i T p^-i, one per conjugate 24-cell."""
+@lru_cache(maxsize=None)
+def _conjugations() -> tuple[np.ndarray, int]:
+    """The five rotations r -> p^i r conj(p)^i, as (star | p | q) rows over one denominator."""
     p = icosian_seed()
-    icos = set(binary_icosahedral().elements)
+    powers, den = engine.common_rows([p ** i for i in range(5)])
+    return np.hstack([np.zeros((5, 1), dtype=np.int64), powers,
+                      engine.conjugates(powers)]), den
+
+
+@lru_cache(maxsize=None)
+def snub_embeddings_in_600cell() -> tuple[tuple[Quaternion, ...], ...]:
+    """Five snub copies I - p^i T p^-i, one per conjugate 24-cell.
+
+    The five conjugate 24-cells are one engine.act of the conjugations on
+    T's rows, and each is looked up among the rows of I.
+    """
+    rows, cden = _conjugations()
+    trows, tden = engine.common_rows(binary_tetrahedral().elements)
+    icos = binary_icosahedral().elements
+    removed = engine.locate(icos, engine.act(rows, trows), tden * cden * cden)
     out = []
-    for i in range(5):
-        pi = p ** i
-        pic = pi.conjugate()
-        removed = {pi * t * pic for t in binary_tetrahedral()}
-        if len(removed) != 24:
+    for found in removed.reshape(len(rows), len(trows)):
+        if (found < 0).any():
+            raise CertificationFailed("conjugate 24-cell leaves the 600-cell")
+        if len(set(found.tolist())) != len(trows):
             raise CertificationFailed("conjugate 24-cell collapsed")
-        out.append(canonical_sorted(icos - removed))
+        kept = np.ones(len(icos), dtype=bool)
+        kept[found] = False
+        out.append(tuple(icos[i] for i in np.flatnonzero(kept).tolist()))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def embedding_censuses() -> tuple[PolytopeComplex, ...]:
+    """The census of each snub embedding: the snub census moved by r -> p^i r p^-i.
+
+    Census 0 is snub_census().  One engine.act call moves the snub's
+    vertices and cell normals by the other four conjugations.  The image
+    vertices must be exactly embedding i: the conjugation is then a
+    rotation about the origin, so it moves each certificate (n, c) to
+    (p^i n p^-i, c), and the embedding's canonical order relabels the edges,
+    faces and cells.  Cell k of census i is the image of the snub's cell k:
+    the cells come in the snub's order, not in cell_census's.
+    """
+    snub = snub_census()
+    rows, cden = _conjugations()
+    points, den = engine.common_rows(snub.vertices + tuple(c.normal for c in snub.cells))
+    n, mden = len(snub.vertices), den * cden * cden
+    edges, faces = np.array(snub.edges), np.array(snub.faces)
+    out = [snub]
+    for embedding, images in zip(snub_embeddings_in_600cell()[1:], engine.act(rows[1:], points)):
+        label = engine.locate(embedding, images[:n], mden)
+        if not np.array_equal(np.sort(label), np.arange(len(embedding))):
+            raise CertificationFailed("conjugation does not move the snub onto its embedding")
+        at = label.tolist()
+        cells = [Cell([at[i] for i in c.vertex_indices], c.kind, normal, c.offset)
+                 for c, normal in zip(snub.cells, engine.quats_of(images[n:], mden))]
+        out.append(PolytopeComplex(
+            embedding, sorted(map(tuple, np.sort(label[edges], axis=1).tolist())),
+            sorted(map(tuple, np.sort(label[faces], axis=1).tolist())), cells))
     return tuple(out)
 
 

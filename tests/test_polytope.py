@@ -7,15 +7,16 @@ import pytest
 
 from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
                      build_120cell, canonical_sorted, cell_census, edge_graph,
-                     icosa_cell, icosa_class_plus, icosian_seed,
-                     projective_equal, snub24_vertices, snub_census,
-                     snub_embeddings_in_600cell, t_prime, tetra_cells_at,
-                     vertex_figure)
-from icosian import polytope
+                     embedding_censuses, icosa_cell, icosa_class_plus,
+                     icosian_seed, projective_equal, snub24_vertices,
+                     snub_census, snub_embeddings_in_600cell, t_prime,
+                     tetra_cells_at, vertex_figure)
+from icosian import engine, polytope
 from icosian.errors import BadParameter, CertificationFailed, DegenerateInput
 from icosian.field import HALF, ONE, SIGMA, TAU, FieldElement
 from icosian.hull import convex_hull_faces
-from icosian.polytope import certify_cells, frame_coords, supporting_hyperplane
+from icosian.polytope import (certify_cells, frame_coords, supporting_hyperplane,
+                              transport_cells)
 from icosian.quaternion import Quaternion
 
 TAU_HALF = TAU * HALF
@@ -177,6 +178,14 @@ def test_snub_embeddings():
     assert len(embeddings) == 5
     assert len({frozenset(e) for e in embeddings}) == 5
     assert embeddings[0] == snub24_vertices()
+    assert embedding_censuses()[0] is snub_census()
+    # The scalar oracle: each conjugate 24-cell by Quaternion products.
+    p = icosian_seed()
+    icosa = set(binary_icosahedral().elements)
+    for i, embedding in enumerate(embeddings):
+        pi = p ** i
+        removed = {pi * t * pi.conjugate() for t in binary_tetrahedral()}
+        assert embedding == canonical_sorted(icosa - removed)
     complex_ = cell_census(embeddings[2])
     assert complex_.counts() == (96, 432, 480, 144)
     # Each icosahedron is the twelve vertices nearest its removed center.
@@ -275,21 +284,134 @@ def test_certify_cells_orients_and_rejects_touching_planes():
         certify_cells([far, near], tesseract)
 
 
-def test_certificates_match_scalar_oracle():
-    """Every certificate, checked with Quaternion.dot and exact comparisons alone."""
-    snub = snub_census()
-    cell24 = cell_census(binary_tetrahedral().elements)
-    cell600 = cell_census(binary_icosahedral().elements)
-    for complex_, cells in ((snub, snub.cells), (cell24, cell24.cells),
-                            (cell600, cell600.cells[::37])):
-        for cell in cells:
-            assert cell.normal.dot(cell.normal) == ONE
-            assert cell.offset > 0
-            for i, v in enumerate(complex_.vertices):
-                if i in cell.vertex_indices:
-                    assert cell.normal.dot(v) == cell.offset
-                else:
-                    assert cell.normal.dot(v) < cell.offset
+def assert_scalar_certificate(complex_, cell):
+    """A cell's certificate, checked with Quaternion.dot and exact comparisons alone."""
+    assert cell.normal.dot(cell.normal) == ONE
+    assert cell.offset > 0
+    for i, v in enumerate(complex_.vertices):
+        if i in cell.vertex_indices:
+            assert cell.normal.dot(v) == cell.offset
+        else:
+            assert cell.normal.dot(v) < cell.offset
+
+
+def recorded_census(monkeypatch, vertices):
+    """cell_census of the vertices, and the cells certify_cells saw: one per orbit."""
+    certified = []
+    certify = polytope.certify_cells
+    monkeypatch.setattr(polytope, "certify_cells",
+                        lambda cells, points: certified.extend(cells) or certify(cells, points))
+    try:
+        return cell_census(vertices), [tuple(sorted(cell)) for cell in certified]
+    finally:
+        monkeypatch.undo()
+
+
+def scalar_orbits(complex_, representatives, multipliers):
+    """The cell positions of each representative's orbit under r -> h r, by Quaternion products."""
+    where = {cell.vertex_indices: k for k, cell in enumerate(complex_.cells)}
+    vertices = complex_.vertices
+    return {where[rep]: {where[tuple(sorted(complex_.index(h * vertices[i]) for i in rep))]
+                         for h in multipliers}
+            for rep in representatives}
+
+
+def test_certificates_match_scalar_oracle(monkeypatch):
+    """Certificates checked with Quaternion.dot and exact comparisons alone.
+
+    The checked cells hold a moved cell, not its orbit's representative, of
+    every orbit of the snub, 24-cell and 600-cell censuses.  Every cell of
+    one embedding census is checked too, after checking that cell k is the
+    image of the snub's cell k.
+    """
+    snub, tet, icos = (snub24_vertices(), binary_tetrahedral().elements,
+                       binary_icosahedral().elements)
+    for vertices, multipliers, stride in ((snub, tet, 1), (tet, tet, 1), (icos, icos, 37)):
+        complex_, representatives = recorded_census(monkeypatch, vertices)
+        orbits = scalar_orbits(complex_, representatives, multipliers)
+        assert sorted(k for orbit in orbits.values() for k in orbit) == list(
+            range(len(complex_.cells)))
+        sample = set(range(0, len(complex_.cells), stride))
+        sample |= {max(orbit - {rep}) for rep, orbit in orbits.items()}
+        assert all((orbit - {rep}) & sample for rep, orbit in orbits.items())
+        for k in sorted(sample):
+            assert_scalar_certificate(complex_, complex_.cells[k])
+    complex_ = snub_census()
+    moved, p = embedding_censuses()[2], icosian_seed() ** 2
+    for cell, image in zip(complex_.cells, moved.cells):
+        assert {moved.vertices[i] for i in image.vertex_indices} == {
+            p * complex_.vertices[i] * p.conjugate() for i in cell.vertex_indices}
+        assert_scalar_certificate(moved, image)
+
+
+def direct_census(vertices):
+    """The census from certify_cells on every candidate: the oracle of transport_cells."""
+    vertices, edges, faces, candidates, _ = polytope._census_input(vertices)
+    certificates = certify_cells([idxs for idxs, _ in candidates], vertices)
+    return vertices, edges, faces, [(tuple(sorted(idxs)), kind, normal, offset)
+                                    for (idxs, kind), (normal, offset)
+                                    in zip(candidates, certificates)]
+
+
+def census_facts(complex_):
+    return complex_.vertices, complex_.edges, complex_.faces, [
+        (c.vertex_indices, c.kind, c.normal, c.offset) for c in complex_.cells]
+
+
+CENSUS_SETS = {
+    "snub": snub24_vertices,
+    "600cell": lambda: binary_icosahedral().elements,
+    "24cell": lambda: binary_tetrahedral().elements,
+    # The complement of a coset p T, which is no group: the multipliers are p T conj(p).
+    "coset": lambda: canonical_sorted(set(binary_icosahedral().elements)
+                                      - {icosian_seed() * t for t in binary_tetrahedral()}),
+}
+
+
+@pytest.mark.parametrize("name", list(CENSUS_SETS))
+def test_transported_census_matches_direct(name):
+    assert census_facts(cell_census(CENSUS_SETS[name]())) == direct_census(CENSUS_SETS[name]())
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_embedding_censuses_match_direct(i):
+    """Equal to cell_census of the embedding, but with the cells in the snub's order."""
+    moved = census_facts(embedding_censuses()[i])
+    direct = census_facts(cell_census(snub_embeddings_in_600cell()[i]))
+    assert moved[:3] == direct[:3]
+    assert set(moved[3]) == set(direct[3])
+    assert [kind for _, kind, _, _ in moved[3]] == [c.kind for c in snub_census().cells]
+
+
+def transport_input(vertices):
+    """The candidate cells, vertices and multiplier rows that cell_census transports with."""
+    vertices, _, _, candidates, coset = polytope._census_input(vertices)
+    rows, den = engine.common_rows(coset)
+    return [idxs for idxs, _ in candidates], vertices, rows, den
+
+
+def test_transport_rejects_a_multiplier_off_the_vertex_set():
+    cells, vertices, _, _ = transport_input(snub24_vertices())
+    outside = binary_tetrahedral().elements + t_prime().elements[:1]
+    with pytest.raises(CertificationFailed, match="moves a vertex off the vertex set"):
+        transport_cells(cells, vertices, *engine.common_rows(outside))
+
+
+def test_transport_rejects_a_missing_orbit_image():
+    cells, vertices, rows, den = transport_input(binary_icosahedral().elements)
+    assert transport_cells(cells, vertices, rows, den) == [
+        (c.normal, c.offset) for c in cell_census(vertices).cells]
+    with pytest.raises(CertificationFailed, match="moves a certified cell off the candidates"):
+        transport_cells(cells[:-1], vertices, rows, den)
+
+
+def test_transport_rejects_a_stray_candidate():
+    """A stray triangle at no least vertex of a vertex orbit: no image reaches it."""
+    cells, vertices, rows, den = transport_input(binary_icosahedral().elements)
+    stray = cells[-1][:3]
+    assert 0 not in stray
+    with pytest.raises(CertificationFailed, match="no certified cell moves onto a candidate"):
+        transport_cells(cells + [stray], vertices, rows, den)
 
 
 CUBE = [tuple(map(FieldElement, p)) for p in product((0, 2), repeat=3)]
