@@ -9,11 +9,9 @@ the one way rows are keyed: it packs each row into as few int64 words as
 the bounds on its columns allow, in that order, so sorting, deduplication
 and RowIndex's binary search all run on one int64 per row when it fits one
 word.  closure_points is the one closure routine: it closes transform
-orbits, the binary polyhedral groups (the orbit of 1 under right
-multiplication) and frames, k points moved together and keyed on the whole
-frame: one closure of the frame of the four fundamental weights gives every
-W(H4) weight orbit.  The closure keeps only the sorted keys of what it has
-found and reads the rows back from them at the end (RowKey.rows).
+orbits and the binary polyhedral groups (the orbit of 1 under right
+multiplication).  It keeps only the sorted keys of what it has found and
+reads the rows back from them at the end (RowKey.rows).
 
 All multiplication is one 16x16 table, made once by _product_table, and
 the bilinear forms of the scalar product are read off it.  products is the
@@ -314,17 +312,17 @@ class RowKey:
             return words[:, 0]
         return (words ^ (-1 << 63)).astype(">i8").view(f"V{8 * words.shape[1]}").ravel()
 
-    def rows(self, keys: np.ndarray, dtype=np.int64) -> np.ndarray:
-        """The rows that have these keys: the inverse of keys.
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The int64 rows that have these keys: the inverse of keys.
 
         Each word is read back one balanced digit at a time, least significant
-        first.  dtype must hold every bound, so every entry fits it.
+        first.
         """
         if len(self._words) == 1:
             words = keys[:, None]
         else:
             words = keys.view(">i8").reshape(len(keys), -1).astype(np.int64) ^ (-1 << 63)
-        out = np.zeros((len(keys), len(self.bounds)), dtype=dtype)
+        out = np.zeros((len(keys), len(self.bounds)), dtype=np.int64)
         for value, word in zip(words.T, self._words):
             for k in word[:0:-1]:
                 bound = self.bounds[k]
@@ -420,13 +418,9 @@ def _support(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
-    """The orbit of the seeds under the generators, as canonically ordered rows.
+    """The orbit of the seed points under the generators, as canonically ordered
+    int64 rows of shape (n, 16).
 
-    A seed is a point, or a frame: a tuple of k points that the generators
-    move together.  Points come back as int64 rows of shape (n, 16).  Frames
-    come back as rows of shape (n, k, 16), ordered on the whole frame, in the
-    narrowest integer type that holds the key's bounds, and so every entry:
-    a frame table is looked up, so its user widens what it computes with.
     The search runs on the support of the seeds (see _support) and keeps
     only the sorted row keys of the rows found; a frontier outside the key's
     bounds re-keys them on twice its largest entries.  An image not integral
@@ -435,17 +429,13 @@ def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
     Raises CapExceeded as soon as more than cap rows are found, before the
     next round's images are made, so an infinite orbit stops there.
     """
-    seeds = list(seeds)
-    framed = bool(seeds) and not isinstance(seeds[0], Quaternion)
-    frames = [tuple(s) for s in seeds] if framed else [(s,) for s in seeds]
-    k = len(frames[0]) if frames else 1
     m = lcm(*(d for _, d in gen_mats))  # every generator over one denominator, in one stack
     mats = np.stack([_scaled(mat, m // d) for mat, d in gen_mats])
-    points, den = common_rows([q for frame in frames for q in frame])
+    points, den = common_rows(seeds)
     cols = _support(points, mats)
     g, c = len(mats), len(cols)
     mats = mats[:, cols[:, None], cols].reshape(g * c, c)
-    frontier = points[:, cols].reshape(len(frames), k * c)
+    frontier = points[:, cols]
     key, seen = _rekey(frontier[:0], frontier)
     while len(frontier):
         if not key.covers(frontier):
@@ -457,8 +447,7 @@ def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
             raise CapExceeded(f"closure exceeded {cap} points")
         frontier = frontier[first[~hit]]
         n = len(frontier)
-        images = _matmul(frontier.reshape(n * k, c), mats.T)  # each point under each generator
-        images = images.reshape(n, k, g, c).transpose(0, 2, 1, 3).reshape(n * g, k * c)
+        images = _matmul(frontier, mats.T).reshape(n * g, c)  # each point under each generator
         frontier = images // m
         # A product that wraps (only within m of -2**63) reads as a remainder,
         # which the gcd then settles exactly.
@@ -467,17 +456,12 @@ def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
             frontier = images // cut
             den *= m // cut
             key, seen = _rekey(_scaled(key.rows(seen), m // cut), frontier)
-    # The key's bounds on all 16 columns of each point, zero off the support,
-    # make the same packing: it reads the rows back in place.
-    bounds = [0] * (k * 16)
-    for j, bound in zip((16 * np.arange(k)[:, None] + cols).ravel().tolist(), key.bounds):
+    # The key's bounds on all 16 columns, zero off the support, make the same
+    # packing: it reads the rows back in place.
+    bounds = [0] * 16
+    for j, bound in zip(cols.tolist(), key.bounds):
         bounds[j] = bound
-    dtype = np.int64  # holds every entry, whatever the bounds
-    if framed:
-        dtype = next((t for t in (np.int8, np.int16, np.int32)
-                      if max(bounds) <= np.iinfo(t).max), dtype)
-    rows = RowKey(bounds).rows(seen, dtype)
-    return rows.reshape((len(rows), k, 16) if framed else (len(rows), 16)), den
+    return RowKey(bounds).rows(seen), den
 
 
 def _rekey(held: np.ndarray, frontier: np.ndarray) -> tuple[RowKey, np.ndarray]:
@@ -606,28 +590,15 @@ def cross_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (both[0] - both[1]) // 2
 
 
-_SIGN_BLOCK = 64  # normals per sign table, bounding its int64 temporaries
+def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:
+    """Exact signs of (n_i, p_j) - (n_i, p_anchors[i]), as an int8 array [i, j].
 
-
-def _block_signs(normals: np.ndarray, points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """side_signs of one block of normals: its dot table, differenced in place."""
+    normals and points are int64 quaternion rows, each row over any positive
+    denominator, since positive scaling changes no sign.  One dot table is
+    differenced in place, and each distinct difference in it is signed once.
+    """
     table = dot_rows(normals, points)
     _check_bound(2, table, 1)  # a difference of two entries
     table -= table[np.arange(len(table)), anchors][:, None]
     values, index = distinct_values(table, 1)
     return np.array([x.sign() for x in values], dtype=np.int8)[index]
-
-
-def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:
-    """Exact signs of (n_i, p_j) - (n_i, p_anchors[i]), as an int8 array [i, j].
-
-    normals and points are int64 quaternion rows, each row over any positive
-    denominator, since positive scaling changes no sign.  Each block of
-    normals makes one dot table, and each distinct difference in it is
-    signed once; a block's table is gone before the next block's is made.
-    """
-    signs = np.empty((len(normals), len(points)), dtype=np.int8)
-    for lo in range(0, len(normals), _SIGN_BLOCK):
-        hi = lo + _SIGN_BLOCK
-        signs[lo:hi] = _block_signs(normals[lo:hi], points, anchors[lo:hi])
-    return signs

@@ -4,10 +4,10 @@ D4 and F4 live inside the binary tetrahedral/octahedral setup; E8 appears as
 icosians scored with the rational part of the golden split; H4 is the 120
 icosians themselves.  The weight orbits of W(H4) and their decomposition
 under the snub symmetry group are computed here as well, all from one
-table: the W(H4) orbit of the frame of the four fundamental weights, closed
-once, with each frame labelled once by its W(D4):C3 coset.  The orbit of a
-weight sum(w_i omega_i) is the table's rows weighted by w, and the coset
-labels split it into W(D4):C3 orbits.
+table: the images g w_i of the four fundamental weights under every
+element g of wh4(), with each g labelled once by its W(D4):C3 coset.  The
+orbit of a weight sum(w_i omega_i) is the table weighted by w, and the
+coset labels split it into W(D4):C3 orbits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine
-from .coxeter import reflection, wd4c3
+from .coxeter import wd4c3, wh4
 from .errors import BadParameter, NotInvariant, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, ZERO
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
@@ -163,29 +163,36 @@ def _mask_tuple(mask) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _reflection_matrices():
-    return tuple(engine.transform_matrix(reflection(a)) for a in h4_simple_roots())
-
-
-@lru_cache(maxsize=None)
 def _weight_table() -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
-    """The W(H4) orbit of the frame of fundamental weights, and each frame's H-coset.
+    """The images of the fundamental weights under W(H4), and each element's H-coset.
 
-    The closure gives one frame (g w_1, ..., g w_4) over den for each g in
-    W(H4); table[i, g] is g w_i, on the columns cols that hold the nonzero
-    entries, in the narrow integer type of the closure's frames; bound is
-    the largest magnitude.  cosets[g] labels the W(D4):C3 orbit of g rho,
-    for the regular weight rho = w_1 + ... + w_4: the coset H g.
+    table[i, g] is g w_i over den, in lowest terms, for g in the order of
+    wh4().rows, on the columns cols that hold the nonzero entries; bound is
+    the largest magnitude.  Each weight's int64 images are narrowed to int16
+    as they come, so one of them at a time is live.  cosets[g] labels the
+    W(D4):C3 orbit of g rho, for the regular weight rho = w_1 + ... + w_4:
+    the coset H g.
     """
-    frames, den = engine.closure_points([h4_weights()], _reflection_matrices())
-    cols = np.flatnonzero(frames.any(axis=(0, 1)))
-    table = np.ascontiguousarray(frames[:, :, cols].transpose(1, 0, 2))
+    group = wh4()
+    omegas, wden = engine.common_rows(h4_weights())
+    table = np.stack([_int16(engine.act(group.rows, omega[None])[:, 0]) for omega in omegas])
+    den = group.den ** 2 * wden
+    g = int(np.gcd.reduce(table, axis=None, initial=den))
+    cols = np.flatnonzero(table.any(axis=(0, 1)))
+    table, den = table[:, :, cols] // g, den // g
     bound = max(int(table.max()), -int(table.min()))
     rho = _weighted(table, bound, (1, 1, 1, 1))
     if len(engine.distinct_rows(rho)) != len(rho):
-        raise NotInvariant("the weight frames do not move rho regularly")
+        raise NotInvariant("the weight images do not move rho regularly")
     cosets = engine.partition_points(_on_all_columns(rho, cols), wd4c3().generator_matrices())
     return table, cols, den, bound, cosets
+
+
+def _int16(rows: np.ndarray) -> np.ndarray:
+    """int64 rows as int16, raising OverflowError rather than wrap."""
+    if max(-int(rows.min()), int(rows.max())) > np.iinfo(np.int16).max:
+        raise OverflowError("weight images leave the int16 range")
+    return rows.astype(np.int16)
 
 
 def _weighted(table: np.ndarray, bound: int, weights) -> np.ndarray:

@@ -13,7 +13,7 @@ from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion
                      canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, s4_of,
                      t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import orbit_by_elements, reflection, wd4c3_conjugate
-from icosian.engine import (_DOT_FORMS, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, _S, _SIGN_BLOCK, _T,
+from icosian.engine import (_DOT_FORMS, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, _S, _T,
                             RowIndex, RowKey, _column_range, _matmul, act, closure_points,
                             common_rows, cross_rows, distinct_labelled, distinct_rows,
                             distinct_values, dot_rows, pairwise_dots, partition_points, products,
@@ -69,9 +69,9 @@ def test_side_signs_match_quaternion_dot(normals, pts, bits, data):
     anchors = data.draw(st.lists(st.integers(0, len(pts) - 1),
                                  min_size=len(normals), max_size=len(normals)))
     assert_signs_are_oracle(normals, pts, anchors)
-    # More normals than one block: the second block has other denominators.
-    many = [n * (1 + k % 3) for k, n in enumerate(normals * _SIGN_BLOCK)][:_SIGN_BLOCK + 5]
-    assert_signs_are_oracle(many, pts, (anchors * _SIGN_BLOCK)[:len(many)])
+    # Copies of the normals over other denominators, in one table.
+    many = [n * (1 + k % 3) for k, n in enumerate(normals * 3)]
+    assert_signs_are_oracle(many, pts, anchors * 3)
     # Sized toward the int64 limit: raise OverflowError or stay exact.
     scale = 1 << bits
     try:
@@ -531,60 +531,6 @@ def test_orbit_raises_or_matches_near_int64_limit(name, q, bits):
     except OverflowError:
         return
     assert points == canonical_sorted({t.apply(scaled) for t in group})
-
-
-def frames_by_elements(group, frame):
-    """The images of a frame under every element, as tuples of quaternions."""
-    images = [quats_of(*group.images(q)) for q in frame]
-    return set(zip(*images))
-
-
-def frames_of(rows, den):
-    return [tuple(quats_of(frame, den)) for frame in rows.astype(np.int64)]
-
-
-@given(group_names, points, points)
-@settings(max_examples=40, deadline=None)
-def test_frame_closure_matches_element_images(name, a, b):
-    group = GROUPS[name]()
-    rows, den = closure_points([(a, b)], group.generator_matrices())
-    assert rows.shape[1:] == (2, 16)
-    flat = rows.reshape(len(rows), 32).astype(np.int64)
-    assert np.array_equal(distinct_rows(flat), flat)  # distinct, in lexicographic order
-    assert set(frames_of(rows, den)) == frames_by_elements(group, (a, b))
-    # A frame of one point is that point's orbit.
-    single, single_den = closure_points([(a,)], group.generator_matrices())
-    expected, expected_den = closure_points([a], group.generator_matrices())
-    assert single_den == expected_den
-    assert np.array_equal(single[:, 0], expected)
-
-
-def test_frame_closure_grows_its_denominator():
-    q = Quaternion(-1, 0, 1, Fraction(-1, 2))  # see test_orbit_grows_its_denominator
-    frame = (q, icosian_seed())
-    rows, den = closure_points([frame], wh4().generator_matrices())
-    assert len(rows) == 14400
-    assert set(frames_of(rows, den)) == frames_by_elements(wh4(), frame)
-
-
-def test_frame_closure_keeps_entries_past_its_narrow_types():
-    # The key's bound, twice the largest entry, leaves int64; the entries do not.
-    x = Quaternion((1 << 62) + 1)
-    rows, den = closure_points([(x, -x)], [(np.eye(16, dtype=np.int64), 1)])
-    assert rows.dtype == np.int64 and den == 1
-    assert rows[:, :, 0].tolist() == [[(1 << 62) + 1, -(1 << 62) - 1]]
-
-
-@given(group_names, points, points, st.integers(40, 66))
-@settings(max_examples=30, deadline=None)
-def test_frame_closure_raises_or_matches_near_int64_limit(name, a, b, bits):
-    group = GROUPS[name]()
-    frame = (a * (1 << bits), b)
-    try:
-        rows, den = closure_points([frame], group.generator_matrices())
-    except OverflowError:
-        return
-    assert set(frames_of(rows, den)) == {tuple(t.apply(q) for q in frame) for t in group}
 
 
 # Row keys: int64 rows whose columns each hold zeros, small, mid-sized or any entries.

@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,11 +12,12 @@ from icosian import (HALF, Quaternion, appendix_decompositions,
                      binary_tetrahedral, build_120cell, canonical_sorted,
                      e8_roots, f4_roots, field_sqrt, format_appendix_table,
                      h4_orbit, h4_simple_roots, h4_weights, orbit_decompose,
-                     snub24_vertices, snub_sum_form, wd4c3)
+                     snub24_vertices, snub_sum_form, wd4c3, wh4)
+from icosian.coxeter import reflection
 from icosian.errors import BadParameter
 from icosian.field import ONE, SIGMA, SQRT2, TAU
-from icosian.engine import closure_points, partition_points, quats_of
-from icosian.roots import (ALL_MASKS, _reflection_matrices, _weight_orbit, d4_data,
+from icosian.engine import closure_points, partition_points, quats_of, transform_matrix
+from icosian.roots import (ALL_MASKS, _weight_orbit, _weight_table, d4_data,
                            e8_minus_24cells, euclid_profile_full, weight_decomposition)
 
 
@@ -204,11 +206,26 @@ def test_suborbits_are_wd4c3_orbits():
     assert set(total) == set(pts)
 
 
+@given(st.integers(0, 14399))
+@settings(max_examples=40, deadline=None)
+def test_weight_table_is_the_elements_images(g):
+    table, cols, den, bound, _ = _weight_table()
+    # orbit --weights refuses exactly the weights whose sums could leave
+    # int64 by this den and bound (test_orbit_weights_past_int64_exit_2).
+    assert (den, bound) == (4, 9)
+    element = wh4().elements[g]
+    for omega, images in zip(h4_weights(), table):
+        row = np.zeros((1, 16), dtype=np.int64)
+        row[0, cols] = images[g]
+        assert quats_of(row, den)[0] == element.apply(omega)
+
+
 def closure_weight_orbit(weights):
     """A weight orbit by its own closure under the simple reflections and its own
     W(D4):C3 partition: the orbit's points and its sorted part sizes."""
     seed = sum((omega * w for w, omega in zip(weights, h4_weights())), Quaternion(0))
-    rows, den = closure_points([seed], _reflection_matrices())
+    reflections = [transform_matrix(reflection(a)) for a in h4_simple_roots()]
+    rows, den = closure_points([seed], reflections)
     labels = partition_points(rows, wd4c3().generator_matrices())
     return quats_of(rows, den), tuple(sorted(Counter(labels.tolist()).values()))
 
