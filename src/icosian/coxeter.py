@@ -8,15 +8,19 @@ S3 (of a snub vertex) are each stabilizer(wd4c3(), v), read off one images
 table; W(H3)xC2, the stabilizer of an axis in W(H4), keeps a direct formula.
 
 A TransformGroup holds its elements as int64 rows (star | p | q) over one
-denominator, made by engine.products and put in canonical order by one
-engine.distinct_rows; Transform objects are built only when asked for.
-Compositions, conjugate groups and stabilizers are batched products of
-those rows, and every action on points is engine.act.  An orbit is a
-breadth-first search on engine.closure_points under the generators'
-matrices; orbit_by_elements cross-checks it by another algorithm, the
-images of v under every element.  Both rest on engine.products, since a
-matrix is act on the unit rows.  Transform and Quaternion arithmetic stay
-the scalar operations.
+denominator; Transform objects are built only when asked for.  W(H4) and
+W(D4):C3 are pair groups in the paper's factored form, {[p, q], [p, q]* :
+p, q in I} and the same over T: they keep the factors P and Q and make
+their rows, already in canonical order, only on first use.  Their images
+are the products (P v) Q and (P conj(v)) Q, a stabilizer makes only its
+fixed rows, and coset_labels reads the cosets of W(D4):C3 in W(H4) off the
+pairs (T p, q T).  Every other group (stabilizers, conjugates, W(H3)xC2) is
+put in canonical order by one engine.distinct_rows, and acts on points by
+engine.act.  An orbit is a breadth-first search on engine.closure_points
+under the generators' matrices; orbit_by_elements cross-checks it by
+another algorithm, the images of v under every element.  Both rest on
+engine.products, since a matrix is act on the unit rows.  Transform and
+Quaternion arithmetic stay the scalar operations.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine
-from .errors import BadParameter, SearchFailed
+from .errors import BadParameter, NotInvariant, SearchFailed
 from .field import HALF, ONE
 from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral, icosian_seed,
                      t_prime)
@@ -100,6 +104,10 @@ class TransformGroup:
     nonzero coefficient is positive, and columns 17-32 hold q; den is in
     lowest terms.  The rows' lexicographic order is the canonical element
     order: unstarred first, then by p, then by q, each as rationals.
+
+    A pair group, every [p, q] and [p, q]* with p in P and q in Q, keeps
+    only its factors P and Q (see _pair_group): its rows, its images and its
+    stabilizers are read off them, and the rows are made on first use.
     """
 
     def __init__(self, elements, label: str = "", generators=()):
@@ -130,10 +138,28 @@ class TransformGroup:
         rows = engine.distinct_rows(rows)
         g = int(np.gcd.reduce(rows[:, 1:], axis=None, initial=den))
         rows[:, 1:] //= g
-        self.rows, self.den = rows, den // g
+        self._init(rows, den // g, label, generators, None)
+
+    def _init(self, rows, den, label, generators, factors):
+        self._rows, self.den, self._factors = rows, den, factors
         self.label = label
         self.generators = tuple(generators)
         self._elements = self._set = self._compiled = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            p, q = self._factors
+            self._rows = _transform_rows((0, p[:, None], q[None]), (1, p[:, None], q[None]))
+        return self._rows
+
+    def _rows_at(self, index: np.ndarray) -> np.ndarray:
+        """The rows of the elements at these indices, a pair group's made from its factors."""
+        if self._factors is None:
+            return self.rows[index]
+        p, q = self._factors
+        star, i, j = np.unravel_index(index, (2, len(p), len(q)))
+        return _transform_rows((star, p[i], q[j]))
 
     @property
     def elements(self) -> tuple[Transform, ...]:
@@ -146,10 +172,13 @@ class TransformGroup:
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._factors is None:
+            return len(self._rows)
+        p, q = self._factors
+        return 2 * len(p) * len(q)
 
     def __iter__(self):
         return iter(self.elements)
@@ -182,10 +211,17 @@ class TransformGroup:
     def images(self, v: Quaternion) -> tuple[np.ndarray, int]:
         """p v q, or p conj(v) q when starred, for every element in order.
 
-        The images are int64 rows over the one returned denominator.
+        The images are int64 rows over the one returned denominator.  A pair
+        group makes them as the products (P x) Q, for x = v and then conj(v):
+        that is its row order.
         """
         row, vden = engine.common_rows([v])
-        return engine.act(self.rows, row)[:, 0], self.den ** 2 * vden
+        den = self.den ** 2 * vden
+        if self._factors is None:
+            return engine.act(self.rows, row)[:, 0], den
+        p, q = self._factors
+        moved = engine.products(p, np.stack([row, engine.conjugates(row)]))  # [star, i]
+        return engine.products(moved.reshape(-1, 1, 16), q[None]).reshape(-1, 16), den
 
 
 def _quat_rows(*quats) -> tuple[np.ndarray, ...]:
@@ -219,16 +255,20 @@ def _units(base: QuaternionSet) -> list[Quaternion]:
 
 
 def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
-    """Every [p, q] and [p, q]* over base, generated by [g,1], [1,g] and conjugation."""
+    """Every [p, q] and [p, q]* over base, generated by [g,1], [1,g] and conjugation.
+
+    The group keeps its factors: P, the half of base whose first nonzero
+    coefficient is positive, since [p, q] and [-p, -q] act alike, and Q, all
+    of base, both in canonical order and so making the rows in canonical order.
+    """
     units = _units(base)
     gens = [t for g in units for t in (Transform(g, Q_ONE), Transform(Q_ONE, g))]
     gens.append(Transform(Q_ONE, Q_ONE, True))
-    rows, den = engine.common_rows(base.elements)
-    # [p, q] and [-p, -q] act alike: p runs over the half of base whose
-    # first nonzero coefficient is positive, so no pair is made twice.
+    rows, den = engine.common_rows(base.elements)  # in lowest terms, as every Quaternion is
     lead = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
-    p, q = rows[lead > 0][:, None], rows[None, :]
-    return TransformGroup.from_rows(_transform_rows((0, p, q), (1, p, q)), den, label, gens)
+    group = TransformGroup.__new__(TransformGroup)
+    group._init(None, den, label, gens, (rows[lead > 0], rows))
+    return group
 
 
 @lru_cache(maxsize=None)
@@ -318,10 +358,46 @@ def orbit_by_elements(group: TransformGroup, v: Quaternion) -> tuple[Quaternion,
 
 
 def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:
+    """The elements fixing v, read off the images of v; only their rows are made."""
     rows, den = group.images(v)
     row, vden = engine.common_rows([v])
-    fixed = (rows == engine.rescaled(row, vden, den)).all(axis=1)
-    return TransformGroup.from_rows(group.rows[fixed], group.den, f"Stab_{group.label}({v})")
+    fixed = np.flatnonzero((rows == engine.rescaled(row, vden, den)).all(axis=1))
+    return TransformGroup.from_rows(group._rows_at(fixed), group.den,
+                                    f"Stab_{group.label}({v})")
+
+
+def coset_labels(group: TransformGroup, sub: TransformGroup) -> np.ndarray:
+    """Each element g of a pair group labelled by its coset sub g, for a pair group
+    sub over a subgroup T of the group's base: equal labels, one coset.
+
+    [a, b] g and [a, b]* g, for a, b in T, are [a p, q b] and [a conj(q),
+    conj(p) b]* when g = [p, q], and [a x, y b]* and [a conj(y), conj(x) b]
+    when g = [x, y]*.  So the coset of [p, q] is fixed by the pair (T p, q T)
+    and that of [x, y]* by (T conj(y), conj(x) T).  Each class T x and x T
+    is named by the least index, in the base, of its points, and the label
+    codes the two names.  Raises NotInvariant unless T multiplies the base
+    into itself and every coset holds len(sub) elements.
+    """
+    p, q = group._factors
+    t = sub._factors[1]  # T over sub.den, so products with the base are over sub.den * group.den
+    index = engine.RowIndex(engine.rescaled(q, group.den, sub.den * group.den))
+
+    def classes(prods, axis):
+        found = index.find(prods.reshape(-1, 16)).reshape(prods.shape[:2])
+        if (found < 0).any():
+            raise NotInvariant("the subgroup's base does not multiply the base into itself")
+        return found.min(axis=axis)
+
+    # T p for p in P, then T conj(q) for q in Q; q T, then conj(p) T.
+    left = classes(engine.products(t[:, None], np.concatenate([p, engine.conjugates(q)])[None]), 0)
+    right = classes(engine.products(np.concatenate([q, engine.conjugates(p)])[:, None], t[None]), 1)
+    n, m = len(p), len(q)
+    labels = np.concatenate([(left[:n, None] * m + right[None, :m]).ravel(),
+                             (left[None, n:] * m + right[m:, None]).ravel()])
+    sizes = np.bincount(labels)
+    if (sizes[sizes > 0] != len(sub)).any():
+        raise NotInvariant(f"the cosets of {sub.label} do not split {group.label} evenly")
+    return labels
 
 
 class OrbitPartition:

@@ -399,7 +399,14 @@ def differences(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def quats_of(rows: np.ndarray, den: int) -> tuple[Quaternion, ...]:
-    return tuple(Quaternion._from_ivec(row, den) for row in rows.tolist())
+    """The rows over den as Quaternions, each reduced to lowest terms by one numpy gcd.
+
+    numpy's gcd runs on int64, so a den past int64 takes it on Python ints.
+    """
+    g = np.gcd.reduce(rows, axis=1, initial=0)
+    g = np.gcd(g, den) if den < 1 << 63 else np.gcd(g.astype(object), den)
+    return tuple(Quaternion._reduced(tuple(row), d)
+                 for row, d in zip((rows // g[:, None]).tolist(), (den // g).tolist()))
 
 
 def _support(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -141,14 +141,15 @@ def icosian_seed() -> Quaternion:
 
 @lru_cache(maxsize=None)
 def binary_icosahedral() -> QuaternionGroup:
-    """Order 120; the vertices of the 600-cell, as the five cosets p^j T."""
+    """Order 120; the vertices of the 600-cell, as the five cosets p^j T, one products table."""
     p = icosian_seed()
-    elems = []
-    power = Q_ONE
-    for _ in range(5):
-        elems.extend(power * t for t in binary_tetrahedral())
-        power = power * p
-    return QuaternionGroup(elems, "I")
+    powers = [Q_ONE]
+    for _ in range(4):
+        powers.append(powers[-1] * p)
+    prows, pden = engine.common_rows(powers)
+    trows, tden = engine.common_rows(binary_tetrahedral().elements)
+    table = engine.products(prows[:, None], trows[None]).reshape(-1, 16)
+    return QuaternionGroup(engine.quats_of(table, pden * tden), "I")
 
 
 def element_order(q: Quaternion) -> int:

@@ -81,6 +81,13 @@ class Quaternion:
         self._init(tuple(vec), den)
         return self
 
+    @classmethod
+    def _reduced(cls, vec: tuple, den: int) -> "Quaternion":
+        """The quaternion of a tuple vec over den already in lowest terms."""
+        self = object.__new__(cls)
+        self._vec, self._den, self._hash = vec, den, hash((vec, den))
+        return self
+
     @property
     def ivec(self) -> tuple[tuple[int, ...], int]:
         return self._vec, self._den

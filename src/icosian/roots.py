@@ -5,8 +5,9 @@ icosians scored with the rational part of the golden split; H4 is the 120
 icosians themselves.  The weight orbits of W(H4) and their decomposition
 under the snub symmetry group are computed here as well, all from one
 table: the images g w_i of the four fundamental weights under every
-element g of wh4(), with each g labelled once by its W(D4):C3 coset.  The
-orbit of a weight sum(w_i omega_i) is the table weighted by w, and the
+element g of wh4(), read off its factors (P w) Q without making its rows,
+with each g labelled once by its W(D4):C3 coset (coxeter.coset_labels).
+The orbit of a weight sum(w_i omega_i) is the table weighted by w, and the
 coset labels split it into W(D4):C3 orbits.
 """
 
@@ -15,11 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
 from . import engine
-from .coxeter import wd4c3, wh4
+from .coxeter import coset_labels, wd4c3, wh4
 from .errors import BadParameter, NotInvariant, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, ZERO
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
@@ -168,31 +170,36 @@ def _weight_table() -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
 
     table[i, g] is g w_i over den, in lowest terms, for g in the order of
     wh4().rows, on the columns cols that hold the nonzero entries; bound is
-    the largest magnitude.  Each weight's int64 images are narrowed to int16
-    as they come, so one of them at a time is live.  cosets[g] labels the
-    W(D4):C3 orbit of g rho, for the regular weight rho = w_1 + ... + w_4:
-    the coset H g.
+    the largest magnitude.  The images are read off W(H4)'s factors
+    (TransformGroup.images), so its 14,400 rows are never made.  Each
+    weight's int64 images are narrowed to int16 as they come, so one of
+    them at a time is live, and brought to the common den there.  cosets[g]
+    labels the coset H g of H = W(D4):C3 (coxeter.coset_labels); since
+    rho = w_1 + ... + w_4 is moved regularly, the image of H g is the
+    W(D4):C3 orbit of g rho.
     """
     group = wh4()
-    omegas, wden = engine.common_rows(h4_weights())
-    table = np.stack([_int16(engine.act(group.rows, omega[None])[:, 0]) for omega in omegas])
-    den = group.den ** 2 * wden
-    g = int(np.gcd.reduce(table, axis=None, initial=den))
+    images = [(_int16(rows), d) for rows, d in map(group.images, h4_weights())]
+    den = lcm(*(d for _, d in images))
+    table = np.stack([_int16(rows, den // d) for rows, d in images])
     cols = np.flatnonzero(table.any(axis=(0, 1)))
-    table, den = table[:, :, cols] // g, den // g
+    table = table[:, :, cols]
+    g = int(np.gcd.reduce(table, axis=None, initial=den))
+    table, den = table // g, den // g
     bound = max(int(table.max()), -int(table.min()))
     rho = _weighted(table, bound, (1, 1, 1, 1))
     if len(engine.distinct_rows(rho)) != len(rho):
         raise NotInvariant("the weight images do not move rho regularly")
-    cosets = engine.partition_points(_on_all_columns(rho, cols), wd4c3().generator_matrices())
-    return table, cols, den, bound, cosets
+    return table, cols, den, bound, coset_labels(group, wd4c3())
 
 
-def _int16(rows: np.ndarray) -> np.ndarray:
-    """int64 rows as int16, raising OverflowError rather than wrap."""
-    if max(-int(rows.min()), int(rows.max())) > np.iinfo(np.int16).max:
+def _int16(rows: np.ndarray, scale: int = 1) -> np.ndarray:
+    """Integer rows times scale as int16, raising OverflowError rather than wrap."""
+    if scale * max(-int(rows.min()), int(rows.max())) > np.iinfo(np.int16).max:
         raise OverflowError("weight images leave the int16 range")
-    return rows.astype(np.int16)
+    out = rows.astype(np.int16)
+    out *= scale
+    return out
 
 
 def _weighted(table: np.ndarray, bound: int, weights) -> np.ndarray:
@@ -215,11 +222,13 @@ def _on_all_columns(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _weight_orbit(weights) -> tuple[np.ndarray, int, np.ndarray]:
     """The W(H4) orbit of sum(w_i * omega_i) as canonically ordered rows over den,
-    and each point's W(D4):C3 orbit as the least coset that maps the weight onto it.
+    and each point's W(D4):C3 orbit as the least label of a coset that maps the
+    weight onto it.
 
     The point g(sum w_i omega_i) is sum w_i g(omega_i), read off the weight
     table.  The image of a coset H g is one W(D4):C3 orbit, so two images
-    are equal or disjoint, and the least coset reaching a point labels its orbit.
+    are equal or disjoint, and the least label of a coset reaching a point
+    labels its orbit.
     """
     table, cols, den, bound, cosets = _weight_table()
     rows, labels = engine.distinct_labelled(_weighted(table, bound, weights), cosets)

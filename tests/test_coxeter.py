@@ -10,9 +10,10 @@ from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceede
                      binary_icosahedral, binary_tetrahedral, build_group, canonical_sorted,
                      icosian_seed, orbit, orbit_decompose, reflection, s3_of, s4_of,
                      snub24_vertices, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
-from icosian.coxeter import (orbit_by_elements, seed_conjugator, wd4c3_conjugate,
+from icosian.coxeter import (coset_labels, orbit_by_elements, seed_conjugator, wd4c3_conjugate,
                              wd4c3_conjugate_pattern)
-from icosian.engine import closure_points, common_rows, quats_of, transform_matrix
+from icosian.engine import act, closure_points, common_rows, quats_of, transform_matrix
+from icosian.field import SQRT2, TAU
 
 
 def test_sign_canonicalization():
@@ -361,3 +362,66 @@ def test_pair_groups_match_the_concatenated_construction(make, base):
     assert group.den == den
     assert group.rows.dtype == rows.dtype and group.rows.shape == rows.shape
     assert group.rows.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("make, base", [(wh4, binary_icosahedral), (wd4c3, binary_tetrahedral)])
+def test_pair_group_rows_are_the_distinct_rows_of_every_pair(make, base):
+    # Every [p, q] and [p, q]* with p and q in base, both signs of p included,
+    # put in canonical order by from_rows: its sign pass, distinct_rows and gcd.
+    rows, den = common_rows(base().elements)
+    p, q = (x.reshape(-1, 16) for x in np.broadcast_arrays(rows[:, None], rows[None]))
+    oracle = TransformGroup.from_rows(
+        np.concatenate([np.hstack([np.full((len(p), 1), star), p, q]) for star in (0, 1)]), den)
+    group = make()
+    assert len(group) == len(oracle.rows) == len(p)
+    assert group.den == oracle.den
+    assert group.rows.tobytes() == oracle.rows.tobytes()
+
+
+IMAGE_POINTS = [Q_ONE, icosian_seed(), E1 + icosian_seed() * SQRT2,
+                Quaternion(HALF, -HALF, HALF, HALF) * TAU + E3 * Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("make", [wh4, wd4c3], ids=["W(H4)", "W(D4):C3"])
+def test_factored_images_match_act_on_every_row(make):
+    group = make()
+    for v in IMAGE_POINTS:
+        (row,), vden = common_rows([v])
+        rows, den = group.images(v)
+        assert den == group.den ** 2 * vden
+        assert rows.tobytes() == act(group.rows, row[None])[:, 0].tobytes()
+
+
+def rows_stabilizer(group, v):
+    """stabilizer as it was: the rows whose act image of v is v, out of every row."""
+    (row,), vden = common_rows([v])
+    images = act(group.rows, row[None])[:, 0]
+    fixed = (images == row * group.den ** 2).all(axis=1)
+    return TransformGroup.from_rows(group.rows[fixed], group.den)
+
+
+def test_stabilizer_matches_the_all_rows_oracle_at_every_point_of_I():
+    group = wh4()
+    for v in binary_icosahedral():
+        stab = stabilizer(group, v)
+        assert len(stab) == 120
+        assert stab == rows_stabilizer(group, v)
+
+
+def test_coset_labels_of_the_snub_group_in_wh4():
+    labels = coset_labels(wh4(), wd4c3())
+    assert len(labels) == 14400
+    _, first, inverse, counts = np.unique(labels, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    assert len(first) == 25 and set(counts.tolist()) == {576}
+    # Elements with one label differ by an element of W(D4):C3 on the left,
+    # and so do no two with different labels.
+    elements, small = wh4().elements, set(wd4c3().elements)
+    for g in (0, 1, 7199, 7200, 9001, 14399):
+        assert elements[first[inverse[g]]] * elements[g].inverse() in small
+        assert sum(elements[k] * elements[g].inverse() in small for k in first) == 1
+
+
+def test_coset_labels_refuse_a_subgroup_over_another_base():
+    with pytest.raises(NotInvariant, match="multiply the base"):
+        coset_labels(wd4c3(), wh4())

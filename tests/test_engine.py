@@ -435,6 +435,46 @@ def test_group_images_raise_or_match_near_int64_limit(q, bits, shrink):
     assert quats_of(rows[picks], den) == tuple(group.elements[k].apply(scaled) for k in picks)
 
 
+PAIR_GROUPS = {"W(H4)": wh4, "W(D4):C3": wd4c3}
+
+
+@given(points, st.integers(0, 66), st.booleans(), st.sampled_from(sorted(PAIR_GROUPS)))
+@settings(max_examples=60, deadline=None)
+def test_factored_images_raise_or_match_act_near_int64_limit(q, bits, shrink, name):
+    # A pair group's images come from its factors, as (P x) Q; act on every
+    # row is the oracle.  act bounds both star halves in one product, so it
+    # may refuse a point that the factors, bounded half by half, answer.
+    group = PAIR_GROUPS[name]()
+    scaled = q * (Fraction(1, 1 << bits) if shrink else 1 << bits)
+    try:
+        rows, den = group.images(scaled)
+    except OverflowError:
+        return
+    (row,), vden = common_rows([scaled])
+    assert den == group.den ** 2 * vden
+    try:
+        expected = act(group.rows, row[None])[:, 0]
+    except OverflowError:
+        picks = [0, 1, len(group) // 2, len(group) - 1]
+        assert quats_of(rows[picks], den) == tuple(group.elements[k].apply(scaled)
+                                                   for k in picks)
+        return
+    assert rows.tobytes() == expected.tobytes()
+
+
+@given(st.lists(points, min_size=1, max_size=6), st.integers(0, 70))
+@settings(max_examples=60, deadline=None)
+def test_quats_of_match_one_python_gcd_per_row(qs, bits):
+    rows, den = common_rows(qs)
+    rows = np.vstack([rows, np.zeros_like(rows[:1])])
+    for d in (den, den << bits):
+        got = quats_of(rows, d)
+        expected = tuple(Quaternion._from_ivec(row, d) for row in rows.tolist())
+        assert got == expected
+        assert [q.ivec for q in got] == [q.ivec for q in expected]
+        assert all(type(x) is int for q in got for x in (q.ivec[1], *q.ivec[0]))
+
+
 @given(st.lists(points, min_size=1, max_size=4), st.integers(0, 66))
 @settings(max_examples=80, deadline=None)
 def test_pairwise_dots_raise_or_match_near_int64_limit(rows, bits):

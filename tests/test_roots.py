@@ -11,14 +11,16 @@ from icosian import (HALF, Quaternion, appendix_decompositions,
                      binary_icosahedral, binary_octahedral,
                      binary_tetrahedral, build_120cell, canonical_sorted,
                      e8_roots, f4_roots, field_sqrt, format_appendix_table,
-                     h4_orbit, h4_simple_roots, h4_weights, orbit_decompose,
-                     snub24_vertices, snub_sum_form, wd4c3, wh4)
-from icosian.coxeter import reflection
+                     h4_orbit, h4_simple_roots, h4_weights, icosian_seed, orbit_decompose,
+                     roots, snub24_vertices, snub_sum_form, stabilizer, wd4c3, wh4)
+from icosian.coxeter import _pair_group, reflection
 from icosian.errors import BadParameter
 from icosian.field import ONE, SIGMA, SQRT2, TAU
-from icosian.engine import closure_points, partition_points, quats_of, transform_matrix
-from icosian.roots import (ALL_MASKS, _weight_orbit, _weight_table, d4_data,
-                           e8_minus_24cells, euclid_profile_full, weight_decomposition)
+from icosian.engine import (act, closure_points, common_rows, distinct_rows, partition_points,
+                            quats_of, transform_matrix)
+from icosian.roots import (ALL_MASKS, _int16, _on_all_columns, _weight_orbit, _weight_table,
+                           _weighted, d4_data, e8_minus_24cells, euclid_profile_full,
+                           weight_decomposition)
 
 
 def test_e8_is_two_icosian_shells():
@@ -218,6 +220,51 @@ def test_weight_table_is_the_elements_images(g):
         row = np.zeros((1, 16), dtype=np.int64)
         row[0, cols] = images[g]
         assert quats_of(row, den)[0] == element.apply(omega)
+
+
+def act_weight_table():
+    """The weight table as it was made before W(H4) kept its factors: act on
+    every row of wh4(), and each element labelled by the partition_points
+    orbit of its rho image under W(D4):C3's generators."""
+    group = wh4()
+    omegas, wden = common_rows(h4_weights())
+    table = np.stack([_int16(act(group.rows, omega[None])[:, 0]) for omega in omegas])
+    den = group.den ** 2 * wden
+    g = int(np.gcd.reduce(table, axis=None, initial=den))
+    cols = np.flatnonzero(table.any(axis=(0, 1)))
+    table, den = table[:, :, cols] // g, den // g
+    bound = max(int(table.max()), -int(table.min()))
+    rho = _weighted(table, bound, (1, 1, 1, 1))
+    assert len(distinct_rows(rho)) == len(rho)
+    labels = partition_points(_on_all_columns(rho, cols), wd4c3().generator_matrices())
+    return table, cols, den, bound, labels
+
+
+def test_factored_weight_table_matches_the_all_rows_oracle():
+    table, cols, den, bound, cosets = _weight_table()
+    oracle_table, oracle_cols, oracle_den, oracle_bound, labels = act_weight_table()
+    assert table.dtype == oracle_table.dtype and table.shape == oracle_table.shape
+    assert table.tobytes() == oracle_table.tobytes()
+    assert cols.tolist() == oracle_cols.tolist()
+    assert (den, bound) == (oracle_den, oracle_bound) == (4, 9)
+    # The coset labels and the rho partition name the same 25 classes, one to one.
+    pairs = set(zip(cosets.tolist(), labels.tolist()))
+    assert len(pairs) == len(set(cosets.tolist())) == len(set(labels.tolist())) == 25
+
+
+def test_weight_orbits_and_stabilizers_never_build_the_rows_of_wh4(monkeypatch):
+    # A W(H4) of its own, whose rows no other test has made: the weight table
+    # and a stabilizer must come from its factors alone.
+    group = _pair_group(binary_icosahedral(), "W(H4)")
+    monkeypatch.setattr(roots, "wh4", lambda: group)
+    _weight_table.cache_clear()
+    try:
+        assert weight_decomposition((1, 1, 1, 1)) == (14400, (576,) * 25)
+        assert len(stabilizer(group, icosian_seed())) == 120
+        assert len(group) == 14400
+        assert group._rows is None
+    finally:
+        _weight_table.cache_clear()
 
 
 def closure_weight_orbit(weights):
