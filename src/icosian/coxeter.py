@@ -17,10 +17,9 @@ fixed rows, and coset_labels reads the cosets of W(D4):C3 in W(H4) off the
 pairs (T p, q T).  Every other group (stabilizers, conjugates, W(H3)xC2) is
 put in canonical order by one engine.distinct_rows, and acts on points by
 engine.act.  An orbit is a breadth-first search on engine.closure_points
-under the generators' matrices; orbit_by_elements cross-checks it by
-another algorithm, the images of v under every element.  Both rest on
-engine.products, since a matrix is act on the unit rows.  Transform and
-Quaternion arithmetic stay the scalar operations.
+under the generators' matrices, which are act on the unit rows; the tests
+cross-check it by another algorithm, the images of v under every element.
+Transform and Quaternion arithmetic stay the scalar operations.
 """
 
 from __future__ import annotations
@@ -349,12 +348,6 @@ def build_group(name: str, param: Quaternion = None) -> TransformGroup:
 def orbit(group: TransformGroup, v: Quaternion) -> tuple[Quaternion, ...]:
     """Canonically sorted orbit of v, computed by generator closure."""
     return engine.quats_of(*engine.closure_points([v], group.generator_matrices()))
-
-
-def orbit_by_elements(group: TransformGroup, v: Quaternion) -> tuple[Quaternion, ...]:
-    """Same orbit from the images of v under every element; an independent cross-check."""
-    rows, den = group.images(v)
-    return engine.quats_of(engine.distinct_rows(rows), den)
 
 
 def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:

@@ -8,10 +8,11 @@ rows' lexicographic order is the canonical order of the points.  RowKey is
 the one way rows are keyed: it packs each row into as few int64 words as
 the bounds on its columns allow, in that order, so sorting, deduplication
 and RowIndex's binary search all run on one int64 per row when it fits one
-word.  closure_points is the one closure routine: it closes transform
-orbits and the binary polyhedral groups (the orbit of 1 under right
-multiplication).  It keeps only the sorted keys of what it has found and
-reads the rows back from them at the end (RowKey.rows).
+word.  The key is one-way: no rows are read back from it.  closure_points
+is the one closure routine: it closes transform orbits and the binary
+polyhedral groups (the orbit of 1 under right multiplication).  It holds
+the rows it has found in canonical order and keys them afresh each round,
+together with the frontier.
 
 All multiplication is one 16x16 table, made once by _product_table, and
 the bilinear forms of the scalar product are read off it.  products is the
@@ -265,7 +266,6 @@ class RowKey:
     """
 
     def __init__(self, bounds):
-        self.bounds = list(bounds)
         self._lo = np.array([-min(b, 1 << 63) for b in bounds], dtype=np.int64)
         self._hi = np.array([min(b, (1 << 63) - 1) for b in bounds], dtype=np.int64)
         words, size = [[]], 1  # each word's columns, most significant first
@@ -277,7 +277,6 @@ class RowKey:
                 size = 1
             words[-1].append(k)
             size *= 2 * b + 1
-        self._words = words
         self._weights = np.zeros((len(bounds), len(words)), dtype=np.int64)
         for w, word in enumerate(words):
             value = 1
@@ -286,15 +285,10 @@ class RowKey:
                 value *= 2 * bounds[k] + 1
 
     @classmethod
-    def of(cls, rows: np.ndarray, spread: int = 1) -> RowKey:
-        """The key on spread times the largest magnitude in each column of the rows."""
+    def of(cls, rows: np.ndarray) -> RowKey:
+        """The key on the largest magnitude in each column of the rows."""
         lo, hi = _column_range(rows)
-        return cls([spread * max(-a, b) for a, b in zip(lo.tolist(), hi.tolist())])
-
-    def covers(self, rows: np.ndarray) -> bool:
-        """Whether every row lies within the bounds."""
-        lo, hi = _column_range(rows)
-        return bool((lo >= self._lo).all() and (hi <= self._hi).all())
+        return cls([max(-a, b) for a, b in zip(lo.tolist(), hi.tolist())])
 
     def fits(self, rows: np.ndarray) -> np.ndarray:
         """Which rows lie within the bounds: only those have keys."""
@@ -311,29 +305,6 @@ class RowKey:
         if words.shape[1] == 1:
             return words[:, 0]
         return (words ^ (-1 << 63)).astype(">i8").view(f"V{8 * words.shape[1]}").ravel()
-
-    def rows(self, keys: np.ndarray) -> np.ndarray:
-        """The int64 rows that have these keys: the inverse of keys.
-
-        Each word is read back one balanced digit at a time, least significant
-        first.
-        """
-        if len(self._words) == 1:
-            words = keys[:, None]
-        else:
-            words = keys.view(">i8").reshape(len(keys), -1).astype(np.int64) ^ (-1 << 63)
-        out = np.zeros((len(keys), len(self.bounds)), dtype=np.int64)
-        for value, word in zip(words.T, self._words):
-            for k in word[:0:-1]:
-                bound = self.bounds[k]
-                value, digit = np.divmod(value, 2 * bound + 1)
-                over = digit > bound
-                digit[over] -= 2 * bound + 1
-                value[over] += 1
-                out[:, k] = digit
-            if word:
-                out[:, word[0]] = value  # the most significant column: no radix above it
-        return out
 
 
 def _sorted_runs(rows: np.ndarray):
@@ -428,11 +399,12 @@ def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
     """The orbit of the seed points under the generators, as canonically ordered
     int64 rows of shape (n, 16).
 
-    The search runs on the support of the seeds (see _support) and keeps
-    only the sorted row keys of the rows found; a frontier outside the key's
-    bounds re-keys them on twice its largest entries.  An image not integral
-    over the rows' denominator multiplies that denominator, and every row,
-    by the missing factor.
+    The search runs on the support of the seeds (see _support) and keeps the
+    rows it has found in lexicographic order.  Each round keys them and the
+    frontier on one RowKey, so the held rows' keys come out sorted, and
+    inserts the frontier's new rows in place.  An image not integral over
+    the rows' denominator multiplies that denominator, and every row, by the
+    missing factor.
     Raises CapExceeded as soon as more than cap rows are found, before the
     next round's images are made, so an infinite orbit stops there.
     """
@@ -442,17 +414,16 @@ def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
     cols = _support(points, mats)
     g, c = len(mats), len(cols)
     mats = mats[:, cols[:, None], cols].reshape(g * c, c)
-    frontier = points[:, cols]
-    key, seen = _rekey(frontier[:0], frontier)
+    held, frontier = points[:0, cols], points[:, cols]
     while len(frontier):
-        if not key.covers(frontier):
-            key, seen = _rekey(key.rows(seen), frontier)
-        keys, first = np.unique(key.keys(frontier), return_index=True)
-        at, hit = _lookup(seen, keys)
-        seen = np.insert(seen, at[~hit], keys[~hit])
-        if cap is not None and len(seen) > cap:
-            raise CapExceeded(f"closure exceeded {cap} points")
+        both = np.concatenate([held, frontier])
+        keys = RowKey.of(both).keys(both)
+        fresh, first = np.unique(keys[len(held):], return_index=True)
+        at, hit = _lookup(keys[:len(held)], fresh)
         frontier = frontier[first[~hit]]
+        held = np.insert(held, at[~hit], frontier, axis=0)
+        if cap is not None and len(held) > cap:
+            raise CapExceeded(f"closure exceeded {cap} points")
         n = len(frontier)
         images = _matmul(frontier, mats.T).reshape(n * g, c)  # each point under each generator
         frontier = images // m
@@ -462,20 +433,10 @@ def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
             cut = int(np.gcd.reduce(images.ravel(), initial=m))
             frontier = images // cut
             den *= m // cut
-            key, seen = _rekey(_scaled(key.rows(seen), m // cut), frontier)
-    # The key's bounds on all 16 columns, zero off the support, make the same
-    # packing: it reads the rows back in place.
-    bounds = [0] * 16
-    for j, bound in zip(cols.tolist(), key.bounds):
-        bounds[j] = bound
-    return RowKey(bounds).rows(seen), den
-
-
-def _rekey(held: np.ndarray, frontier: np.ndarray) -> tuple[RowKey, np.ndarray]:
-    """A key on twice the largest entries of the held rows and the frontier, and
-    the held rows' keys, sorted because the held rows are in lexicographic order."""
-    key = RowKey.of(np.concatenate([held, frontier]), 2)
-    return key, key.keys(held)
+            held = _scaled(held, m // cut)
+    out = np.zeros((len(held), 16), dtype=np.int64)
+    out[:, cols] = held
+    return out, den
 
 
 def distinct_labelled(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,7 @@ TAU_HALF = TAU * HALF
 def snub24_vertices() -> tuple[Quaternion, ...]:
     """The 96 icosians left after removing the 24-cell: S = I - T."""
     tet = set(binary_tetrahedral().elements)
-    return canonical_sorted(q for q in binary_icosahedral() if q not in tet)
+    return tuple(q for q in binary_icosahedral() if q not in tet)
 
 
 def edge_graph(vertices) -> tuple[tuple[int, int], ...]:
@@ -290,7 +290,7 @@ def _census_input(vertices):
     """
     vertices = canonical_sorted(vertices)
     vset = set(vertices)
-    icos = set(binary_icosahedral().elements)
+    icos = binary_icosahedral().elements
     tet = set(binary_tetrahedral().elements)
     edges = edge_graph(vertices)
     faces = triangle_faces(vertices, edges)
@@ -298,8 +298,8 @@ def _census_input(vertices):
     coset = vertices
     if vset == tet:
         candidates += [(c, "octahedron") for c in _nearest(t_prime(), vertices)]
-    elif vset <= icos:
-        complement = canonical_sorted(icos - vset)
+    elif vset.issubset(icos):
+        complement = tuple(q for q in icos if q not in vset)
         if complement and len(complement) != 24:
             raise BadParameter("vertex set is not a snub complement inside the 600-cell")
         candidates += [(c, "tetrahedron")
@@ -424,37 +424,26 @@ class Cell120:
 
 @lru_cache(maxsize=None)
 def build_120cell() -> Cell120:
-    """600 vertices as 25 cosets p^i conj(p+)^j T', partitioned by (i, j) pattern."""
+    """600 vertices as 25 cosets p^i conj(p+)^j T', partitioned by (i, j) pattern.
+
+    T' is i = j = 0, S' the rest of i = j, M the rest of i = 0 or j = 0,
+    and N every other coset.  The cosets are one engine.products table, and
+    each part is put in canonical order by one engine.distinct_rows.
+    """
     p = icosian_seed()
     pd_bar = p.galois().conjugate()
-    tp = t_prime()
-    groups: dict[str, list[Quaternion]] = {"tp": [], "sp": [], "m": [], "n": []}
-    pairs = [(i, j) for i in range(5) for j in range(5)]
-    prefixes, pden = engine.common_rows([(p ** i) * (pd_bar ** j) for i, j in pairs])
-    rows, den = engine.common_rows(tp.elements)
-    table = engine.products(prefixes[:, None], rows[None, :])
-    everything = []
-    for (i, j), coset in zip(pairs, table):
-        coset = engine.quats_of(coset, pden * den)
-        everything.extend(coset)
-        if i == 0 and j == 0:
-            groups["tp"].extend(coset)
-        elif i == j:
-            groups["sp"].extend(coset)
-        elif i == 0 or j == 0:
-            groups["m"].extend(coset)
-        else:
-            groups["n"].extend(coset)
-    vertices = canonical_sorted(everything)
+    i, j = np.divmod(np.arange(25), 5)
+    prefixes, pden = engine.common_rows([(p ** a) * (pd_bar ** b)
+                                         for a, b in zip(i.tolist(), j.tolist())])
+    rows, den = engine.common_rows(t_prime().elements)
+    table = engine.products(prefixes[:, None], rows[None, :]).reshape(-1, 16)
+    part = np.repeat(np.where(i == j, np.minimum(i, 1), np.where(i * j == 0, 2, 3)), len(rows))
+    vertices = engine.distinct_rows(table)
     if len(vertices) != 600:
         raise CertificationFailed("coset union failed to produce 600 distinct vertices")
-    return Cell120(
-        vertices,
-        canonical_sorted(groups["tp"]),
-        canonical_sorted(groups["sp"]),
-        canonical_sorted(groups["m"]),
-        canonical_sorted(groups["n"]),
-    )
+    return Cell120(engine.quats_of(vertices, pden * den),
+                   *(engine.quats_of(engine.distinct_rows(table[part == k]), pden * den)
+                     for k in range(4)))
 
 
 @lru_cache(maxsize=None)

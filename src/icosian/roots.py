@@ -98,9 +98,9 @@ def e8_minus_24cells() -> tuple[tuple[Quaternion, ...], tuple[Quaternion, ...]]:
     data = d4_data()
     removed = set(data.T) | {SIGMA * t for t in data.T}
     rest = [r for r in e8_roots().roots if r not in removed]
-    unit = [r for r in rest if r.norm() == ONE]
-    scaled = [r for r in rest if r.norm() != ONE]
-    return canonical_sorted(unit), canonical_sorted(scaled)
+    unit = tuple(r for r in rest if r.norm() == ONE)
+    scaled = tuple(r for r in rest if r.norm() != ONE)
+    return unit, scaled
 
 
 def snub_sum_form() -> tuple[Quaternion, ...]:

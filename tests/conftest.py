@@ -1,4 +1,4 @@
-"""Shared fixtures: the command line in a child process, and a closure oracle."""
+"""Shared fixtures: the command line in a child process, and two orbit oracles."""
 
 import os
 import subprocess
@@ -9,6 +9,7 @@ import pytest
 
 import icosian
 from icosian import CapExceeded
+from icosian.engine import distinct_rows, quats_of
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -96,3 +97,15 @@ def _generate(generators, cap: int) -> set:
 def generate():
     """The object-by-object closure oracle that engine.closure_points must match."""
     return _generate
+
+
+def _orbit_by_elements(group, v) -> tuple:
+    """The orbit of v from its images under every element of the group, canonically sorted."""
+    rows, den = group.images(v)
+    return quats_of(distinct_rows(rows), den)
+
+
+@pytest.fixture(scope="session")
+def orbit_by_elements():
+    """The all-elements orbit oracle that coxeter.orbit, a generator closure, must match."""
+    return _orbit_by_elements

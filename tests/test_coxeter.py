@@ -10,7 +10,7 @@ from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceede
                      binary_icosahedral, binary_tetrahedral, build_group, canonical_sorted,
                      icosian_seed, orbit, orbit_decompose, reflection, s3_of, s4_of,
                      snub24_vertices, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
-from icosian.coxeter import (coset_labels, orbit_by_elements, seed_conjugator, wd4c3_conjugate,
+from icosian.coxeter import (coset_labels, seed_conjugator, wd4c3_conjugate,
                              wd4c3_conjugate_pattern)
 from icosian.engine import act, closure_points, common_rows, quats_of, transform_matrix
 from icosian.field import SQRT2, TAU
@@ -116,7 +116,7 @@ def test_orbit_stabilizer_products():
         assert len(pts) * len(stab) == len(group)
 
 
-def test_orbit_cross_check():
+def test_orbit_cross_check(orbit_by_elements):
     seed = icosian_seed()
     assert orbit(wd4c3(), seed) == orbit_by_elements(wd4c3(), seed)
 
@@ -174,7 +174,7 @@ def test_conjugate_preserves_conjugated_snub():
 
 
 @pytest.mark.parametrize("q", [Q_ONE, icosian_seed(), binary_icosahedral().elements[77]])
-def test_wh3xc2_generators_make_the_group(q, generate):
+def test_wh3xc2_generators_make_the_group(q, generate, orbit_by_elements):
     group = wh3xc2(q)
     assert 0 < len(group.generators) < len(group)
     assert TransformGroup(generate(group.generators, cap=240)) == group
@@ -187,7 +187,7 @@ def test_seed_conjugator_lies_in_wh4():
 
 
 @pytest.mark.parametrize("i, j", [(1, 1), (2, 3)])
-def test_conjugate_generators_make_the_group(i, j, generate):
+def test_conjugate_generators_make_the_group(i, j, generate, orbit_by_elements):
     group = wd4c3_conjugate(i, j)
     assert 0 < len(group.generators) < len(group)
     assert TransformGroup(generate(group.generators, cap=576)) == group

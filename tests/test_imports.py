@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every module-level private name is read somewhere in the package, and the
-command line loads no numpy module it does not need."""
+every module-level private name and private attribute set on self is read
+somewhere in the package, and the command line loads no numpy module it
+does not need."""
 
 import ast
 import os
@@ -42,31 +43,39 @@ def private_definitions(source: str) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def private_attributes(source: str) -> set[str]:
+    """Private attributes (not dunders) assigned on self, as in ``self._x = ...``."""
+    names = {node.attr for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+             and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
 def names_read(source: str) -> set[str]:
     """Names a source reads: as a name, an attribute or an imported name.
 
-    Storing into a subscript, as in ``_TABLE[i] = x``, does not read the table.
+    Storing into a subscript, as in ``_TABLE[i] = x`` or ``self._t[i] = x``,
+    does not read the table, nor does assigning an attribute.
     """
     tree = ast.parse(source)
     stored_into = {id(node.value) for node in ast.walk(tree)
                    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
     read = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
             if id(node) not in stored_into:
-                read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(a.name for a in node.names)
     return read
 
 
 def dead_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) for each module-level private name that no source reads."""
+    """(module, name) for each module-level private name or private attribute set
+    on self that no source reads."""
     read = set().union(*(names_read(text) for text in sources.values()))
     return sorted((module, name) for module, text in sources.items()
-                  for name in private_definitions(text) - read)
+                  for name in (private_definitions(text) | private_attributes(text)) - read)
 
 
 def test_unused_imports_are_found():
@@ -86,11 +95,16 @@ def test_dead_private_names_are_found():
               "def _helper():\n    return _A\n"
               "def _orphan():\n    pass\n"
               "class _Kind:\n    def _method(self):\n        pass\n"
+              "class Public:\n"
+              "    def __init__(self):\n"
+              "        self._kept, self._stale = 1, 2\n"
+              "        self._cells = [0]\n        self._cells[0] = self._kept\n"
+              "        self.__slot = 3\n"
               "def public():\n    return _helper()\n")
     other = "from .sample import _B\nfrom . import sample\nx = sample._Kind\n"
     assert dead_private_names({"sample": sample, "other": other}) == [
         ("sample", "_DEAD"), ("sample", "_NOTE"), ("sample", "_TABLE"),
-        ("sample", "_orphan")]
+        ("sample", "_cells"), ("sample", "_orphan"), ("sample", "_stale")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -28,6 +28,7 @@ def test_snub_vertices():
     icosa = set(binary_icosahedral().elements)
     tet = set(binary_tetrahedral().elements)
     assert set(snub) == icosa - tet
+    assert snub == canonical_sorted(snub)
     assert all(q.norm() == ONE for q in snub)
 
 
@@ -159,6 +160,32 @@ def test_cell_census_rejects_unsupported_sets():
     icosa = binary_icosahedral().elements
     with pytest.raises(BadParameter):
         cell_census(icosa[:100])
+
+
+def oracle_120cell():
+    """The 120-cell's vertices and its four parts, from scalar products and canonical_sorted."""
+    p = icosian_seed()
+    pd_bar = p.galois().conjugate()
+    parts: dict[str, list[Quaternion]] = {"tp": [], "sp": [], "m": [], "n": []}
+    everything = []
+    for i in range(5):
+        for j in range(5):
+            coset = [(p ** i) * (pd_bar ** j) * t for t in t_prime()]
+            everything.extend(coset)
+            if i == 0 and j == 0:
+                parts["tp"].extend(coset)
+            elif i == j:
+                parts["sp"].extend(coset)
+            elif i == 0 or j == 0:
+                parts["m"].extend(coset)
+            else:
+                parts["n"].extend(coset)
+    return canonical_sorted(everything), *(canonical_sorted(parts[k]) for k in parts)
+
+
+def test_build_120cell_matches_the_scalar_oracle():
+    cell = build_120cell()
+    assert (cell.vertices, cell.t_prime, cell.s_prime, cell.m, cell.n) == oracle_120cell()
 
 
 def test_build_120cell_partition():
@@ -371,6 +398,8 @@ CENSUS_SETS = {
 @pytest.mark.parametrize("name", list(CENSUS_SETS))
 def test_transported_census_matches_direct(name):
     assert census_facts(cell_census(CENSUS_SETS[name]())) == direct_census(CENSUS_SETS[name]())
+    coset = polytope._census_input(CENSUS_SETS[name]())[-1]
+    assert coset == canonical_sorted(coset)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])

@@ -51,6 +51,7 @@ def test_e8_minus_24cells():
     snub = snub24_vertices()
     assert inner == snub
     assert outer == tuple(canonical_sorted(q.scale(SIGMA) for q in snub))
+    assert (inner, outer) == (canonical_sorted(inner), canonical_sorted(outer))
 
 
 def test_f4_and_d4():
