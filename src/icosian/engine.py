@@ -15,21 +15,22 @@ the rows it has found in canonical order and keys them afresh each round,
 together with the frontier.
 
 All multiplication is one 16x16 table, made once by _product_table, and
-the bilinear forms of the scalar product are read off it.  products is the
-one multiplication kernel on it: group closure checks, conjugacy classes
-and the rows of every transform group are tables of it, so no group-sized
-sweep multiplies Quaternion objects one pair at a time.  act applies
-transforms, as (star | p | q) rows, to point rows by two products calls,
-and a transform's 16x16 matrix is act on the 16 unit rows.
+one kernel reads it: _bilinear, which makes the first few columns of a
+Hamilton product.  products is all 16 of them: group closure checks,
+conjugacy classes and the rows of every transform group are tables of it,
+so no group-sized sweep multiplies Quaternion objects one pair at a time.
+dot_rows is the first 4 of left times conj(right), since the scalar product
+(x, y) is the real part of x y-bar.  act applies transforms, as
+(star | p | q) rows, to point rows by two products calls, and a
+transform's 16x16 matrix is act on the 16 unit rows.
 
 One rule of coefficient support holds for every bulk kernel: a column that
 is zero in every row, and that the arithmetic cannot make nonzero, costs
 nothing.  Icosians and the W(H4) rows lie in Q(sqrt5)^4, so 8 of their 16
 columns are zero.  closure_points and partition_points act on the columns
-that _support finds the generators keep; products multiplies only the table
-terms that its operands' nonzero columns reach (_product_plan), and dot_rows
-takes only the forms and columns they reach (_dot_plan).  Each plan is made
-once per pair of supports, and its int64 bound counts only the kept terms.
+that _support finds the generators keep; _bilinear multiplies only the
+table terms that its operands' nonzero columns reach, as planned once per
+pair of supports (_plan), and bounds each column by its kept terms alone.
 
 Every table of scalar products is made here too: each entry is a field
 4-vector of integers over one denominator, and distinct_values lifts the few
@@ -46,7 +47,7 @@ on the operands proves that no int64 entry can overflow.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -72,7 +73,6 @@ def _product_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 _PIDX, _PW = _product_table()
-_S, _T = np.indices((16, 16))
 
 
 def _max_abs(arr) -> int:
@@ -98,52 +98,72 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _nonzero(rows: np.ndarray) -> tuple[bytes, int]:
-    """The coefficient support of (..., 16) rows, as 16 bool bytes, and their largest magnitude."""
+def _magnitudes(rows: np.ndarray) -> np.ndarray:
+    """The largest magnitude in each of the 16 columns of (..., 16) rows, as uint64."""
     lo, hi = _column_range(rows.reshape(-1, 16))
-    return ((lo != 0) | (hi != 0)).tobytes(), max(-int(lo.min()), int(hi.max()))
-
-
-# (a b)_t = sum over r of b_r * _BW[r, t] * a[_BIDX[r, t]]: the same table, by b's coefficient.
-_BIDX = np.zeros((16, 16), dtype=np.intp)
-_BIDX[_PIDX, _T] = _S
-_BW = np.zeros((16, 16), dtype=np.int64)
-_BW[_PIDX, _T] = _PW
+    return np.maximum((-lo).view(np.uint64), hi.view(np.uint64))
 
 
 @lru_cache(maxsize=None)
-def _product_plan(a_support: bytes, b_support: bytes):
-    """The terms of a b that two coefficient supports keep, as (flip, terms, out, bound).
+def _plan(a_support: bytes, b_support: bytes, width: int):
+    """The table terms two coefficient supports keep, as (outs, s, r, w, bound).
 
-    Term (s, t) of the table multiplies a_s into (a b)_t and is kept when a_s
-    and b_idx[s, t] both lie in support.  The sum runs over the coefficients
-    of a that some kept term reads, or over those of b when flip is set and
-    fewer of b's are read; each term of it is one column slice of that
-    operand times the other operand's gathered columns and their weights, on
-    the output columns out that the kept terms reach: every other one is
-    zero.  bound is the largest sum of kept |w| into one output column.
+    Term (s, t) adds a_s * w[s, t] * b_r, r = idx[s, t], to column t, and is
+    kept when a_s and b_r both lie in support.  outs lists the columns t <
+    width that a kept term reaches: every other one is zero.  Column o of s,
+    r and w lists the kept terms of column outs[o], padded with zero weights
+    to one length.  bound is the largest sum of kept |w| into one column.
     """
     a, b = (np.frombuffer(x, dtype=bool) for x in (a_support, b_support))
-    kept = a[:, None] & b[_PIDX]  # [s, t]
-    bound = int((np.abs(_PW) * kept).sum(axis=0).max())
+    kept = a[:, None] & b[_PIDX[:, :width]]  # [s, t]
     outs = np.flatnonzero(kept.any(axis=0))
-    by_a, by_b = (np.flatnonzero(k.any(axis=1)) for k in (kept, kept[_BIDX, _T]))
-    flip = len(by_b) < len(by_a)
-    cols, idx, w = (by_b, _BIDX, _BW) if flip else (by_a, _PIDX, _PW)
-    terms = tuple((slice(s, s + 1), idx[s, outs], w[s, outs]) for s in cols.tolist())
-    return flip, terms, outs, bound
+    # Each column's kept terms first, in order of s.
+    s = np.argsort(~kept[:, outs], axis=0, kind="stable")[:int(kept.sum(axis=0).max(initial=0))]
+    r, w = _PIDX[s, outs], _PW[s, outs] * kept[s, outs]
+    return outs, s, r, w, int(np.abs(w).sum(axis=0).max(initial=0))
 
 
-_PRODUCT_BLOCK = 4096  # products per batch, bounding the int64 temporaries
+_PRODUCT_BLOCK = 4096  # a block's gathers and slice of out each hold at most 4x this many int64
 
 
-def _product_block(outer: np.ndarray, inner: np.ndarray, terms) -> np.ndarray:
-    """The sum of outer[..., col] * inner[..., idx] * w over the plan's terms."""
-    (col, idx, w), *rest = terms
-    out = outer[..., col] * (inner[..., idx] * w)
-    for col, idx, w in rest:
-        out += outer[..., col] * (inner[..., idx] * w)
-    return out
+def _bilinear(a, b, width: int) -> np.ndarray:
+    """Columns t < width of the table's products a b, for broadcastable int64 rows (..., 16).
+
+    Column t sums a_s * w[s, t] * b[idx[s, t]] over the terms the operands'
+    coefficient supports keep (see _plan): one gather of a against one
+    weighted gather of b.  Raises OverflowError unless every column provably
+    fits int64 by the sum over its terms of |w| max|a_s| max|b_r|, tried
+    after the largest weight sum times max|a| max|b|: the arithmetic wraps
+    modulo 2**64, so a result in range is exact.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    amag, bmag = _magnitudes(a), _magnitudes(b)
+    outs, s, r, w, bound = _plan((amag != 0).tobytes(), (bmag != 0).tobytes(), width)
+    if bound * int(amag.max()) * int(bmag.max()) >= 1 << 63:
+        terms = abs(w).astype(object) * amag.astype(object)[s] * bmag.astype(object)[r]
+        if terms.sum(axis=0).max() >= 1 << 63:  # on Python ints
+            raise OverflowError("integer product could leave the int64 range")
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (width,)
+    out = np.zeros((1,) * (2 - len(shape)) + shape, dtype=np.int64)
+    # Blocks run along the leading axis of the arrays, made at least 2-D; an
+    # operand of length 1 there is gathered once, whole, for every block.
+    a, b = (x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in (a, b))
+
+    def weighted(rows):
+        gathered = rows[..., r]
+        gathered *= w
+        return gathered
+
+    ga = a[..., s] if len(a) == 1 else None
+    gb = weighted(b) if len(b) == 1 else None
+    sizes = [prod(x.shape[1:-1]) * w.size for x in (a, b) if len(x) > 1]
+    step = max(1, 4 * _PRODUCT_BLOCK // max(sizes + [prod(out.shape[1:]), 1]))
+    for lo in range(0, len(out), step):
+        block = slice(lo, lo + step)
+        out[block, ..., outs] = np.einsum("...ko,...ko->...o",
+                                          a[block, ..., s] if ga is None else ga,
+                                          weighted(b[block]) if gb is None else gb)
+    return out.reshape(shape)
 
 
 def products(a, b) -> np.ndarray:
@@ -151,28 +171,9 @@ def products(a, b) -> np.ndarray:
 
     Entry i is the numerator of a[i] b[i] over the product of the two
     denominators; a[:, None] and b[None, :] make the whole product table.
-    Only the terms that the operands' coefficient supports keep are
-    multiplied (see _product_plan).  Raises OverflowError unless every
-    coefficient provably fits int64: the arithmetic wraps modulo 2**64, so a
-    result in range is exact.
+    Raises OverflowError unless every coefficient provably fits int64.
     """
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    (a_support, a_max), (b_support, b_max) = _nonzero(a), _nonzero(b)
-    flip, terms, cols, bound = _product_plan(a_support, b_support)
-    _check_bound(bound, a_max, b_max)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.zeros(np.broadcast_shapes(shape, (1, 16)), dtype=np.int64)
-    if not terms:
-        return out.reshape(shape)
-    # Blocks run along the leading axis of the arrays, made at least 2-D; an
-    # operand of length 1 there goes whole to every block, never broadcast.
-    a, b = (x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in (a, b))
-    outer, inner = (b, a) if flip else (a, b)
-    step = max(1, _PRODUCT_BLOCK * 16 // max(1, int(np.prod(out.shape[1:]))))
-    for lo in range(0, len(out), step):
-        out[lo:lo + step, ..., cols] = _product_block(
-            *(x if len(x) == 1 else x[lo:lo + step] for x in (outer, inner)), terms)
-    return out.reshape(shape)
+    return _bilinear(a, b, 16)
 
 
 _CONJ = np.repeat([1, -1, -1, -1], 4)
@@ -472,49 +473,16 @@ def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:
     return labels
 
 
-# Form c gives coefficient c of the scalar product (x, y), the real part of
-# x y-bar: x @ _DOT_FORMS[c] @ y, read off the table's first four columns.
-_DOT_FORMS = np.zeros((4, 16, 16), dtype=np.int64)
-_DOT_FORMS[_T[:, :4], _S[:, :4], _PIDX[:, :4]] = _PW[:, :4] * _CONJ[_PIDX[:, :4]]
-
-
-@lru_cache(maxsize=None)
-def _dot_plan(left_support: bytes, right_support: bytes):
-    """The forms two coefficient supports reach, as (left cols, right cols, forms, coeffs).
-
-    Coefficient c is reached when _DOT_FORMS[c] has a nonzero entry [s, r]
-    with s in the left support and r in the right.  forms holds the reached
-    forms on the support columns, as [s, c, r].
-    """
-    left, right = (np.frombuffer(x, dtype=bool) for x in (left_support, right_support))
-    kept = (_DOT_FORMS != 0) & left[:, None] & right
-    coeffs, lcols, rcols = (np.flatnonzero(kept.any(axis=axes))
-                            for axes in ((1, 2), (0, 2), (0, 1)))
-    forms = _DOT_FORMS[coeffs[:, None, None], lcols[:, None], rcols].transpose(1, 0, 2)
-    return lcols, rcols, forms, coeffs
-
-
 def dot_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Scalar products of int64 quaternion rows, as field 4-vectors: shape (..., a, b, 4).
 
     left (..., a, 16) and right (..., b, 16) broadcast over their leading
     axes, so a stack of cells makes one block-diagonal table.  Entry
     [..., i, j] is the numerator of (left[i], right[j]) over the product of
-    the two denominators.  Only the coefficients and columns that the two
-    coefficient supports reach are computed (see _dot_plan); the rest are 0.
+    the two denominators: the real part of left[i] conj(right[j]), the first
+    four columns of their Hamilton product.
     """
-    lcols, rcols, forms, coeffs = _dot_plan(_nonzero(left)[0], _nonzero(right)[0])
-    a, b = left.shape[-2], right.shape[-2]
-    out = np.zeros(np.broadcast_shapes(left.shape[:-2], right.shape[:-2]) + (a, b, 4),
-                   dtype=np.int64)
-    if not len(coeffs):
-        return out
-    nl, nc, nr = forms.shape
-    mid = _matmul(left[..., lcols], forms.reshape(nl, nc * nr))  # [..., i, (c, r)]
-    mid = mid.reshape(mid.shape[:-2] + (a * nc, nr))
-    table = _matmul(mid, np.swapaxes(right[..., rcols], -1, -2))  # [..., (i, c), j]
-    out[..., coeffs] = np.swapaxes(table.reshape(table.shape[:-2] + (a, nc, b)), -1, -2)
-    return out
+    return _bilinear(left[..., :, None, :], conjugates(right)[..., None, :, :], 4)
 
 
 def pairwise_dots(points, others=None) -> tuple[np.ndarray, int]:
@@ -553,9 +521,11 @@ def cross_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     denominators: only its direction is used.  The two triple products come
     from products, and their difference is bounded before it is taken.
     """
-    both = products(np.stack([c, a]), products(conjugates(b), np.stack([a, c])))
+    # Each row's two triples side by side, so that products blocks run over the rows.
+    both = products(np.stack([c, a], axis=-2),
+                    products(conjugates(b)[..., None, :], np.stack([a, c], axis=-2)))
     _check_bound(2, both, 1)  # a difference of two entries
-    return (both[0] - both[1]) // 2
+    return (both[..., 0, :] - both[..., 1, :]) // 2
 
 
 def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:

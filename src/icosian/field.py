@@ -309,7 +309,6 @@ def _coerce(x):
 
 ZERO = FieldElement(0)
 ONE = FieldElement(1)
-TWO = FieldElement(2)
 HALF = FieldElement(Fraction(1, 2))
 SQRT2 = FieldElement(0, 1)
 SQRT5 = FieldElement(0, 0, 1)

@@ -82,6 +82,11 @@ def triangle_faces(vertices, edges) -> tuple[tuple[int, int, int], ...]:
 def _four_cliques(n: int, edges, triangles) -> list[tuple[int, int, int, int]]:
     adj = adjacency(n, edges)
     out = []
+    # The candidates, and so every census's cell numbering (--cell K and the
+    # JSON cell lists), come in triangle order, then in CPython's iteration
+    # order of the set below, which is not sorted: the 600-cell lists
+    # (0, 23, 27, 32) before (0, 23, 27, 29).  The recorded digests pin this
+    # order, so it must not be re-sorted.
     for i, j, k in triangles:
         for m in adj[i] & adj[j] & adj[k]:
             if m > k:

@@ -25,15 +25,13 @@ from .coxeter import coset_labels, wd4c3, wh4
 from .errors import BadParameter, NotInvariant, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, ZERO
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
-from .quaternion import E1, E2, E3, Quaternion, canonical_sorted
+from .quaternion import Quaternion, canonical_sorted
 
 
 class RootSystemData:
-    def __init__(self, label, roots, simple_roots=(), metric="quaternionic"):
+    def __init__(self, label, roots):
         self.label = label
         self.roots = canonical_sorted(roots)
-        self.simple_roots = tuple(simple_roots)
-        self.metric = metric
         if len(self.roots) not in (24, 48, 120, 240):
             raise BadParameter(f"unexpected root count {len(self.roots)}")
 
@@ -49,17 +47,10 @@ class D4Data:
 
 @lru_cache(maxsize=None)
 def d4_data() -> D4Data:
-    """Simple roots e1, (1-e1-e2-e3)/2, e2, e3 and the four weight orbits."""
-    simple = (
-        E1,
-        Quaternion(HALF, -HALF, -HALF, -HALF),
-        E2,
-        E3,
-    )
+    """The D4 root system (the 24 elements of 2T), 2T, and the weight orbits V1, V2, V3."""
     v1, v2, v3 = d4_weight_orbits()
     tet = binary_tetrahedral()
-    system = RootSystemData("D4", tet.elements, simple)
-    return D4Data(system, v1, v2, v3, tet)
+    return D4Data(RootSystemData("D4", tet.elements), v1, v2, v3, tet)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +71,7 @@ def e8_roots() -> RootSystemData:
         for a in left:
             for b in right:
                 roots.append(a + SIGMA * b)
-    return RootSystemData("E8", roots, metric="euclidean_part")
+    return RootSystemData("E8", roots)
 
 
 def euclid_profile_full(roots) -> set[tuple[tuple[Fraction, int], ...]]:

@@ -13,8 +13,8 @@ from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion
                      canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, s4_of,
                      t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import reflection, wd4c3_conjugate
-from icosian.engine import (_DOT_FORMS, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, _S, _T,
-                            RowIndex, _column_range, _matmul, act, closure_points,
+from icosian.engine import (_CONJ, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, RowIndex,
+                            _column_range, _matmul, act, closure_points,
                             common_rows, cross_rows, distinct_labelled, distinct_rows,
                             distinct_values, dot_rows, pairwise_dots, partition_points, products,
                             quats_of, side_signs, transform_matrix)
@@ -127,6 +127,11 @@ def test_products_raise_or_match_near_int64_limit(xs, ys, bits):
 # The kernels as they were before they read the operands' coefficient
 # supports: every term of the product table, and all four scalar-product
 # forms on all 16 columns, each under its bound on every term.
+_S, _T = np.indices((16, 16))
+# Form c gives coefficient c of the scalar product (x, y), the real part of
+# x y-bar: x @ _DOT_FORMS[c] @ y, read off the table's first four columns.
+_DOT_FORMS = np.zeros((4, 16, 16), dtype=np.int64)
+_DOT_FORMS[_T[:, :4], _S[:, :4], _PIDX[:, :4]] = _PW[:, :4] * _CONJ[_PIDX[:, :4]]
 ORACLE_PRODUCT_BOUND = int(np.abs(_PW).sum(axis=0).max())  # 72
 
 
@@ -238,6 +243,19 @@ def test_dot_rows_on_any_supports_match_the_four_form_oracle(lmask, rmask, n, m,
     for lshape, rshape in (((n,), (m,)), ((2, n), (2, m)), ((3, n), (m,)), ((1, n), (2, m))):
         left, right = masked_rows(rng, lshape, lmask, bits), masked_rows(rng, rshape, rmask, bits)
         assert_kernel_is_oracle(dot_rows, oracle_dot_rows, exact_dot_rows, left, right)
+
+
+def test_bilinear_bound_reads_each_column():
+    # 72 * 2**29 * 2**29 passes 2**63, but every column holds one term of
+    # 2**58 and the rest at most 10 * 2**29: each column's own bound fits.
+    a = np.array([1 << 29] + [1] * 15, dtype=np.int64)
+    b = np.full(16, 1 << 29, dtype=np.int64)
+    for x, y in ((a, b), (b, a)):
+        for left, right in ((x[None], y[None]), (np.stack([x, x])[:, None],
+                                                 np.stack([y, y, y])[None])):
+            for kernel, exact in ((products, exact_products), (dot_rows, exact_dot_rows)):
+                got = kernel(left, right)
+                assert got.astype(object).tolist() == exact(left, right).tolist()
 
 
 def test_products_and_cross_rows_of_no_rows():

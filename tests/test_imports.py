@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name and private attribute set on self is read
-somewhere in the package, and the command line loads no numpy module it
-does not need."""
+somewhere in the package, every public one is read somewhere in the
+sources, the tests or the benchmark unless the package exports it, and the
+command line loads no numpy module it does not need."""
 
 import ast
 import os
@@ -15,6 +16,8 @@ import icosian
 
 SOURCES = sorted(Path(icosian.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
+READERS = SOURCES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("benchmarks/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,8 +33,8 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-def private_definitions(source: str) -> set[str]:
-    """Module-level private functions, classes and assigned names (not dunders)."""
+def definitions(source: str) -> set[str]:
+    """Module-level functions, classes and assigned names, dunders aside."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -40,34 +43,57 @@ def private_definitions(source: str) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return {n for n in names if not n.startswith("__")}
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level private functions, classes and assigned names (not dunders)."""
+    return {n for n in definitions(source) if n.startswith("_")}
+
+
+def self_attributes(source: str) -> set[tuple[str, str]]:
+    """(class, attribute) for each attribute (not dunder) assigned on self in a class."""
+    found = set()
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef):
+            found.update((cls.name, node.attr) for node in ast.walk(cls)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name) and node.value.id == "self"
+                         and not node.attr.startswith("__"))
+    return found
 
 
 def private_attributes(source: str) -> set[str]:
     """Private attributes (not dunders) assigned on self, as in ``self._x = ...``."""
-    names = {node.attr for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-             and isinstance(node.value, ast.Name) and node.value.id == "self"}
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return {attr for _, attr in self_attributes(source) if attr.startswith("_")}
 
 
-def names_read(source: str) -> set[str]:
-    """Names a source reads: as a name, an attribute or an imported name.
+def loads(tree: ast.AST):
+    """The names and attributes a tree reads.
 
     Storing into a subscript, as in ``_TABLE[i] = x`` or ``self._t[i] = x``,
     does not read the table, nor does assigning an attribute.
     """
-    tree = ast.parse(source)
     stored_into = {id(node.value) for node in ast.walk(tree)
                    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
-    read = set()
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and id(node) not in stored_into]
+
+
+def names_read(source: str) -> set[str]:
+    """Names a source reads: as a name, an attribute or an imported name."""
+    tree = ast.parse(source)
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in loads(tree)}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-            if id(node) not in stored_into:
-                read.add(node.id if isinstance(node, ast.Name) else node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             read.update(a.name for a in node.names)
     return read
+
+
+def attributes_read(source: str) -> set[str]:
+    """Attributes a source reads, as in ``x.attr``."""
+    return {node.attr for node in loads(ast.parse(source)) if isinstance(node, ast.Attribute)}
 
 
 def dead_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
@@ -76,6 +102,22 @@ def dead_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
     read = set().union(*(names_read(text) for text in sources.values()))
     return sorted((module, name) for module, text in sources.items()
                   for name in (private_definitions(text) | private_attributes(text)) - read)
+
+
+def dead_public_names(sources: dict[str, str], readers: dict[str, str],
+                      exported) -> list[tuple[str, str]]:
+    """(module, name) for each public module-level name of the sources that no
+    reader reads and exported does not list, and each public attribute set on
+    self, in a class exported does not list, that no reader reads as an attribute."""
+    read = set().union(*(names_read(text) for text in readers.values()))
+    attrs = set().union(*(attributes_read(text) for text in readers.values()))
+    dead = set()
+    for module, text in sources.items():
+        dead.update((module, name) for name in definitions(text) - read - set(exported)
+                    if not name.startswith("_"))
+        dead.update((module, attr) for cls, attr in self_attributes(text)
+                    if not attr.startswith("_") and cls not in exported and attr not in attrs)
+    return sorted(dead)
 
 
 def test_unused_imports_are_found():
@@ -112,9 +154,31 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_dead_public_names_are_found():
+    sample = ("DEAD = 1\nUSED = 2\nEXPORTED = 3\n_private = 4\n"
+              "def orphan():\n    pass\n"
+              "class Kept:\n"
+              "    def __init__(self):\n"
+              "        self.read, self.stale, self._own = 1, 2, 3\n"
+              "class Api:\n"
+              "    def __init__(self):\n"
+              "        self.unread = 1\n")
+    # A name read as a variable is not an attribute read.
+    reader = "from sample import USED, Kept\nstale = 0\nx = Kept().read + stale\n"
+    assert dead_public_names({"sample": sample}, {"sample": sample, "reader": reader},
+                             ["EXPORTED", "Api"]) == [
+        ("sample", "DEAD"), ("sample", "orphan"), ("sample", "stale")]
+
+
 def test_no_dead_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert dead_private_names(sources) == []
+
+
+def test_no_dead_public_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    readers = {str(p): p.read_text(encoding="utf-8") for p in READERS}
+    assert dead_public_names(sources, readers, icosian.__all__) == []
 
 
 # Each command runs in one child process, whose stdout is discarded; the
