@@ -17,7 +17,7 @@ import argparse
 import sys
 from functools import lru_cache
 
-from . import dual, exports, hull, polytope, roots, verify
+from . import dual, exports, polytope, roots, verify
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      InvalidSelector)
 from .groups import binary_icosahedral, binary_tetrahedral, icosian_seed
@@ -92,16 +92,17 @@ def _export_complex(name: str):
 
 
 def _cell_geometry(name: str, index: int):
-    """3D coordinates and hull faces of one cell, in the cell's own frame."""
+    """3D coordinates and hull faces of one cell, in the cell's own frame.
+
+    Both kinds of complex move each cell's faces from a certified hull: a
+    census cell takes its orbit representative's, made once per object,
+    and a dual cell the seed's (PolytopeComplex and DualComplex
+    .cell_geometry).
+    """
     complex_ = _export_complex(name)
     if not 0 <= index < len(complex_.cells):
         raise InvalidSelector(f"cell index out of range 0..{len(complex_.cells) - 1}")
-    cell = complex_.cells[index]
-    if name == "dual-snub24":
-        return cell.coords, cell.faces
-    coords = polytope.frame_coords(cell.normal,
-                                   [complex_.vertices[i] for i in cell.vertex_indices])
-    return coords, hull.convex_hull_faces(coords)
+    return complex_.cell_geometry(index)
 
 
 def _selected_part(args):

@@ -126,6 +126,11 @@ class DualComplex:
     def face_census(self) -> dict[int, int]:
         return hull.face_census(self.faces)
 
+    def cell_geometry(self, index: int):
+        """3D coordinates and faces of one cell in its own frame, moved from the seed's hull."""
+        cell = self.cells[index]
+        return cell.coords, cell.faces
+
     def vertex_cell_counts(self) -> Counter:
         out: Counter = Counter()
         for cell in self.cells:
@@ -135,15 +140,6 @@ class DualComplex:
 
     def __repr__(self) -> str:
         return "<dual complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
-
-
-def _relabel(face, label, reverse: bool) -> tuple[int, ...]:
-    """A face cycle under new vertex labels, reversed if asked, from its lowest label."""
-    cycle = [label[i] for i in face]
-    if reverse:
-        cycle.reverse()
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:] + cycle[:k])
 
 
 # Dual-vertex classes in the order of a cell's vertices: scaled 24-cell, T', S'.
@@ -200,7 +196,7 @@ def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
     for p, vset, label, reverse, coords in zip(
             points, vertex_sets, labels, (rows[:, 0] == 1).tolist(),
             polytope.batched_frame_coords(points, vertex_sets)):
-        faces = sorted(_relabel(f, label, reverse) for f in cell.faces)
+        faces = hull.relabel(cell.faces, label, reverse)
         out.append(DualCell(p, vset, coords, tuple(f for f in faces if len(f) == 4),
                             tuple(f for f in faces if len(f) == 3)))
     return out

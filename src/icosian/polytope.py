@@ -17,6 +17,12 @@ checked exactly: the multiplier permutes the vertex rows, the images of a
 representative are candidates, and every candidate is reached.  The five
 snub embeddings are the snub census conjugated by p^i, checked the same
 way.  The 120-cell appears as the coset union hosting the second snub copy.
+
+A census keeps the orbit data that carried its certificates: each cell's
+representative and mover, and the multipliers' vertex permutations.  So a
+cell's hull faces in its own frame (PolytopeComplex.cell_geometry) are its
+representative's, from one exact hull per orbit made on the first request,
+relabelled through the permutation of its mover (hull.relabel).
 """
 
 from __future__ import annotations
@@ -173,11 +179,22 @@ class Cell:
 
 
 class PolytopeComplex:
-    def __init__(self, vertices, edges, faces, cells):
+    """A certified census, with the symmetry that carried its certificates.
+
+    Cell k is the image of cell representative[k] under multiplier
+    mover[k], and perm[m, i] is the vertex that multiplier m moves vertex i
+    onto: the orbit data transport_cells certified.
+    """
+
+    def __init__(self, vertices, edges, faces, cells, representative, mover, perm):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         self.cells = tuple(cells)
+        self.representative = representative
+        self.mover = mover
+        self.perm = perm
+        self._orbit_faces = None  # the hull faces of each representative, made on first use
         self._index = {q: i for i, q in enumerate(self.vertices)}
         # incidence[i]: the indices of the cells holding vertex i, in cell order.
         at = [[] for _ in self.vertices]
@@ -216,6 +233,26 @@ class PolytopeComplex:
         """How many edges lie in each number of cells, over the edges that some cell holds."""
         return Counter(n for n in map(self._cells_holding, self.edges) if n)
 
+    def _cell_coords(self, index: int) -> list[tuple]:
+        cell = self.cells[index]
+        return frame_coords(cell.normal, [self.vertices[i] for i in cell.vertex_indices])
+
+    def cell_geometry(self, index: int):
+        """3D coordinates and hull faces of one cell in its own frame.
+
+        The first call makes one exact hull per orbit, at its
+        representative.  A cell's faces are its representative's, relabelled
+        through the certified vertex permutation of its mover: see
+        hull.relabel for why they keep their order.
+        """
+        if self._orbit_faces is None:
+            self._orbit_faces = {r: hull.convex_hull_faces(self._cell_coords(r))
+                                 for r in dict.fromkeys(self.representative.tolist())}
+        r = int(self.representative[index])
+        moved = self.perm[self.mover[index], list(self.cells[r].vertex_indices)]
+        label = np.searchsorted(self.cells[index].vertex_indices, moved).tolist()
+        return self._cell_coords(index), hull.relabel(self._orbit_faces[r], label)
+
     def __repr__(self) -> str:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
 
@@ -247,6 +284,11 @@ def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
     certifies the representatives in one call, and each representative's
     images under all the multipliers must be candidates.  A candidate that
     no image reaches raises, as does any other failed check.
+
+    Returns the certificates, in candidate order, with the orbit data that
+    carried them: for each candidate, the candidate index of its
+    representative and the multiplier row moving that onto it, and the
+    table perm[m, i] of the vertex that multiplier m moves vertex i onto.
     """
     vrows, vden = engine.common_rows(vertices)
     at_vertex = engine.RowIndex(engine.rescaled(vrows, vden, den * vden))
@@ -277,13 +319,14 @@ def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
             raise CertificationFailed("multiplier moves a certified cell off the candidates")
         fresh = np.flatnonzero(source[images] < 0)
         source[images[fresh]], mover[images[fresh]] = len(representatives), fresh
-        representatives.append(idxs)
+        representatives.append(k)
     if (source < 0).any():
         raise CertificationFailed("no certified cell moves onto a candidate")
-    certificates = certify_cells(representatives, vertices)
+    certificates = certify_cells([candidates[k] for k in representatives], vertices)
     nrows, nden = engine.common_rows([normal for normal, _ in certificates])
     moved = engine.quats_of(engine.products(rows[mover], nrows[source]), den * nden)
-    return [(normal, certificates[k][1]) for normal, k in zip(moved, source.tolist())]
+    return ([(normal, certificates[k][1]) for normal, k in zip(moved, source.tolist())],
+            np.array(representatives, dtype=np.intp)[source], mover, perm)
 
 
 def _census_input(vertices):
@@ -330,11 +373,11 @@ def cell_census(vertices) -> PolytopeComplex:
     vertices, edges, faces, candidates, coset = _census_input(vertices)
     rows, den = engine.common_rows(coset)
     multipliers = engine.products(rows, engine.conjugates(rows[:1]))
-    certificates = transport_cells([idxs for idxs, _ in candidates], vertices,
-                                   multipliers, den * den)
+    certificates, *orbits = transport_cells([idxs for idxs, _ in candidates], vertices,
+                                            multipliers, den * den)
     cells = [Cell(idxs, kind, normal, offset)
              for (idxs, kind), (normal, offset) in zip(candidates, certificates)]
-    return PolytopeComplex(vertices, edges, faces, cells)
+    return PolytopeComplex(vertices, edges, faces, cells, *orbits)
 
 
 @lru_cache(maxsize=None)
@@ -401,6 +444,7 @@ class VertexFigure:
         return hull.face_census(self.faces)
 
 
+@lru_cache(maxsize=None)
 def vertex_figure(p: Quaternion) -> VertexFigure:
     """The nine snub neighbors of p in the frame (e1 p, e2 p, e3 p)."""
     complex_ = snub_census()
@@ -493,7 +537,9 @@ def embedding_censuses() -> tuple[PolytopeComplex, ...]:
     rotation about the origin, so it moves each certificate (n, c) to
     (p^i n p^-i, c), and the embedding's canonical order relabels the edges,
     faces and cells.  Cell k of census i is the image of the snub's cell k:
-    the cells come in the snub's order, not in cell_census's.
+    the cells come in the snub's order, not in cell_census's.  So the cells
+    keep the snub's representatives and movers, and the conjugated
+    multipliers permute the relabelled vertices.
     """
     snub = snub_census()
     rows, cden = _conjugations()
@@ -508,9 +554,12 @@ def embedding_censuses() -> tuple[PolytopeComplex, ...]:
         at = label.tolist()
         cells = [Cell([at[i] for i in c.vertex_indices], c.kind, normal, c.offset)
                  for c, normal in zip(snub.cells, engine.quats_of(images[n:], mden))]
+        perm = np.empty_like(snub.perm)
+        perm[:, label] = label[snub.perm]
         out.append(PolytopeComplex(
             embedding, sorted(map(tuple, np.sort(label[edges], axis=1).tolist())),
-            sorted(map(tuple, np.sort(label[faces], axis=1).tolist())), cells))
+            sorted(map(tuple, np.sort(label[faces], axis=1).tolist())), cells,
+            snub.representative, snub.mover, perm))
     return tuple(out)
 
 

@@ -1,6 +1,7 @@
 """Certified cell structure of the snub 24-cell and its neighbours."""
 
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
                      icosian_seed, projective_equal, snub24_vertices,
                      snub_census, snub_embeddings_in_600cell, t_prime,
                      tetra_cells_at, vertex_figure)
-from icosian import engine, polytope
+from icosian import cli, engine, hull, polytope
 from icosian.errors import BadParameter, CertificationFailed, DegenerateInput
 from icosian.field import HALF, ONE, SIGMA, TAU, FieldElement
 from icosian.hull import convex_hull_faces
@@ -134,6 +135,7 @@ def test_vertex_figure():
     assert len(figure.coords) == 9
     assert all(len(c) == 3 and all(isinstance(x, FieldElement) for x in c)
                for c in figure.coords)
+    assert vertex_figure(p) is figure
     with pytest.raises(BadParameter):
         vertex_figure(Q_ONE)
 
@@ -428,8 +430,8 @@ def test_transport_rejects_a_multiplier_off_the_vertex_set():
 
 def test_transport_rejects_a_missing_orbit_image():
     cells, vertices, rows, den = transport_input(binary_icosahedral().elements)
-    assert transport_cells(cells, vertices, rows, den) == [
-        (c.normal, c.offset) for c in cell_census(vertices).cells]
+    certificates, *_ = transport_cells(cells, vertices, rows, den)
+    assert certificates == [(c.normal, c.offset) for c in cell_census(vertices).cells]
     with pytest.raises(CertificationFailed, match="moves a certified cell off the candidates"):
         transport_cells(cells[:-1], vertices, rows, den)
 
@@ -441,6 +443,84 @@ def test_transport_rejects_a_stray_candidate():
     assert 0 not in stray
     with pytest.raises(CertificationFailed, match="no certified cell moves onto a candidate"):
         transport_cells(cells + [stray], vertices, rows, den)
+
+
+# The representatives transport_cells certifies: one cell per orbit.
+REPRESENTATIVES = {"600cell": [0, 1, 2, 3, 4], "snub": [0, 1, 2, 3, 4, 121], "24cell": [0]}
+
+
+@pytest.mark.parametrize("name", list(REPRESENTATIVES))
+def test_census_keeps_its_orbit_data(name):
+    """Each cell is its representative moved by its mover, and perm is the
+    multipliers' action on the vertices, by Quaternion products."""
+    complex_ = cell_census(CENSUS_SETS[name]())
+    coset = polytope._census_input(complex_.vertices)[-1]
+    multipliers = [c * coset[0].conjugate() for c in coset]
+    assert complex_.perm.shape == (len(multipliers), len(complex_.vertices))
+    for h, row in list(zip(multipliers, complex_.perm.tolist()))[::7]:
+        assert row == [complex_.index(h * q) for q in complex_.vertices]
+    assert sorted(set(complex_.representative.tolist())) == REPRESENTATIVES[name]
+    for cell, r, m in zip(complex_.cells, complex_.representative, complex_.mover):
+        moved = complex_.perm[m, list(complex_.cells[r].vertex_indices)]
+        assert tuple(sorted(moved.tolist())) == cell.vertex_indices
+
+
+@lru_cache(maxsize=None)
+def hull_oracle(name):
+    """Each cell's frame coordinates and their hull, one convex_hull_faces call per cell."""
+    complex_ = cell_census(CENSUS_SETS[name]())
+    out = []
+    for cell in complex_.cells:
+        coords = frame_coords(cell.normal, [complex_.vertices[i] for i in cell.vertex_indices])
+        out.append((coords, convex_hull_faces(coords)))
+    return out
+
+
+def counted_hulls(monkeypatch):
+    """A list that grows by one for each hull.convex_hull_faces call from now on."""
+    calls = []
+    monkeypatch.setattr(hull, "convex_hull_faces",
+                        lambda points: calls.append(1) or convex_hull_faces(points))
+    return calls
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+@pytest.mark.parametrize("name", list(REPRESENTATIVES))
+def test_cell_geometry_matches_its_own_hull(monkeypatch, name, order):
+    """Moved faces equal the hull of each cell's own coordinates, whichever
+    cell of a fresh complex is asked first, from one hull per orbit."""
+    complex_ = cell_census(CENSUS_SETS[name]())
+    indices = list(range(len(complex_.cells)))
+    if order == "reverse":
+        indices.reverse()
+    calls = counted_hulls(monkeypatch)
+    got = {k: complex_.cell_geometry(k) for k in indices}
+    assert len(calls) == len(REPRESENTATIVES[name])
+    assert [got[k] for k in sorted(got)] == hull_oracle(name)
+
+
+def test_embedding_cell_geometry_matches_its_own_hull(monkeypatch):
+    """An embedding census moves its faces through the conjugated multipliers."""
+    moved = embedding_censuses.__wrapped__()[3]
+    calls = counted_hulls(monkeypatch)
+    for k in reversed(range(len(moved.cells))):
+        coords, faces = moved.cell_geometry(k)
+        cell = moved.cells[k]
+        assert coords == frame_coords(cell.normal, [moved.vertices[i] for i in cell.vertex_indices])
+        assert faces == convex_hull_faces(coords)
+    assert len(calls) == len(REPRESENTATIVES["snub"])
+
+
+def test_census_requests_make_no_hull(monkeypatch, capsys):
+    """A census, and the commands that only build or export a whole census,
+    make no hull: cell hulls wait for the first cell request."""
+    calls = counted_hulls(monkeypatch)
+    cell_census(binary_icosahedral().elements)
+    monkeypatch.setattr(polytope, "snub_census", polytope.snub_census.__wrapped__)
+    monkeypatch.setattr(cli, "_export_complex", cli._export_complex.__wrapped__)
+    assert cli.main(["build", "snub24", "--out", "-"]) == 0
+    assert cli.main(["export", "600cell", "--format", "off", "--out", "-"]) == 0
+    assert calls == []
 
 
 CUBE = [tuple(map(FieldElement, p)) for p in product((0, 2), repeat=3)]
