@@ -360,37 +360,44 @@ def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:
 
 
 def coset_labels(group: TransformGroup, sub: TransformGroup) -> np.ndarray:
-    """Each element g of a pair group labelled by its coset sub g, for a pair group
-    sub over a subgroup T of the group's base: equal labels, one coset.
-
-    [a, b] g and [a, b]* g, for a, b in T, are [a p, q b] and [a conj(q),
-    conj(p) b]* when g = [p, q], and [a x, y b]* and [a conj(y), conj(x) b]
-    when g = [x, y]*.  So the coset of [p, q] is fixed by the pair (T p, q T)
-    and that of [x, y]* by (T conj(y), conj(x) T).  Each class T x and x T
-    is named by the least index, in the base, of its points, and the label
-    codes the two names.  Raises NotInvariant unless T multiplies the base
-    into itself and every coset holds len(sub) elements.
-    """
+    """Each element g of a pair group labelled by its coset sub g (coset_labels_of
+    on the group's factors): equal labels, one coset.  Raises NotInvariant
+    unless every coset holds len(sub) elements."""
     p, q = group._factors
-    t = sub._factors[1]  # T over sub.den, so products with the base are over sub.den * group.den
-    index = engine.RowIndex(engine.rescaled(q, group.den, sub.den * group.den))
-
-    def classes(prods, axis):
-        found = index.find(prods.reshape(-1, 16)).reshape(prods.shape[:2])
-        if (found < 0).any():
-            raise NotInvariant("the subgroup's base does not multiply the base into itself")
-        return found.min(axis=axis)
-
-    # T p for p in P, then T conj(q) for q in Q; q T, then conj(p) T.
-    left = classes(engine.products(t[:, None], np.concatenate([p, engine.conjugates(q)])[None]), 0)
-    right = classes(engine.products(np.concatenate([q, engine.conjugates(p)])[:, None], t[None]), 1)
-    n, m = len(p), len(q)
-    labels = np.concatenate([(left[:n, None] * m + right[None, :m]).ravel(),
-                             (left[None, n:] * m + right[m:, None]).ravel()])
+    labels = coset_labels_of(group, sub, (np.arange(2)[:, None, None], p[:, None], q[None]),
+                             group.den).ravel()
     sizes = np.bincount(labels)
     if (sizes[sizes > 0] != len(sub)).any():
         raise NotInvariant(f"the cosets of {sub.label} do not split {group.label} evenly")
     return labels
+
+
+def coset_labels_of(group: TransformGroup, sub: TransformGroup, triple, den: int) -> np.ndarray:
+    """The label of the coset sub g of each transform g of a pair group, for a
+    pair group sub over a subgroup T of its base and a (star, p, q) triple
+    over den, a multiple of group.den, whose parts broadcast.  [a, b] g and
+    [a, b]* g, for a, b in T, are [a p, q b] and [a conj(q), conj(p) b]* when
+    g = [p, q], and [a x, y b]* and [a conj(y), conj(x) b] when g = [x, y]*.
+    So the coset of [p, q] is fixed by (T p, q T), that of [x, y]* by
+    (T conj(y), conj(x) T), and the label codes the two classes, each named
+    by its least index in the base; p and q are classed before they
+    broadcast.  Raises NotInvariant unless every class lies in the base."""
+    star, p, q = triple
+    base, t = group._factors[1], sub._factors[1]  # over group.den and sub.den
+    index = engine.RowIndex(engine.rescaled(base, group.den, sub.den * den))
+
+    def names(x, left):  # the name of T x (left) or x T for each row of x, in x's shape
+        flat = x.reshape(-1, 1, 16)
+        found = index.find(engine.products(*((t, flat) if left else (flat, t))).reshape(-1, 16))
+        if (found < 0).any():
+            raise NotInvariant("the subgroup's base does not multiply the base into itself")
+        return found.reshape(len(flat), len(t)).min(axis=1).reshape(x.shape[:-1])
+
+    m, starred = len(base), np.asarray(star) == 1  # each branch is classed only if taken
+    plain = names(p, True) * m + names(q, False) if not starred.all() else 0
+    flip = (names(engine.conjugates(q), True) * m + names(engine.conjugates(p), False)
+            if starred.any() else 0)
+    return np.where(starred, flip, plain)
 
 
 class OrbitPartition:

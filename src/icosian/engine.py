@@ -440,13 +440,6 @@ def closure_points(seeds, gen_mats, cap=None) -> tuple[np.ndarray, int]:
     return out, den
 
 
-def distinct_labelled(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows in lexicographic order, each with the least label among its copies."""
-    order, fresh = _sorted_runs(rows)
-    starts = np.flatnonzero(fresh)
-    return rows[order[starts]], np.minimum.reduceat(labels[order], starts)
-
-
 def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:
     """Label each of the distinct rows with the lowest row index in its orbit.
 

@@ -8,6 +8,7 @@ products and group-sized sweeps cheap while staying exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .field import FieldElement, ONE
@@ -230,6 +231,7 @@ class Quaternion:
     def is_unit(self) -> bool:
         return self.norm() == ONE
 
+    @lru_cache(maxsize=1024)  # verify shows the same points on both sides of a check
     def __str__(self) -> str:
         names = ("", "e1", "e2", "e3")
         terms = []

@@ -2,13 +2,9 @@
 
 D4 and F4 live inside the binary tetrahedral/octahedral setup; E8 appears as
 icosians scored with the rational part of the golden split; H4 is the 120
-icosians themselves.  The weight orbits of W(H4) and their decomposition
-under the snub symmetry group are computed here as well, all from one
-table: the images g w_i of the four fundamental weights under every
-element g of wh4(), read off its factors (P w) Q without making its rows,
-with each g labelled once by its W(D4):C3 coset (coxeter.coset_labels).
-The orbit of a weight sum(w_i omega_i) is the table weighted by w, and the
-coset labels split it into W(D4):C3 orbits.
+icosians themselves.  The weight orbits of W(H4) are computed here as well,
+with their W(D4):C3 orbits as the double cosets H g W_J, read off the right
+action of the simple reflections on the 25 cosets H g (coset_labels_of).
 """
 
 from __future__ import annotations
@@ -16,14 +12,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
 from . import engine
-from .coxeter import coset_labels, wd4c3, wh4
+from .coxeter import _compose, coset_labels, coset_labels_of, reflection, wd4c3, wh4
 from .errors import BadParameter, NotInvariant, SearchFailed
-from .field import HALF, ONE, SIGMA, TAU, ZERO
+from .field import HALF, ONE, SIGMA, TAU, ZERO, FieldElement
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
 from .quaternion import Quaternion, canonical_sorted
 
@@ -155,87 +150,88 @@ def _mask_tuple(mask) -> tuple[int, int, int, int]:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _weight_table() -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
-    """The images of the fundamental weights under W(H4), and each element's H-coset.
-
-    table[i, g] is g w_i over den, in lowest terms, for g in the order of
-    wh4().rows, on the columns cols that hold the nonzero entries; bound is
-    the largest magnitude.  The images are read off W(H4)'s factors
-    (TransformGroup.images), so its 14,400 rows are never made.  Each
-    weight's int64 images are narrowed to int16 as they come, so one of
-    them at a time is live, and brought to the common den there.  cosets[g]
-    labels the coset H g of H = W(D4):C3 (coxeter.coset_labels); since
-    rho = w_1 + ... + w_4 is moved regularly, the image of H g is the
-    W(D4):C3 orbit of g rho.
-    """
-    group = wh4()
-    images = [(_int16(rows), d) for rows, d in map(group.images, h4_weights())]
-    den = lcm(*(d for _, d in images))
-    table = np.stack([_int16(rows, den // d) for rows, d in images])
-    cols = np.flatnonzero(table.any(axis=(0, 1)))
-    table = table[:, :, cols]
-    g = int(np.gcd.reduce(table, axis=None, initial=den))
-    table, den = table // g, den // g
-    bound = max(int(table.max()), -int(table.min()))
-    rho = _weighted(table, bound, (1, 1, 1, 1))
-    if len(engine.distinct_rows(rho)) != len(rho):
-        raise NotInvariant("the weight images do not move rho regularly")
-    return table, cols, den, bound, coset_labels(group, wd4c3())
-
-
-def _int16(rows: np.ndarray, scale: int = 1) -> np.ndarray:
-    """Integer rows times scale as int16, raising OverflowError rather than wrap."""
-    if scale * max(-int(rows.min()), int(rows.max())) > np.iinfo(np.int16).max:
-        raise OverflowError("weight images leave the int16 range")
-    out = rows.astype(np.int16)
-    out *= scale
-    return out
-
-
-def _weighted(table: np.ndarray, bound: int, weights) -> np.ndarray:
-    """sum(w_i * table[i]) in int64, raising OverflowError unless it provably fits."""
-    if sum(abs(w) for w in weights) * bound >= 1 << 63:
-        raise OverflowError("weighted orbit rows could leave the int64 range")
-    rows = np.zeros(table.shape[1:], dtype=np.int64)
-    for w, omega in zip(weights, table):
-        if w:
-            rows += omega * np.int64(w)
-    return rows
-
-
-def _on_all_columns(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Rows on the columns cols, as rows on all 16 columns."""
-    out = np.zeros((len(rows), 16), dtype=np.int64)
-    out[:, cols] = rows
-    return out
-
-
-def _weight_orbit(weights) -> tuple[np.ndarray, int, np.ndarray]:
-    """The W(H4) orbit of sum(w_i * omega_i) as canonically ordered rows over den,
-    and each point's W(D4):C3 orbit as the least label of a coset that maps the
-    weight onto it.
-
-    The point g(sum w_i omega_i) is sum w_i g(omega_i), read off the weight
-    table.  The image of a coset H g is one W(D4):C3 orbit, so two images
-    are equal or disjoint, and the least label of a coset reaching a point
-    labels its orbit.
-    """
-    table, cols, den, bound, cosets = _weight_table()
-    rows, labels = engine.distinct_labelled(_weighted(table, bound, weights), cosets)
-    return _on_all_columns(rows, cols), den, labels
+# Every image g w_i over den 4 has coefficients at most 9 in magnitude, so an
+# orbit's points are int64 rows over den 4 while sum |a_i| * 9 < 2**63.
+_IMAGE_BOUND = 9
 
 
 def h4_orbit(mask) -> tuple[Quaternion, ...]:
-    """Canonically sorted W(H4) orbit of the masked weight sum."""
-    rows, den, _ = _weight_orbit(_mask_tuple(mask))
-    return engine.quats_of(rows, den)
+    """Canonically sorted W(H4) orbit of the masked weight sum: its distinct images under wh4()."""
+    weight = sum((w for w, a in zip(h4_weights(), _mask_tuple(mask)) if a), Quaternion(0))
+    rows, den = wh4().images(weight)
+    return engine.quats_of(engine.distinct_rows(rows), den)
+
+
+@lru_cache(maxsize=None)
+def _reflections() -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
+    """The s_j as (star | p | q) rows over den, and their matrices and dens."""
+    refl = [reflection(a) for a in h4_simple_roots()]
+    pq, den = engine.common_rows([t.p for t in refl] + [t.q for t in refl])
+    rows = np.hstack([[[t.star] for t in refl], pq[:4], pq[4:]])
+    return rows, den, engine.compile_transforms(rows, den)
+
+
+@lru_cache(maxsize=None)
+def _coset_action() -> np.ndarray:
+    """action[k, j] is the coset H g s_j, for H g the k-th coset of H = W(D4):C3
+    in W(H4): one g per coset, composed with each s_j, by coset_labels_of."""
+    group, sub = wh4(), wd4c3()
+    names, first = np.unique(coset_labels(group, sub), return_index=True)
+    g = group._rows_at(first)[:, None]
+    s, den, _ = _reflections()
+    star, p, q = _compose(np.split(g, [1, 17], axis=-1), np.split(s, [1, 17], axis=-1))
+    return np.searchsorted(names, coset_labels_of(group, sub, (star[..., 0], p, q),
+                                                  group.den * den))
+
+
+@lru_cache(maxsize=None)
+def _parabolic_order(fixing: tuple[int, ...]) -> int:
+    """|W_J| for J the s_j at these increasing indices.  The H4 diagram is the
+    chain a_1 - a_2 - a_3 - a_4, so a gap in J splits W_J into a product; one
+    s_j has order 2, and a longer run is the size of its orbit of the regular rho."""
+    for k in range(1, len(fixing)):
+        if fixing[k] > fixing[k - 1] + 1:
+            return _parabolic_order(fixing[:k]) * _parabolic_order(fixing[k:])
+    if len(fixing) < 2:
+        return 2 ** len(fixing)
+    (mats, dens), rho = _reflections()[2], sum(h4_weights(), Quaternion(0))
+    return len(engine.closure_points([rho], [(mats[j], dens[j]) for j in fixing])[0])
+
+
+@lru_cache(maxsize=None)
+def _premise_table() -> tuple[list, int]:
+    """(w_i, a_j) for the fundamental weights and simple roots, over den, from
+    one dot_rows table that also certifies (rho, a_j) > 0 for every j."""
+    table, den = engine.pairwise_dots(h4_weights() + (sum(h4_weights(), Quaternion(0)),),
+                                      h4_simple_roots())
+    if [FieldElement._make(*x, den).sign() for x in table[4].tolist()] != [1] * 4:
+        raise NotInvariant("rho is not positive on every simple root")
+    return table[:4].tolist(), den
 
 
 def weight_decomposition(weights: tuple[int, int, int, int]) -> tuple[int, tuple[int, ...]]:
-    """The size of a weight orbit and the sorted sizes of its W(D4):C3 orbits."""
-    rows, _, labels = _weight_orbit(weights)
-    return len(rows), tuple(sorted(np.unique(labels, return_counts=True)[1].tolist()))
+    """The size of the W(H4) orbit of lambda = sum(a_i w_i) and the sorted sizes
+    of its W(D4):C3 orbits, the classes of the 25 cosets H g under the s_j with
+    a_j = 0: c cosets hold |H| c / |W_J| points (README, "Verification model").
+    Raises NotInvariant unless (lambda, a_j) = sum(a_i (w_i, a_j)) is positive
+    exactly where a_j != 0, and OverflowError past _IMAGE_BOUND."""
+    if sum(abs(a) for a in weights) * _IMAGE_BOUND >= 1 << 63:
+        raise OverflowError("weighted orbit rows could leave the int64 range")
+    table, den = _premise_table()
+    signs = [FieldElement._make(*(sum(a * table[i][j][c] for i, a in enumerate(weights))
+                                  for c in range(4)), den).sign() for j in range(4)]
+    if signs != [int(a != 0) for a in weights]:
+        raise NotInvariant("the weight is not positive exactly on its support's simple roots")
+    fixing = tuple(j for j, a in enumerate(weights) if a == 0)
+    action = _coset_action()
+    classes, prev = np.arange(len(action)), None
+    while not np.array_equal(classes, prev):
+        prev = classes
+        for j in fixing:
+            classes = np.minimum(classes, classes[action[:, j]])
+    order = _parabolic_order(fixing)
+    parts = np.unique(classes, return_counts=True)[1] * len(wd4c3()) // order
+    return len(wh4()) // order, tuple(sorted(parts.tolist()))
 
 
 # The published orbit-by-orbit decompositions under W(D4):C3, as

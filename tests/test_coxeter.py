@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceeded,
                      NotInvariant, Quaternion, SearchFailed, Transform, TransformGroup, a4xc2,
                      binary_icosahedral, binary_tetrahedral, build_group, canonical_sorted,
                      icosian_seed, orbit, orbit_decompose, reflection, s3_of, s4_of,
                      snub24_vertices, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
-from icosian.coxeter import (coset_labels, seed_conjugator, wd4c3_conjugate,
-                             wd4c3_conjugate_pattern)
+from icosian.coxeter import (_pair_group, coset_labels, coset_labels_of, seed_conjugator,
+                             wd4c3_conjugate, wd4c3_conjugate_pattern)
 from icosian.engine import act, closure_points, common_rows, quats_of, transform_matrix
 from icosian.field import SQRT2, TAU
 
@@ -425,3 +426,25 @@ def test_coset_labels_of_the_snub_group_in_wh4():
 def test_coset_labels_refuse_a_subgroup_over_another_base():
     with pytest.raises(NotInvariant, match="multiply the base"):
         coset_labels(wd4c3(), wh4())
+
+
+def test_coset_labels_refuse_uneven_cosets(monkeypatch):
+    # A W(D4):C3 whose P factor lost half its rows claims 288 elements, but
+    # its T still cuts W(H4) into cosets of 576.
+    sub = _pair_group(binary_tetrahedral(), "W(D4):C3")
+    p, q = sub._factors
+    monkeypatch.setattr(sub, "_factors", (p[:len(p) // 2], q))
+    with pytest.raises(NotInvariant, match="do not split W\\(H4\\) evenly"):
+        coset_labels(wh4(), sub)
+
+
+@given(st.lists(st.integers(0, 14399), min_size=1, max_size=12), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_coset_labels_of_rows_match_the_factor_labels(index, scale):
+    # Rows of sampled elements, over den or a multiple of it, take the label
+    # that coset_labels reads off the factors.
+    group, sub = wh4(), wd4c3()
+    rows = group._rows_at(np.array(index))
+    triple = (rows[:, 0], rows[:, 1:17] * scale, rows[:, 17:] * scale)
+    labels = coset_labels_of(group, sub, triple, group.den * scale)
+    assert labels.tolist() == coset_labels(group, sub)[index].tolist()

@@ -15,13 +15,14 @@ from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion
 from icosian.coxeter import reflection, wd4c3_conjugate
 from icosian.engine import (_CONJ, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, RowIndex,
                             _column_range, _matmul, act, closure_points,
-                            common_rows, cross_rows, distinct_labelled, distinct_rows,
+                            common_rows, cross_rows, distinct_rows,
                             distinct_values, dot_rows, pairwise_dots, partition_points, products,
                             quats_of, side_signs, transform_matrix)
 from icosian.errors import NotInGoldenSubfield, NotInvariant
 from icosian.field import SQRT10, ZERO, FieldElement
 from icosian.linalg import nullspace
 from icosian.roots import euclid_profile_full, h4_simple_roots
+from weight_oracle import distinct_labelled
 
 halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
 thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)

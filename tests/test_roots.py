@@ -13,14 +13,15 @@ from icosian import (HALF, Quaternion, appendix_decompositions,
                      e8_roots, f4_roots, field_sqrt, format_appendix_table,
                      h4_orbit, h4_simple_roots, h4_weights, icosian_seed, orbit_decompose,
                      roots, snub24_vertices, snub_sum_form, stabilizer, wd4c3, wh4)
-from icosian.coxeter import _pair_group, reflection
-from icosian.errors import BadParameter
+from icosian.coxeter import _pair_group, coset_labels, reflection
+from icosian.errors import BadParameter, NotInvariant
 from icosian.field import ONE, SIGMA, SQRT2, TAU
 from icosian.engine import (act, closure_points, common_rows, distinct_rows, partition_points,
                             quats_of, transform_matrix)
-from icosian.roots import (ALL_MASKS, _int16, _on_all_columns, _weight_orbit, _weight_table,
-                           _weighted, d4_data, e8_minus_24cells, euclid_profile_full,
+from icosian.roots import (ALL_MASKS, d4_data, e8_minus_24cells, euclid_profile_full,
                            weight_decomposition)
+from weight_oracle import (_int16, _on_all_columns, _weight_orbit, _weight_table, _weighted,
+                           table_decomposition)
 
 
 def test_e8_is_two_icosian_shells():
@@ -254,18 +255,84 @@ def test_factored_weight_table_matches_the_all_rows_oracle():
 
 
 def test_weight_orbits_and_stabilizers_never_build_the_rows_of_wh4(monkeypatch):
-    # A W(H4) of its own, whose rows no other test has made: the weight table
-    # and a stabilizer must come from its factors alone.
+    # A W(H4) of its own, whose rows no other test has made: the coset action,
+    # the weight orbits and a stabilizer must come from its factors alone.
     group = _pair_group(binary_icosahedral(), "W(H4)")
     monkeypatch.setattr(roots, "wh4", lambda: group)
-    _weight_table.cache_clear()
+    roots._coset_action.cache_clear()
     try:
         assert weight_decomposition((1, 1, 1, 1)) == (14400, (576,) * 25)
+        assert weight_decomposition((0, 0, 0, 1)) == (600, (24, 96, 192, 288))
+        assert len(h4_orbit((1, 0, 0, 0))) == 120
         assert len(stabilizer(group, icosian_seed())) == 120
         assert len(group) == 14400
         assert group._rows is None
     finally:
-        _weight_table.cache_clear()
+        roots._coset_action.cache_clear()
+
+
+def test_coset_action_is_right_multiplication_by_the_simple_reflections():
+    group, sub = wh4(), wd4c3()
+    labels = coset_labels(group, sub)
+    names, first = np.unique(labels, return_index=True)
+    position = {t: k for k, t in enumerate(group.elements)}
+    action = roots._coset_action()
+    assert action.shape == (25, 4)
+    for k, g in enumerate(first.tolist()):
+        for j, alpha in enumerate(h4_simple_roots()):
+            moved = group.elements[g] * reflection(alpha)
+            assert names[action[k, j]] == labels[position[moved]]
+    # Each s_j permutes the cosets.
+    for column in action.T:
+        assert sorted(column.tolist()) == list(range(25))
+
+
+def test_double_cosets_match_the_weight_table_oracle():
+    for mask in ALL_MASKS:
+        assert weight_decomposition(mask) == table_decomposition(mask), mask
+
+
+def test_orbit_rows_bound_is_the_weight_tables():
+    # The refusal bound of weight_decomposition is the largest coefficient of
+    # any image g w_i over den 4, which the oracle reads off all of them.
+    _, _, den, bound, _ = _weight_table()
+    assert (den, bound) == (4, roots._IMAGE_BOUND)
+    edge = ((1 << 63) - 1) // bound  # the largest sum of weights it answers
+    assert weight_decomposition((edge - 1, 0, 0, 1)) == table_decomposition((1, 0, 0, 1))
+    with pytest.raises(OverflowError, match="could leave the int64 range"):
+        weight_decomposition((edge, 0, 0, 1))
+
+
+def test_a_weight_off_its_support_fails_the_dominance_premise(monkeypatch):
+    # w_1 and w_2 swapped: sum a_i w_i is then positive on a_2 where a_2 = 0.
+    w1, w2, w3, w4 = h4_weights()
+    monkeypatch.setattr(roots, "h4_weights", lambda: (w2, w1, w3, w4))
+    roots._premise_table.cache_clear()
+    try:
+        with pytest.raises(NotInvariant, match="the weight is not positive exactly"):
+            weight_decomposition((1, 0, 0, 0))
+        with pytest.raises(NotInvariant, match="the weight is not positive exactly"):
+            weight_decomposition((1, 0, 0, 1))
+    finally:
+        roots._premise_table.cache_clear()
+
+
+def test_a_wrong_rho_fails_the_dominance_premise(monkeypatch):
+    # With -w_1 for w_1, rho = -w_1 + w_2 + w_3 + w_4 is negative on a_1,
+    # while the weight w_2 alone still has the right signs.
+    w1, w2, w3, w4 = h4_weights()
+    monkeypatch.setattr(roots, "h4_weights", lambda: (-w1, w2, w3, w4))
+    roots._premise_table.cache_clear()
+    try:
+        with pytest.raises(NotInvariant, match="rho is not positive on every simple root"):
+            weight_decomposition((0, 1, 0, 0))
+    finally:
+        roots._premise_table.cache_clear()
+
+
+def test_negative_weights_fail_the_dominance_premise():
+    with pytest.raises(NotInvariant, match="the weight is not positive exactly"):
+        weight_decomposition((1, -1, 0, 0))
 
 
 def closure_weight_orbit(weights):

@@ -1,10 +1,10 @@
-"""Certificate objects: check lines, suite selection, and JSON form."""
+"""Certificate objects: check lines, displayed values, suite selection, and JSON form."""
 
 import pytest
 
-from icosian import run_suite
+from icosian import Quaternion, run_suite, snub24_vertices
 from icosian.errors import InvalidSelector
-from icosian.verify import Check, Certificate, format_certificates
+from icosian.verify import Check, Certificate, _show, format_certificates
 
 
 def test_check_lines():
@@ -39,3 +39,13 @@ def test_run_suite_selection():
         len(certs[0].checks), len(certs[0].checks)))
     with pytest.raises(InvalidSelector):
         run_suite("nonsense")
+
+
+def test_show_formats_each_distinct_quaternion_once():
+    points = snub24_vertices()
+    copies = tuple(q + Quaternion(0) for q in points)  # equal values, other objects
+    whole = str(points)
+    Quaternion.__str__.cache_clear()
+    assert _show(points) == _show(copies) == whole[:80] + f"... ({len(whole)} chars)"
+    info = Quaternion.__str__.cache_info()
+    assert (info.misses, info.hits) == (96, 96)
