@@ -145,7 +145,7 @@ def cmd_export(args) -> int:
         else:
             complex_ = _export_complex(args.object)
             coords = exports.quaternion_coords(complex_.vertices)
-            text = exports.off_text(coords, complex_.faces, args.digits, dimension=4)
+            text = exports.off_text(coords, complex_.faces, args.digits)
     else:
         coords, faces, fields = _selected_part(args)
         if args.format == "off":

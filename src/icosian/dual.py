@@ -49,6 +49,12 @@ def dual_vertices() -> tuple[Quaternion, ...]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _vertex_index() -> dict[Quaternion, int]:
+    """The one numbering of the dual vertices: where each sits in dual_vertices()."""
+    return {q: i for i, q in enumerate(dual_vertices())}
+
+
 class DualCell:
     """One dual cell: eight vertices in a fixed order, three kites, six triangles.
 
@@ -103,15 +109,15 @@ def dual_cell(p: Quaternion) -> DualCell:
 
 
 class DualComplex:
-    """The 96 dual cells glued along shared faces."""
+    """The 96 dual cells glued along shared faces, on vertices numbered by index."""
 
-    def __init__(self, vertices, edges, faces, cells, face_incidence):
-        self.vertices = tuple(vertices)
+    def __init__(self, index, edges, faces, cells, face_incidence):
+        self.vertices = tuple(index)
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         self.cells = tuple(cells)
         self.face_incidence = face_incidence
-        self._index = {q: i for i, q in enumerate(self.vertices)}
+        self._index = index
 
     def index(self, q: Quaternion) -> int:
         return self._index[q]
@@ -157,8 +163,7 @@ def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
     it; any failed check raises CertificationFailed.
     """
     census = polytope.snub_census()
-    vertices = dual_vertices()
-    index = {q: i for i, q in enumerate(vertices)}
+    vertices, index = dual_vertices(), _vertex_index()
     seed, sden = engine.common_rows((cell.vertex,) + cell.vertices)
     images = engine.act(rows, seed)
     iden = den * den * sden
@@ -215,8 +220,7 @@ def dual_complex() -> DualComplex:
     reached, first = np.unique(engine.locate(snub, *group.images(seed)), return_index=True)
     if not np.array_equal(reached, np.arange(len(snub))):
         raise CertificationFailed("W(D4):C3 does not move the seed onto every snub vertex")
-    vertices = dual_vertices()
-    index = {q: i for i, q in enumerate(vertices)}
+    index = _vertex_index()
     cells = _transport(dual_cell(seed), group.rows[first], group.den)
     faces: dict[tuple[int, ...], tuple[int, ...]] = {}
     incidence: Counter = Counter()
@@ -228,8 +232,7 @@ def dual_complex() -> DualComplex:
             faces.setdefault(key, cycle)
             incidence[key] += 1
     edges = hull.edges_of_faces(faces.values())
-    return DualComplex(vertices, sorted(edges), sorted(faces.values()),
-                       cells, incidence)
+    return DualComplex(index, sorted(edges), sorted(faces.values()), cells, incidence)
 
 
 def vertex_surroundings(v: Quaternion):
@@ -238,9 +241,9 @@ def vertex_surroundings(v: Quaternion):
     Returns (dot, points) pairs, nearest layer first, covering every vertex
     of every dual cell containing v except v itself.
     """
-    complex_ = dual_complex()
-    if v not in set(complex_.vertices):
+    if v not in _vertex_index():
         raise BadParameter("not a dual vertex")
+    complex_ = dual_complex()
     star = {q for cell in complex_.cells if v in cell.vertices
             for q in cell.vertices} - {v}
     layers: dict = {}

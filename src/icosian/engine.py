@@ -14,9 +14,9 @@ polyhedral groups (the orbit of 1 under right multiplication).  It holds
 the rows it has found in canonical order and keys them afresh each round,
 together with the frontier.
 
-All multiplication is one 16x16 table, made once by _product_table, and
-one kernel reads it: _bilinear, which makes the first few columns of a
-Hamilton product.  products is all 16 of them: group closure checks,
+All multiplication is quaternion's one product table, scattered once into
+16x16 arrays, and one kernel reads them: _bilinear, which makes the first
+few columns of a Hamilton product.  products is all 16 of them: group closure checks,
 conjugacy classes and the rows of every transform group are tables of it,
 so no group-sized sweep multiplies Quaternion objects one pair at a time.
 dot_rows is the first 4 of left times conj(right), since the scalar product
@@ -53,26 +53,23 @@ import numpy as np
 
 from .errors import CapExceeded, NotInvariant
 from .field import FieldElement
-from .quaternion import _FTAB, _QTAB, Quaternion
+from .quaternion import _PRODUCT_TABLE, Quaternion
 
 
-def _product_table() -> tuple[np.ndarray, np.ndarray]:
+def _scatter(table) -> tuple[np.ndarray, np.ndarray]:
     """(a b)_t = sum over s of a_s * w[s, t] * b[idx[s, t]], for 16-vectors a and b.
 
-    The one multiplication table: unit signs times radical multipliers.  For
-    each coefficient s of a, the product adds a signed, scaled permutation of
+    The one multiplication table, quaternion's, as arrays: for each
+    coefficient s of a, the product adds a signed, scaled permutation of
     b's coefficients; every other table of this module is read off it.
     """
-    idx = np.zeros((16, 16), dtype=np.intp)
-    w = np.zeros((16, 16), dtype=np.int64)
-    for (i, j), (k, sign) in _QTAB.items():
-        for (a, b), (c, mult) in _FTAB.items():
-            s, t = 4 * i + a, 4 * k + c
-            idx[s, t], w[s, t] = 4 * j + b, sign * mult
+    s, r, t, m = np.array([(s, r, t, m) for s, terms in table for r, t, m in terms]).T
+    idx, w = np.zeros((16, 16), dtype=np.intp), np.zeros((16, 16), dtype=np.int64)
+    idx[s, t], w[s, t] = r, m
     return idx, w
 
 
-_PIDX, _PW = _product_table()
+_PIDX, _PW = _scatter(_PRODUCT_TABLE)
 
 
 def _max_abs(arr) -> int:
@@ -458,7 +455,13 @@ def partition_points(rows: np.ndarray, gen_mats) -> np.ndarray:
         if (perm < 0).any():
             raise NotInvariant("generator image left the decomposed set")
         perms.append(perm)
-    labels, prev = np.arange(len(rows)), None
+    return least_labels(np.array(perms))
+
+
+def least_labels(perms: np.ndarray) -> np.ndarray:
+    """Label each of n points with the least point of its orbit under
+    permutations given as (k, n) rows: row j moves point i onto perms[j, i]."""
+    labels, prev = np.arange(perms.shape[1]), None
     while not np.array_equal(labels, prev):
         prev = labels
         for perm in perms:

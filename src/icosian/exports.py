@@ -86,10 +86,9 @@ def complex_to_json(complex_) -> dict:
 
 
 def dual_complex_to_json(complex_) -> dict:
-    index = {q: i for i, q in enumerate(complex_.vertices)}
     cells = []
     for cell in complex_.cells:
-        ids = [index[v] for v in cell.vertices]
+        ids = [complex_.index(v) for v in cell.vertices]
         cells.append({
             "vertex": quaternion_to_json(cell.vertex),
             "vertices": ids,
@@ -186,9 +185,9 @@ def decimal_str(x: FieldElement, digits: int = 17) -> str:
     return ("-" + out) if sign < 0 else out
 
 
-def off_text(coords, faces, digits: int = 17, dimension: int = 3) -> str:
-    """An OFF document (or nOFF for dimension != 3) with cycle-ordered faces."""
-    header = "OFF" if dimension == 3 else f"{dimension}OFF"
+def off_text(coords, faces, digits: int = 17) -> str:
+    """An OFF document (or nOFF for points of n != 3 coordinates) with cycle-ordered faces."""
+    header = "OFF" if len(coords[0]) == 3 else f"{len(coords[0])}OFF"
     edges = hull.edges_of_faces(faces)
     lines = [header, f"{len(coords)} {len(faces)} {len(edges)}"]
     for row in coords:

@@ -4,8 +4,8 @@ Vertex sets are exact quaternions; edges come from maximal scalar products,
 faces from triangles, and every cell is certified by an exact supporting
 hyperplane: its vertices reach the plane, all other vertices stay strictly
 below.  The normals of a whole census are one engine.cross_rows call over
-each cell's first three edges, and only a cell whose first four vertices
-are coplanar solves its own nullspace; the signs come from one
+each cell's first three edges, and one more over all edge triples of a
+cell whose first four vertices are coplanar; the signs come from one
 engine.side_signs table, the norms and offsets from one engine.dot_rows
 table each, and each distinct squared norm takes one exact square root.
 
@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from . import engine, hull, linalg
+from . import engine, hull
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      DegenerateInput)
 from .field import HALF, TAU, field_sqrt
@@ -106,34 +107,29 @@ def certify_cells(candidates, vertices):
     Each cell's vertices lie on its hyperplane, every other vertex and the
     origin strictly below.  The normal is the cross product of the cell's
     first three edges from its first vertex, or, when its first four
-    vertices are coplanar, the nullspace of all its edges.  A failing list
-    raises for its first failing cell, with that cell's first failing check.
+    vertices are coplanar, of its first edge triple whose product is nonzero.
+    A failing list raises for its first failing cell, with its first failing check.
     """
     rows, den = engine.common_rows(vertices)
     # A cell of fewer than four vertices repeats its first: its cross row is zero.
     firsts = np.array([(tuple(idxs) + (idxs[0],) * 3)[:4] for idxs in candidates],
                       dtype=np.intp).reshape(-1, 4)
     normals = engine.cross_rows(*engine.differences(rows, firsts).transpose(1, 0, 2))
-    failure = None
     for t in np.flatnonzero(~normals.any(axis=1)):  # the first four vertices are coplanar
-        idxs, base = candidates[t], vertices[candidates[t][0]]
-        basis = linalg.nullspace([[(vertices[i] - base).component(c) for c in range(4)]
-                                  for i in idxs[1:]])
-        if len(basis) != 1:
-            failure = "cell does not span a hyperplane"
-            normals = normals[:t]
-            break
-        normals[t] = Quaternion(*basis[0]).ivec[0]
+        idxs = tuple(candidates[t])
+        triples = np.array([idxs[:1] + e for e in combinations(idxs[1:], 3)], dtype=np.intp)
+        edges = engine.differences(rows, triples.reshape(-1, 4)).transpose(1, 0, 2)
+        normals[t] = next((row for row in engine.cross_rows(*edges) if row.any()), normals[t])
     # The last column is the origin: its sign is that of -offset.
     points = np.vstack([rows, np.zeros((1, 16), dtype=np.int64)])
-    signs = engine.side_signs(normals, points, firsts[:len(normals), 0])
+    signs = engine.side_signs(normals, points, firsts[:, 0])
     norm_values, norm_at = engine.distinct_values(
         engine.dot_rows(normals[:, None], normals[:, None])[:, 0, 0], 1)
     norms = list(norm_values)
     inverse_roots, scales = {}, []
-    for idxs, norm, row in zip(candidates, norm_at.tolist(), signs):
-        # A cross-product normal misses some cell vertex iff the cell has rank 4.
-        if np.any(row[list(idxs)]):
+    for idxs, normal, norm, row in zip(candidates, normals, norm_at.tolist(), signs):
+        # A normal is zero iff the cell has rank below 3, and misses a vertex iff rank 4.
+        if not normal.any() or np.any(row[list(idxs)]):
             raise CertificationFailed("cell does not span a hyperplane")
         if norm not in inverse_roots:
             root = field_sqrt(norms[norm])
@@ -149,8 +145,6 @@ def certify_cells(candidates, vertices):
         if row[-1] != side:
             raise CertificationFailed("hyperplane does not face away from the origin")
         scales.append(inverse_roots[norm] if side < 0 else -inverse_roots[norm])
-    if failure is not None:
-        raise CertificationFailed(failure)
     # Unit normals are products with scalar quaternions, one row per distinct scale.
     distinct = {s: k for k, s in enumerate(dict.fromkeys(scales))}
     scale_rows, sden = engine.common_rows([Quaternion(s) for s in distinct])

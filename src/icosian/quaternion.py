@@ -2,7 +2,9 @@
 
 A quaternion is four field elements; internally each is flattened to a
 16-vector of integers over one common denominator, which keeps Hamilton
-products and group-sized sweeps cheap while staying exact.
+products and group-sized sweeps cheap while staying exact.  Every product,
+by a quaternion or by a field scalar, and engine's bulk kernels read one
+table, _PRODUCT_TABLE; dot sums p_i q_i on its own, to check engine's.
 """
 
 from __future__ import annotations
@@ -28,25 +30,24 @@ _FTAB = {
     (3, 0): (3, 1), (3, 1): (2, 2), (3, 2): (1, 5), (3, 3): (0, 10),
 }
 
-# Flattened multiplication table: result[t] += m * left[s] * right[r]
-_PRODUCT_TABLE: list[tuple[int, int, int, int]] = []
-for _i in range(4):
-    for _a in range(4):
-        for _j in range(4):
-            for _b in range(4):
-                _k, _s = _QTAB[(_i, _j)]
-                _c, _m = _FTAB[(_a, _b)]
-                _PRODUCT_TABLE.append((4 * _i + _a, 4 * _j + _b, 4 * _k + _c, _s * _m))
+# The flattened multiplication table, by coefficient s of the left factor:
+# result[t] += m * left[s] * right[r] for each (r, t, m) of s.
+_PRODUCT_TABLE = tuple(
+    (4 * i + a, tuple((4 * j + b, 4 * k + c, sign * mult)
+                      for j in range(4) for b in range(4)
+                      for (k, sign), (c, mult) in [(_QTAB[i, j], _FTAB[a, b])]))
+    for i in range(4) for a in range(4))
 
 
 def _qmul_ivec(a, da, b, db):
     out = [0] * 16
-    for s, r, t, m in _PRODUCT_TABLE:
+    for s, terms in _PRODUCT_TABLE:
         av = a[s]
         if av:
-            bv = b[r]
-            if bv:
-                out[t] += m * av * bv
+            for r, t, m in terms:
+                bv = b[r]
+                if bv:
+                    out[t] += m * av * bv
     return tuple(out), da * db
 
 
@@ -56,16 +57,8 @@ class Quaternion:
     def __init__(self, q0=0, q1=0, q2=0, q3=0):
         comps = [x if isinstance(x, FieldElement) else FieldElement.from_rational(x)
                  for x in (q0, q1, q2, q3)]
-        den = 1
-        for comp in comps:
-            cd = comp.raw[1]
-            den = den * cd // gcd(den, cd)
-        vec = []
-        for comp in comps:
-            cn, cd = comp.raw
-            scale = den // cd
-            vec.extend(v * scale for v in cn)
-        self._init(tuple(vec), den)
+        den = lcm(*(comp.raw[1] for comp in comps))
+        self._init(tuple(v * (den // comp.raw[1]) for comp in comps for v in comp.raw[0]), den)
 
     def _init(self, vec, den):
         g = gcd(*vec, den)
@@ -152,14 +145,12 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            vec, den = _qmul_ivec(self._vec, self._den, other._vec, other._den)
-            return Quaternion._from_ivec(vec, den)
-        scalar = other if isinstance(other, FieldElement) else None
-        if scalar is None and isinstance(other, (int, Fraction)):
-            scalar = FieldElement.from_rational(other)
-        if scalar is None:
-            return NotImplemented
-        return self.scale(scalar)
+            return Quaternion._from_ivec(*_qmul_ivec(self._vec, self._den, other._vec, other._den))
+        if isinstance(other, (int, Fraction)):
+            other = FieldElement.from_rational(other)
+        if isinstance(other, FieldElement):
+            return self.scale(other)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int, Fraction)):
@@ -167,20 +158,9 @@ class Quaternion:
         return NotImplemented
 
     def scale(self, s: FieldElement) -> "Quaternion":
+        """The product of the real quaternion s with self."""
         sn, sd = s.raw
-        out = [0] * 16
-        for i in range(4):
-            base = 4 * i
-            q = self._vec[base:base + 4]
-            for a in range(4):
-                if sn[a] == 0:
-                    continue
-                for b in range(4):
-                    if q[b] == 0:
-                        continue
-                    c, m = _FTAB[(a, b)]
-                    out[base + c] += m * sn[a] * q[b]
-        return Quaternion._from_ivec(tuple(out), self._den * sd)
+        return Quaternion._from_ivec(*_qmul_ivec(sn + (0,) * 12, sd, self._vec, self._den))
 
     def __pow__(self, k: int) -> "Quaternion":
         if not isinstance(k, int) or k < 0:

@@ -223,12 +223,7 @@ def weight_decomposition(weights: tuple[int, int, int, int]) -> tuple[int, tuple
     if signs != [int(a != 0) for a in weights]:
         raise NotInvariant("the weight is not positive exactly on its support's simple roots")
     fixing = tuple(j for j, a in enumerate(weights) if a == 0)
-    action = _coset_action()
-    classes, prev = np.arange(len(action)), None
-    while not np.array_equal(classes, prev):
-        prev = classes
-        for j in fixing:
-            classes = np.minimum(classes, classes[action[:, j]])
+    classes = engine.least_labels(_coset_action()[:, list(fixing)].T)
     order = _parabolic_order(fixing)
     parts = np.unique(classes, return_counts=True)[1] * len(wd4c3()) // order
     return len(wh4()) // order, tuple(sorted(parts.tolist()))

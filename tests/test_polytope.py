@@ -279,7 +279,7 @@ def test_certify_cells_raises_for_the_first_failing_cell():
 
 
 def test_certify_cells_solves_a_coplanar_prefix(monkeypatch):
-    """A cell whose first four vertices are coplanar takes the nullspace path."""
+    """A cell whose first four vertices are coplanar tries all its edge triples."""
     complex_ = snub_census()
     assert certify_cells([], complex_.vertices) == []
     cell = icosa_cell(Q_ONE)
@@ -291,14 +291,26 @@ def test_certify_cells_solves_a_coplanar_prefix(monkeypatch):
     opposite = [complex_.index(centre * 2 - vertices[i]) for i in (a, b)]
     rectangle = (a, b, *opposite)
     calls = []
-    nullspace = polytope.linalg.nullspace
-    monkeypatch.setattr(polytope.linalg, "nullspace",
-                        lambda rows: calls.append(rows) or nullspace(rows))
+    cross_rows = polytope.engine.cross_rows
+    monkeypatch.setattr(polytope.engine, "cross_rows",
+                        lambda *rows: calls.append(rows) or cross_rows(*rows))
     reordered = rectangle + tuple(i for i in cell.vertex_indices if i not in rectangle)
     assert certify_cells([reordered], vertices) == [(cell.normal, cell.offset)]
-    assert len(calls) == 1
+    assert len(calls) == 2
+    calls.clear()
     assert certify_cells([cell.vertex_indices], vertices) == [(cell.normal, cell.offset)]
     assert len(calls) == 1
+    # The rectangle alone spans a plane: no triple of its edges has a normal.
+    with pytest.raises(CertificationFailed, match="does not span a hyperplane"):
+        certify_cells([rectangle], vertices)
+
+
+def test_certify_cells_refuses_a_normal_of_irrational_length():
+    """The normal of 1, e1, e2 and 1 + e3 is a multiple of (1, 1, 1, 0), of norm 3:
+    no element of Q(sqrt2, sqrt5) squares to 3, so it has no exact unit scaling."""
+    points = [Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(1, 0, 0, 1)]
+    with pytest.raises(CertificationFailed, match="normal admits no exact unit scaling"):
+        certify_cells([(0, 1, 2, 3)], points)
 
 
 def test_certify_cells_orients_and_rejects_touching_planes():
