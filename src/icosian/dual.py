@@ -109,18 +109,18 @@ def dual_cell(p: Quaternion) -> DualCell:
 
 
 class DualComplex:
-    """The 96 dual cells glued along shared faces, on vertices numbered by index."""
+    """The 96 dual cells glued along shared faces, on the numbered dual vertices.
 
-    def __init__(self, index, edges, faces, cells, face_incidence):
-        self.vertices = tuple(index)
+    ``cell_vertex_ids[k]`` numbers the vertices of ``cells[k]``, in order.
+    """
+
+    def __init__(self, vertices, edges, faces, cells, cell_vertex_ids, face_incidence):
+        self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         self.cells = tuple(cells)
+        self.cell_vertex_ids = tuple(cell_vertex_ids)
         self.face_incidence = face_incidence
-        self._index = index
-
-    def index(self, q: Quaternion) -> int:
-        return self._index[q]
 
     def counts(self) -> tuple[int, int, int, int]:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.cells))
@@ -222,17 +222,18 @@ def dual_complex() -> DualComplex:
         raise CertificationFailed("W(D4):C3 does not move the seed onto every snub vertex")
     index = _vertex_index()
     cells = _transport(dual_cell(seed), group.rows[first], group.den)
+    cell_vertex_ids = [tuple(index[v] for v in cell.vertices) for cell in cells]
     faces: dict[tuple[int, ...], tuple[int, ...]] = {}
     incidence: Counter = Counter()
-    for cell in cells:
-        ids = [index[v] for v in cell.vertices]
+    for cell, ids in zip(cells, cell_vertex_ids):
         for face in cell.faces:
             cycle = tuple(ids[i] for i in face)
             key = tuple(sorted(cycle))
             faces.setdefault(key, cycle)
             incidence[key] += 1
     edges = hull.edges_of_faces(faces.values())
-    return DualComplex(index, sorted(edges), sorted(faces.values()), cells, incidence)
+    return DualComplex(dual_vertices(), sorted(edges), sorted(faces.values()), cells,
+                       cell_vertex_ids, incidence)
 
 
 def vertex_surroundings(v: Quaternion):

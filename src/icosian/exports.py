@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import hull
+from .errors import BadParameter
 from .field import FieldElement
 from .quaternion import Quaternion
 
@@ -44,10 +45,14 @@ def field_to_json(x: FieldElement) -> dict:
 
 
 def parse_field(doc) -> FieldElement:
-    if isinstance(doc, str):
-        return FieldElement.from_rational(Fraction(doc))
-    vals = [Fraction(doc.get(name, 0)) for name in _BASIS]
-    return FieldElement(*vals)
+    """The element field_to_json wrote: a dict from basis names to Fraction strings."""
+    if not (isinstance(doc, dict) and set(doc) <= set(_BASIS)
+            and all(isinstance(v, str) for v in doc.values())):
+        raise BadParameter(f"field element must map names in {_BASIS} to strings: {doc!r}")
+    try:
+        return FieldElement(*(Fraction(doc.get(name, "0")) for name in _BASIS))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParameter(f"bad field coefficient in {doc!r}: {exc}") from exc
 
 
 def quaternion_to_json(q: Quaternion) -> list:
@@ -56,6 +61,8 @@ def quaternion_to_json(q: Quaternion) -> list:
 
 
 def parse_quaternion(doc) -> Quaternion:
+    if not isinstance(doc, list) or len(doc) != 4:
+        raise BadParameter(f"quaternion must be a list of four field elements: {doc!r}")
     return Quaternion(*(parse_field(part) for part in doc))
 
 
@@ -87,11 +94,10 @@ def complex_to_json(complex_) -> dict:
 
 def dual_complex_to_json(complex_) -> dict:
     cells = []
-    for cell in complex_.cells:
-        ids = [complex_.index(v) for v in cell.vertices]
+    for cell, ids in zip(complex_.cells, complex_.cell_vertex_ids):
         cells.append({
             "vertex": quaternion_to_json(cell.vertex),
-            "vertices": ids,
+            "vertices": list(ids),
             "kites": [[ids[i] for i in f] for f in cell.kites],
             "triangles": [[ids[i] for i in f] for f in cell.triangles],
         })

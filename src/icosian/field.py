@@ -3,12 +3,21 @@
 An element is stored as four integer numerators over one positive common
 denominator, always in lowest terms, so equality and hashing are structural.
 All predicates (zero test, sign, comparisons) are decided exactly.
+
+The field is the tower Q ⊂ Q(sqrt5) ⊂ Q(sqrt5)(sqrt2), and field_sqrt is
+one square-root rule for a quadratic extension F(r), r*r == s, applied at
+both steps: split x = x1 + x2*r with the automorphism negating r, take the
+root n of the norm x1*x1 - s*x2*x2 in F, then the roots y1 of (x1 ± n)/2
+and y2 of (x1 ∓ n)/(2s) in F, and keep the y1 ± y2*r whose square is x
+(Borodin, Fagin, Hopcroft and Tompa, J. Symbolic Computation 1, 1985).  In
+Q, a root is the integer root of the numerator over that of the denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import total_ordering
+from math import gcd, isqrt, lcm
 
 from .errors import NotInGoldenSubfield
 
@@ -21,23 +30,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+@total_ordering
 class FieldElement:
     __slots__ = ("_n", "_den", "_hash")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        fa, fb, fc, fd = (_as_fraction(v) for v in (a, b, c, d))
-        den = 1
-        for f in (fa, fb, fc, fd):
-            den = den * f.denominator // gcd(den, f.denominator)
-        self._init(
-            (
-                fa.numerator * (den // fa.denominator),
-                fb.numerator * (den // fb.denominator),
-                fc.numerator * (den // fc.denominator),
-                fd.numerator * (den // fd.denominator),
-            ),
-            den,
-        )
+        fs = [_as_fraction(v) for v in (a, b, c, d)]
+        den = lcm(*(f.denominator for f in fs))
+        self._init(tuple(f.numerator * (den // f.denominator) for f in fs), den)
 
     def _init(self, n, den):
         g = gcd(*n, den)
@@ -254,24 +254,6 @@ class FieldElement:
             return NotImplemented
         return (self - other).sign() < 0
 
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() >= 0
-
     def __abs__(self) -> "FieldElement":
         return -self if self.sign() < 0 else self
 
@@ -317,86 +299,35 @@ TAU = FieldElement(Fraction(1, 2), 0, Fraction(1, 2))
 SIGMA = FieldElement(Fraction(1, 2), 0, Fraction(-1, 2))
 
 
-def _sqrt_fraction(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
+def _sqrt(x: FieldElement, tower) -> FieldElement | None:
+    """|y| for a y with y*y == x in the field the tower generates over Q, or None.
 
-
-def _sqrt_golden(u: Fraction, v: Fraction) -> tuple[Fraction, Fraction] | None:
-    """Square root of u + v*sqrt5 inside Q(sqrt5), if one exists."""
-    if v == 0:
-        r = _sqrt_fraction(u)
-        if r is not None:
-            return (r, Fraction(0))
-        r = _sqrt_fraction(u / 5)
-        if r is not None:
-            return (Fraction(0), r)
+    Each step (which, s, r) of the tower adjoins r, with r*r == s, to the
+    field of the steps after it; the module docstring gives the rule.
+    """
+    if not tower:
+        (n, _, _, _), den = x.raw
+        rn, rd = isqrt(max(n, 0)), isqrt(den)
+        return FieldElement._make(rn, 0, 0, 0, rd) if (rn * rn, rd * rd) == (n, den) else None
+    (which, s, r), tower = tower[0], tower[1:]
+    conjugate = x.galois(which)
+    x1, x2 = (x + conjugate) * HALF, (x - conjugate) * r * Fraction(1, 2 * s)
+    n = _sqrt(x1 * x1 - s * x2 * x2, tower)
+    if n is None:
         return None
-    disc = _sqrt_fraction(u * u - 5 * v * v)
-    if disc is None:
-        return None
-    for t in ((u + disc) / 2, (u - disc) / 2):
-        g = _sqrt_fraction(t)
-        if g is not None and g != 0:
-            h = v / (2 * g)
-            if g * g + 5 * h * h == u:
-                return (g, h)
+    for m in (n, -n):
+        y1, y2 = _sqrt((x1 + m) * HALF, tower), _sqrt((x1 - m) * Fraction(1, 2 * s), tower)
+        if y1 is not None and y2 is not None:
+            for y in (y1 + y2 * r, y1 - y2 * r):
+                if y * y == x:
+                    return abs(y)
     return None
 
 
 def field_sqrt(x: FieldElement) -> FieldElement | None:
-    """Positive square root of x within the field, or None when absent."""
-    if x.is_zero():
-        return ZERO
-    if x.sign() < 0:
-        return None
-    a, b, c, d = x.coefficients()
+    """The non-negative square root of x within the field, or None when absent.
 
-    def build(y1, y2):
-        cand = FieldElement(y1[0], y2[0], y1[1], y2[1])
-        if cand * cand == x:
-            return abs(cand)
-        return None
-
-    zero2 = (Fraction(0), Fraction(0))
-    if b == 0 and d == 0:
-        r = _sqrt_golden(a, c)
-        if r is not None:
-            got = build(r, zero2)
-            if got is not None:
-                return got
-        r = _sqrt_golden(a / 2, c / 2)
-        if r is not None:
-            got = build(zero2, r)
-            if got is not None:
-                return got
-        return None
-    # x = x1 + sqrt2 * x2 with x1, x2 in Q(sqrt5); solve (y1 + sqrt2*y2)^2 = x.
-    x1 = (a, c)
-    x2 = (b, d)
-    du = x1[0] * x1[0] + 5 * x1[1] * x1[1] - 2 * (x2[0] * x2[0] + 5 * x2[1] * x2[1])
-    dv = 2 * x1[0] * x1[1] - 4 * x2[0] * x2[1]
-    s = _sqrt_golden(du, dv)
-    if s is None:
-        return None
-    for su, sv in ((s[0], s[1]), (-s[0], -s[1])):
-        tu, tv = (x1[0] + su) / 2, (x1[1] + sv) / 2
-        y1 = _sqrt_golden(tu, tv)
-        if y1 is None or y1 == (0, 0):
-            continue
-        # y2 = x2 / (2*y1) in Q(sqrt5)
-        norm = 4 * (y1[0] * y1[0] - 5 * y1[1] * y1[1])
-        if norm == 0:
-            continue
-        y2 = (
-            (x2[0] * 2 * y1[0] - 10 * x2[1] * y1[1]) / norm,
-            (x2[1] * 2 * y1[0] - 2 * x2[0] * y1[1]) / norm,
-        )
-        got = build(y1, y2)
-        if got is not None:
-            return got
-    return None
+    One quadratic-extension rule (_sqrt), applied at the two steps of the
+    tower Q(sqrt5)(sqrt2) over Q(sqrt5) and Q(sqrt5) over Q.
+    """
+    return _sqrt(x, (("sqrt2", 2, SQRT2), ("sqrt5", 5, SQRT5)))

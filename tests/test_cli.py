@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from icosian import cli, e8_roots, polytope, snub24_vertices
 from icosian.cli import main
+from icosian.errors import BadParameter
 from icosian.exports import (MAX_DIGITS, decimal_str, dumps, field_to_json, off_text,
                              parse_field, parse_points, parse_quaternion,
                              points_to_json, quaternion_to_json)
@@ -143,6 +144,25 @@ def test_json_writers_match_fraction_strings(q):
         assert field_to_json(x) == {name: str(Fraction(n, den)) for name, n in
                                     zip(("1", "sqrt2", "sqrt5", "sqrt10"), nums) if n}
     assert quaternion_to_json(q) == [field_to_json(q.component(i)) for i in range(4)]
+
+
+@pytest.mark.parametrize("parse, doc, match", [
+    (parse_field, {"sqrt3": "1"}, "must map names"),
+    (parse_field, {"1": "1/2", "sqrt2 ": "3"}, "must map names"),
+    (parse_field, {"1": 0.1}, "must map names"),
+    (parse_field, {"sqrt5": 2}, "must map names"),
+    (parse_field, "1/2", "must map names"),
+    (parse_field, {"1": "1/0"}, "bad field coefficient"),
+    (parse_field, {"1": "one"}, "bad field coefficient"),
+    (parse_quaternion, [], "list of four"),
+    (parse_quaternion, [{"1": "1"}], "list of four"),
+    (parse_quaternion, [{}, {}, {}, {}, {}], "list of four"),
+    (parse_quaternion, {"1": "1"}, "list of four"),
+    (parse_quaternion, [{}, {}, {}, {"sqrt3": "1"}], "must map names"),
+])
+def test_json_readers_refuse_what_no_writer_writes(parse, doc, match):
+    with pytest.raises(BadParameter, match=match):
+        parse(doc)
 
 
 def test_quaternion_json_round_trip():

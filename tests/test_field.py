@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from icosian import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO, FieldElement,
                      NotInGoldenSubfield, field_sqrt)
 from icosian.field import SQRT10
+from sqrt_oracle import field_sqrt as oracle_field_sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +193,16 @@ def test_sign_matches_float(x):
 def test_square_roundtrip(x):
     root = field_sqrt(x * x)
     assert root == abs(x)
+
+
+# Squares times each multiplier, and non-squares: the multipliers cover the
+# rational, golden and sqrt2 cases, zero (x == 0) and negative inputs.
+multipliers = st.sampled_from([ONE, FieldElement(2), FieldElement(5), FieldElement(10), HALF,
+                               FieldElement(3), -ONE, SQRT2, SQRT5, SQRT10, TAU, SIGMA])
+
+
+@given(elements, multipliers)
+@settings(max_examples=60, deadline=None)
+def test_field_sqrt_matches_case_analysis_oracle(x, c):
+    for y in (x, x * x * c):
+        assert field_sqrt(y) == oracle_field_sqrt(y)
