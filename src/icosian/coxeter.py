@@ -13,13 +13,15 @@ W(D4):C3 are pair groups in the paper's factored form, {[p, q], [p, q]* :
 p, q in I} and the same over T: they keep the factors P and Q and make
 their rows, already in canonical order, only on first use.  Their images
 are the products (P v) Q and (P conj(v)) Q, a stabilizer makes only its
-fixed rows, and coset_labels reads the cosets of W(D4):C3 in W(H4) off the
-pairs (T p, q T).  Every other group (stabilizers, conjugates, W(H3)xC2) is
-put in canonical order by one engine.distinct_rows, and acts on points by
-engine.act.  An orbit is a breadth-first search on engine.closure_points
-under the generators' matrices, which are act on the unit rows; the tests
-cross-check it by another algorithm, the images of v under every element.
-Transform and Quaternion arithmetic stay the scalar operations.
+fixed rows, and coset_labels_of names the coset of W(D4):C3 in W(H4) of a
+row by the pair (T p, q T).  The 25 seed conjugators [p^i, conj(p)^j]
+(seed_conjugators) meet each of the 25 cosets once.  Every other group
+(stabilizers, conjugates, W(H3)xC2) is put in canonical order by one
+engine.distinct_rows, and acts on points by engine.act.  An orbit is a
+breadth-first search on engine.closure_points under the generators'
+matrices, which are act on the unit rows; the tests cross-check it by
+another algorithm, the images of v under every element.  Transform and
+Quaternion arithmetic stay the scalar operations.
 """
 
 from __future__ import annotations
@@ -359,19 +361,6 @@ def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:
                                     f"Stab_{group.label}({v})")
 
 
-def coset_labels(group: TransformGroup, sub: TransformGroup) -> np.ndarray:
-    """Each element g of a pair group labelled by its coset sub g (coset_labels_of
-    on the group's factors): equal labels, one coset.  Raises NotInvariant
-    unless every coset holds len(sub) elements."""
-    p, q = group._factors
-    labels = coset_labels_of(group, sub, (np.arange(2)[:, None, None], p[:, None], q[None]),
-                             group.den).ravel()
-    sizes = np.bincount(labels)
-    if (sizes[sizes > 0] != len(sub)).any():
-        raise NotInvariant(f"the cosets of {sub.label} do not split {group.label} evenly")
-    return labels
-
-
 def coset_labels_of(group: TransformGroup, sub: TransformGroup, triple, den: int) -> np.ndarray:
     """The label of the coset sub g of each transform g of a pair group, for a
     pair group sub over a subgroup T of its base and a (star, p, q) triple
@@ -448,6 +437,14 @@ def seed_conjugator(i: int, j: int) -> Transform:
     """[p^i, conj(p)^j] for the canonical tenth root of unity p."""
     p = icosian_seed()
     return Transform(p ** i, p.conjugate() ** j)
+
+
+@lru_cache(maxsize=None)
+def seed_conjugators() -> tuple[np.ndarray, int]:
+    """The 25 seed conjugators [p^i, conj(p)^j], i, j < 5: row 5i + j as a
+    (star | p | q) row, all over one returned denominator."""
+    powers, den = engine.common_rows([icosian_seed() ** i for i in range(5)])
+    return _transform_rows((0, powers[:, None], engine.conjugates(powers)[None])), den
 
 
 def wd4c3_conjugate(i: int, j: int) -> TransformGroup:

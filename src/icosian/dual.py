@@ -44,7 +44,7 @@ def dual_vertices() -> tuple[Quaternion, ...]:
     pts += list(polytope.build_120cell().s_prime)
     pts += [t.scale(TAU_OVER_SQRT2) for t in binary_tetrahedral()]
     out = canonical_sorted(pts)
-    if len(out) != 144:
+    if len(set(out)) != 144:
         raise CertificationFailed("dual vertex classes overlap")
     return out
 

@@ -34,6 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from . import engine, hull
+from .coxeter import seed_conjugators
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      DegenerateInput)
 from .field import HALF, TAU, field_sqrt
@@ -490,22 +491,14 @@ def build_120cell() -> Cell120:
 
 
 @lru_cache(maxsize=None)
-def _conjugations() -> tuple[np.ndarray, int]:
-    """The five rotations r -> p^i r conj(p)^i, as (star | p | q) rows over one denominator."""
-    p = icosian_seed()
-    powers, den = engine.common_rows([p ** i for i in range(5)])
-    return np.hstack([np.zeros((5, 1), dtype=np.int64), powers,
-                      engine.conjugates(powers)]), den
-
-
-@lru_cache(maxsize=None)
 def snub_embeddings_in_600cell() -> tuple[tuple[Quaternion, ...], ...]:
     """Five snub copies I - p^i T p^-i, one per conjugate 24-cell.
 
-    The five conjugate 24-cells are one engine.act of the conjugations on
-    T's rows, and each is looked up among the rows of I.
+    The five conjugate 24-cells are one engine.act of the seed conjugators
+    [p^i, conj(p)^i] on T's rows, and each is looked up among the rows of I.
     """
-    rows, cden = _conjugations()
+    rows, cden = seed_conjugators()
+    rows = rows[::6]
     trows, tden = engine.common_rows(binary_tetrahedral().elements)
     icos = binary_icosahedral().elements
     removed = engine.locate(icos, engine.act(rows, trows), tden * cden * cden)
@@ -536,7 +529,8 @@ def embedding_censuses() -> tuple[PolytopeComplex, ...]:
     multipliers permute the relabelled vertices.
     """
     snub = snub_census()
-    rows, cden = _conjugations()
+    rows, cden = seed_conjugators()
+    rows = rows[::6]
     points, den = engine.common_rows(snub.vertices + tuple(c.normal for c in snub.cells))
     n, mden = len(snub.vertices), den * cden * cden
     edges, faces = np.array(snub.edges), np.array(snub.faces)

@@ -4,7 +4,9 @@ D4 and F4 live inside the binary tetrahedral/octahedral setup; E8 appears as
 icosians scored with the rational part of the golden split; H4 is the 120
 icosians themselves.  The weight orbits of W(H4) are computed here as well,
 with their W(D4):C3 orbits as the double cosets H g W_J, read off the right
-action of the simple reflections on the 25 cosets H g (coset_labels_of).
+action of the simple reflections on the 25 cosets H g.  The paper's 25 seed
+conjugators g = [p^i, conj(p)^j] are the coset representatives: their 25
+distinct coset labels (coset_labels_of) certify that they meet every coset.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine
-from .coxeter import _compose, coset_labels, coset_labels_of, reflection, wd4c3, wh4
+from .coxeter import (_compose, _transform_rows, coset_labels_of, seed_conjugators, wd4c3,
+                      wh4)
 from .errors import BadParameter, NotInvariant, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, ZERO, FieldElement
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
@@ -34,35 +37,19 @@ class RootSystemData:
         return f"<{self.label}: {len(self.roots)} roots>"
 
 
-class D4Data:
-    def __init__(self, system, v1, v2, v3, tet):
-        self.system = system
-        self.V1, self.V2, self.V3, self.T = v1, v2, v3, tet
-
-
-@lru_cache(maxsize=None)
-def d4_data() -> D4Data:
-    """The D4 root system (the 24 elements of 2T), 2T, and the weight orbits V1, V2, V3."""
-    v1, v2, v3 = d4_weight_orbits()
-    tet = binary_tetrahedral()
-    return D4Data(RootSystemData("D4", tet.elements), v1, v2, v3, tet)
-
-
 @lru_cache(maxsize=None)
 def f4_roots() -> RootSystemData:
     """48 roots: the 24-cell (long) plus the three 8-orbits (short)."""
-    data = d4_data()
-    roots = list(data.T) + [v for orbit in (data.V1, data.V2, data.V3) for v in orbit]
+    roots = list(binary_tetrahedral()) + [v for orbit in d4_weight_orbits() for v in orbit]
     return RootSystemData("F4", roots)
 
 
 @lru_cache(maxsize=None)
 def e8_roots() -> RootSystemData:
     """240 roots (T,0)+(0,T)+(V1,V3)+(V2,V1)+(V3,V2), scored by the golden split."""
-    data = d4_data()
-    roots = list(data.T)
-    roots += [SIGMA * t for t in data.T]
-    for left, right in ((data.V1, data.V3), (data.V2, data.V1), (data.V3, data.V2)):
+    tet, (v1, v2, v3) = binary_tetrahedral(), d4_weight_orbits()
+    roots = list(tet) + [SIGMA * t for t in tet]
+    for left, right in ((v1, v3), (v2, v1), (v3, v2)):
         for a in left:
             for b in right:
                 roots.append(a + SIGMA * b)
@@ -81,8 +68,8 @@ def euclid_profile_full(roots) -> set[tuple[tuple[Fraction, int], ...]]:
 @lru_cache(maxsize=None)
 def e8_minus_24cells() -> tuple[tuple[Quaternion, ...], tuple[Quaternion, ...]]:
     """Remove T and sigma*T from E8: the snub vertices S and sigma*S remain."""
-    data = d4_data()
-    removed = set(data.T) | {SIGMA * t for t in data.T}
+    tet = binary_tetrahedral()
+    removed = set(tet) | {SIGMA * t for t in tet}
     rest = [r for r in e8_roots().roots if r not in removed]
     unit = tuple(r for r in rest if r.norm() == ONE)
     scaled = tuple(r for r in rest if r.norm() != ONE)
@@ -91,9 +78,9 @@ def e8_minus_24cells() -> tuple[tuple[Quaternion, ...], tuple[Quaternion, ...]]:
 
 def snub_sum_form() -> tuple[Quaternion, ...]:
     """{tau*V1 + sigma*V2} + {tau*V2 + sigma*V3} + {tau*V3 + sigma*V1}."""
-    data = d4_data()
+    v1, v2, v3 = d4_weight_orbits()
     out = []
-    for left, right in ((data.V1, data.V2), (data.V2, data.V3), (data.V3, data.V1)):
+    for left, right in ((v1, v2), (v2, v3), (v3, v1)):
         for a in left:
             for b in right:
                 out.append(TAU * a + SIGMA * b)
@@ -164,24 +151,28 @@ def h4_orbit(mask) -> tuple[Quaternion, ...]:
 
 @lru_cache(maxsize=None)
 def _reflections() -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
-    """The s_j as (star | p | q) rows over den, and their matrices and dens."""
-    refl = [reflection(a) for a in h4_simple_roots()]
-    pq, den = engine.common_rows([t.p for t in refl] + [t.q for t in refl])
-    rows = np.hstack([[[t.star] for t in refl], pq[:4], pq[4:]])
+    """The s_j, r -> -a_j conj(r) a_j, as (1 | a_j | -a_j) rows over den, and
+    their matrices and dens."""
+    a, den = engine.common_rows(h4_simple_roots())
+    rows = _transform_rows((1, a, -a))
     return rows, den, engine.compile_transforms(rows, den)
 
 
 @lru_cache(maxsize=None)
 def _coset_action() -> np.ndarray:
-    """action[k, j] is the coset H g s_j, for H g the k-th coset of H = W(D4):C3
-    in W(H4): one g per coset, composed with each s_j, by coset_labels_of."""
+    """action[k, j] is the coset H g_k s_j, for H = W(D4):C3 and g_k the k-th
+    seed conjugator, as the k' with H g_k' = H g_k s_j.  Raises NotInvariant
+    unless the conjugators name |W(H4)| / |H| distinct cosets, every one."""
     group, sub = wh4(), wd4c3()
-    names, first = np.unique(coset_labels(group, sub), return_index=True)
-    g = group._rows_at(first)[:, None]
+    g, gden = seed_conjugators()
+    names = coset_labels_of(group, sub, (g[:, 0], g[:, 1:17], g[:, 17:]), gden)
+    if len(set(names.tolist())) != len(group) // len(sub):
+        raise NotInvariant("the seed conjugators do not meet every coset of W(D4):C3 once")
     s, den, _ = _reflections()
-    star, p, q = _compose(np.split(g, [1, 17], axis=-1), np.split(s, [1, 17], axis=-1))
-    return np.searchsorted(names, coset_labels_of(group, sub, (star[..., 0], p, q),
-                                                  group.den * den))
+    star, p, q = _compose(np.split(g[:, None], [1, 17], axis=-1), np.split(s, [1, 17], axis=-1))
+    order = np.argsort(names)
+    return order[np.searchsorted(names, coset_labels_of(group, sub, (star[..., 0], p, q),
+                                                        gden * den), sorter=order)]
 
 
 @lru_cache(maxsize=None)

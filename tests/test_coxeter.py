@@ -11,10 +11,11 @@ from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceede
                      binary_icosahedral, binary_tetrahedral, build_group, canonical_sorted,
                      icosian_seed, orbit, orbit_decompose, reflection, s3_of, s4_of,
                      snub24_vertices, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
-from icosian.coxeter import (_pair_group, coset_labels, coset_labels_of, seed_conjugator,
-                             wd4c3_conjugate, wd4c3_conjugate_pattern)
+from icosian.coxeter import (coset_labels_of, seed_conjugator, seed_conjugators, wd4c3_conjugate,
+                             wd4c3_conjugate_pattern)
 from icosian.engine import act, closure_points, common_rows, quats_of, transform_matrix
 from icosian.field import SQRT2, TAU
+from weight_oracle import element_coset_labels
 
 
 def test_sign_canonicalization():
@@ -410,7 +411,7 @@ def test_stabilizer_matches_the_all_rows_oracle_at_every_point_of_I():
 
 
 def test_coset_labels_of_the_snub_group_in_wh4():
-    labels = coset_labels(wh4(), wd4c3())
+    labels = element_coset_labels(wh4(), wd4c3())
     assert len(labels) == 14400
     _, first, inverse, counts = np.unique(labels, return_index=True, return_inverse=True,
                                           return_counts=True)
@@ -424,27 +425,27 @@ def test_coset_labels_of_the_snub_group_in_wh4():
 
 
 def test_coset_labels_refuse_a_subgroup_over_another_base():
+    rows = wd4c3().rows
     with pytest.raises(NotInvariant, match="multiply the base"):
-        coset_labels(wd4c3(), wh4())
-
-
-def test_coset_labels_refuse_uneven_cosets(monkeypatch):
-    # A W(D4):C3 whose P factor lost half its rows claims 288 elements, but
-    # its T still cuts W(H4) into cosets of 576.
-    sub = _pair_group(binary_tetrahedral(), "W(D4):C3")
-    p, q = sub._factors
-    monkeypatch.setattr(sub, "_factors", (p[:len(p) // 2], q))
-    with pytest.raises(NotInvariant, match="do not split W\\(H4\\) evenly"):
-        coset_labels(wh4(), sub)
+        coset_labels_of(wd4c3(), wh4(), (rows[:, 0], rows[:, 1:17], rows[:, 17:]), wd4c3().den)
 
 
 @given(st.lists(st.integers(0, 14399), min_size=1, max_size=12), st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_coset_labels_of_rows_match_the_factor_labels(index, scale):
     # Rows of sampled elements, over den or a multiple of it, take the label
-    # that coset_labels reads off the factors.
+    # that the oracle reads off the factors.
     group, sub = wh4(), wd4c3()
     rows = group._rows_at(np.array(index))
     triple = (rows[:, 0], rows[:, 1:17] * scale, rows[:, 17:] * scale)
     labels = coset_labels_of(group, sub, triple, group.den * scale)
-    assert labels.tolist() == coset_labels(group, sub)[index].tolist()
+    assert labels.tolist() == element_coset_labels(group, sub)[index].tolist()
+
+
+def test_seed_conjugators_are_the_seed_conjugator_pairs():
+    rows, den = seed_conjugators()
+    assert rows.shape == (25, 33)
+    for k, row in enumerate(rows.tolist()):
+        i, j = divmod(k, 5)
+        assert Transform(Quaternion._from_ivec(row[1:17], den),
+                         Quaternion._from_ivec(row[17:], den), row[0]) == seed_conjugator(i, j)

@@ -11,9 +11,11 @@ from icosian import (CELL_ROTATION, E1, E2, E3, Q_ONE, Quaternion, Transform,
                      dual_complex, dual_vertices, icosian_seed, rotate_cell,
                      snub24_vertices, snub_census, t_prime, vertex_surroundings,
                      wd4c3)
+from icosian import dual
+from icosian.coxeter import s3_of
 from icosian.dual import LEVEL, TAU_OVER_SQRT2, _transport
 from icosian.errors import BadParameter, CertificationFailed
-from icosian.polytope import batched_frame_coords, frame_coords
+from icosian.polytope import Cell120, batched_frame_coords, frame_coords
 from icosian.field import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO,
                            FieldElement)
 
@@ -201,6 +203,33 @@ def test_every_group_element_moves_the_seed_cell_onto_a_direct_hull():
         direct = dual_cell(cell.vertex)
         assert (cell.vertices, cell.coords, cell.kites, cell.triangles) == (
             direct.vertices, direct.coords, direct.kites, direct.triangles)
+
+
+def test_dual_vertex_classes_that_overlap_are_refused(monkeypatch):
+    # One T' point put among S' keeps 144 entries, 143 of them distinct.
+    real = build_120cell()
+    s_prime = (t_prime().elements[0],) + tuple(real.s_prime[1:])
+    fake = Cell120(real.vertices, real.t_prime, s_prime, real.m, real.n)
+    monkeypatch.setattr(dual.polytope, "build_120cell", lambda: fake)
+    dual.dual_vertices.cache_clear()
+    try:
+        with pytest.raises(CertificationFailed, match="overlap"):
+            dual.dual_vertices()
+    finally:
+        dual.dual_vertices.cache_clear()
+
+
+def test_a_group_that_misses_a_snub_vertex_is_refused(monkeypatch):
+    # S3 fixes the seed, so it reaches one snub vertex of 96.
+    group = s3_of(icosian_seed())
+    monkeypatch.setattr(dual.coxeter, "wd4c3", lambda: group)
+    dual.dual_complex.cache_clear()
+    try:
+        with pytest.raises(CertificationFailed,
+                           match="does not move the seed onto every snub vertex"):
+            dual.dual_complex()
+    finally:
+        dual.dual_complex.cache_clear()
 
 
 def scalar_frame_coords(u, points):

@@ -13,15 +13,17 @@ from icosian import (HALF, Quaternion, appendix_decompositions,
                      e8_roots, f4_roots, field_sqrt, format_appendix_table,
                      h4_orbit, h4_simple_roots, h4_weights, icosian_seed, orbit_decompose,
                      roots, snub24_vertices, snub_sum_form, stabilizer, wd4c3, wh4)
-from icosian.coxeter import _pair_group, coset_labels, reflection
+from icosian.coxeter import (_pair_group, coset_labels_of, reflection, seed_conjugator,
+                             seed_conjugators)
 from icosian.errors import BadParameter, NotInvariant
 from icosian.field import ONE, SIGMA, SQRT2, TAU
 from icosian.engine import (act, closure_points, common_rows, distinct_rows, partition_points,
                             quats_of, transform_matrix)
-from icosian.roots import (ALL_MASKS, d4_data, e8_minus_24cells, euclid_profile_full,
+from icosian.groups import d4_weight_orbits
+from icosian.roots import (ALL_MASKS, RootSystemData, e8_minus_24cells, euclid_profile_full,
                            weight_decomposition)
 from weight_oracle import (_int16, _on_all_columns, _weight_orbit, _weight_table, _weighted,
-                           table_decomposition)
+                           element_coset_labels, table_decomposition)
 
 
 def test_e8_is_two_icosian_shells():
@@ -62,10 +64,10 @@ def test_f4_and_d4():
     short = {q.scale(SQRT2) for q in roots if q.norm() == HALF}
     assert long == set(binary_tetrahedral().elements)
     assert long | short == set(binary_octahedral().elements)
-    data = d4_data()
-    assert len(data.system.roots) == 24
-    assert set(data.system.roots) == set(binary_tetrahedral().elements)
-    assert tuple(len(v) for v in (data.V1, data.V2, data.V3)) == (8, 8, 8)
+    system = RootSystemData("D4", binary_tetrahedral().elements)
+    assert len(system.roots) == 24
+    assert set(system.roots) == set(binary_tetrahedral().elements)
+    assert tuple(len(v) for v in d4_weight_orbits()) == (8, 8, 8)
 
 
 def test_snub_sum_form():
@@ -273,18 +275,52 @@ def test_weight_orbits_and_stabilizers_never_build_the_rows_of_wh4(monkeypatch):
 
 def test_coset_action_is_right_multiplication_by_the_simple_reflections():
     group, sub = wh4(), wd4c3()
-    labels = coset_labels(group, sub)
-    names, first = np.unique(labels, return_index=True)
+    labels = element_coset_labels(group, sub)
     position = {t: k for k, t in enumerate(group.elements)}
+    representatives = [seed_conjugator(*divmod(k, 5)) for k in range(25)]
     action = roots._coset_action()
     assert action.shape == (25, 4)
-    for k, g in enumerate(first.tolist()):
+    for k, g in enumerate(representatives):
         for j, alpha in enumerate(h4_simple_roots()):
-            moved = group.elements[g] * reflection(alpha)
-            assert names[action[k, j]] == labels[position[moved]]
+            moved = g * reflection(alpha)
+            assert labels[position[representatives[action[k, j]]]] == labels[position[moved]]
     # Each s_j permutes the cosets.
     for column in action.T:
         assert sorted(column.tolist()) == list(range(25))
+
+
+def test_coset_action_refuses_conjugators_that_miss_a_coset(monkeypatch):
+    # Row 1 repeated over row 0: 25 rows, but only 24 distinct cosets.
+    rows, den = seed_conjugators()
+    repeated = rows.copy()
+    repeated[1] = repeated[0]
+    monkeypatch.setattr(roots, "seed_conjugators", lambda: (repeated, den))
+    roots._coset_action.cache_clear()
+    try:
+        with pytest.raises(NotInvariant, match="do not meet every coset of W\\(D4\\):C3 once"):
+            roots._coset_action()
+    finally:
+        roots._coset_action.cache_clear()
+
+
+def test_coset_action_labels_only_the_conjugators_and_their_products(monkeypatch):
+    # The 25 conjugators and their 100 products with the s_j: no element of
+    # W(H4) beyond them is labelled.
+    labelled = []
+
+    def counting(group, sub, triple, den):
+        star, p, q = triple
+        labelled.append(int(np.prod(np.broadcast_shapes(np.shape(star), p.shape[:-1],
+                                                        q.shape[:-1]))))
+        return coset_labels_of(group, sub, triple, den)
+
+    monkeypatch.setattr(roots, "coset_labels_of", counting)
+    roots._coset_action.cache_clear()
+    try:
+        roots._coset_action()
+    finally:
+        roots._coset_action.cache_clear()
+    assert sum(labelled) <= 125
 
 
 def test_double_cosets_match_the_weight_table_oracle():

@@ -2,11 +2,12 @@
 
 The images g w_i of the four fundamental weights under every element g of
 W(H4), read off its factors, with each g labelled by its W(D4):C3 coset
-(coxeter.coset_labels).  The orbit of sum(a_i w_i) is the table weighted by
-a, and the least coset label reaching each point names its W(D4):C3 orbit,
-since the image of a coset H g is one W(D4):C3 orbit.  It makes fifteen
-sorts of 14,400 rows for the appendix; the package reads the same answers
-off the double cosets H g W_J.
+(element_coset_labels: coxeter.coset_labels_of on every element).  The
+orbit of sum(a_i w_i) is the table weighted by a, and the least coset label
+reaching each point names its W(D4):C3 orbit, since the image of a
+coset H g is one W(D4):C3 orbit.  It makes fifteen sorts of 14,400 rows for
+the appendix; the package reads the same answers off the double cosets
+H g W_J.
 """
 
 from functools import lru_cache
@@ -15,10 +16,18 @@ from math import lcm
 import numpy as np
 
 from icosian import engine
-from icosian.coxeter import coset_labels, wd4c3, wh4
+from icosian.coxeter import coset_labels_of, wd4c3, wh4
 from icosian.engine import _sorted_runs
 from icosian.errors import NotInvariant
 from icosian.roots import h4_weights
+
+
+def element_coset_labels(group, sub) -> np.ndarray:
+    """Each element g of a pair group, in row order, labelled by its coset sub g:
+    coset_labels_of on the group's factors, so its rows are never made."""
+    p, q = group._factors
+    return coset_labels_of(group, sub, (np.arange(2)[:, None, None], p[:, None], q[None]),
+                           group.den).ravel()
 
 
 def distinct_labelled(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,7 +60,7 @@ def _weight_table() -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
     rho = _weighted(table, bound, (1, 1, 1, 1))
     if len(engine.distinct_rows(rho)) != len(rho):
         raise NotInvariant("the weight images do not move rho regularly")
-    return table, cols, den, bound, coset_labels(group, wd4c3())
+    return table, cols, den, bound, element_coset_labels(group, wd4c3())
 
 
 def _int16(rows: np.ndarray, scale: int = 1) -> np.ndarray:
