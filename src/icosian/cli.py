@@ -17,7 +17,7 @@ import argparse
 import sys
 from functools import lru_cache
 
-from . import dual, exports, polytope, roots, verify
+from . import dual, exports, hull, polytope, roots, verify
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      InvalidSelector)
 from .groups import binary_icosahedral, binary_tetrahedral, icosian_seed
@@ -145,14 +145,14 @@ def cmd_export(args) -> int:
         else:
             complex_ = _export_complex(args.object)
             coords = exports.quaternion_coords(complex_.vertices)
-            text = exports.off_text(coords, complex_.faces, args.digits)
+            text = exports.off_text(coords, complex_.faces, len(complex_.edges), args.digits)
     else:
         coords, faces, fields = _selected_part(args)
         if args.format == "off":
-            text = exports.off_text(coords, faces, args.digits)
+            edges = len(hull.edges_of_faces(faces))
+            text = exports.off_text(coords, faces, edges, args.digits)
         else:
-            text = exports.dumps({**fields, "coords": [[exports.field_to_json(c) for c in row]
-                                                       for row in coords]})
+            text = exports.dumps({**fields, "coords": exports.coords_to_json(coords)})
     _write(args.out, text)
     return 0
 

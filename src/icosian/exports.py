@@ -3,12 +3,17 @@
 JSON stores every coordinate as exact rational strings on the basis
 (1, sqrt2, sqrt5, sqrt10), so files round-trip bit for bit; each string is
 written from the field's integer numerators and denominator with one gcd.
+A writer renders each distinct component once per call: points, normals,
+offsets and coordinates are looked up by their exact integers (numerators,
+denominator), so equal components share one rendering.
 OFF files carry correctly rounded decimals: each printed value is the true
 real number rounded to the requested number of significant digits
 (1 to MAX_DIGITS), established by integer interval refinement: the
 enclosure's integer bounds are compared with integer powers of ten and
 rounded half-even with one divmod, with no Fraction and no floating point.
-Each distinct (value, digits) pair is rendered once per process.
+Each distinct (value, digits) pair is rendered once per process.  The OFF
+header's edge count comes from the caller: a complex knows its edges, and
+only a small hull's caller counts them from its faces.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import hull
 from .errors import BadParameter
 from .field import FieldElement
 from .quaternion import Quaternion
@@ -44,6 +48,28 @@ def field_to_json(x: FieldElement) -> dict:
     return _coefficients_to_json(*x.raw)
 
 
+class _Once(dict):
+    """render(nums, den) by its exact key (nums, den), each distinct key rendered once."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        part = self[key] = self.render(*key)
+        return part
+
+
+def _components(points, once: _Once) -> list[tuple]:
+    """Each point's four components as once renders them, keyed by the exact integers of q.ivec."""
+    return [(once[v[0:4], d], once[v[4:8], d], once[v[8:12], d], once[v[12:16], d])
+            for v, d in [q.ivec for q in points]]
+
+
+def _json_points(points, once: _Once) -> list:
+    return [list(row) for row in _components(points, once)]
+
+
 def parse_field(doc) -> FieldElement:
     """The element field_to_json wrote: a dict from basis names to Fraction strings."""
     if not (isinstance(doc, dict) and set(doc) <= set(_BASIS)
@@ -67,7 +93,13 @@ def parse_quaternion(doc) -> Quaternion:
 
 
 def points_to_json(points) -> list:
-    return [quaternion_to_json(q) for q in points]
+    return _json_points(points, _Once(_coefficients_to_json))
+
+
+def coords_to_json(rows) -> list:
+    """Rows of field elements as JSON, each distinct element rendered once."""
+    once = _Once(_coefficients_to_json)
+    return [[once[x.raw] for x in row] for row in rows]
 
 
 def parse_points(doc) -> list[Quaternion]:
@@ -75,35 +107,39 @@ def parse_points(doc) -> list[Quaternion]:
 
 
 def complex_to_json(complex_) -> dict:
+    once = _Once(_coefficients_to_json)
+    normals = _json_points([c.normal for c in complex_.cells], once)
     return {
         "counts": list(complex_.counts()),
-        "vertices": points_to_json(complex_.vertices),
+        "vertices": _json_points(complex_.vertices, once),
         "edges": [list(e) for e in complex_.edges],
         "faces": [list(f) for f in complex_.faces],
         "cells": [
             {
                 "kind": c.kind,
                 "vertices": list(c.vertex_indices),
-                "normal": quaternion_to_json(c.normal),
-                "offset": field_to_json(c.offset),
+                "normal": normal,
+                "offset": once[c.offset.raw],
             }
-            for c in complex_.cells
+            for c, normal in zip(complex_.cells, normals)
         ],
     }
 
 
 def dual_complex_to_json(complex_) -> dict:
+    once = _Once(_coefficients_to_json)
+    tips = _json_points([cell.vertex for cell in complex_.cells], once)
     cells = []
-    for cell, ids in zip(complex_.cells, complex_.cell_vertex_ids):
+    for cell, tip, ids in zip(complex_.cells, tips, complex_.cell_vertex_ids):
         cells.append({
-            "vertex": quaternion_to_json(cell.vertex),
+            "vertex": tip,
             "vertices": list(ids),
             "kites": [[ids[i] for i in f] for f in cell.kites],
             "triangles": [[ids[i] for i in f] for f in cell.triangles],
         })
     return {
         "counts": list(complex_.counts()),
-        "vertices": points_to_json(complex_.vertices),
+        "vertices": _json_points(complex_.vertices, once),
         "edges": [list(e) for e in complex_.edges],
         "faces": [list(f) for f in complex_.faces],
         "cells": cells,
@@ -111,14 +147,15 @@ def dual_complex_to_json(complex_) -> dict:
 
 
 def partition_to_json(cell120) -> dict:
+    once = _Once(_coefficients_to_json)
     return {
         "count": len(cell120.vertices),
-        "vertices": points_to_json(cell120.vertices),
+        "vertices": _json_points(cell120.vertices, once),
         "partition": {
-            "t_prime": points_to_json(cell120.t_prime),
-            "s_prime": points_to_json(cell120.s_prime),
-            "m": points_to_json(cell120.m),
-            "n": points_to_json(cell120.n),
+            "t_prime": _json_points(cell120.t_prime, once),
+            "s_prime": _json_points(cell120.s_prime, once),
+            "m": _json_points(cell120.m, once),
+            "n": _json_points(cell120.n, once),
         },
     }
 
@@ -191,17 +228,19 @@ def decimal_str(x: FieldElement, digits: int = 17) -> str:
     return ("-" + out) if sign < 0 else out
 
 
-def off_text(coords, faces, digits: int = 17) -> str:
-    """An OFF document (or nOFF for points of n != 3 coordinates) with cycle-ordered faces."""
+def off_text(coords, faces, edges: int, digits: int = 17) -> str:
+    """An OFF document (or nOFF for points of n != 3 coordinates) with cycle-ordered faces.
+
+    edges is the edge count the header states: the number of distinct
+    edges of the faces.
+    """
     header = "OFF" if len(coords[0]) == 3 else f"{len(coords[0])}OFF"
-    edges = hull.edges_of_faces(faces)
-    lines = [header, f"{len(coords)} {len(faces)} {len(edges)}"]
-    for row in coords:
-        lines.append(" ".join(decimal_str(c, digits) for c in row))
-    for face in faces:
-        lines.append(" ".join(str(v) for v in (len(face), *face)))
+    lines = [header, f"{len(coords)} {len(faces)} {edges}"]
+    lines += [" ".join([decimal_str(c, digits) for c in row]) for row in coords]
+    line = {n: str(n) + " %d" * n for n in set(map(len, faces))}  # face lines by length
+    lines += [line[len(face)] % tuple(face) for face in faces]
     return "\n".join(lines) + "\n"
 
 
 def quaternion_coords(points) -> list[tuple[FieldElement, ...]]:
-    return [tuple(q.component(i) for i in range(4)) for q in points]
+    return _components(points, _Once(lambda nums, den: FieldElement._make(*nums, den)))

@@ -189,7 +189,7 @@ class PolytopeComplex:
         self.representative = representative
         self.mover = mover
         self.perm = perm
-        self._orbit_faces = None  # the hull faces of each representative, made on first use
+        self._orbit = None  # each representative's (frame coords, hull faces), made on first use
         self._index = {q: i for i, q in enumerate(self.vertices)}
         # incidence[i]: the indices of the cells holding vertex i, in cell order.
         at = [[] for _ in self.vertices]
@@ -236,17 +236,29 @@ class PolytopeComplex:
         """3D coordinates and hull faces of one cell in its own frame.
 
         The first call makes one exact hull per orbit, at its
-        representative.  A cell's faces are its representative's, relabelled
-        through the certified vertex permutation of its mover: see
-        hull.relabel for why they keep their order.
+        representative, from the representatives' frames: one
+        batched_frame_coords call per cell size.  A cell's faces are its
+        representative's, relabelled through the certified vertex
+        permutation of its mover: see hull.relabel for why they keep their
+        order.
         """
-        if self._orbit_faces is None:
-            self._orbit_faces = {r: hull.convex_hull_faces(self._cell_coords(r))
-                                 for r in dict.fromkeys(self.representative.tolist())}
+        if self._orbit is None:
+            reps = list(dict.fromkeys(self.representative.tolist()))
+            by_size = {}
+            for r in reps:
+                by_size.setdefault(len(self.cells[r].vertex_indices), []).append(r)
+            frames = {}
+            for group in by_size.values():
+                cells = [self.cells[r] for r in group]
+                frames.update(zip(group, batched_frame_coords(
+                    [c.normal for c in cells],
+                    [[self.vertices[i] for i in c.vertex_indices] for c in cells])))
+            self._orbit = {r: (frames[r], hull.convex_hull_faces(frames[r])) for r in reps}
         r = int(self.representative[index])
         moved = self.perm[self.mover[index], list(self.cells[r].vertex_indices)]
         label = np.searchsorted(self.cells[index].vertex_indices, moved).tolist()
-        return self._cell_coords(index), hull.relabel(self._orbit_faces[r], label)
+        coords = self._orbit[index][0] if index == r else self._cell_coords(index)
+        return coords, hull.relabel(self._orbit[r][1], label)
 
     def __repr__(self) -> str:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()

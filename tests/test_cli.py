@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from icosian import cli, e8_roots, polytope, snub24_vertices
+from icosian import cli, dual, e8_roots, hull, polytope, snub24_vertices
 from icosian.cli import main
 from icosian.errors import BadParameter
-from icosian.exports import (MAX_DIGITS, decimal_str, dumps, field_to_json, off_text,
-                             parse_field, parse_points, parse_quaternion,
-                             points_to_json, quaternion_to_json)
+from icosian.exports import (MAX_DIGITS, coords_to_json, decimal_str, dumps, field_to_json,
+                             off_text, parse_field, parse_points, parse_quaternion,
+                             points_to_json, quaternion_coords, quaternion_to_json)
 from icosian.field import HALF, ONE, SIGMA, SQRT2, TAU, ZERO, FieldElement
+from icosian.groups import binary_icosahedral, binary_tetrahedral
 from icosian.quaternion import Quaternion
 
 
@@ -180,13 +181,96 @@ def test_points_round_trip_bit_exact():
     assert dumps(doc) == dumps(json.loads(dumps(doc)))
 
 
+# A few components, each point of them over one of a few denominators: the
+# same numerators recur over different denominators, beside zeros,
+# negatives and coefficients past 2**63.  The writers' memo keys on them.
+wide = st.integers(-2**70, 2**70)
+components = st.one_of(
+    st.sampled_from([ZERO, ONE, -ONE, TAU, -SIGMA, SQRT2, -SQRT2 * TAU]),
+    st.builds(FieldElement, wide, wide, wide, wide),
+    radicals)
+over = st.sampled_from([1, 2, 3, 2**65 + 1]).map(lambda d: FieldElement(Fraction(1, d)))
+point_lists = st.lists(components, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.builds(lambda s, *c: Quaternion(*(x * s for x in c)),
+                                    over, *[st.sampled_from(pool)] * 4), max_size=12))
+
+
+def assert_writers_match_per_point(points):
+    points = list(points)
+    assert points_to_json(points) == [quaternion_to_json(q) for q in points]
+    assert quaternion_coords(points) == [q.components for q in points]
+    rows = [q.components[1:] for q in points]
+    assert coords_to_json(rows) == [[field_to_json(x) for x in row] for row in rows]
+
+
+@given(point_lists)
+def test_writers_match_the_per_point_oracle(points):
+    assert_writers_match_per_point(points)
+
+
+def test_writers_answer_coefficients_past_int64():
+    big = FieldElement(2**64 + 1, -(2**70), 0, Fraction(3, 2**65))
+    points = [Quaternion(big, ZERO, -big, big), Quaternion(big * HALF, big, ONE, ZERO)]
+    assert_writers_match_per_point(points)
+
+
+# The point lists each build object writes.
+BUILD_POINTS = {
+    "e8": lambda: [e8_roots().roots],
+    "600cell": lambda: [binary_icosahedral().elements],
+    "24cell": lambda: [binary_tetrahedral().elements],
+    "120cell": lambda: [getattr(polytope.build_120cell(), part)
+                        for part in ("vertices", "t_prime", "s_prime", "m", "n")],
+    "snub24": lambda: [polytope.snub_census().vertices,
+                       [c.normal for c in polytope.snub_census().cells]],
+    "dual-snub24": lambda: [dual.dual_complex().vertices,
+                            [c.vertex for c in dual.dual_complex().cells]],
+}
+
+
+@pytest.mark.parametrize("name", cli.BUILD_OBJECTS)
+def test_build_documents_match_the_per_point_oracle(name):
+    for points in BUILD_POINTS[name]():
+        assert_writers_match_per_point(points)
+    doc = cli._build_doc(name)
+    if name == "snub24":
+        cells = polytope.snub_census().cells
+        assert [c["normal"] for c in doc["cells"]] == [quaternion_to_json(c.normal) for c in cells]
+        assert [c["offset"] for c in doc["cells"]] == [field_to_json(c.offset) for c in cells]
+    if name == "dual-snub24":
+        cells = dual.dual_complex().cells
+        assert [c["vertex"] for c in doc["cells"]] == [quaternion_to_json(c.vertex) for c in cells]
+
+
+@pytest.mark.parametrize("name", cli.EXPORT_OBJECTS)
+def test_export_objects_know_their_face_edges(name):
+    """The edges a whole-object OFF header counts are its faces' edges."""
+    complex_ = cli._export_complex(name)
+    assert set(complex_.edges) == hull.edges_of_faces(complex_.faces)
+
+
+def test_whole_object_off_counts_no_face_edges(monkeypatch, capsys):
+    """A whole-object OFF export takes its edge count from the complex."""
+    for name in cli.EXPORT_OBJECTS:
+        cli._export_complex(name)
+    calls = []
+    edges_of_faces = hull.edges_of_faces
+    monkeypatch.setattr(hull, "edges_of_faces",
+                        lambda faces: calls.append(1) or edges_of_faces(faces))
+    for name in cli.EXPORT_OBJECTS:
+        assert main(["export", name, "--format", "off", "--out", "-"]) == 0
+    assert calls == []
+    assert main(["export", "24cell", "--cell", "0", "--format", "off", "--out", "-"]) == 0
+    assert calls == [1]
+
+
 def test_dumps_canonical():
     assert dumps({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}\n'
 
 
 def test_off_text_triangle():
     coords = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
-    text = off_text(coords, [(0, 1, 2)], digits=3)
+    text = off_text(coords, [(0, 1, 2)], 3, digits=3)
     assert text == (
         "OFF\n3 1 3\n"
         "1.00 0 0\n0 1.00 0\n0 0 1.00\n"

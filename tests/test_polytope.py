@@ -511,6 +511,21 @@ def test_cell_geometry_matches_its_own_hull(monkeypatch, name, order):
     assert [got[k] for k in sorted(got)] == hull_oracle(name)
 
 
+@pytest.mark.parametrize("name, sizes", [("600cell", [5]), ("snub", [5, 1]), ("24cell", [1])])
+def test_first_cell_request_frames_the_representatives_by_size(monkeypatch, name, sizes):
+    """The first request frames every representative, one batched_frame_coords
+    call per cell size; a representative's own request reuses its frame."""
+    complex_ = cell_census(CENSUS_SETS[name]())
+    batches = []
+    batched = polytope.batched_frame_coords
+    monkeypatch.setattr(polytope, "batched_frame_coords",
+                        lambda bases, point_sets: batches.append(len(bases))
+                        or batched(bases, point_sets))
+    for r in REPRESENTATIVES[name]:
+        complex_.cell_geometry(r)
+    assert batches == sizes
+
+
 def test_embedding_cell_geometry_matches_its_own_hull(monkeypatch):
     """An embedding census moves its faces through the conjugated multipliers."""
     moved = embedding_censuses.__wrapped__()[3]
