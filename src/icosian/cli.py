@@ -94,10 +94,9 @@ def _export_complex(name: str):
 def _cell_geometry(name: str, index: int):
     """3D coordinates and hull faces of one cell, in the cell's own frame.
 
-    Both kinds of complex move each cell's faces from a certified hull: a
-    census cell takes its orbit representative's, made once per object,
-    and a dual cell the seed's (PolytopeComplex and DualComplex
-    .cell_geometry).
+    A census cell takes its faces from its orbit representative's certified
+    hull, made once per object (PolytopeComplex.cell_geometry); a dual cell
+    has them from the snub census's polar, with no hull (DualComplex).
     """
     complex_ = _export_complex(name)
     if not 0 <= index < len(complex_.cells):

@@ -1,20 +1,25 @@
-"""The dual snub 24-cell from exact polar reciprocation.
+"""The dual snub 24-cell: the polar of the certified snub census.
 
-Every snub vertex p carries eight surrounding cells: five tetrahedra and
-three icosahedra.  Reciprocating about the sphere of radius tau^2/(2 sqrt2)
-sends tetrahedron centers to themselves and icosahedron centers to
-(tau/sqrt2) times a 24-cell vertex, so the dual vertex set is
-T' + S' + (tau/sqrt2) T, with 144 points on three radii.  The dual cell of p
-is the convex hull of its eight reciprocated centers, which all lie on the
-hyperplane (p, x) = tau^2/(2 sqrt2): three kites and six triangles.
+Each snub cell i has a certificate (n_i, c_i) from polytope.certify_cells:
+(p, n_i) = c_i on its vertices p and (p, n_i) < c_i on every other snub
+vertex ("outside vertex touches the hyperplane"), with c_i > 0 ("hyperplane
+does not face away from the origin").  So x_i = L n_i / c_i, L = tau^2/(2 sqrt2),
+has (p, x_i) = L exactly when p lies in cell i and (p, x_i) < L otherwise:
+the dual's face lattice is the census's, reversed (Ziegler, Lectures on
+Polytopes, 2.3).  Its 144 vertices are the x_i, n_i on T' or S' for a
+tetrahedron and (tau/sqrt2) n_i for an icosahedron; its cell at a snub vertex
+p holds the x_i of the eight cells at p; its edges are the 480 snub
+triangles; and its face at a snub edge (p, q) is the cycle of the cells at
+the edge, consecutive when they share a triangle.  In the cell at p that face
+has outward normal q's part orthogonal to p, so its cycle (a, b, c, ...) runs
+counterclockwise seen from outside, in the frame (e1 p, e2 p, e3 p), when
+det[p, b - a, c - a, q] > 0.
 
-W(D4):C3 moves the seed vertex onto all 96 snub vertices, so the 96 dual
-cells are congruent: dual_complex certifies one hull, at the seed, and
-moves it by one group element per snub vertex.  Each image cell is checked
-exactly, in one batch: its vertices are dual vertices on the image
-vertex's hyperplane, and they are the reciprocated centers of the census
-cells there.  Its faces are the seed's, relabelled, and reversed by the
-starred elements, which reverse orientation.
+A cell's vertices are ordered by class (scaled 24-cell, T', S'), then by
+dual_vertices() index; its faces are cycles of indices into them, each from
+its lowest, the kites and the triangles each sorted.  The complex's face at an
+edge is its cycle in the cell at the edge's lower-indexed end, on dual vertex
+numbers, and its faces and edges are sorted.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import coxeter, engine, hull, polytope
+from . import engine, hull, polytope
 from .coxeter import Transform
-from .errors import BadParameter, CertificationFailed, CoplanarityFailed
+from .errors import BadParameter, CertificationFailed
 from .field import HALF, SQRT2, TAU
-from .groups import binary_tetrahedral, icosian_seed, t_prime
+from .groups import binary_tetrahedral, t_prime
 from .quaternion import E1, Q_ONE, Quaternion, canonical_sorted
 
 LEVEL = TAU * TAU * SQRT2 * HALF * HALF
@@ -40,19 +45,23 @@ TAU_OVER_SQRT2 = TAU * SQRT2 * HALF
 @lru_cache(maxsize=None)
 def dual_vertices() -> tuple[Quaternion, ...]:
     """All 144 dual vertices: T', S', and the scaled 24-cell."""
-    pts = list(t_prime().elements)
-    pts += list(polytope.build_120cell().s_prime)
-    pts += [t.scale(TAU_OVER_SQRT2) for t in binary_tetrahedral()]
-    out = canonical_sorted(pts)
+    out = canonical_sorted([*t_prime().elements, *polytope.build_120cell().s_prime,
+                            *(t.scale(TAU_OVER_SQRT2) for t in binary_tetrahedral())])
     if len(set(out)) != 144:
         raise CertificationFailed("dual vertex classes overlap")
     return out
 
 
 @lru_cache(maxsize=None)
-def _vertex_index() -> dict[Quaternion, int]:
-    """The one numbering of the dual vertices: where each sits in dual_vertices()."""
-    return {q: i for i, q in enumerate(dual_vertices())}
+def _numbering() -> tuple[dict[Quaternion, int], tuple[int, ...]]:
+    """Each dual vertex's place in dual_vertices(), and that of each snub cell's center L n / c."""
+    index = {q: i for i, q in enumerate(dual_vertices())}
+    cells = polytope.snub_census().cells
+    factor = {c: LEVEL * c.invert() for c in {cell.offset for cell in cells}}
+    centers = tuple(index.get(cell.normal.scale(factor[cell.offset]), -1) for cell in cells)
+    if -1 in centers:
+        raise CertificationFailed("a reciprocated cell center is not a dual vertex")
+    return index, centers
 
 
 class DualCell:
@@ -80,39 +89,15 @@ class DualCell:
 
 @lru_cache(maxsize=None)
 def dual_cell(p: Quaternion) -> DualCell:
-    """The dual cell of a snub vertex, certified in its own hyperplane."""
+    """The dual cell of a snub vertex: its cell of dual_complex()."""
     census = polytope.snub_census()
     if p not in census:
         raise BadParameter("vertex must lie on the snub 24-cell")
-    at_p = census.cells_at(p)
-    tets = [c.normal for c in at_p if c.kind == "tetrahedron"]
-    icosa = [c.normal for c in at_p if c.kind == "icosahedron"]
-    if len(tets) != 5 or len(icosa) != 3:
-        raise CertificationFailed("snub vertex is not surrounded by 5+3 cells")
-    tp = t_prime()
-    central = [c for c in tets if c in tp]
-    if len(central) != 1:
-        raise CertificationFailed("expected exactly one tetrahedron center on T'")
-    others = canonical_sorted(c for c in tets if c not in tp)
-    scaled = [t.scale(TAU_OVER_SQRT2) for t in canonical_sorted(icosa)]
-    vertices = tuple(scaled) + (central[0],) + tuple(others)
-    for v in vertices:
-        if p.dot(v) != LEVEL:
-            raise CoplanarityFailed("reciprocated center misses the cell hyperplane")
-    coords = polytope.frame_coords(p, vertices)
-    faces = hull.convex_hull_faces(coords)
-    kites = tuple(f for f in faces if len(f) == 4)
-    triangles = tuple(f for f in faces if len(f) == 3)
-    if len(kites) != 3 or len(triangles) != 6:
-        raise CertificationFailed("dual cell is not three kites and six triangles")
-    return DualCell(p, vertices, coords, kites, triangles)
+    return dual_complex().cells[census.index(p)]
 
 
 class DualComplex:
-    """The 96 dual cells glued along shared faces, on the numbered dual vertices.
-
-    ``cell_vertex_ids[k]`` numbers the vertices of ``cells[k]``, in order.
-    """
+    """The 96 dual cells on the numbered dual vertices: cell_vertex_ids[k] numbers cells[k]'s."""
 
     def __init__(self, vertices, edges, faces, cells, cell_vertex_ids, face_incidence):
         self.vertices = tuple(vertices)
@@ -133,125 +118,95 @@ class DualComplex:
         return hull.face_census(self.faces)
 
     def cell_geometry(self, index: int):
-        """3D coordinates and faces of one cell in its own frame, moved from the seed's hull."""
-        cell = self.cells[index]
-        return cell.coords, cell.faces
+        """3D coordinates and faces of one cell in its own frame."""
+        return self.cells[index].coords, self.cells[index].faces
 
     def vertex_cell_counts(self) -> Counter:
-        out: Counter = Counter()
-        for cell in self.cells:
-            for q in cell.vertices:
-                out[q] += 1
-        return out
+        return Counter(q for cell in self.cells for q in cell.vertices)
 
     def __repr__(self) -> str:
         return "<dual complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
 
 
-# Dual-vertex classes in the order of a cell's vertices: scaled 24-cell, T', S'.
-_CELL_CLASSES = (0, 0, 0, 1, 2, 2, 2, 2)
-
-
-def _transport(cell: DualCell, rows: np.ndarray, den: int) -> list[DualCell]:
-    """The images of a dual cell under transforms given as (star | p | q) rows over den.
-
-    All images come from one engine.act call and are checked exactly, in
-    batch: each transform moves the cell's vertex p onto a snub vertex p',
-    its eight vertices onto dual vertices v' with (p', v') = LEVEL, and
-    those onto the reciprocated centers of the five tetrahedra and three
-    icosahedra at p'.  Each image is then put in the form dual_cell gives
-    it; any failed check raises CertificationFailed.
-    """
-    census = polytope.snub_census()
-    vertices, index = dual_vertices(), _vertex_index()
-    seed, sden = engine.common_rows((cell.vertex,) + cell.vertices)
-    images = engine.act(rows, seed)
-    iden = den * den * sden
-    at = engine.locate(census.vertices, images[:, 0], iden)
-    if (at < 0).any():
-        raise CertificationFailed("transform moves the cell's vertex off the snub 24-cell")
-    found = engine.locate(vertices, images[:, 1:], iden).reshape(len(rows), 8)
-    if (found < 0).any():
-        raise CertificationFailed("transform moves a cell vertex off the dual vertices")
-    levels, _ = engine.distinct_values(engine.dot_rows(images[:, :1], images[:, 1:]), iden * iden)
-    if set(levels) != {LEVEL}:
-        raise CertificationFailed("image vertex misses its cell hyperplane")
-    around = [census.incidence[k] for k in at.tolist()]
-    if any(len(cells) != 8 for cells in around):
-        raise CertificationFailed("snub vertex is not surrounded by 5+3 cells")
-    centers = np.array([index.get(c.normal if c.kind == "tetrahedron"
-                                  else c.normal.scale(TAU_OVER_SQRT2), -1)
-                        for c in census.cells])
-    if (centers < 0).any():
-        raise CertificationFailed("a reciprocated cell center is not a dual vertex")
-    if not np.array_equal(np.sort(centers[np.array(around)], axis=1), np.sort(found, axis=1)):
-        raise CertificationFailed("image cell is not the reciprocated cells at its vertex")
-    classes = np.full(len(vertices), 2)
-    classes[centers[[c.kind == "icosahedron" for c in census.cells]]] = 0
-    classes[[index[q] for q in t_prime()]] = 1
-    # Within a class, dual-vertex order is canonical order: dual_vertices is sorted.
-    order = np.lexsort((found, classes[found]))
-    ordered = np.take_along_axis(found, order, axis=1)
-    if (classes[ordered] != _CELL_CLASSES).any():
-        raise CertificationFailed("image cell is not three scaled, one T' and four S' centers")
-    labels = np.argsort(order, axis=1).tolist()
-    vertex_sets = [[vertices[i] for i in row] for row in ordered.tolist()]
-    points = [census.vertices[k] for k in at.tolist()]
-    out = []
-    for p, vset, label, reverse, coords in zip(
-            points, vertex_sets, labels, (rows[:, 0] == 1).tolist(),
-            polytope.batched_frame_coords(points, vertex_sets)):
-        faces = hull.relabel(cell.faces, label, reverse)
-        out.append(DualCell(p, vset, coords, tuple(f for f in faces if len(f) == 4),
-                            tuple(f for f in faces if len(f) == 3)))
-    return out
+def _around(links, count: int) -> list[int]:
+    """The count cells at a snub edge, cyclically from the lowest; neighbors share a triangle."""
+    links = list(links)
+    cycle = list(links.pop()) if links else []
+    while 0 < len(cycle) < count and (step := [link for link in links if cycle[-1] in link]):
+        links.remove(step[0])
+        a, b = step[0]
+        cycle.append(b if a == cycle[-1] else a)
+    if not (count >= 3 and len(cycle) == len(set(cycle)) == count and len(links) == 1
+            and set(links[0]) == {cycle[0], cycle[-1]}):
+        raise CertificationFailed("cells around a snub edge do not form one cycle")
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
 
 
 @lru_cache(maxsize=None)
 def dual_complex() -> DualComplex:
-    """The 96 dual cells: the seed's certified cell moved by W(D4):C3 onto every snub vertex.
+    """The census's polar, one dual cell per snub vertex: see the module docstring.
 
-    The element moving the seed onto a snub vertex is the first, in
-    canonical order, of those that do.
+    Dual vertices go by rank, their place in a cell's vertex order, so a cycle
+    from its lowest rank is one from its lowest index in every cell.
     """
-    seed = icosian_seed()
-    group = coxeter.wd4c3()
-    snub = polytope.snub24_vertices()
-    reached, first = np.unique(engine.locate(snub, *group.images(seed)), return_index=True)
-    if not np.array_equal(reached, np.arange(len(snub))):
-        raise CertificationFailed("W(D4):C3 does not move the seed onto every snub vertex")
-    index = _vertex_index()
-    cells = _transport(dual_cell(seed), group.rows[first], group.den)
-    cell_vertex_ids = [tuple(index[v] for v in cell.vertices) for cell in cells]
-    faces: dict[tuple[int, ...], tuple[int, ...]] = {}
-    incidence: Counter = Counter()
-    for cell, ids in zip(cells, cell_vertex_ids):
-        for face in cell.faces:
-            cycle = tuple(ids[i] for i in face)
-            key = tuple(sorted(cycle))
-            faces.setdefault(key, cycle)
-            incidence[key] += 1
-    edges = hull.edges_of_faces(faces.values())
-    return DualComplex(dual_vertices(), sorted(edges), sorted(faces.values()), cells,
+    census = polytope.snub_census()
+    (index, centers), vertices = _numbering(), dual_vertices()
+    classes = np.full(len(vertices), 2)
+    classes[[i for i, c in zip(centers, census.cells) if c.kind == "icosahedron"]] = 0
+    classes[[index[q] for q in t_prime()]] = 1
+    order = np.argsort(classes, kind="stable")
+    rank, ids = np.argsort(order)[list(centers)].tolist(), order.tolist()
+    at = [{rank[k] for k in cells} for cells in census.incidence]
+    holders = [tuple(at[a] & at[b] & at[c]) for a, b, c in census.faces]
+    on_edge = {edge: [] for edge in census.edges}
+    for (a, b, c), pair in zip(census.faces, holders):
+        for edge in ((a, b), (a, c), (b, c)) if len(pair) == 2 else ():
+            on_edge[edge].append(pair)
+    cycles = [_around(on_edge[p, q], len(at[p] & at[q])) for p, q in census.edges]
+    ends = engine.common_rows(census.vertices)[0][np.array(census.edges)]
+    xrows, _ = engine.common_rows([vertices[i] for i in ids])
+    spans = engine.differences(xrows, np.array([cycle[:3] for cycle in cycles]))
+    normals = engine.cross_rows(ends[:, 0], spans[:, 0], spans[:, 1])
+    values, at_value = engine.distinct_values(
+        engine.dot_rows(normals[:, None], ends[:, 1:])[:, 0, 0], 1)
+    signs = np.array([x.sign() for x in values])[at_value].tolist()
+    oriented = [c if sign > 0 else c[:1] + c[:0:-1] for c, sign in zip(cycles, signs)]
+    held = [[] for _ in census.vertices]
+    for (p, q), face in zip(census.edges, oriented):
+        held[p].append(face)
+        held[q].append(face[::-1])
+    cell_vertex_ids = [tuple(ids[r] for r in sorted(cell)) for cell in at]
+    frames = polytope.batched_frame_coords(
+        census.vertices, [[vertices[i] for i in vids] for vids in cell_vertex_ids])
+    cells = []
+    for p, cell, vids, coords, own in zip(census.vertices, at, cell_vertex_ids, frames, held):
+        local = hull.relabel(own, {r: k for k, r in enumerate(sorted(cell))})
+        cells.append(DualCell(p, [vertices[i] for i in vids], coords,
+                              [f for f in local if len(f) == 4],
+                              [f for f in local if len(f) == 3]))
+    incidence = Counter(tuple(sorted(ids[r] for r in face)) for own in held for face in own)
+    faces = sorted(tuple(ids[r] for r in face) for face in oriented)
+    edges = np.sort(order[[h for h in holders if len(h) == 2]], axis=1)
+    return DualComplex(vertices, sorted(map(tuple, edges.tolist())), faces, cells,
                        cell_vertex_ids, incidence)
 
 
 def vertex_surroundings(v: Quaternion):
     """The vertex star of a dual vertex, layered by scalar product with it.
 
-    Returns (dot, points) pairs, nearest layer first, covering every vertex
-    of every dual cell containing v except v itself.
+    Returns (dot, points) pairs, nearest layer first, covering every vertex but v
+    of the dual cells holding v: those at the vertices of the snub cell v centers.
     """
-    if v not in _vertex_index():
+    index, centers = _numbering()
+    if v not in index:
         raise BadParameter("not a dual vertex")
-    complex_ = dual_complex()
-    star = {q for cell in complex_.cells if v in cell.vertices
-            for q in cell.vertices} - {v}
+    cell = polytope.snub_census().cells[centers.index(index[v])]
+    star = {q for i in cell.vertex_indices for q in dual_complex().cells[i].vertices} - {v}
     layers: dict = {}
     for q in star:
         layers.setdefault(v.dot(q), []).append(q)
-    return [(d, canonical_sorted(layers[d]))
-            for d in sorted(layers, reverse=True)]
+    return [(d, canonical_sorted(layers[d])) for d in sorted(layers, reverse=True)]
 
 
 CELL_ROTATION = Transform(Q_ONE, E1, star=True)
@@ -260,9 +215,7 @@ CELL_ROTATION = Transform(Q_ONE, E1, star=True)
 
 def rotate_cell(p: Quaternion):
     """Image of the dual cell at p under the cell rotation, with vertex images."""
-    cell = dual_cell(p)
-    image_vertex = CELL_ROTATION.apply(p)
-    image = dual_cell(image_vertex)
+    cell, image = dual_cell(p), dual_cell(CELL_ROTATION.apply(p))
     mapped = [CELL_ROTATION.apply(v) for v in cell.vertices]
     if set(mapped) != set(image.vertices):
         raise CertificationFailed("rotation does not map the dual cell onto a dual cell")
@@ -271,15 +224,12 @@ def rotate_cell(p: Quaternion):
 
 def cell_rotation_orbit(p: Quaternion) -> tuple[DualCell, ...]:
     """The four dual cells sharing one T' corner: the rotation orbit of the cell at p."""
-    cells = []
-    q = p
-    for _ in range(4):
-        cells.append(dual_cell(q))
-        q = CELL_ROTATION.apply(q)
-    if q != p:
+    cells = [dual_cell(p)]
+    while len(cells) < 4:
+        cells.append(dual_cell(CELL_ROTATION.apply(cells[-1].vertex)))
+    if CELL_ROTATION.apply(cells[-1].vertex) != p:
         raise CertificationFailed("cell rotation is not of order four on this vertex")
-    corner = cells[0].vertices[3]
-    if any(cell.vertices[3] != corner for cell in cells):
+    if len({cell.vertices[3] for cell in cells}) != 1:
         raise CertificationFailed("rotated cells do not share their T' corner")
     if len({cell.vertex for cell in cells}) != 4:
         raise CertificationFailed("rotation orbit revisits a snub vertex early")

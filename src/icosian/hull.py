@@ -68,24 +68,20 @@ def convex_hull_faces(points: list[Point3]) -> tuple[tuple[int, ...], ...]:
     return result
 
 
-def relabel(faces, label, reverse: bool = False) -> tuple[tuple[int, ...], ...]:
+def relabel(faces, label) -> tuple[tuple[int, ...], ...]:
     """Face cycles under new vertex labels, each from its lowest label, sorted.
 
     This is the form convex_hull_faces gives, when the new labels are those
-    of an image of the hull's points under an isometry: a rotation keeps
-    each counterclockwise cycle counterclockwise, and a reflection, for
-    which reverse must be set, runs each one the other way.  A cell of a
-    census moved by a unit h acting on the left, r -> h r, keeps its faces
-    and their order: in the frame (e1 h n, e2 h n, e3 h n) of the image's
-    normal h n, the image's coordinates are R^T x for the coordinates x of
-    the cell, R the rotation w -> conj(h) w h of the pure quaternions, which
-    lies in SO(3).  So a census cell never reverses.
+    of an image of the hull's points under a rotation, which keeps each
+    counterclockwise cycle counterclockwise.  A cell of a census moved by a
+    unit h acting on the left, r -> h r, is such an image: in the frame
+    (e1 h n, e2 h n, e3 h n) of the image's normal h n, the image's
+    coordinates are R^T x for the coordinates x of the cell, R the rotation
+    w -> conj(h) w h of the pure quaternions, which lies in SO(3).
     """
     out = []
     for face in faces:
         cycle = [label[i] for i in face]
-        if reverse:
-            cycle.reverse()
         k = cycle.index(min(cycle))
         out.append(tuple(cycle[k:] + cycle[:k]))
     return tuple(sorted(out))

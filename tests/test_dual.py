@@ -6,16 +6,16 @@ from fractions import Fraction
 import pytest
 
 from icosian import (CELL_ROTATION, E1, E2, E3, Q_ONE, Quaternion, Transform,
-                     TransformGroup, binary_icosahedral, binary_tetrahedral,
-                     build_120cell, cell_census, cell_rotation_orbit, dual_cell,
+                     binary_icosahedral, binary_tetrahedral, build_120cell,
+                     canonical_sorted, cell_census, cell_rotation_orbit, dual_cell,
                      dual_complex, dual_vertices, icosian_seed, rotate_cell,
-                     snub24_vertices, snub_census, t_prime, vertex_surroundings,
-                     wd4c3)
-from icosian import dual
-from icosian.coxeter import s3_of
-from icosian.dual import LEVEL, TAU_OVER_SQRT2, _transport
+                     snub24_vertices, snub_census, t_prime, vertex_surroundings)
+from icosian import coxeter, dual, hull, polytope
+from icosian.dual import LEVEL, TAU_OVER_SQRT2, DualCell, _around
 from icosian.errors import BadParameter, CertificationFailed
-from icosian.polytope import Cell120, batched_frame_coords, frame_coords
+from icosian.hull import convex_hull_faces
+from icosian.polytope import (Cell, Cell120, PolytopeComplex, batched_frame_coords,
+                              frame_coords)
 from icosian.field import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO,
                            FieldElement)
 
@@ -43,16 +43,17 @@ def test_vertex_classes():
 
 
 def test_cell_lies_in_level_hyperplane():
-    p = snub24_vertices()[0]
-    cell = dual_cell(p)
-    assert len(cell.vertices) == 8
-    assert all(p.dot(v) == LEVEL for v in cell.vertices)
+    """Every cell: eight vertices on its hyperplane, three scaled T, one T', four S'."""
     tp = set(t_prime().elements)
     sp = set(build_120cell().s_prime)
-    assert cell.vertices[3] in tp
-    assert set(cell.vertices[4:]) <= sp
-    unscaled = {v.scale(TAU_OVER_SQRT2.invert()) for v in cell.vertices[:3]}
-    assert unscaled <= set(binary_tetrahedral().elements)
+    for p in snub24_vertices():
+        cell = dual_cell(p)
+        assert len(cell.vertices) == 8
+        assert all(p.dot(v) == LEVEL for v in cell.vertices)
+        assert cell.vertices[3] in tp
+        assert set(cell.vertices[4:]) <= sp
+        unscaled = {v.scale(TAU_OVER_SQRT2.invert()) for v in cell.vertices[:3]}
+        assert unscaled <= set(binary_tetrahedral().elements)
 
 
 def test_cell_coordinate_grid():
@@ -170,39 +171,168 @@ def test_cell_rotation_orbit():
 
 
 def test_bad_parameters():
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="vertex must lie on the snub 24-cell"):
         dual_cell(Q_ONE)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="not a dual vertex"):
         vertex_surroundings(Q_ONE)
 
 
-def test_transported_cells_match_direct_hulls():
-    """Every cell moved from the seed equals the hull certified at its own vertex."""
-    cells = dual_complex().cells
-    assert [cell.vertex for cell in cells] == list(snub24_vertices())
-    for cell in cells:
-        direct = dual_cell(cell.vertex)
+def hull_dual_cell(p):
+    """The dual cell at p as an exact hull: the oracle of the polar construction.
+
+    Its vertices are the three scaled icosahedron centers, the tetrahedron
+    center on T' and the four on S', each class in canonical order, and its
+    faces those of their hull in the frame (e1 p, e2 p, e3 p).
+    """
+    at_p = snub_census().cells_at(p)
+    tp = set(t_prime().elements)
+    tets = [c.normal for c in at_p if c.kind == "tetrahedron"]
+    icosa = canonical_sorted(c.normal for c in at_p if c.kind == "icosahedron")
+    vertices = ([t.scale(TAU_OVER_SQRT2) for t in icosa] + [c for c in tets if c in tp]
+                + list(canonical_sorted(c for c in tets if c not in tp)))
+    coords = frame_coords(p, vertices)
+    faces = convex_hull_faces(coords)
+    return DualCell(p, vertices, coords, [f for f in faces if len(f) == 4],
+                    [f for f in faces if len(f) == 3])
+
+
+def test_polar_complex_matches_the_hull_construction():
+    """Every field of every cell, and the faces, edges and face incidence, equal
+    the 96 hulls glued on the numbered dual vertices, each face kept as the
+    first cell in snub order has it."""
+    complex_ = dual_complex()
+    index = {q: i for i, q in enumerate(dual_vertices())}
+    faces, incidence = {}, Counter()
+    assert [cell.vertex for cell in complex_.cells] == list(snub_census().vertices)
+    for cell, ids in zip(complex_.cells, complex_.cell_vertex_ids):
+        expected = hull_dual_cell(cell.vertex)
+        assert dual_cell(cell.vertex) is cell
         for field in ("vertex", "vertices", "coords", "kites", "triangles"):
-            assert getattr(cell, field) == getattr(direct, field), (cell.vertex, field)
+            assert getattr(cell, field) == getattr(expected, field), (cell.vertex, field)
+        assert ids == tuple(index[v] for v in expected.vertices)
+        for face in expected.faces:
+            cycle = tuple(ids[i] for i in face)
+            faces.setdefault(tuple(sorted(cycle)), cycle)
+            incidence[tuple(sorted(cycle))] += 1
+    assert complex_.faces == tuple(sorted(faces.values()))
+    assert complex_.edges == tuple(sorted(hull.edges_of_faces(faces.values())))
+    assert complex_.face_incidence == incidence
 
 
-def test_transport_rejects_a_transform_outside_the_group():
-    seed = dual_cell(icosian_seed())
-    outside = TransformGroup([Transform(icosian_seed(), Q_ONE)])
-    assert Transform(icosian_seed(), Q_ONE) not in wd4c3()
-    with pytest.raises(CertificationFailed):
-        _transport(seed, outside.rows, outside.den)
+def test_vertex_star_matches_a_scan_of_every_cell():
+    """The star read off the census is every vertex but v of every cell holding v."""
+    cells = dual_complex().cells
+    for v in dual_vertices():
+        star = {q for cell in cells if v in cell.vertices for q in cell.vertices} - {v}
+        layers = {}
+        for q in star:
+            layers.setdefault(v.dot(q), []).append(q)
+        assert vertex_surroundings(v) == [(d, canonical_sorted(layers[d]))
+                                          for d in sorted(layers, reverse=True)]
 
 
-def test_every_group_element_moves_the_seed_cell_onto_a_direct_hull():
-    """All 576 elements, starred ones (which reverse the face cycles) included."""
-    group = wd4c3()
-    cells = _transport(dual_cell(icosian_seed()), group.rows, group.den)
-    assert Counter(cell.vertex for cell in cells) == {p: 6 for p in snub24_vertices()}
-    for cell in cells:
-        direct = dual_cell(cell.vertex)
-        assert (cell.vertices, cell.coords, cell.kites, cell.triangles) == (
-            direct.vertices, direct.coords, direct.kites, direct.triangles)
+@pytest.fixture
+def fresh_dual():
+    """The dual's caches, emptied before and after the test."""
+    caches = (dual.dual_vertices, dual._numbering, dual.dual_complex, dual.dual_cell)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_the_dual_makes_no_hull_and_no_w_d4c3(monkeypatch, fresh_dual):
+    """A cold dual cell and complex, on a cold census, read everything off the census."""
+    def refuse(*args):
+        raise AssertionError("the dual built a hull or W(D4):C3")
+
+    monkeypatch.setattr(hull, "convex_hull_faces", refuse)
+    monkeypatch.setattr(coxeter, "wd4c3", refuse)
+    monkeypatch.setattr(polytope, "snub_census", polytope.snub_census.__wrapped__)
+    cell = dual.dual_cell(icosian_seed())
+    assert (len(cell.kites), len(cell.triangles)) == (3, 6)
+    assert dual.dual_complex().counts() == (144, 480, 432, 96)
+
+
+def patched_census(monkeypatch, cells):
+    """Serve the snub census with other cells in place of its own."""
+    real = snub_census()
+    fake = PolytopeComplex(real.vertices, real.edges, real.faces, cells,
+                           real.representative, real.mover, real.perm)
+    monkeypatch.setattr(dual.polytope, "snub_census", lambda: fake)
+
+
+def test_a_center_off_the_dual_vertices_is_refused(monkeypatch, fresh_dual):
+    # Doubling one offset halves that cell's reciprocated center.
+    cells = list(snub_census().cells)
+    c = cells[0]
+    cells[0] = Cell(c.vertex_indices, c.kind, c.normal, c.offset + c.offset)
+    patched_census(monkeypatch, cells)
+    with pytest.raises(CertificationFailed,
+                       match="a reciprocated cell center is not a dual vertex"):
+        dual.dual_complex()
+
+
+def test_a_census_missing_a_cell_leaves_an_edge_without_a_cycle(monkeypatch, fresh_dual):
+    patched_census(monkeypatch, snub_census().cells[1:])
+    with pytest.raises(CertificationFailed,
+                       match="cells around a snub edge do not form one cycle"):
+        dual.dual_complex()
+
+
+@pytest.mark.parametrize("links, count, cycle", [
+    ([(0, 1), (1, 2), (2, 0)], 3, True),
+    ([(0, 1), (2, 3), (1, 2), (3, 0)], 4, True),
+    ([(0, 1), (1, 2)], 3, False),                      # a path: the cells at an open edge
+    ([(0, 1), (1, 2), (2, 0)], 4, False),              # a fourth cell shares no triangle
+    ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6, False),  # two cycles
+    ([(0, 1), (1, 0)], 2, False),                      # two cells make no polygon
+    ([(0, 1), (1, 2), (2, 0), (0, 2)], 3, False),      # one pair linked twice
+    ([], 0, False),
+])
+def test_the_cycle_walk_accepts_one_cycle_through_every_cell(links, count, cycle):
+    if cycle:
+        found = _around(links, count)
+        assert sorted(found) == list(range(count))
+        assert all({a, b} in map(set, links) for a, b in zip(found, found[1:] + found[:1]))
+    else:
+        with pytest.raises(CertificationFailed, match="do not form one cycle"):
+            _around(links, count)
+
+
+class Swap:
+    """A wrong cell rotation: it swaps two snub vertices and fixes every other point."""
+
+    def __init__(self, a, b):
+        self.images = {a: b, b: a}
+
+    def apply(self, q):
+        return self.images.get(q, q)
+
+
+def test_a_rotation_off_the_dual_is_refused(monkeypatch):
+    p, q = snub24_vertices()[:2]
+    monkeypatch.setattr(dual, "CELL_ROTATION", Swap(p, q))
+    with pytest.raises(CertificationFailed, match="does not map the dual cell onto a dual cell"):
+        rotate_cell(p)
+
+
+OMEGA = Quaternion(-HALF, HALF, HALF, HALF)  # order 3, in T
+
+
+@pytest.mark.parametrize("rotation, message", [
+    # r -> omega r keeps the snub, but its orbits have three vertices.
+    (Transform(OMEGA, Q_ONE), "not of order four"),
+    # r -> e1 r has order four, but moves the cell at p onto the one at -p.
+    (Transform(E1, Q_ONE), "do not share their T' corner"),
+    # The rotation's square fixes the corner, but has order two.
+    (CELL_ROTATION.compose(CELL_ROTATION), "revisits a snub vertex early"),
+])
+def test_a_wrong_rotation_orbit_is_refused(monkeypatch, rotation, message):
+    monkeypatch.setattr(dual, "CELL_ROTATION", rotation)
+    with pytest.raises(CertificationFailed, match=message):
+        cell_rotation_orbit(icosian_seed())
 
 
 def test_dual_vertex_classes_that_overlap_are_refused(monkeypatch):
@@ -217,19 +347,6 @@ def test_dual_vertex_classes_that_overlap_are_refused(monkeypatch):
             dual.dual_vertices()
     finally:
         dual.dual_vertices.cache_clear()
-
-
-def test_a_group_that_misses_a_snub_vertex_is_refused(monkeypatch):
-    # S3 fixes the seed, so it reaches one snub vertex of 96.
-    group = s3_of(icosian_seed())
-    monkeypatch.setattr(dual.coxeter, "wd4c3", lambda: group)
-    dual.dual_complex.cache_clear()
-    try:
-        with pytest.raises(CertificationFailed,
-                           match="does not move the seed onto every snub vertex"):
-            dual.dual_complex()
-    finally:
-        dual.dual_complex.cache_clear()
 
 
 def scalar_frame_coords(u, points):
