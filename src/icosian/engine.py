@@ -16,9 +16,10 @@ together with the frontier.
 
 All multiplication is quaternion's one product table, scattered once into
 16x16 arrays, and one kernel reads them: _bilinear, which makes the first
-few columns of a Hamilton product.  products is all 16 of them: group closure checks,
-conjugacy classes and the rows of every transform group are tables of it,
-so no group-sized sweep multiplies Quaternion objects one pair at a time.
+few columns of a Hamilton product.  products is all 16 of them: the rows of
+every transform group are tables of it.  left_perms reads a left action on a
+point set off the image rows of a few generators, composed by index (a
+Schreier tree): exact, since h b for one nonzero point b fixes h.
 dot_rows is the first 4 of left times conj(right), since the scalar product
 (x, y) is the real part of x y-bar.  act applies transforms, as
 (star | p | q) rows, to point rows by two products calls, and a
@@ -243,6 +244,8 @@ def _column_range(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the _FOLD rows of its result, and the rows past the last run.
     """
     n, c = rows.shape
+    if n < _FOLD:
+        return rows.min(axis=0, initial=0), rows.max(axis=0, initial=0)
     cut = n - n % _FOLD
     runs, rest = rows[:cut].reshape(cut // _FOLD, _FOLD * c), rows[cut:]
     lo = runs.min(axis=0, initial=0).reshape(_FOLD, c).min(axis=0)
@@ -351,6 +354,35 @@ class RowIndex:
         at, hit = _lookup(self._keys, keys[ordered])
         found[inside[ordered[hit]]] = self._order[at[hit]]
         return found
+
+
+def left_perms(rows: np.ndarray, points: np.ndarray, index: RowIndex):
+    """perm[m, i], the index among the points of rows[m] points[i], or None if some
+    row moves some point off them; index finds the points over the products'
+    denominator.  Only a generator (a row moving b, the first nonzero point,
+    where no map closed so far does) has its image row made and looked up."""
+    n = len(points)
+    if not n:
+        return np.zeros((len(rows), 0), dtype=np.intp)
+    b = int(np.argmax(points.any(axis=1)))
+    first = index.find(products(rows, points[b]))
+    if (first < 0).any():
+        return None
+    known, reached, gens = np.zeros((n, n), dtype=np.intp), np.zeros(n, dtype=bool), []
+    known[b], reached[b] = np.arange(n), True
+    for m in range(len(rows)):
+        if reached[first[m]]:
+            continue
+        gens.append(index.find(products(rows[m], points)))
+        if (gens[-1] < 0).any():
+            return None
+        stack, frontier = np.array(gens), np.flatnonzero(reached)
+        while len(frontier):
+            images = stack[:, known[frontier]].reshape(-1, n)
+            images = images[~reached[images[:, b]]]  # maps moving b alike are one map
+            known[images[:, b]], reached[images[:, b]] = images, True
+            frontier = np.flatnonzero(np.bincount(images[:, b], minlength=n))
+    return known[first]
 
 
 def locate(points, rows: np.ndarray, den: int) -> np.ndarray:

@@ -196,15 +196,12 @@ class FieldElement:
     def invert(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
+        if self.is_rational():
+            return FieldElement._make(self._den, 0, 0, 0, self._n[0])
         y = self.galois("sqrt2") * self.galois("sqrt5") * self.galois("sqrt2").galois("sqrt5")
         r = self * y
         assert r.is_rational()
-        f = r.to_fraction()
-        (y0, y1, y2, y3), dy = y._n, y._den
-        return FieldElement._make(
-            y0 * f.denominator, y1 * f.denominator, y2 * f.denominator, y3 * f.denominator,
-            dy * f.numerator,
-        )
+        return y * r.invert()
 
     def golden_decompose(self) -> tuple[Fraction, Fraction]:
         """Split a + c*sqrt5 as x + sigma*y with rational x, y."""

@@ -4,15 +4,15 @@ The binary tetrahedral group doubles as the 24-cell vertex set; five of its
 left cosets tile the binary icosahedral group, which is the 600-cell.
 closure makes a group from generators on engine.closure_points, the one
 closure routine, as the orbit of 1 under right multiplication.  Closure
-checks and conjugacy classes read whole product tables made by
-engine.products over the elements' integer rows, and look each product up
-in the sorted rows of the group.
+checks and conjugacy classes read a group's Cayley table, made once per
+group by engine.left_perms: the left multiplication of the elements by a
+few generator rows, composed by index, with no group-sized product table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from . import engine
@@ -64,17 +64,16 @@ class QuaternionGroup(QuaternionSet):
     is_closed checks products only.
     """
 
-    def is_closed(self) -> bool:
-        """Whether every product of two elements is an element, from one product table.
-
-        Over the rows' denominator d, a product is an element exactly when
-        its numerator over d**2 is integral over d and its quotient is a row.
-        """
+    @cached_property
+    def cayley_table(self):
+        """table[i, j], the index of elements[i] elements[j], or None if some product is
+        no element: none not integral over den is found among the rows over den**2."""
         rows, den = engine.common_rows(self.elements)
-        table = engine.products(rows[:, None], rows[None, :]).reshape(-1, 16)
-        if (table % den).any():
-            return False
-        return bool((engine.RowIndex(rows).find(table // den) >= 0).all())
+        return engine.left_perms(rows, rows, engine.RowIndex(engine.rescaled(rows, den, den * den)))
+
+    def is_closed(self) -> bool:
+        """Whether every product of two elements is an element: whether the table exists."""
+        return self.cayley_table is not None
 
 
 def closure(generators, cap: int = 200, label: str = "") -> QuaternionGroup:
@@ -191,26 +190,25 @@ class ConjugacyClassTable:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(group: QuaternionGroup = None) -> ConjugacyClassTable:
-    """The classes of the group, each read from one column of the table of g x conj(g).
+    """The classes of the group: columns of conj[i, x] = L[L[i, x], inv[i]] on
+    its Cayley table L, each with its element order read off L.
 
-    Raises NotInvariant if a conjugate is not an element.
+    Raises NotInvariant if the group has no table, or an element no inverse.
     """
     if group is None:
         group = binary_icosahedral()
-    rows, den = engine.common_rows(group.elements)
-    left = engine.products(rows[:, None], rows[None, :])
-    table = engine.products(left, engine.conjugates(rows)[:, None]).reshape(-1, 16)
-    at = engine.RowIndex(rows).find(table // den ** 2)
-    if (table % den ** 2).any() or (at < 0).any():
-        raise NotInvariant("a conjugate left the group")
-    at = at.reshape(len(rows), len(rows))
-    seen = set()
-    classes = []
-    for x, column in enumerate(at.T.tolist()):
+    table, one = group.cayley_table, group.index(Q_ONE) if Q_ONE in group else -1
+    if table is None or not (table == one).any(axis=1).all():
+        raise NotInvariant("a conjugate left the group, or an element has no inverse in it")
+    conj = table[table, (table == one).argmax(axis=1)[:, None]]
+    seen, classes = set(), []
+    for x, column in enumerate(conj.T.tolist()):
         if x not in seen:
             seen.update(column)
-            classes.append(ConjugacyClass({group.elements[i] for i in column},
-                                          element_order(group.elements[x])))
+            k, y, row = 1, x, table[x].tolist()
+            while y != one:
+                k, y = k + 1, row[y]
+            classes.append(ConjugacyClass({group.elements[i] for i in column}, k))
     return ConjugacyClassTable(group, classes)
 
 

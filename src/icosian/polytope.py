@@ -13,10 +13,11 @@ A census is certified up to symmetry (transport_cells): left
 multiplication by a group that permutes the vertices moves a certified
 cell onto its whole orbit, so certify_cells sees one cell per orbit, and
 each moved certificate is the unique one of its image cell.  Every move is
-checked exactly: the multiplier permutes the vertex rows, the images of a
-representative are candidates, and every candidate is reached.  The five
-snub embeddings are the snub census conjugated by p^i, checked the same
-way.  The 120-cell appears as the coset union hosting the second snub copy.
+checked exactly: the multiplier permutes the vertex rows (engine.left_perms),
+the images of a representative are candidates, and every candidate is
+reached.  The five snub embeddings are the snub census conjugated by p^i,
+checked the same way.  The 120-cell appears as the coset union hosting the
+second snub copy.
 
 A census keeps the orbit data that carried its certificates: each cell's
 representative and mover, and the multipliers' vertex permutations.  So a
@@ -273,16 +274,12 @@ def _nearest(centers, vertices):
     return [tuple(np.flatnonzero(row == row.max()).tolist()) for row in rank]
 
 
-_MOVE_BLOCK = 2048  # vertex images per lookup, bounding the product table
-
-
 def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
     """certify_cells of the candidates, certifying one cell per orbit of the multipliers.
 
     The multipliers, given as quaternion rows over den, act on the left:
-    r -> h r.  engine.products moves every vertex by every multiplier, a
-    block of images at a time, and one RowIndex finds each image among the
-    vertices; each must be one.  h then permutes the vertices, so it is a
+    r -> h r.  engine.left_perms finds where every multiplier moves every
+    vertex; each image must be a vertex.  h then permutes the vertices, so it is a
     unit and a rotation about the origin, and it moves a cell's certificate
     (n, c) to (h n, c), the unique certificate of the image cell.  When the
     multipliers form a group, every orbit of cells holds a cell at the least
@@ -298,12 +295,8 @@ def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
     table perm[m, i] of the vertex that multiplier m moves vertex i onto.
     """
     vrows, vden = engine.common_rows(vertices)
-    at_vertex = engine.RowIndex(engine.rescaled(vrows, vden, den * vden))
-    step = max(1, _MOVE_BLOCK // len(vertices))
-    perm = np.vstack([at_vertex.find(engine.products(rows[lo:lo + step, None], vrows[None])
-                                     .reshape(-1, 16)).reshape(-1, len(vertices))
-                      for lo in range(0, len(rows), step)])
-    if (perm < 0).any():
+    perm = engine.left_perms(rows, vrows, engine.RowIndex(engine.rescaled(vrows, vden, den * vden)))
+    if perm is None:
         raise CertificationFailed("multiplier moves a vertex off the vertex set")
     # Cells as sorted vertex-index rows, padded with -1 to one width.
     width = max(map(len, candidates), default=0)

@@ -47,13 +47,13 @@ def f4_roots() -> RootSystemData:
 @lru_cache(maxsize=None)
 def e8_roots() -> RootSystemData:
     """240 roots (T,0)+(0,T)+(V1,V3)+(V2,V1)+(V3,V2), scored by the golden split."""
-    tet, (v1, v2, v3) = binary_tetrahedral(), d4_weight_orbits()
-    roots = list(tet) + [SIGMA * t for t in tet]
-    for left, right in ((v1, v3), (v2, v1), (v3, v2)):
-        for a in left:
-            for b in right:
-                roots.append(a + SIGMA * b)
-    return RootSystemData("E8", roots)
+    tet = binary_tetrahedral()
+    rows, den = engine.common_rows([x for orbit in d4_weight_orbits() for v in orbit
+                                    for x in (v, SIGMA * v)])
+    rows = rows.reshape(3, 8, 2, 16)  # [orbit, point, (v, sigma v)]
+    sums = rows[:, :, None, 0] + rows[[2, 0, 1], None, :, 1]  # entries are small halves
+    return RootSystemData("E8", list(tet) + [SIGMA * t for t in tet]
+                          + list(engine.quats_of(sums.reshape(-1, 16), den)))
 
 
 def euclid_profile_full(roots) -> set[tuple[tuple[Fraction, int], ...]]:

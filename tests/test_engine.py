@@ -1,23 +1,27 @@
 """Engine kernels against the pure-Python FieldElement/Quaternion oracle."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion, Transform,
-                     canonical_sorted, icosian_seed, orbit, projective_equal, s3_of, s4_of,
-                     t_prime, wd4c3, wh3xc2, wh4)
+from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion,
+                     QuaternionGroup, Transform, binary_icosahedral, binary_octahedral,
+                     binary_tetrahedral, canonical_sorted, cell_census, engine, icosian_seed,
+                     orbit, polytope, projective_equal, s3_of, s4_of, snub24_vertices,
+                     snub_embeddings_in_600cell, t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import reflection, wd4c3_conjugate
 from icosian.engine import (_CONJ, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, RowIndex,
                             _column_range, _matmul, act, closure_points,
                             common_rows, cross_rows, distinct_rows,
-                            distinct_values, dot_rows, pairwise_dots, partition_points, products,
-                            quats_of, side_signs, transform_matrix)
+                            distinct_values, dot_rows, left_perms, pairwise_dots,
+                            partition_points, products, quats_of, rescaled, side_signs,
+                            transform_matrix)
 from icosian.errors import NotInGoldenSubfield, NotInvariant
 from icosian.field import SQRT10, ZERO, FieldElement
 from icosian.linalg import nullspace
@@ -759,3 +763,72 @@ def test_partition_raises_where_an_image_leaves_bounds_or_support():
         for partition in (partition_points, byte_key_partition):
             with pytest.raises(NotInvariant):
                 partition(rows, gens)
+
+
+def left_perms_of(rows_q, points_q):
+    """left_perms of the multiplier quaternions on the points, as the callers index them."""
+    rows, den = common_rows(rows_q)
+    prows, pden = common_rows(points_q)
+    return left_perms(rows, prows, RowIndex(rescaled(prows, pden, den * pden)))
+
+
+def census_multipliers(vertices):
+    """The vertices and the multipliers c conj(c0) of cell_census, as Quaternions."""
+    vertices, *_, coset = polytope._census_input(vertices)
+    return [c * coset[0].conjugate() for c in coset], vertices
+
+
+LEFT_ACTIONS = {
+    "2T": lambda: 2 * [binary_tetrahedral().elements],
+    "2O": lambda: 2 * [binary_octahedral().elements],
+    "2I": lambda: 2 * [binary_icosahedral().elements],
+    "snub census": lambda: census_multipliers(snub24_vertices()),
+    "600-cell census": lambda: census_multipliers(binary_icosahedral().elements),
+    "24-cell census": lambda: census_multipliers(binary_tetrahedral().elements),
+    **{f"snub embedding {i}": (lambda i=i: census_multipliers(snub_embeddings_in_600cell()[i]))
+       for i in range(5)},
+    # No group: products of two T' elements land in T.
+    "T' and 1": lambda: 2 * [t_prime().elements + (Q_ONE,)],
+    # (e1/2)^2 = -1/4 is not integral over the set's denominator 2.
+    "1, e1/2": lambda: 2 * [(Q_ONE, E1 * HALF)],
+    # b = 1 stays on the set under both rows, but e1 e1 = -1 leaves it.
+    "1, e1 keeping b": lambda: 2 * [(Q_ONE, E1)],
+    # The zero point is fixed by every row, so b is the next point.
+    "zero first": lambda: [(Q_ONE, -Q_ONE, E1, -E1), (Quaternion(0), Q_ONE, -Q_ONE, E1, -E1)],
+}
+
+
+@pytest.mark.parametrize("name", list(LEFT_ACTIONS))
+def test_left_perms_match_scalar_products(name):
+    """Each row's permutation is where h q lands for every point q, or None
+    where some h q is no point."""
+    rows_q, points_q = LEFT_ACTIONS[name]()
+    at = {q: i for i, q in enumerate(points_q)}
+    oracle = np.array([[at.get(h * q, -1) for q in points_q] for h in rows_q])
+    perm = left_perms_of(rows_q, points_q)
+    if (oracle < 0).any():
+        assert perm is None
+    else:
+        np.testing.assert_array_equal(perm, oracle)
+
+
+def test_left_perms_make_a_few_generator_rows(monkeypatch):
+    """The Cayley table of 2I and the 600-cell census's vertex permutations
+    come from at most four rows of 120 products each, besides the one
+    column where every row moves b; no product table pairs every element."""
+    made = Counter()
+
+    def counted(a, b):
+        out = products(a, b)
+        made[sys._getframe(1).f_code.co_name] += prod(out.shape[:-1])
+        return out
+
+    elements = binary_icosahedral().elements
+    monkeypatch.setattr(engine, "products", counted)
+    assert QuaternionGroup(elements).is_closed()  # a new group: no table cached
+    assert 0 < made["left_perms"] <= 4 * 120 + 120 and set(made) == {"left_perms"}
+    made.clear()
+    complex_ = cell_census(elements)
+    assert 0 < made["left_perms"] <= 4 * 120 + 120
+    # transport_cells itself only moves each cell's normal.
+    assert made["transport_cells"] == len(complex_.cells)

@@ -54,13 +54,23 @@ def test_expansion_oracle():
     assert (TAU * SQRT2) * (TAU * SQRT2) == 2 * TAU + 2
 
 
+def conjugate_formula_inverse(x):
+    """1/x as y / (x y), y the product of x's three Galois conjugates, so x y is rational."""
+    y = x.galois("sqrt2") * x.galois("sqrt5") * x.galois("sqrt2").galois("sqrt5")
+    return FieldElement(1 / (x * y).to_fraction()) * y
+
+
 def test_division_and_inverse():
     x = FieldElement(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), 1)
     assert x * x.invert() == ONE
     assert (x / x) == ONE
     assert TAU.invert() == TAU - 1
     assert SIGMA.invert() == SIGMA - 1
-    with pytest.raises(ZeroDivisionError):
+    # A rational element is inverted directly; the rest by the conjugates.
+    for y in (x, FieldElement(Fraction(-3, 7)), FieldElement(5), HALF, SQRT2 * 3):
+        assert y.invert() == conjugate_formula_inverse(y)
+    assert FieldElement(Fraction(-3, 7)).invert() == FieldElement(Fraction(-7, 3))
+    with pytest.raises(ZeroDivisionError, match="field element is zero"):
         ZERO.invert()
 
 
@@ -162,6 +172,7 @@ def test_multiplicative_inverse(x):
     if x.is_zero():
         return
     assert x * x.invert() == ONE
+    assert x.invert() == conjugate_formula_inverse(x)
 
 
 @given(elements, elements)

@@ -163,6 +163,11 @@ def test_classes_of_a_set_that_is_not_a_group_raise():
     # e1/2 * 1 * conj(e1/2) = 1/4 is not an element.
     with pytest.raises(NotInvariant, match="left the group"):
         conjugacy_classes(QuaternionGroup([Q_ONE, E1 * HALF]))
+    # {0, 1} is closed under products, but 0 has no inverse.
+    zero_and_one = QuaternionGroup([Quaternion(0), Q_ONE])
+    assert zero_and_one.is_closed()
+    with pytest.raises(NotInvariant, match="an element has no inverse"):
+        conjugacy_classes(zero_and_one)
 
 
 def test_classes_match_scalar_conjugation():
