@@ -99,13 +99,19 @@ def dual_cell(p: Quaternion) -> DualCell:
 class DualComplex:
     """The 96 dual cells on the numbered dual vertices: cell_vertex_ids[k] numbers cells[k]'s."""
 
-    def __init__(self, vertices, edges, faces, cells, cell_vertex_ids, face_incidence):
+    def __init__(self, vertices, edges, faces, cells, cell_vertex_ids):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         self.cells = tuple(cells)
         self.cell_vertex_ids = tuple(cell_vertex_ids)
-        self.face_incidence = face_incidence
+
+    @property
+    def face_incidence(self) -> Counter:
+        """For each face, by its sorted vertex numbers, how many cells' numbers hold all of it."""
+        cells = [set(ids) for ids in self.cell_vertex_ids]
+        return Counter({tuple(sorted(face)): sum(map(set(face).issubset, cells))
+                        for face in self.faces})
 
     def counts(self) -> tuple[int, int, int, int]:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.cells))
@@ -157,39 +163,38 @@ def dual_complex() -> DualComplex:
     classes[[index[q] for q in t_prime()]] = 1
     order = np.argsort(classes, kind="stable")
     rank, ids = np.argsort(order)[list(centers)].tolist(), order.tolist()
-    at = [{rank[k] for k in cells} for cells in census.incidence]
-    holders = [tuple(at[a] & at[b] & at[c]) for a, b, c in census.faces]
+    at = [sorted(rank[k] for k in cells) for cells in census.incidence]
+    holders = [[] for _ in census.faces]
+    for k, f in zip(*(column.tolist() for column in census.face_cells)):
+        holders[f].append(rank[k])
     on_edge = {edge: [] for edge in census.edges}
     for (a, b, c), pair in zip(census.faces, holders):
         for edge in ((a, b), (a, c), (b, c)) if len(pair) == 2 else ():
             on_edge[edge].append(pair)
-    cycles = [_around(on_edge[p, q], len(at[p] & at[q])) for p, q in census.edges]
+    valences = np.bincount(census.edge_cells[1], minlength=len(census.edges)).tolist()
+    cycles = [_around(on_edge[edge], n) for edge, n in zip(census.edges, valences)]
     ends = engine.common_rows(census.vertices)[0][np.array(census.edges)]
     xrows, _ = engine.common_rows([vertices[i] for i in ids])
     spans = engine.differences(xrows, np.array([cycle[:3] for cycle in cycles]))
     normals = engine.cross_rows(ends[:, 0], spans[:, 0], spans[:, 1])
-    values, at_value = engine.distinct_values(
-        engine.dot_rows(normals[:, None], ends[:, 1:])[:, 0, 0], 1)
-    signs = np.array([x.sign() for x in values])[at_value].tolist()
+    signs = engine.signs(engine.dot_rows(normals[:, None], ends[:, 1:])[:, 0, 0]).tolist()
     oriented = [c if sign > 0 else c[:1] + c[:0:-1] for c, sign in zip(cycles, signs)]
     held = [[] for _ in census.vertices]
     for (p, q), face in zip(census.edges, oriented):
         held[p].append(face)
         held[q].append(face[::-1])
-    cell_vertex_ids = [tuple(ids[r] for r in sorted(cell)) for cell in at]
+    cell_vertex_ids = [tuple(ids[r] for r in cell) for cell in at]
     frames = polytope.batched_frame_coords(
         census.vertices, [[vertices[i] for i in vids] for vids in cell_vertex_ids])
     cells = []
     for p, cell, vids, coords, own in zip(census.vertices, at, cell_vertex_ids, frames, held):
-        local = hull.relabel(own, {r: k for k, r in enumerate(sorted(cell))})
+        local = hull.relabel(own, cell)
         cells.append(DualCell(p, [vertices[i] for i in vids], coords,
                               [f for f in local if len(f) == 4],
                               [f for f in local if len(f) == 3]))
-    incidence = Counter(tuple(sorted(ids[r] for r in face)) for own in held for face in own)
     faces = sorted(tuple(ids[r] for r in face) for face in oriented)
     edges = np.sort(order[[h for h in holders if len(h) == 2]], axis=1)
-    return DualComplex(vertices, sorted(map(tuple, edges.tolist())), faces, cells,
-                       cell_vertex_ids, incidence)
+    return DualComplex(vertices, sorted(map(tuple, edges.tolist())), faces, cells, cell_vertex_ids)
 
 
 def vertex_surroundings(v: Quaternion):

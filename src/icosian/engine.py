@@ -38,9 +38,9 @@ Every table of scalar products is made here too: each entry is a field
 distinct entries to field elements, so exact comparisons run once per value
 rather than once per pair.  Hyperplane normals are products as well:
 cross_rows is the generalised cross product (c b-bar a - a b-bar c) / 2 of
-integer rows, so a certificate needs no field solver.  side_signs is the
-one place where bulk geometry takes exact signs: which side of each
-hyperplane every point lies on, for cell certificates and hull faces alike.
+integer rows, so a certificate needs no field solver.  signs is the one
+place where bulk geometry takes exact signs: of side_signs' table, which side
+of each hyperplane every point lies on, and of census and dual orientations.
 Results are exact: numpy carries the integer arithmetic only after a bound
 on the operands proves that no int64 entry can overflow.
 """
@@ -566,5 +566,10 @@ def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:
     table = dot_rows(normals, points)
     _check_bound(2, table, 1)  # a difference of two entries
     table -= table[np.arange(len(table)), anchors][:, None]
+    return signs(table)
+
+
+def signs(table: np.ndarray) -> np.ndarray:
+    """Exact signs of a dot table's entries, as int8: each distinct entry is signed once."""
     values, index = distinct_values(table, 1)
     return np.array([x.sign() for x in values], dtype=np.int8)[index]

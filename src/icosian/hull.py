@@ -1,4 +1,4 @@
-"""Exact convex hulls of small 3D point sets: cells and vertex figures.
+"""Exact convex hulls of small 3D point sets: vertex figures, and the tests' cell oracle.
 
 The normal of every triple is the cross product u x v of two of its edges:
 for pure quaternions that is the vector part of u v, so the normals of all
@@ -68,17 +68,10 @@ def convex_hull_faces(points: list[Point3]) -> tuple[tuple[int, ...], ...]:
     return result
 
 
-def relabel(faces, label) -> tuple[tuple[int, ...], ...]:
-    """Face cycles under new vertex labels, each from its lowest label, sorted.
-
-    This is the form convex_hull_faces gives, when the new labels are those
-    of an image of the hull's points under a rotation, which keeps each
-    counterclockwise cycle counterclockwise.  A cell of a census moved by a
-    unit h acting on the left, r -> h r, is such an image: in the frame
-    (e1 h n, e2 h n, e3 h n) of the image's normal h n, the image's
-    coordinates are R^T x for the coordinates x of the cell, R the rotation
-    w -> conj(h) w h of the pure quaternions, which lies in SO(3).
-    """
+def relabel(faces, vertices) -> tuple[tuple[int, ...], ...]:
+    """Face cycles on the sorted vertices, relabelled by position, each from its
+    lowest, sorted: the form convex_hull_faces gives."""
+    label = {v: i for i, v in enumerate(vertices)}
     out = []
     for face in faces:
         cycle = [label[i] for i in face]

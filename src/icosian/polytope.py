@@ -19,17 +19,16 @@ reached.  The five snub embeddings are the snub census conjugated by p^i,
 checked the same way.  The 120-cell appears as the coset union hosting the
 second snub copy.
 
-A census keeps the orbit data that carried its certificates: each cell's
-representative and mover, and the multipliers' vertex permutations.  So a
-cell's hull faces in its own frame (PolytopeComplex.cell_geometry) are its
-representative's, from one exact hull per orbit made on the first request,
-relabelled through the permutation of its mover (hull.relabel).
+Every 2-face of a census cell is one of the census's own triangles, so a
+cell's faces in its own frame (PolytopeComplex.cell_geometry) are read off
+the census, not off a hull: one face-cell table says which triangles each
+cell holds, and one batch of exact signs orients them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -175,22 +174,13 @@ class Cell:
 
 
 class PolytopeComplex:
-    """A certified census, with the symmetry that carried its certificates.
+    """A certified census: its vertices, edges, triangles and cells."""
 
-    Cell k is the image of cell representative[k] under multiplier
-    mover[k], and perm[m, i] is the vertex that multiplier m moves vertex i
-    onto: the orbit data transport_cells certified.
-    """
-
-    def __init__(self, vertices, edges, faces, cells, representative, mover, perm):
+    def __init__(self, vertices, edges, faces, cells):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         self.cells = tuple(cells)
-        self.representative = representative
-        self.mover = mover
-        self.perm = perm
-        self._orbit = None  # each representative's (frame coords, hull faces), made on first use
         self._index = {q: i for i, q in enumerate(self.vertices)}
         # incidence[i]: the indices of the cells holding vertex i, in cell order.
         at = [[] for _ in self.vertices]
@@ -215,51 +205,68 @@ class PolytopeComplex:
     def cells_at(self, q: Quaternion) -> list[Cell]:
         return [self.cells[k] for k in self.incidence[self.index(q)]]
 
-    def _cells_holding(self, vertex_indices) -> int:
-        """How many cells hold every one of the vertices: their cell lists' intersection."""
-        first, *rest = vertex_indices
-        return len(set(self.incidence[first]).intersection(*(self.incidence[i] for i in rest)))
+    def _held(self, items, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, item) index pairs, one for each item (a sorted vertex-index tuple
+        of the width) that a cell holds: one engine.RowIndex lookup of the
+        cells' vertex subsets of that width per cell size."""
+        index = engine.RowIndex(np.array(items, dtype=np.int64).reshape(-1, width))
+        sizes = np.array([len(cell.vertex_indices) for cell in self.cells])
+        pairs = []
+        for size in sorted(set(sizes.tolist())):
+            group = np.flatnonzero(sizes == size)
+            subsets = np.array([self.cells[k].vertex_indices for k in group.tolist()])
+            combos = list(combinations(range(size), width))
+            at = index.find(subsets[:, combos].reshape(-1, width))
+            hit = np.flatnonzero(at >= 0)
+            pairs.append((group[hit // len(combos)], at[hit]))
+        return tuple(map(np.concatenate, zip(*pairs)))
+
+    @cached_property
+    def face_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, face) index pairs, one for each face a cell holds: the face-cell table."""
+        return self._held(self.faces, 3)
+
+    @cached_property
+    def edge_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, edge) index pairs, one for each edge a cell holds."""
+        return self._held(self.edges, 2)
 
     def face_cell_incidence(self) -> Counter:
         """The number of cells holding each face that some cell holds."""
-        counts = ((face, self._cells_holding(face)) for face in self.faces)
-        return Counter({face: n for face, n in counts if n})
+        counts = np.bincount(self.face_cells[1], minlength=len(self.faces)).tolist()
+        return Counter({face: n for face, n in zip(self.faces, counts) if n})
 
     def edge_cell_valences(self) -> Counter:
         """How many edges lie in each number of cells, over the edges that some cell holds."""
-        return Counter(n for n in map(self._cells_holding, self.edges) if n)
+        return Counter(n for n in np.bincount(self.edge_cells[1]).tolist() if n)
 
-    def _cell_coords(self, index: int) -> list[tuple]:
-        cell = self.cells[index]
-        return frame_coords(cell.normal, [self.vertices[i] for i in cell.vertex_indices])
+    @cached_property
+    def _cycles(self) -> list[list[tuple[int, int, int]]]:
+        """Each cell's faces as counterclockwise cycles, signed in one batch.
+
+        In the basis (n, e1 n, e2 n, e3 n), right multiplication by the unit
+        normal n applied to (1, e1, e2, e3), a cell vertex is (c, x) for its
+        frame coordinates x, so det[a, b, c, n] = -det[x_a, x_b, x_c].  The
+        cell holds the frame's origin, its circumcentre, so face a < b < c
+        runs (a, b, c) seen from outside when det[a, b, c, n] < 0, else (a, c, b).
+        """
+        cells, at = self.face_cells
+        rows, _ = engine.common_rows(self.vertices)
+        normals, _ = engine.common_rows([cell.normal for cell in self.cells])
+        faces = np.array(self.faces)
+        cross = engine.cross_rows(*rows[faces].transpose(1, 0, 2))
+        signs = engine.signs(engine.dot_rows(cross[at, None], normals[cells, None]))[:, 0, 0]
+        out = [[] for _ in self.cells]
+        for k, (a, b, c), sign in zip(cells.tolist(), faces[at].tolist(), signs.tolist()):
+            out[k].append((a, b, c) if sign < 0 else (a, c, b))
+        return out
 
     def cell_geometry(self, index: int):
-        """3D coordinates and hull faces of one cell in its own frame.
-
-        The first call makes one exact hull per orbit, at its
-        representative, from the representatives' frames: one
-        batched_frame_coords call per cell size.  A cell's faces are its
-        representative's, relabelled through the certified vertex
-        permutation of its mover: see hull.relabel for why they keep their
-        order.
-        """
-        if self._orbit is None:
-            reps = list(dict.fromkeys(self.representative.tolist()))
-            by_size = {}
-            for r in reps:
-                by_size.setdefault(len(self.cells[r].vertex_indices), []).append(r)
-            frames = {}
-            for group in by_size.values():
-                cells = [self.cells[r] for r in group]
-                frames.update(zip(group, batched_frame_coords(
-                    [c.normal for c in cells],
-                    [[self.vertices[i] for i in c.vertex_indices] for c in cells])))
-            self._orbit = {r: (frames[r], hull.convex_hull_faces(frames[r])) for r in reps}
-        r = int(self.representative[index])
-        moved = self.perm[self.mover[index], list(self.cells[r].vertex_indices)]
-        label = np.searchsorted(self.cells[index].vertex_indices, moved).tolist()
-        coords = self._orbit[index][0] if index == r else self._cell_coords(index)
-        return coords, hull.relabel(self._orbit[r][1], label)
+        """3D coordinates of one cell in its own frame (e1 n, e2 n, e3 n), and
+        its faces: the census triangles it holds, as hull faces (_cycles)."""
+        cell = self.cells[index]
+        coords = frame_coords(cell.normal, [self.vertices[i] for i in cell.vertex_indices])
+        return coords, hull.relabel(self._cycles[index], cell.vertex_indices)
 
     def __repr__(self) -> str:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
@@ -287,12 +294,8 @@ def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
     candidate that no image has reached yet is a representative: certify_cells
     certifies the representatives in one call, and each representative's
     images under all the multipliers must be candidates.  A candidate that
-    no image reaches raises, as does any other failed check.
-
-    Returns the certificates, in candidate order, with the orbit data that
-    carried them: for each candidate, the candidate index of its
-    representative and the multiplier row moving that onto it, and the
-    table perm[m, i] of the vertex that multiplier m moves vertex i onto.
+    no image reaches raises, as does any other failed check.  Returns the
+    certificates, in candidate order.
     """
     vrows, vden = engine.common_rows(vertices)
     perm = engine.left_perms(rows, vrows, engine.RowIndex(engine.rescaled(vrows, vden, den * vden)))
@@ -325,8 +328,7 @@ def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
     certificates = certify_cells([candidates[k] for k in representatives], vertices)
     nrows, nden = engine.common_rows([normal for normal, _ in certificates])
     moved = engine.quats_of(engine.products(rows[mover], nrows[source]), den * nden)
-    return ([(normal, certificates[k][1]) for normal, k in zip(moved, source.tolist())],
-            np.array(representatives, dtype=np.intp)[source], mover, perm)
+    return [(normal, certificates[k][1]) for normal, k in zip(moved, source.tolist())]
 
 
 def _census_input(vertices):
@@ -373,11 +375,11 @@ def cell_census(vertices) -> PolytopeComplex:
     vertices, edges, faces, candidates, coset = _census_input(vertices)
     rows, den = engine.common_rows(coset)
     multipliers = engine.products(rows, engine.conjugates(rows[:1]))
-    certificates, *orbits = transport_cells([idxs for idxs, _ in candidates], vertices,
-                                            multipliers, den * den)
+    certificates = transport_cells([idxs for idxs, _ in candidates], vertices,
+                                   multipliers, den * den)
     cells = [Cell(idxs, kind, normal, offset)
              for (idxs, kind), (normal, offset) in zip(candidates, certificates)]
-    return PolytopeComplex(vertices, edges, faces, cells, *orbits)
+    return PolytopeComplex(vertices, edges, faces, cells)
 
 
 @lru_cache(maxsize=None)
@@ -529,9 +531,7 @@ def embedding_censuses() -> tuple[PolytopeComplex, ...]:
     rotation about the origin, so it moves each certificate (n, c) to
     (p^i n p^-i, c), and the embedding's canonical order relabels the edges,
     faces and cells.  Cell k of census i is the image of the snub's cell k:
-    the cells come in the snub's order, not in cell_census's.  So the cells
-    keep the snub's representatives and movers, and the conjugated
-    multipliers permute the relabelled vertices.
+    the cells come in the snub's order, not in cell_census's.
     """
     snub = snub_census()
     rows, cden = seed_conjugators()
@@ -547,12 +547,9 @@ def embedding_censuses() -> tuple[PolytopeComplex, ...]:
         at = label.tolist()
         cells = [Cell([at[i] for i in c.vertex_indices], c.kind, normal, c.offset)
                  for c, normal in zip(snub.cells, engine.quats_of(images[n:], mden))]
-        perm = np.empty_like(snub.perm)
-        perm[:, label] = label[snub.perm]
         out.append(PolytopeComplex(
             embedding, sorted(map(tuple, np.sort(label[edges], axis=1).tolist())),
-            sorted(map(tuple, np.sort(label[faces], axis=1).tolist())), cells,
-            snub.representative, snub.mover, perm))
+            sorted(map(tuple, np.sort(label[faces], axis=1).tolist())), cells))
     return tuple(out)
 
 

@@ -129,11 +129,9 @@ def h4_weights() -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
 
 
 def _mask_tuple(mask) -> tuple[int, int, int, int]:
-    if isinstance(mask, str):
-        mask = [int(c) for c in mask]
-    mask = tuple(int(bool(v)) for v in mask)
-    if len(mask) != 4 or not any(mask):
-        raise BadParameter("mask must pick at least one of the four weights")
+    mask = tuple({0: 0, 1: 1, "0": 0, "1": 1}.get(v) for v in mask)
+    if None in mask or len(mask) != 4 or not any(mask):
+        raise BadParameter("mask must be four entries 0 or 1, picking at least one weight")
     return mask
 
 

@@ -11,7 +11,7 @@ from icosian import (CELL_ROTATION, E1, E2, E3, Q_ONE, Quaternion, Transform,
                      dual_complex, dual_vertices, icosian_seed, rotate_cell,
                      snub24_vertices, snub_census, t_prime, vertex_surroundings)
 from icosian import coxeter, dual, hull, polytope
-from icosian.dual import LEVEL, TAU_OVER_SQRT2, DualCell, _around
+from icosian.dual import LEVEL, TAU_OVER_SQRT2, DualCell, DualComplex, _around
 from icosian.errors import BadParameter, CertificationFailed
 from icosian.hull import convex_hull_faces
 from icosian.polytope import (Cell, Cell120, PolytopeComplex, batched_frame_coords,
@@ -112,6 +112,20 @@ def test_complex_counts():
     assert complex_.face_census() == {4: 144, 3: 288}
     assert set(complex_.face_incidence.values()) == {2}
     assert len(complex_.face_incidence) == 432
+
+
+def test_face_incidence_counts_the_cells_holding_each_face():
+    """Dropping one vertex from one of a face's two cells leaves that face in one cell."""
+    complex_ = dual_complex()
+    face = complex_.faces[0]
+    ids = list(complex_.cell_vertex_ids)
+    k = next(k for k, cell in enumerate(ids) if set(face) <= set(cell))
+    ids[k] = tuple(i for i in ids[k] if i != face[0])
+    broken = DualComplex(complex_.vertices, complex_.edges, complex_.faces, complex_.cells, ids)
+    counts = broken.face_incidence
+    assert counts[tuple(sorted(face))] == 1
+    assert set(counts.values()) == {1, 2}
+    assert complex_.face_incidence == Counter({tuple(sorted(f)): 2 for f in complex_.faces})
 
 
 def test_vertex_cell_counts():
@@ -258,8 +272,7 @@ def test_the_dual_makes_no_hull_and_no_w_d4c3(monkeypatch, fresh_dual):
 def patched_census(monkeypatch, cells):
     """Serve the snub census with other cells in place of its own."""
     real = snub_census()
-    fake = PolytopeComplex(real.vertices, real.edges, real.faces, cells,
-                           real.representative, real.mover, real.perm)
+    fake = PolytopeComplex(real.vertices, real.edges, real.faces, cells)
     monkeypatch.setattr(dual.polytope, "snub_census", lambda: fake)
 
 

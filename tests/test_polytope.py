@@ -2,7 +2,8 @@
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,11 +14,12 @@ from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
                      snub_census, snub_embeddings_in_600cell, t_prime,
                      tetra_cells_at, vertex_figure)
 from icosian import cli, engine, hull, polytope
-from icosian.errors import BadParameter, CertificationFailed, DegenerateInput
+from icosian.errors import (BadParameter, CertificationFailed, CoplanarityFailed,
+                            DegenerateInput)
 from icosian.field import HALF, ONE, SIGMA, TAU, FieldElement
 from icosian.hull import convex_hull_faces
-from icosian.polytope import (certify_cells, frame_coords, supporting_hyperplane,
-                              transport_cells)
+from icosian.polytope import (PolytopeComplex, certify_cells, frame_coords,
+                              supporting_hyperplane, transport_cells)
 from icosian.quaternion import Quaternion
 
 TAU_HALF = TAU * HALF
@@ -442,7 +444,7 @@ def test_transport_rejects_a_multiplier_off_the_vertex_set():
 
 def test_transport_rejects_a_missing_orbit_image():
     cells, vertices, rows, den = transport_input(binary_icosahedral().elements)
-    certificates, *_ = transport_cells(cells, vertices, rows, den)
+    certificates = transport_cells(cells, vertices, rows, den)
     assert certificates == [(c.normal, c.offset) for c in cell_census(vertices).cells]
     with pytest.raises(CertificationFailed, match="moves a certified cell off the candidates"):
         transport_cells(cells[:-1], vertices, rows, den)
@@ -457,24 +459,7 @@ def test_transport_rejects_a_stray_candidate():
         transport_cells(cells + [stray], vertices, rows, den)
 
 
-# The representatives transport_cells certifies: one cell per orbit.
-REPRESENTATIVES = {"600cell": [0, 1, 2, 3, 4], "snub": [0, 1, 2, 3, 4, 121], "24cell": [0]}
-
-
-@pytest.mark.parametrize("name", list(REPRESENTATIVES))
-def test_census_keeps_its_orbit_data(name):
-    """Each cell is its representative moved by its mover, and perm is the
-    multipliers' action on the vertices, by Quaternion products."""
-    complex_ = cell_census(CENSUS_SETS[name]())
-    coset = polytope._census_input(complex_.vertices)[-1]
-    multipliers = [c * coset[0].conjugate() for c in coset]
-    assert complex_.perm.shape == (len(multipliers), len(complex_.vertices))
-    for h, row in list(zip(multipliers, complex_.perm.tolist()))[::7]:
-        assert row == [complex_.index(h * q) for q in complex_.vertices]
-    assert sorted(set(complex_.representative.tolist())) == REPRESENTATIVES[name]
-    for cell, r, m in zip(complex_.cells, complex_.representative, complex_.mover):
-        moved = complex_.perm[m, list(complex_.cells[r].vertex_indices)]
-        assert tuple(sorted(moved.tolist())) == cell.vertex_indices
+CELL_CENSUSES = ["600cell", "snub", "24cell"]
 
 
 @lru_cache(maxsize=None)
@@ -497,37 +482,51 @@ def counted_hulls(monkeypatch):
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
-@pytest.mark.parametrize("name", list(REPRESENTATIVES))
+@pytest.mark.parametrize("name", CELL_CENSUSES)
 def test_cell_geometry_matches_its_own_hull(monkeypatch, name, order):
-    """Moved faces equal the hull of each cell's own coordinates, whichever
-    cell of a fresh complex is asked first, from one hull per orbit."""
+    """The faces read off the census equal the hull of each cell's own
+    coordinates, whichever cell of a fresh complex is asked first, and no
+    request makes a hull."""
     complex_ = cell_census(CENSUS_SETS[name]())
     indices = list(range(len(complex_.cells)))
     if order == "reverse":
         indices.reverse()
     calls = counted_hulls(monkeypatch)
     got = {k: complex_.cell_geometry(k) for k in indices}
-    assert len(calls) == len(REPRESENTATIVES[name])
+    assert calls == []
     assert [got[k] for k in sorted(got)] == hull_oracle(name)
 
 
-@pytest.mark.parametrize("name, sizes", [("600cell", [5]), ("snub", [5, 1]), ("24cell", [1])])
-def test_first_cell_request_frames_the_representatives_by_size(monkeypatch, name, sizes):
-    """The first request frames every representative, one batched_frame_coords
-    call per cell size; a representative's own request reuses its frame."""
+@pytest.mark.parametrize("name", CELL_CENSUSES)
+def test_cell_faces_are_oriented_in_one_batch(monkeypatch, name):
+    """The first request signs every (cell, face) pair: one cross_rows over
+    the faces and one dot_rows over the pairs.  Each request then frames its
+    own cell, one dot_rows of one basis."""
     complex_ = cell_census(CENSUS_SETS[name]())
-    batches = []
-    batched = polytope.batched_frame_coords
-    monkeypatch.setattr(polytope, "batched_frame_coords",
-                        lambda bases, point_sets: batches.append(len(bases))
-                        or batched(bases, point_sets))
-    for r in REPRESENTATIVES[name]:
-        complex_.cell_geometry(r)
-    assert batches == sizes
+    made = {"cross_rows": [], "dot_rows": []}
+    for kernel, calls in made.items():
+        real = getattr(engine, kernel)
+        monkeypatch.setattr(engine, kernel, lambda *rows, real=real, calls=calls: (
+            calls.append(len(rows[0])) or real(*rows)))
+    complex_.cell_geometry(len(complex_.cells) - 1)
+    complex_.cell_geometry(0)
+    n = len(complex_.faces)
+    assert made["cross_rows"] == [n] and sorted(made["dot_rows"]) == [1, 1, 2 * n]
+
+
+def test_face_cell_table_pairs_each_cell_with_the_faces_its_triples_name():
+    """Each (cell, face) pair once: 4 faces for a tetrahedron, 20 for an icosahedron."""
+    complex_ = snub_census()
+    at = {face: f for f, face in enumerate(complex_.faces)}
+    pairs = list(zip(*(column.tolist() for column in complex_.face_cells)))
+    assert sorted(pairs) == [(k, at[t]) for k, cell in enumerate(complex_.cells)
+                             for t in combinations(cell.vertex_indices, 3) if t in at]
+    assert Counter(k for k, _ in pairs) == {k: 4 if cell.kind == "tetrahedron" else 20
+                                            for k, cell in enumerate(complex_.cells)}
 
 
 def test_embedding_cell_geometry_matches_its_own_hull(monkeypatch):
-    """An embedding census moves its faces through the conjugated multipliers."""
+    """An embedding census reads its relabelled cells' faces off its own triangles."""
     moved = embedding_censuses.__wrapped__()[3]
     calls = counted_hulls(monkeypatch)
     for k in reversed(range(len(moved.cells))):
@@ -535,7 +534,84 @@ def test_embedding_cell_geometry_matches_its_own_hull(monkeypatch):
         cell = moved.cells[k]
         assert coords == frame_coords(cell.normal, [moved.vertices[i] for i in cell.vertex_indices])
         assert faces == convex_hull_faces(coords)
-    assert len(calls) == len(REPRESENTATIVES["snub"])
+    assert calls == []
+
+
+def patched_snub(monkeypatch, cells=None, edges=()):
+    """Serve the snub census with other cells, or with extra edges, in place of its own."""
+    real = snub_census()
+    fake = PolytopeComplex(real.vertices, real.edges + tuple(edges), real.faces,
+                           real.cells if cells is None else cells)
+    monkeypatch.setattr(polytope, "snub_census", lambda: fake)
+    return real
+
+
+def icosa_cell_without_icosahedra(monkeypatch):
+    real = patched_snub(monkeypatch, [c for c in snub_census().cells if c.kind != "icosahedron"])
+    icosa_cell(real.cells[-1].normal)
+
+
+def tetra_cells_at_with_one_missing(monkeypatch):
+    tets, _ = tetra_cells_at(icosian_seed())
+    patched_snub(monkeypatch, [c for c in snub_census().cells if c is not tets[0]])
+    tetra_cells_at(icosian_seed())
+
+
+def vertex_figure_with_a_stray_edge(monkeypatch):
+    """An edge from p to a vertex off its vertex-figure hyperplane."""
+    census, p = snub_census(), icosian_seed()
+    far = next(j for j, q in enumerate(census.vertices) if q.dot(p) < 0)
+    patched_snub(monkeypatch, edges=[tuple(sorted((census.index(p), far)))])
+    polytope.vertex_figure.__wrapped__(p)
+
+
+def coset_union_with_a_trivial_seed(monkeypatch):
+    """With p = 1 the 25 cosets are all T'."""
+    monkeypatch.setattr(polytope, "icosian_seed", lambda: Q_ONE)
+    build_120cell.__wrapped__()
+
+
+def embeddings_in_the_24_cell(monkeypatch):
+    """Only the unconjugated 24-cell lies in T."""
+    monkeypatch.setattr(polytope, "binary_icosahedral", binary_tetrahedral)
+    snub_embeddings_in_600cell.__wrapped__()
+
+
+def embeddings_of_a_repeated_vertex(monkeypatch):
+    """A 24-cell listing one vertex twice conjugates onto 24 distinct points."""
+    elements = binary_tetrahedral().elements
+    monkeypatch.setattr(polytope, "binary_tetrahedral",
+                        lambda: SimpleNamespace(elements=elements + elements[:1]))
+    snub_embeddings_in_600cell.__wrapped__()
+
+
+def embedding_censuses_out_of_order(monkeypatch):
+    """Embeddings 1 and 2 swapped: the first conjugation misses its embedding."""
+    real = snub_embeddings_in_600cell()
+    monkeypatch.setattr(polytope, "snub_embeddings_in_600cell",
+                        lambda: (real[0], real[2], real[1], *real[3:]))
+    embedding_censuses.__wrapped__()
+
+
+POLYTOPE_CHECKS = {
+    icosa_cell_without_icosahedra: (CertificationFailed, "no icosahedral cell at this center"),
+    tetra_cells_at_with_one_missing: (CertificationFailed, "expected 5 tetrahedra, found 4"),
+    vertex_figure_with_a_stray_edge: (CoplanarityFailed,
+                                      "neighbor misses the vertex-figure hyperplane"),
+    coset_union_with_a_trivial_seed: (CertificationFailed,
+                                      "coset union failed to produce 600 distinct vertices"),
+    embeddings_in_the_24_cell: (CertificationFailed, "conjugate 24-cell leaves the 600-cell"),
+    embeddings_of_a_repeated_vertex: (CertificationFailed, "conjugate 24-cell collapsed"),
+    embedding_censuses_out_of_order: (CertificationFailed,
+                                      "conjugation does not move the snub onto its embedding"),
+}
+
+
+@pytest.mark.parametrize("perturbed", list(POLYTOPE_CHECKS), ids=lambda f: f.__name__)
+def test_polytope_checks_refuse_perturbed_inputs(monkeypatch, perturbed):
+    error, message = POLYTOPE_CHECKS[perturbed]
+    with pytest.raises(error, match=message):
+        perturbed(monkeypatch)
 
 
 def test_census_requests_make_no_hull(monkeypatch, capsys):

@@ -145,10 +145,13 @@ def test_last_weight_orbit_is_scaled_120cell():
 def test_orbit_accepts_mask_spellings():
     assert h4_orbit("1000") == h4_orbit((1, 0, 0, 0))
     assert h4_orbit([0, 0, 0, 1]) == h4_orbit((0, 0, 0, 1))
-    with pytest.raises(BadParameter):
-        h4_orbit("0000")
-    with pytest.raises(BadParameter):
-        h4_orbit((1, 0, 0))
+
+
+@pytest.mark.parametrize("mask", ["0000", (1, 0, 0), "2000", (2, 0, 0, 0), "10a0", (1, -1, 0, 0)])
+def test_orbit_refuses_masks_other_than_four_0_or_1_entries(mask):
+    """2 w1 is no mask: "2000" must not read as w1's orbit."""
+    with pytest.raises(BadParameter, match="mask must be four entries 0 or 1"):
+        h4_orbit(mask)
 
 
 EXPECTED_DECOMPOSITIONS = {
