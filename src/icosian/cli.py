@@ -94,9 +94,9 @@ def _export_complex(name: str):
 def _cell_geometry(name: str, index: int):
     """3D coordinates and hull faces of one cell, in the cell's own frame.
 
-    A census cell reads its faces off the census's own triangles, oriented
-    once per object (PolytopeComplex.cell_geometry), and a dual cell off the
-    snub census's polar (DualComplex): neither makes a hull.
+    A census cell slices both out of one table per complex, made on first use
+    (PolytopeComplex.cell_geometry: vertex v sits at the vector part of v conj(n)),
+    and a dual cell reads them off the snub census's polar: neither makes a hull.
     """
     complex_ = _export_complex(name)
     if not 0 <= index < len(complex_.cells):

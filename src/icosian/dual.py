@@ -138,7 +138,7 @@ def _around(links, count: int) -> list[int]:
     """The count cells at a snub edge, cyclically from the lowest; neighbors share a triangle."""
     links = list(links)
     cycle = list(links.pop()) if links else []
-    while 0 < len(cycle) < count and (step := [link for link in links if cycle[-1] in link]):
+    while len(cycle) < count and (step := [link for link in links if cycle[-1] in link]):
         links.remove(step[0])
         a, b = step[0]
         cycle.append(b if a == cycle[-1] else a)
@@ -173,8 +173,9 @@ def dual_complex() -> DualComplex:
             on_edge[edge].append(pair)
     valences = np.bincount(census.edge_cells[1], minlength=len(census.edges)).tolist()
     cycles = [_around(on_edge[edge], n) for edge, n in zip(census.edges, valences)]
-    ends = engine.common_rows(census.vertices)[0][np.array(census.edges)]
-    xrows, _ = engine.common_rows([vertices[i] for i in ids])
+    prows, pden = engine.common_rows(census.vertices)
+    ends = prows[np.array(census.edges)]
+    xrows, xden = engine.common_rows([vertices[i] for i in ids])
     spans = engine.differences(xrows, np.array([cycle[:3] for cycle in cycles]))
     normals = engine.cross_rows(ends[:, 0], spans[:, 0], spans[:, 1])
     signs = engine.signs(engine.dot_rows(normals[:, None], ends[:, 1:])[:, 0, 0]).tolist()
@@ -184,12 +185,12 @@ def dual_complex() -> DualComplex:
         held[p].append(face)
         held[q].append(face[::-1])
     cell_vertex_ids = [tuple(ids[r] for r in cell) for cell in at]
-    frames = polytope.batched_frame_coords(
-        census.vertices, [[vertices[i] for i in vids] for vids in cell_vertex_ids])
+    coords, starts = polytope.frame_table(xrows, prows, xden * pden, at)
     cells = []
-    for p, cell, vids, coords, own in zip(census.vertices, at, cell_vertex_ids, frames, held):
+    for p, cell, vids, own, lo, hi in zip(census.vertices, at, cell_vertex_ids, held,
+                                          starts, starts[1:]):
         local = hull.relabel(own, cell)
-        cells.append(DualCell(p, [vertices[i] for i in vids], coords,
+        cells.append(DualCell(p, [vertices[i] for i in vids], map(tuple, coords[lo:hi].tolist()),
                               [f for f in local if len(f) == 4],
                               [f for f in local if len(f) == 3]))
     faces = sorted(tuple(ids[r] for r in face) for face in oriented)

@@ -81,15 +81,10 @@ def relabel(faces, vertices) -> tuple[tuple[int, ...], ...]:
 
 
 def face_census(faces) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for f in faces:
-        out[len(f)] = out.get(len(f), 0) + 1
-    return out
+    """How many faces have each number of vertices, in order of first appearance."""
+    return dict(Counter(map(len, faces)))
 
 
 def edges_of_faces(faces) -> set[tuple[int, int]]:
-    out = set()
-    for f in faces:
-        for a, b in zip(f, f[1:] + f[:1]):
-            out.add((min(a, b), max(a, b)))
-    return out
+    """The faces' boundary edges, each as an (a, b) pair with a < b."""
+    return {(min(a, b), max(a, b)) for f in faces for a, b in zip(f, f[1:] + f[:1])}

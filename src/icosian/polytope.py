@@ -22,14 +22,16 @@ second snub copy.
 Every 2-face of a census cell is one of the census's own triangles, so a
 cell's faces in its own frame (PolytopeComplex.cell_geometry) are read off
 the census, not off a hull: one face-cell table says which triangles each
-cell holds, and one batch of exact signs orients them.
+cell holds, and one batch of exact signs orients them.  In the frame
+(e1 n, e2 n, e3 n) of its normal n, a vertex v is the vector part of v conj(n):
+one engine.products table (frame_table) frames all cells, one per complex, on first use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
 from .field import HALF, TAU, field_sqrt
 from .groups import (binary_icosahedral, binary_tetrahedral, icosian_seed,
                      t_prime)
-from .quaternion import E1, E2, E3, Quaternion, canonical_sorted
+from .quaternion import Quaternion, canonical_sorted
 
 TAU_HALF = TAU * HALF
 
@@ -209,12 +211,12 @@ class PolytopeComplex:
         """(cell, item) index pairs, one for each item (a sorted vertex-index tuple
         of the width) that a cell holds: one engine.RowIndex lookup of the
         cells' vertex subsets of that width per cell size."""
-        index = engine.RowIndex(np.array(items, dtype=np.int64).reshape(-1, width))
+        index = engine.RowIndex(_flat(items).reshape(-1, width))
         sizes = np.array([len(cell.vertex_indices) for cell in self.cells])
         pairs = []
         for size in sorted(set(sizes.tolist())):
             group = np.flatnonzero(sizes == size)
-            subsets = np.array([self.cells[k].vertex_indices for k in group.tolist()])
+            subsets = _flat(self.cells[k].vertex_indices for k in group.tolist()).reshape(-1, size)
             combos = list(combinations(range(size), width))
             at = index.find(subsets[:, combos].reshape(-1, width))
             hit = np.flatnonzero(at >= 0)
@@ -241,8 +243,8 @@ class PolytopeComplex:
         return Counter(n for n in np.bincount(self.edge_cells[1]).tolist() if n)
 
     @cached_property
-    def _cycles(self) -> list[list[tuple[int, int, int]]]:
-        """Each cell's faces as counterclockwise cycles, signed in one batch.
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """Every cell's frame coordinates (frame_table) and faces, as cycles signed in one batch.
 
         In the basis (n, e1 n, e2 n, e3 n), right multiplication by the unit
         normal n applied to (1, e1, e2, e3), a cell vertex is (c, x) for its
@@ -250,23 +252,25 @@ class PolytopeComplex:
         cell holds the frame's origin, its circumcentre, so face a < b < c
         runs (a, b, c) seen from outside when det[a, b, c, n] < 0, else (a, c, b).
         """
+        rows, den = engine.common_rows(self.vertices)
+        normals, nden = engine.common_rows([cell.normal for cell in self.cells])
         cells, at = self.face_cells
-        rows, _ = engine.common_rows(self.vertices)
-        normals, _ = engine.common_rows([cell.normal for cell in self.cells])
         faces = np.array(self.faces)
         cross = engine.cross_rows(*rows[faces].transpose(1, 0, 2))
         signs = engine.signs(engine.dot_rows(cross[at, None], normals[cells, None]))[:, 0, 0]
-        out = [[] for _ in self.cells]
+        cycles = [[] for _ in self.cells]
         for k, (a, b, c), sign in zip(cells.tolist(), faces[at].tolist(), signs.tolist()):
-            out[k].append((a, b, c) if sign < 0 else (a, c, b))
-        return out
+            cycles[k].append((a, b, c) if sign < 0 else (a, c, b))
+        members = [cell.vertex_indices for cell in self.cells]
+        return (*frame_table(rows, normals, den * nden, members), cycles)
 
     def cell_geometry(self, index: int):
-        """3D coordinates of one cell in its own frame (e1 n, e2 n, e3 n), and
-        its faces: the census triangles it holds, as hull faces (_cycles)."""
-        cell = self.cells[index]
-        coords = frame_coords(cell.normal, [self.vertices[i] for i in cell.vertex_indices])
-        return coords, hull.relabel(self._cycles[index], cell.vertex_indices)
+        """3D coordinates of one cell in its own frame (e1 n, e2 n, e3 n), the vector
+        parts of v conj(n) for its vertices v, and its faces, the census triangles it
+        holds, as hull faces: both sliced out of one table per complex, made on first use."""
+        coords, starts, cycles = self._geometry
+        return (list(map(tuple, coords[starts[index]:starts[index + 1]].tolist())),
+                hull.relabel(cycles[index], self.cells[index].vertex_indices))
 
     def __repr__(self) -> str:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
@@ -409,30 +413,30 @@ def tetra_cells_at(p: Quaternion):
     return tets, [c.normal for c in tets]
 
 
-_FRAME_UNITS = engine.common_rows([E1, E2, E3])[0]  # over 1
+def _flat(tuples) -> np.ndarray:
+    """The entries of integer tuples, one after another, as one intp array."""
+    return np.fromiter(chain.from_iterable(tuples), dtype=np.intp)
 
 
-def batched_frame_coords(bases, point_sets) -> list[list[tuple]]:
-    """frame_coords of each point set against its basis vector, from one dot table.
-
-    The point sets must be equally long.  The frames of all bases are one
-    engine.products call, their scalar products with the points one
-    block-diagonal engine.dot_rows table, and each distinct coordinate is
-    lifted to a field element once.
+def frame_table(rows: np.ndarray, bases: np.ndarray, den: int, members):
+    """(coords, starts): coords[starts[k]:starts[k + 1]] are the rows members[k] lists, in
+    the frame (e1 u, e2 u, e3 u) of the unit u = bases[k], as field-element rows; den is
+    the product of the two denominators.  v has coordinates (v, ei u) = (v conj(u), ei),
+    the vector part of v conj(u), so frames of every size are one engine.products call
+    over the flat (point, basis) pairs, and each distinct coordinate is lifted once.
     """
-    brows, bden = engine.common_rows(bases)
-    prows, pden = engine.common_rows([x for points in point_sets for x in points])
-    frames = engine.products(_FRAME_UNITS[None], brows[:, None])
-    table = engine.dot_rows(frames, prows.reshape(len(brows), -1, 16))
-    values, index = engine.distinct_values(table, bden * pden)
-    lifted = list(values)
-    return [[tuple(lifted[k] for k in point) for point in axes.T.tolist()]
-            for axes in index]
+    sizes = [len(m) for m in members]
+    frames = np.repeat(engine.conjugates(bases), sizes, axis=0)
+    pairs = engine.products(rows[_flat(members)], frames)
+    values, index = engine.distinct_values(pairs[:, 4:].reshape(-1, 3, 4), den)
+    return np.array(list(values), dtype=object)[index], np.cumsum([0] + sizes)
 
 
 def frame_coords(basis_vector: Quaternion, points) -> list[tuple]:
-    """Coordinates of each point against the frame (e1 u, e2 u, e3 u) of a unit u."""
-    return batched_frame_coords([basis_vector], [points])[0]
+    """Coordinates of each point in the frame (e1 u, e2 u, e3 u) of a unit u: see frame_table."""
+    rows, den = engine.common_rows([basis_vector, *points])
+    coords, _ = frame_table(rows, rows[:1], den * den, [range(1, len(rows))])
+    return list(map(tuple, coords.tolist()))
 
 
 class VertexFigure:

@@ -8,14 +8,14 @@ import pytest
 from icosian import (CELL_ROTATION, E1, E2, E3, Q_ONE, Quaternion, Transform,
                      binary_icosahedral, binary_tetrahedral, build_120cell,
                      canonical_sorted, cell_census, cell_rotation_orbit, dual_cell,
-                     dual_complex, dual_vertices, icosian_seed, rotate_cell,
-                     snub24_vertices, snub_census, t_prime, vertex_surroundings)
+                     dual_complex, dual_vertices, embedding_censuses, icosian_seed,
+                     rotate_cell, snub24_vertices, snub_census, t_prime,
+                     vertex_figure, vertex_surroundings)
 from icosian import coxeter, dual, hull, polytope
 from icosian.dual import LEVEL, TAU_OVER_SQRT2, DualCell, DualComplex, _around
 from icosian.errors import BadParameter, CertificationFailed
 from icosian.hull import convex_hull_faces
-from icosian.polytope import (Cell, Cell120, PolytopeComplex, batched_frame_coords,
-                              frame_coords)
+from icosian.polytope import Cell, Cell120, PolytopeComplex, frame_coords
 from icosian.field import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO,
                            FieldElement)
 
@@ -303,6 +303,7 @@ def test_a_census_missing_a_cell_leaves_an_edge_without_a_cycle(monkeypatch, fre
     ([(0, 1), (1, 0)], 2, False),                      # two cells make no polygon
     ([(0, 1), (1, 2), (2, 0), (0, 2)], 3, False),      # one pair linked twice
     ([], 0, False),
+    ([], 3, False),                                    # no links: the walk takes no step
 ])
 def test_the_cycle_walk_accepts_one_cycle_through_every_cell(links, count, cycle):
     if cycle:
@@ -363,21 +364,23 @@ def test_dual_vertex_classes_that_overlap_are_refused(monkeypatch):
 
 
 def scalar_frame_coords(u, points):
-    """The frame coordinates by scalar Quaternion.dot: the oracle of the batched kernel."""
+    """The frame coordinates by scalar Quaternion.dot: the oracle of polytope.frame_table."""
     frame = [unit * u for unit in (E1, E2, E3)]
     return [tuple(f.dot(x) for f in frame) for x in points]
 
 
-def test_batched_frame_coords_match_scalar_dot():
-    snub = snub_census()
-    tet = next(c for c in snub.cells if c.kind == "tetrahedron")
-    icosa = next(c for c in snub.cells if c.kind == "icosahedron")
-    cell600 = cell_census(binary_icosahedral().elements)
-    cases = [(c.normal, [complex_.vertices[i] for i in c.vertex_indices])
-             for complex_, c in ((snub, tet), (snub, icosa), (cell600, cell600.cells[7]))]
-    duals = [dual_cell(p) for p in snub24_vertices()[:5]]
-    cases += [(cell.vertex, cell.vertices) for cell in duals]
-    for u, points in cases:
-        assert frame_coords(u, points) == scalar_frame_coords(u, points)
-    assert batched_frame_coords([c.vertex for c in duals], [c.vertices for c in duals]) == [
-        scalar_frame_coords(c.vertex, c.vertices) for c in duals]
+def test_frame_tables_match_scalar_dot():
+    """Every cell of the three censuses, of the five snub embeddings and of the
+    dual, and the vertex figure, in its own frame, by the scalar oracle."""
+    censuses = [cell_census(points) for points in (binary_icosahedral().elements,
+                                                   binary_tetrahedral().elements)]
+    for complex_ in censuses + list(embedding_censuses()):
+        for k, cell in enumerate(complex_.cells):
+            points = [complex_.vertices[i] for i in cell.vertex_indices]
+            assert complex_.cell_geometry(k)[0] == scalar_frame_coords(cell.normal, points)
+    for cell in dual_complex().cells:
+        assert list(cell.coords) == scalar_frame_coords(cell.vertex, cell.vertices)
+    figure = vertex_figure(icosian_seed())
+    assert list(figure.coords) == scalar_frame_coords(figure.vertex, figure.neighbors)
+    u = snub_census().cells[0].normal
+    assert frame_coords(u, snub24_vertices()) == scalar_frame_coords(u, snub24_vertices())

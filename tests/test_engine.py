@@ -509,6 +509,27 @@ def test_pairwise_dots_raise_or_match_near_int64_limit(rows, bits):
     assert_table_is_oracle(scaled, scaled, *result)
 
 
+def real_row(x: int) -> np.ndarray:
+    """The one integer row of the real quaternion x over 1."""
+    return np.array([[x] + [0] * 15], dtype=np.int64)
+
+
+def test_int64_limits_sit_at_exactly_2_to_the_63():
+    """Each int64 limit check answers a bound of 2^63 - 1 and refuses one of 2^63."""
+    top = (1 << 63) - 1
+    # _check_bound, through rescaled: (2^63 - 1) * 1 fits, 2^62 * 2 does not.
+    assert rescaled(real_row(top), 1, 1)[0, 0] == top
+    with pytest.raises(OverflowError):
+        rescaled(real_row(1 << 62), 1, 2)
+    # _bilinear's exact bound: a real times a real is one term of weight 1.
+    assert products(real_row(top), real_row(1))[0, 0] == top
+    with pytest.raises(OverflowError):
+        products(real_row(1 << 62), real_row(2))
+    # quats_of takes the gcd on int64 up to den 2^63 - 1, and on Python ints at 2^63.
+    assert quats_of(real_row(top), top) == (Q_ONE,)
+    assert quats_of(real_row(1 << 62), 1 << 63) == (Quaternion(HALF),)
+
+
 def test_int64_limit_raises():
     one = Quaternion(1)
     # Scaling 2^62 to the common denominator 4 would wrap to 0 in int64.

@@ -500,8 +500,8 @@ def test_cell_geometry_matches_its_own_hull(monkeypatch, name, order):
 @pytest.mark.parametrize("name", CELL_CENSUSES)
 def test_cell_faces_are_oriented_in_one_batch(monkeypatch, name):
     """The first request signs every (cell, face) pair: one cross_rows over
-    the faces and one dot_rows over the pairs.  Each request then frames its
-    own cell, one dot_rows of one basis."""
+    the faces and one dot_rows over the pairs.  No request frames a cell by
+    dot_rows: the frames are one products table (see the next test)."""
     complex_ = cell_census(CENSUS_SETS[name]())
     made = {"cross_rows": [], "dot_rows": []}
     for kernel, calls in made.items():
@@ -511,7 +511,35 @@ def test_cell_faces_are_oriented_in_one_batch(monkeypatch, name):
     complex_.cell_geometry(len(complex_.cells) - 1)
     complex_.cell_geometry(0)
     n = len(complex_.faces)
-    assert made["cross_rows"] == [n] and sorted(made["dot_rows"]) == [1, 1, 2 * n]
+    assert made["cross_rows"] == [n] and made["dot_rows"] == [2 * n]
+
+
+@pytest.mark.parametrize("name", CELL_CENSUSES)
+def test_cells_are_framed_by_one_products_call(monkeypatch, name):
+    """Building a census frames no cell.  However many cells are then asked
+    for, in any order, the complex makes one frame table: one engine.products
+    call over its (vertex, cell normal) pairs, beside the two of the
+    orientation batch's cross_rows over its faces."""
+    tables, rows = [], []
+    real_table, real_products = polytope.frame_table, engine.products
+    monkeypatch.setattr(polytope, "frame_table", lambda *args: (
+        tables.append(len(args[-1])) or real_table(*args)))
+    complex_ = cell_census(CENSUS_SETS[name]())
+    assert tables == []
+    monkeypatch.setattr(engine, "products", lambda a, b: (
+        rows.append(len(a)) or real_products(a, b)))
+    for k in [3, 0, *range(len(complex_.cells) - 1, -1, -1)]:
+        complex_.cell_geometry(k)
+    assert tables == [len(complex_.cells)]
+    pairs, n = sum(len(cell.vertex_indices) for cell in complex_.cells), len(complex_.faces)
+    assert sorted(rows) == sorted([pairs, n, n])
+
+
+def test_snub_censuses_frame_no_cell(monkeypatch):
+    """Neither the snub census nor its five embeddings make a frame table."""
+    monkeypatch.setattr(polytope, "frame_table", None)
+    monkeypatch.setattr(polytope, "snub_census", polytope.snub_census.__wrapped__)
+    assert len(embedding_censuses.__wrapped__()) == 5
 
 
 def test_face_cell_table_pairs_each_cell_with_the_faces_its_triples_name():
@@ -658,3 +686,6 @@ def test_projective_equal():
     assert projective_equal(p.scale(HALF), p)
     assert not projective_equal(p, p.scale(SIGMA))
     assert not projective_equal(p, Q_ONE)
+    # 0 = 0 b, but 0 is no positive multiple of b.
+    assert not projective_equal(Quaternion(), p)
+    assert projective_equal(Quaternion(), Quaternion())
