@@ -6,6 +6,10 @@
                    [--cell K | --vertex-figure | --dual-cell] --out FILE
     icosian orbit  --weights a,b,c,d [--decompose] [--out FILE]
 
+One grammar table holds every command and argument.  A request is read off
+it in one pass; argparse, built from the same table, runs only for help and
+usage errors, so it alone prints them.
+
 Exit codes: 0 on success, 1 when verification or certification fails,
 2 for usage errors.  All output is canonical: every run of a command
 produces identical bytes, whatever the hash seed.
@@ -197,57 +201,106 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+# The one grammar, read by make_parser and _match: each command's help, then its
+# arguments in help order with their add_argument keywords.  A positional is
+# required; an option's dest is its string less "--", with "-" read as "_".
+_GRAMMAR = {
+    "build": ("construct an object and write it as JSON", {
+        "object": {"choices": BUILD_OBJECTS},
+        "--out": {"required": True, "help": "output path, - for stdout"}}),
+    "verify": ("run a verification suite", {
+        "suite": {"choices": VERIFY_SUITES},
+        "--out": {"help": "also write the certificate as JSON"}}),
+    "export": ("write OFF or JSON geometry", {
+        "object": {"choices": EXPORT_OBJECTS},
+        "--format": {"choices": ("off", "json"), "required": True},
+        "--cell": {"type": int, "default": None, "metavar": "K",
+                   "help": "one cell, projected into its own hyperplane"},
+        "--vertex-figure": {"action": "store_true",
+                            "help": "the vertex figure at the generating vertex"},
+        "--dual-cell": {"action": "store_true",
+                        "help": "the dual cell at the generating vertex"},
+        "--digits": {"type": _parse_digits, "default": 17,
+                     "help": "significant digits for OFF output, "
+                             f"1 to {exports.MAX_DIGITS} (default 17)"},
+        "--out": {"required": True, "help": "output path, - for stdout"}}),
+    "orbit": ("orbit of a weighted point under W(H4)", {
+        "--weights": {"type": _parse_weights, "required": True, "metavar": "a,b,c,d"},
+        "--decompose": {"action": "store_true",
+                        "help": "also decompose the orbit under W(D4):C3"},
+        "--out": {"help": "also write the result as JSON"}}),
+}
+_HANDLERS = {"build": cmd_build, "verify": cmd_verify, "export": cmd_export, "orbit": cmd_orbit}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icosian",
         description="Exact quaternionic constructions around the snub 24-cell.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="construct an object and write it as JSON")
-    p_build.add_argument("object", choices=BUILD_OBJECTS)
-    p_build.add_argument("--out", required=True, help="output path, - for stdout")
-    p_build.set_defaults(fn=cmd_build)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=VERIFY_SUITES)
-    p_verify.add_argument("--out", help="also write the certificate as JSON")
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_export = sub.add_parser("export", help="write OFF or JSON geometry")
-    p_export.add_argument("object", choices=EXPORT_OBJECTS)
-    p_export.add_argument("--format", choices=("off", "json"), required=True)
-    p_export.add_argument("--cell", type=int, default=None, metavar="K",
-                          help="one cell, projected into its own hyperplane")
-    p_export.add_argument("--vertex-figure", action="store_true",
-                          help="the vertex figure at the generating vertex")
-    p_export.add_argument("--dual-cell", action="store_true",
-                          help="the dual cell at the generating vertex")
-    p_export.add_argument("--digits", type=_parse_digits, default=17,
-                          help="significant digits for OFF output, "
-                               f"1 to {exports.MAX_DIGITS} (default 17)")
-    p_export.add_argument("--out", required=True, help="output path, - for stdout")
-    p_export.set_defaults(fn=cmd_export)
-
-    p_orbit = sub.add_parser("orbit", help="orbit of a weighted point under W(H4)")
-    p_orbit.add_argument("--weights", type=_parse_weights, required=True,
-                         metavar="a,b,c,d")
-    p_orbit.add_argument("--decompose", action="store_true",
-                         help="also decompose the orbit under W(D4):C3")
-    p_orbit.add_argument("--out", help="also write the result as JSON")
-    p_orbit.set_defaults(fn=cmd_orbit)
+    for command, (help_, arguments) in _GRAMMAR.items():
+        p_command = sub.add_parser(command, help=help_)
+        for name, spec in arguments.items():
+            p_command.add_argument(name, **spec)
     return parser
 
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
+    """The parser, built once per process for help and usage errors only."""
     return make_parser()
 
 
+def _match(argv) -> argparse.Namespace | None:
+    """make_parser().parse_args(argv), read off _GRAMMAR in one pass; None at the
+    first doubt: an unknown command or option string (help, an abbreviation,
+    "--x=y", "--"), a repeat, a value starting with "-" other than "-", a second
+    positional, a refused value or a missing required argument."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    arguments = _GRAMMAR[argv[0]][1]
+    positional = next((name for name in arguments if name[0] != "-"), None)
+    texts = {}  # argument name -> its text, None for a flag
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, text = token, None
+        if not token.startswith("-"):
+            name, text = positional, token
+        elif token not in arguments:
+            return None
+        elif arguments[token].get("action") != "store_true":
+            text = next(tokens, None)
+            if text is None or text.startswith("-") and text != "-":
+                return None
+        if name is None or name in texts:
+            return None
+        texts[name] = text
+    args = argparse.Namespace(command=argv[0])
+    for name, spec in arguments.items():
+        if spec.get("action") == "store_true":
+            value = name in texts
+        elif name in texts:
+            try:
+                value = spec.get("type", str)(texts[name])
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        elif name == positional or spec.get("required"):
+            return None
+        else:
+            value = spec.get("default")
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Serve one request: argv is read off the one grammar table in one pass,
+    and argparse runs only when it asks for help or holds a usage error."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _match(argv) or _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _HANDLERS[args.command](args)
     except (InvalidSelector, BadParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,8 @@ import numpy as np
 from . import engine
 from .coxeter import (_compose, _transform_rows, coset_labels_of, seed_conjugators, wd4c3,
                       wh4)
-from .errors import BadParameter, NotInvariant, SearchFailed
-from .field import HALF, ONE, SIGMA, TAU, ZERO, FieldElement
+from .errors import BadParameter, NotInGoldenSubfield, NotInvariant, SearchFailed
+from .field import HALF, ONE, SIGMA, TAU, FieldElement
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
 from .quaternion import Quaternion, canonical_sorted
 
@@ -57,12 +57,13 @@ def e8_roots() -> RootSystemData:
 
 
 def euclid_profile_full(roots) -> set[tuple[tuple[Fraction, int], ...]]:
-    """Profile of every root; a one-element set certifies homogeneity."""
+    """Profile of every root; a one-element set certifies homogeneity.  The
+    Euclidean part of a dot n / den is (n_0 + n_2) / den, as golden_decompose."""
     table, den = engine.pairwise_dots(roots)
-    values, index = engine.distinct_values(table, den)
-    euclid = [x.euclidean_part() for x in values]
-    rows = engine.distinct_rows(np.sort(index, axis=1)).tolist()
-    return {tuple(sorted(Counter(euclid[j] for j in row).items())) for row in rows}
+    if table[..., 1::2].any():
+        raise NotInGoldenSubfield("a scalar product has a sqrt2 part")
+    rows = engine.distinct_rows(np.sort(table[..., 0] + table[..., 2], axis=1)).tolist()
+    return {tuple((Fraction(v, den), c) for v, c in Counter(row).items()) for row in rows}
 
 
 @lru_cache(maxsize=None)
@@ -94,22 +95,26 @@ def h4_simple_roots() -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
     Diagonal 1; consecutive products -1/2, -1/2, -tau/2; all other pairs 0.
     """
     icos = binary_icosahedral().elements
-    table, den = engine.pairwise_dots(icos)
-    values, index = engine.distinct_values(table, den)
+    rows, den = engine.common_rows(icos)
+    den *= den
 
-    def neighbors(value):
-        return [np.flatnonzero(row).tolist() for row in index == values.get(value, -1)]
+    @lru_cache(maxsize=None)
+    def neighbors(i):
+        """The icosians at -1/2, at -tau/2 and at 0 to icos[i], by their dots' numerators."""
+        dots = engine.dot_rows(rows[i:i + 1], rows)[0]
+        return (np.flatnonzero((2 * dots == (-den, 0, 0, 0)).all(axis=1)).tolist(),
+                np.flatnonzero((4 * dots == (-den, 0, -den, 0)).all(axis=1)).tolist(),
+                (~dots.any(axis=1)).tolist())
 
-    at_obtuse = neighbors(-HALF * ONE)
-    at_sharp = neighbors(-TAU * HALF)
-    ortho = (index == values.get(ZERO, -1)).tolist()
     for a1 in range(len(icos)):
-        for a2 in at_obtuse[a1]:
-            for a3 in at_obtuse[a2]:
-                if not ortho[a1][a3]:
+        obtuse1, _, ortho1 = neighbors(a1)
+        for a2 in obtuse1:
+            obtuse2, _, ortho2 = neighbors(a2)
+            for a3 in obtuse2:
+                if not ortho1[a3]:
                     continue
-                for a4 in at_sharp[a3]:
-                    if ortho[a1][a4] and ortho[a2][a4]:
+                for a4 in neighbors(a3)[1]:
+                    if ortho1[a4] and ortho2[a4]:
                         return (icos[a1], icos[a2], icos[a3], icos[a4])
     raise SearchFailed("no icosian quadruple realizes the H4 diagram")
 

@@ -1,10 +1,14 @@
 """Exports and the command line: OFF/JSON emission, selectors, exit codes."""
 
+import contextlib
+import importlib.util
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from icosian import cli, dual, e8_roots, hull, polytope, snub24_vertices
 from icosian.cli import main
@@ -389,23 +393,182 @@ def test_export_builds_each_census_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def _outcome(call, argv, capsys):
+    """rc, stdout and stderr of call(argv), whether it returns or exits."""
+    try:
+        rc = call(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys, run_cli):
     """A usage error, a cell export and the whole export in one process print
     exactly what each prints run alone."""
     whole = ["export", "24cell", "--format", "off", "--out", "-"]
     runs = [["orbit", "--weights", "1,2,3"], whole[:2] + ["--cell", "3"] + whole[2:], whole]
-    together = []
-    for argv in runs:
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        captured = capsys.readouterr()
-        together.append((rc, captured.out, captured.err))
+    together = [_outcome(main, argv, capsys) for argv in runs]
     alone = [run_cli(*argv) for argv in runs]
     assert together == [(r.returncode, r.stdout, r.stderr) for r in alone]
     assert [rc for rc, _, _ in together] == [2, 0, 0]
     assert cli._parser() is cli._parser()
+
+
+PARSER = cli.make_parser()
+GEOMETRY_REFS = json.loads((Path(__file__).resolve().parents[1] / "benchmarks" / "refs.json")
+                           .read_text())["geometry"]
+
+
+def geometry_requests() -> list[list[str]]:
+    """Every request the geometry benchmark can send: one per digest it records."""
+    reqs = [["build", obj, "--out", "-"] for obj in GEOMETRY_REFS["build"]]
+    for d in ("17", "40"):
+        off = ["--format", "off", "--digits", d, "--out", "-"]
+        reqs += [["export", obj, *off] for obj in GEOMETRY_REFS["export"]]
+        reqs += [["export", "snub24", flag, *off] for flag in ("--vertex-figure", "--dual-cell")]
+        reqs += [["export", obj, "--cell", str(k), *off]
+                 for obj, digests in GEOMETRY_REFS["cell"].items() for k in range(len(digests[d]))]
+    return reqs
+
+
+CI_REQUESTS = ([["verify", suite] for suite in cli.VERIFY_SUITES]
+               + [["orbit", "--weights", w, "--decompose"]
+                  for w in ("1,1,1,1", "1,0,0,0", "0,0,0,1", "0,1,0,0", "0,0,1,0")])
+
+
+def test_benchmark_and_ci_requests_take_the_one_pass_reading():
+    requests = geometry_requests() + CI_REQUESTS
+    assert len(requests) == 1746 + 7 + 5
+    for argv in requests:
+        matched = cli._match(argv)
+        assert matched is not None and matched == PARSER.parse_args(argv), argv
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_requests_never_build_the_parser(capsys):
+    """A seeded geometry pass and verify all, served by main, build no argparse parser."""
+    cli._parser.cache_clear()
+    for argv in _load_workloads().generate("geometry", 1, 0) + [["verify", "all"]]:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert cli._parser.cache_info().currsize == 0
+
+
+# Values each option takes, and values every argument refuses or argparse reads
+# its own way: the bare "-", a negative number, the empty string, digits out
+# of range, three weights and Arabic-Indic digits (int reads them as 17).
+GOOD_VALUES = {"--format": ("off", "json"), "--cell": ("0", "3", "143"),
+               "--digits": ("1", "17", "40", "1000"), "--weights": ("1,0,0,0", "2,0,1,3"),
+               "--out": ("-", "x.json")}
+ODD_VALUES = ("-", "-1", "", "0", "1001", "1,2,3", "\u0661\u0667")
+ARGUMENTS = [(name, spec) for _, arguments in cli._GRAMMAR.values()
+             for name, spec in arguments.items()]
+TOKENS = sorted({*cli._GRAMMAR, *(name for name, _ in ARGUMENTS if name[0] == "-"),
+                 *(choice for _, spec in ARGUMENTS for choice in spec.get("choices", ())),
+                 *(value for values in GOOD_VALUES.values() for value in values), *ODD_VALUES,
+                 "-h", "--help", "--", "-x", "--form", "--ce", "--dig", "--vert", "--we", "--dec",
+                 "--o", "--format=off", "--out=-", "--cell=3"})
+
+
+@st.composite
+def requests(draw):
+    """A request from the grammar, arguments in any order, then a few tokens
+    dropped, inserted, replaced or swapped."""
+    command = draw(st.sampled_from(sorted(cli._GRAMMAR)))
+    groups = []
+    for name, spec in cli._GRAMMAR[command][1].items():
+        if draw(st.integers(0, 9)) < (9 if name[0] != "-" or spec.get("required") else 5):
+            if spec.get("action"):
+                groups.append([name])
+                continue
+            good = spec.get("choices") or GOOD_VALUES[name]
+            value = draw(st.sampled_from(list(good) * 4 + list(ODD_VALUES)))
+            groups.append([value] if name[0] != "-" else [name, value])
+    argv = [command] + [token for group in draw(st.permutations(groups)) for token in group]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("drop", "insert", "replace", "swap")))
+        token = draw(st.sampled_from(TOKENS))
+        if edit == "insert":
+            argv.insert(at, token)
+        elif at < len(argv):
+            if edit == "drop":
+                del argv[at]
+            elif edit == "replace":
+                argv[at] = token
+            else:
+                other = draw(st.integers(0, len(argv) - 1))
+                argv[at], argv[other] = argv[other], argv[at]
+    return argv
+
+
+@given(st.one_of(requests(), st.lists(st.sampled_from(TOKENS), max_size=8)))
+@settings(max_examples=1000, deadline=None)
+def test_match_is_argparse_or_defers_to_it(argv):
+    """The one-pass reading is argparse's namespace, or None: never another
+    namespace, and None wherever argparse prints help or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = PARSER.parse_args(argv)
+        except SystemExit:
+            parsed = None
+    matched = cli._match(argv)
+    assert matched is None or parsed is not None and vars(matched) == vars(parsed)
+
+
+EXPORT = ["export", "24cell", "--format", "off", "--out", "-"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"], ["-h"], [*EXPORT, "-h"], [*EXPORT, "--help"],
+    ["export", "24cell", "--form", "off", "--out", "-"],
+    ["export", "24cell", "--format=off", "--out", "-"], ["export", "--", *EXPORT[1:]],
+    [*EXPORT, "--out", "x"], [*EXPORT, "--dual-cell", "--dual-cell"], [*EXPORT, "--cell", "-1"],
+    [*EXPORT, "24cell"], [*EXPORT, "--cell", ""], [*EXPORT, "--cell", "x"],
+    [*EXPORT, "--digits", "0"], ["export", "4cell", *EXPORT[2:]], EXPORT[:-2],
+    EXPORT[:1] + EXPORT[2:], ["orbit", "--weights", "1,0,0,0", "x"],
+    ["orbit", "--weights", "1,0,0"],
+], ids=" ".join)
+def test_match_defers_each_doubt(argv):
+    """An unknown command, help, an abbreviation, "--x=y", "--", a repeated
+    option, a value starting with "-", a second positional, a value its
+    converter or choices refuse, and a missing option or positional."""
+    assert cli._match(argv) is None
+
+
+# Help and usage errors, all printed by argparse; the same table runs in fresh
+# processes in CI, against digests of each rc, stdout and stderr.
+HELP_AND_USAGE = [
+    ["--help"], ["-h"], *([command, flag] for command in cli._GRAMMAR for flag in ("--help", "-h")),
+    [], ["verify"], ["build", "bogus", "--out", "-"], ["build", "24cell"],
+    ["build", "24cell", "extra", "--out", "-"], ["orbit", "--weights", "1,2,3"],
+    *(["export", "24cell", "--format", "off", "--digits", d, "--out", "-"] for d in ("0", "1001")),
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=" ".join)
+def test_help_and_usage_errors_are_argparse_bytes(argv, capsys):
+    outcome = _outcome(main, argv, capsys)
+    assert outcome == _outcome(cli.make_parser().parse_args, argv, capsys)
+    assert outcome[0] == (0 if "-h" in argv or "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("spelling", [["--form", "off"], ["--format=off"]], ids=" ".join)
+def test_other_spellings_print_the_exact_spellings_bytes(spelling, capsys):
+    head, out = ["export", "24cell", "--cell", "3"], ["--out", "-"]
+    exact = _outcome(main, head + ["--format", "off"] + out, capsys)
+    assert cli._match(head + spelling + out) is None
+    assert _outcome(main, head + spelling + out, capsys) == exact
+    assert exact[0] == 0 and exact[1].startswith("OFF")
 
 
 def test_selector_errors(capsys):

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion,
                      QuaternionGroup, Transform, binary_icosahedral, binary_octahedral,
-                     binary_tetrahedral, canonical_sorted, cell_census, engine, icosian_seed,
+                     binary_tetrahedral, canonical_sorted, cell_census, e8_roots, engine,
+                     icosian_seed,
                      orbit, polytope, projective_equal, s3_of, s4_of, snub24_vertices,
                      snub_embeddings_in_600cell, t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import reflection, wd4c3_conjugate
@@ -567,12 +568,27 @@ def test_int64_limit_raises():
             assert bits == 28 and square == one * 10 * (1 << 56)
 
 
+def oracle_euclid_profile_full(roots):
+    """The profile through field elements: each distinct dot lifted to a
+    FieldElement and split by golden_decompose, each row counted by index."""
+    table, den = pairwise_dots(roots)
+    values, index = distinct_values(table, den)
+    euclid = [x.euclidean_part() for x in values]
+    rows = distinct_rows(np.sort(index, axis=1)).tolist()
+    return {tuple(sorted(Counter(euclid[j] for j in row).items())) for row in rows}
+
+
 @given(st.lists(golden_points, min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_euclid_profile_full_matches_oracle(roots):
     expected = {tuple(sorted(Counter(r.euclid_dot(s) for s in roots).items()))
                 for r in roots}
-    assert euclid_profile_full(roots) == expected
+    assert euclid_profile_full(roots) == expected == oracle_euclid_profile_full(roots)
+
+
+def test_e8_euclid_profile_matches_field_oracle():
+    roots = e8_roots().roots
+    assert euclid_profile_full(roots) == oracle_euclid_profile_full(roots)
 
 
 @given(st.lists(golden_points, max_size=4), golden_points.filter(lambda q: q.norm() != ZERO),
@@ -581,8 +597,9 @@ def test_euclid_profile_full_matches_oracle(roots):
 def test_euclid_profile_full_rejects_sqrt2_parts(roots, g, at):
     # g . (sqrt2 g) = sqrt2 |g|^2 has a sqrt2 part.
     roots = roots[:at] + [g * SQRT2] + roots[at:] + [g]
-    with pytest.raises(NotInGoldenSubfield):
-        euclid_profile_full(roots)
+    for profile in (euclid_profile_full, oracle_euclid_profile_full):
+        with pytest.raises(NotInGoldenSubfield):
+            profile(roots)
 
 
 GROUPS = {"W(D4):C3": wd4c3, "W(H3)xC2": wh3xc2, "S3": lambda: s3_of(icosian_seed())}

@@ -15,10 +15,10 @@ from icosian import (HALF, Quaternion, appendix_decompositions,
                      roots, snub24_vertices, snub_sum_form, stabilizer, wd4c3, wh4)
 from icosian.coxeter import (_pair_group, coset_labels_of, reflection, seed_conjugator,
                              seed_conjugators)
-from icosian.errors import BadParameter, NotInvariant
-from icosian.field import ONE, SIGMA, SQRT2, TAU
-from icosian.engine import (act, closure_points, common_rows, distinct_rows, partition_points,
-                            quats_of, transform_matrix)
+from icosian.errors import BadParameter, NotInvariant, SearchFailed
+from icosian.field import ONE, SIGMA, SQRT2, TAU, ZERO
+from icosian.engine import (act, closure_points, common_rows, distinct_rows, distinct_values,
+                            pairwise_dots, partition_points, quats_of, transform_matrix)
 from icosian.groups import d4_weight_orbits
 from icosian.roots import (ALL_MASKS, RootSystemData, e8_minus_24cells, euclid_profile_full,
                            weight_decomposition)
@@ -97,6 +97,40 @@ def test_h4_simple_roots_gram():
             else:
                 expected = chain.get((min(i, j), max(i, j)), 0)
                 assert gram[i][j] == expected
+
+
+def oracle_h4_simple_roots(icos):
+    """The same search over the whole table of dots of the points icos, its
+    entries lifted to field elements."""
+    table, den = pairwise_dots(icos)
+    values, index = distinct_values(table, den)
+
+    def neighbors(value):
+        return [np.flatnonzero(row).tolist() for row in index == values.get(value, -1)]
+
+    at_obtuse = neighbors(-HALF * ONE)
+    at_sharp = neighbors(-TAU * HALF)
+    ortho = (index == values.get(ZERO, -1)).tolist()
+    for a1 in range(len(icos)):
+        for a2 in at_obtuse[a1]:
+            for a3 in at_obtuse[a2]:
+                if not ortho[a1][a3]:
+                    continue
+                for a4 in at_sharp[a3]:
+                    if ortho[a1][a4] and ortho[a2][a4]:
+                        return (icos[a1], icos[a2], icos[a3], icos[a4])
+    raise SearchFailed("no icosian quadruple realizes the H4 diagram")
+
+
+def test_h4_simple_roots_match_full_table_search(monkeypatch):
+    """Rows of dots made as the search reaches them give the full table's first
+    quadruple; over the 24-cell both searches fail."""
+    assert h4_simple_roots() == oracle_h4_simple_roots(binary_icosahedral().elements)
+    monkeypatch.setattr(roots, "binary_icosahedral", binary_tetrahedral)
+    with pytest.raises(SearchFailed):
+        roots.h4_simple_roots.__wrapped__()
+    with pytest.raises(SearchFailed):
+        oracle_h4_simple_roots(binary_tetrahedral().elements)
 
 
 def test_h4_weights_are_dual_basis():
