@@ -12,10 +12,10 @@ denominator; Transform objects are built only when asked for.  W(H4) and
 W(D4):C3 are pair groups in the paper's factored form, {[p, q], [p, q]* :
 p, q in I} and the same over T: they keep the factors P and Q and make
 their rows, already in canonical order, only on first use.  Their images
-are the products (P v) Q and (P conj(v)) Q, a stabilizer makes only its
-fixed rows, and coset_labels_of names the coset of W(D4):C3 in W(H4) of a
-row by the pair (T p, q T).  The 25 seed conjugators [p^i, conj(p)^j]
-(seed_conjugators) meet each of the 25 cosets once.  Every other group
+are the products (P v) Q and (P conj(v)) Q, and a stabilizer makes only
+its fixed rows.  W(D4):C3 fixes the 24-cell T, and its 25 cosets H g are the
+24-cells g^-1 T in the 600-cell; the 25 seed conjugators [p^i, conj(p)^j]
+(seed_conjugators) meet each once (roots._coset_action).  Every other group
 (stabilizers, conjugates, W(H3)xC2) is put in canonical order by one
 engine.distinct_rows, and acts on points by engine.act.  An orbit is a
 breadth-first search on engine.closure_points under the generators'
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine
-from .errors import BadParameter, NotInvariant, SearchFailed
+from .errors import BadParameter, SearchFailed
 from .field import HALF, ONE
 from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral, icosian_seed,
                      t_prime)
@@ -359,34 +359,6 @@ def stabilizer(group: TransformGroup, v: Quaternion) -> TransformGroup:
     fixed = np.flatnonzero((rows == engine.rescaled(row, vden, den)).all(axis=1))
     return TransformGroup.from_rows(group._rows_at(fixed), group.den,
                                     f"Stab_{group.label}({v})")
-
-
-def coset_labels_of(group: TransformGroup, sub: TransformGroup, triple, den: int) -> np.ndarray:
-    """The label of the coset sub g of each transform g of a pair group, for a
-    pair group sub over a subgroup T of its base and a (star, p, q) triple
-    over den, a multiple of group.den, whose parts broadcast.  [a, b] g and
-    [a, b]* g, for a, b in T, are [a p, q b] and [a conj(q), conj(p) b]* when
-    g = [p, q], and [a x, y b]* and [a conj(y), conj(x) b] when g = [x, y]*.
-    So the coset of [p, q] is fixed by (T p, q T), that of [x, y]* by
-    (T conj(y), conj(x) T), and the label codes the two classes, each named
-    by its least index in the base; p and q are classed before they
-    broadcast.  Raises NotInvariant unless every class lies in the base."""
-    star, p, q = triple
-    base, t = group._factors[1], sub._factors[1]  # over group.den and sub.den
-    index = engine.RowIndex(engine.rescaled(base, group.den, sub.den * den))
-
-    def names(x, left):  # the name of T x (left) or x T for each row of x, in x's shape
-        flat = x.reshape(-1, 1, 16)
-        found = index.find(engine.products(*((t, flat) if left else (flat, t))).reshape(-1, 16))
-        if (found < 0).any():
-            raise NotInvariant("the subgroup's base does not multiply the base into itself")
-        return found.reshape(len(flat), len(t)).min(axis=1).reshape(x.shape[:-1])
-
-    m, starred = len(base), np.asarray(star) == 1  # each branch is classed only if taken
-    plain = names(p, True) * m + names(q, False) if not starred.all() else 0
-    flip = (names(engine.conjugates(q), True) * m + names(engine.conjugates(p), False)
-            if starred.any() else 0)
-    return np.where(starred, flip, plain)
 
 
 class OrbitPartition:

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosian import cli, dual, e8_roots, hull, polytope, snub24_vertices
+from icosian import cli, dual, e8_roots, hull, polytope, snub24_vertices, verify
 from icosian.cli import main
-from icosian.errors import BadParameter
+from icosian.errors import BadParameter, CertificationFailed, CoplanarityFailed
 from icosian.exports import (MAX_DIGITS, coords_to_json, decimal_str, dumps, field_to_json,
                              off_text, parse_field, parse_points, parse_quaternion,
                              points_to_json, quaternion_coords, quaternion_to_json)
@@ -316,6 +316,42 @@ def test_verify_command(tmp_path, capsys):
     assert "suite table1: passed" in printed
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
+
+
+def _raise(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target, exc, argv", [
+    ("snub_census", CertificationFailed("no strict supporting hyperplane"), ["build", "snub24"]),
+    ("vertex_figure", CoplanarityFailed("the neighbors span no hyperplane"),
+     ["export", "snub24", "--vertex-figure", "--format", "json"]),
+])
+def test_a_failed_certificate_exits_1(monkeypatch, capsys, target, exc, argv):
+    monkeypatch.setattr(polytope, target, _raise(exc))
+    assert main(argv + ["--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"certification failure: {exc}\n"
+
+
+def test_verify_with_a_failing_check_exits_1(monkeypatch, capsys):
+    table1 = verify.SUITES["table1"]
+
+    def failing():
+        cert = table1()
+        cert.checks.append(verify.Check("table1.planted", False, "1", "0"))
+        return cert
+
+    monkeypatch.setitem(verify.SUITES, "table1", failing)
+    assert main(["verify", "table1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    n = len(lines) - 2  # the checks, then the suite's tail and the verdict
+    assert lines[-3] == "FAIL table1.planted: 0 (expected 1)"
+    assert lines[-2] == f"suite table1: FAILED ({n} checks, 1 failing)"
+    assert lines[-1] == f"FAIL: {n - 1}/{n} checks passed"
 
 
 def test_export_snub_off(tmp_path):

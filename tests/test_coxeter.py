@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from icosian import (E1, E2, E3, HALF, IDENTITY, Q_ONE, BadParameter, CapExceeded,
                      NotInvariant, Quaternion, SearchFailed, Transform, TransformGroup, a4xc2,
                      binary_icosahedral, binary_tetrahedral, build_group, canonical_sorted,
                      icosian_seed, orbit, orbit_decompose, reflection, s3_of, s4_of,
                      snub24_vertices, stabilizer, t_prime, wd4c3, wh3xc2, wh4)
-from icosian.coxeter import (coset_labels_of, seed_conjugator, seed_conjugators, wd4c3_conjugate,
+from icosian.coxeter import (seed_conjugator, seed_conjugators, wd4c3_conjugate,
                              wd4c3_conjugate_pattern)
 from icosian.engine import act, closure_points, common_rows, quats_of, transform_matrix
 from icosian.field import SQRT2, TAU
@@ -411,7 +410,8 @@ def test_stabilizer_matches_the_all_rows_oracle_at_every_point_of_I():
 
 
 def test_coset_labels_of_the_snub_group_in_wh4():
-    labels = element_coset_labels(wh4(), wd4c3())
+    # The oracle's labels: each g named by the W(D4):C3 orbit of g rho.
+    labels = element_coset_labels()
     assert len(labels) == 14400
     _, first, inverse, counts = np.unique(labels, return_index=True, return_inverse=True,
                                           return_counts=True)
@@ -422,24 +422,6 @@ def test_coset_labels_of_the_snub_group_in_wh4():
     for g in (0, 1, 7199, 7200, 9001, 14399):
         assert elements[first[inverse[g]]] * elements[g].inverse() in small
         assert sum(elements[k] * elements[g].inverse() in small for k in first) == 1
-
-
-def test_coset_labels_refuse_a_subgroup_over_another_base():
-    rows = wd4c3().rows
-    with pytest.raises(NotInvariant, match="multiply the base"):
-        coset_labels_of(wd4c3(), wh4(), (rows[:, 0], rows[:, 1:17], rows[:, 17:]), wd4c3().den)
-
-
-@given(st.lists(st.integers(0, 14399), min_size=1, max_size=12), st.integers(1, 5))
-@settings(max_examples=40, deadline=None)
-def test_coset_labels_of_rows_match_the_factor_labels(index, scale):
-    # Rows of sampled elements, over den or a multiple of it, take the label
-    # that the oracle reads off the factors.
-    group, sub = wh4(), wd4c3()
-    rows = group._rows_at(np.array(index))
-    triple = (rows[:, 0], rows[:, 1:17] * scale, rows[:, 17:] * scale)
-    labels = coset_labels_of(group, sub, triple, group.den * scale)
-    assert labels.tolist() == element_coset_labels(group, sub)[index].tolist()
 
 
 def test_seed_conjugators_are_the_seed_conjugator_pairs():

@@ -18,7 +18,7 @@ from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU, Quaternion
                      snub_embeddings_in_600cell, t_prime, wd4c3, wh3xc2, wh4)
 from icosian.coxeter import reflection, wd4c3_conjugate
 from icosian.engine import (_CONJ, _FOLD, _PIDX, _PRODUCT_BLOCK, _PW, RowIndex,
-                            _column_range, _matmul, act, closure_points,
+                            _column_range, _matmul, _support, act, closure_points,
                             common_rows, cross_rows, distinct_rows,
                             distinct_values, dot_rows, left_perms, pairwise_dots,
                             partition_points, products, quats_of, rescaled, side_signs,
@@ -785,6 +785,23 @@ def test_closure_and_partition_of_sqrt2_and_golden_seeds(closing):
     seeds = [icosian_seed() * SQRT2, Quaternion(TAU, 0, SIGMA, HALF), Q_ONE]
     for parting in sorted({closing, *PARTING}):
         assert_orbits_are_oracle(seeds, closing, parting)
+
+
+def test_closure_fixes_a_round_whose_every_image_leaves_the_denominator():
+    # 1 h = h is (1, 1, 1, 1) over 2: no entry of the first round is integral
+    # over 1's denominator, so the fix must still run.
+    h = Quaternion(HALF, HALF, HALF, HALF)
+    rows, den = closure_points([Q_ONE], [transform_matrix(Transform(Q_ONE, h))])
+    assert den == 2
+    assert quats_of(rows, den) == canonical_sorted(h ** k for k in range(6))
+
+
+def test_support_is_the_columns_the_generators_reach_from_the_seeds():
+    # Right multiplication by e2, h and p keeps Q(sqrt5)^4: from 1 it reaches the
+    # rational and sqrt5 column of each coefficient, and no sqrt2 or sqrt10 one.
+    gens = [E2, Quaternion(HALF, HALF, HALF, HALF), icosian_seed()]
+    mats = np.stack([transform_matrix(Transform(Q_ONE, g))[0] for g in gens])
+    assert _support(common_rows([Q_ONE])[0], mats).tolist() == list(range(0, 16, 2))
 
 
 def test_partition_raises_where_an_image_leaves_bounds_or_support():

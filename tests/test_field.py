@@ -114,6 +114,57 @@ def test_sign_and_ordering():
     assert sorted([TAU, ZERO, SIGMA, ONE]) == [SIGMA, ZERO, ONE, TAU]
 
 
+def _sign_q(q: Fraction) -> int:
+    return (q > 0) - (q < 0)
+
+
+def _sign_golden(x0: Fraction, x1: Fraction) -> int:
+    """sign(x0 + x1 sqrt5): sign(x0) when sign(x0) sign(x1) >= 0, else
+    sign(x0) sign(x0^2 - 5 x1^2)."""
+    s0, s1 = _sign_q(x0), _sign_q(x1)
+    if s0 * s1 >= 0:
+        return s0 or s1
+    return s0 * _sign_q(x0 * x0 - 5 * x1 * x1)
+
+
+def exact_sign(x: FieldElement) -> int:
+    """The sign of u + v sqrt2, u = a + c sqrt5 and v = b + d sqrt5, by the same
+    rule over the tower Q(sqrt5)(sqrt2), on Fractions: no enclosure is taken."""
+    a, b, c, d = x.coefficients()
+    su, sv = _sign_golden(a, c), _sign_golden(b, d)
+    if su * sv >= 0:
+        return su or sv
+    # u^2 - 2 v^2 = (a^2 + 5 c^2 - 2 b^2 - 10 d^2) + (2 a c - 4 b d) sqrt5
+    return su * _sign_golden(a * a + 5 * c * c - 2 * b * b - 10 * d * d, 2 * a * c - 4 * b * d)
+
+
+def decided_at(x: FieldElement) -> int:
+    """The bits at which sign()'s doubling from 32 first decides x."""
+    bits = 32
+    while True:
+        lo, hi = x._enclosure(bits)
+        if lo > 0 or hi < 0:
+            return bits
+        bits *= 2
+
+
+def test_sign_refines_near_zero():
+    # Values tiny against their coefficients: tau^-k, F_(k+1) - F_k tau
+    # (built from integers), and near-ties with sqrt2 and sqrt10 parts.
+    fib = [0, 1]
+    while len(fib) < 202:
+        fib.append(fib[-1] + fib[-2])
+    cases = [TAU ** -k for k in range(1, 201)]
+    cases += [FieldElement(fib[k + 1]) - fib[k] * TAU for k in range(1, 201)]
+    pell, ten = SQRT2 - 1, SQRT10 - 3  # units of norm -1: their powers shrink
+    for k in range(1, 61):
+        cases += [pell ** k, ten ** k, pell ** k * TAU ** -k, ten ** k - pell ** (2 * k)]
+    for x in cases + [-x for x in cases]:
+        assert x.sign() == exact_sign(x) != 0, x
+    assert decided_at(TAU ** -45) == 64
+    assert max(map(decided_at, cases)) >= 512
+
+
 def test_float_enclosure():
     import math
     assert math.isclose(float(TAU), (1 + 5 ** 0.5) / 2, rel_tol=1e-15)

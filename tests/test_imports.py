@@ -206,3 +206,34 @@ def test_commands_leave_numpy_ma_unimported():
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# What the weight-table oracle may take from the modules whose routines it
+# checks: roots.weight_decomposition and roots.h4_orbit must not reach it.
+ORACLE_IMPORTS = {"icosian.roots": {"h4_weights"}, "icosian.coxeter": {"wh4", "wd4c3"}}
+
+
+def guarded_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) for each name the source imports from a module of
+    ORACLE_IMPORTS that that module does not allow; a module imported whole
+    names "*"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(a.name, "*") for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [(node.module, a.name) for a in node.names]
+            found += [(f"{node.module}.{a.name}", "*") for a in node.names]
+    return [(m, n) for m, n in found if m in ORACLE_IMPORTS and n not in ORACLE_IMPORTS[m]]
+
+
+def test_guarded_imports_are_found():
+    source = ("import icosian.roots\nfrom icosian import coxeter, engine\n"
+              "from icosian.roots import _coset_action, h4_weights\n"
+              "from icosian.coxeter import wd4c3, wh4\n")
+    assert guarded_imports(source) == [("icosian.roots", "*"), ("icosian.coxeter", "*"),
+                                       ("icosian.roots", "_coset_action")]
+
+
+def test_the_weight_oracle_imports_only_the_weights_and_the_groups():
+    assert guarded_imports((ROOT / "tests" / "weight_oracle.py").read_text()) == []

@@ -13,7 +13,7 @@ from icosian import (HALF, Quaternion, appendix_decompositions,
                      e8_roots, f4_roots, field_sqrt, format_appendix_table,
                      h4_orbit, h4_simple_roots, h4_weights, icosian_seed, orbit_decompose,
                      roots, snub24_vertices, snub_sum_form, stabilizer, wd4c3, wh4)
-from icosian.coxeter import (_pair_group, coset_labels_of, reflection, seed_conjugator,
+from icosian.coxeter import (Transform, _pair_group, reflection, seed_conjugator,
                              seed_conjugators)
 from icosian.errors import BadParameter, NotInvariant, SearchFailed
 from icosian.field import ONE, SIGMA, SQRT2, TAU, ZERO
@@ -288,9 +288,8 @@ def test_factored_weight_table_matches_the_all_rows_oracle():
     assert table.tobytes() == oracle_table.tobytes()
     assert cols.tolist() == oracle_cols.tolist()
     assert (den, bound) == (oracle_den, oracle_bound) == (4, 9)
-    # The coset labels and the rho partition name the same 25 classes, one to one.
-    pairs = set(zip(cosets.tolist(), labels.tolist()))
-    assert len(pairs) == len(set(cosets.tolist())) == len(set(labels.tolist())) == 25
+    # The rho partitions of the two tables name the same 25 classes.
+    assert cosets.tolist() == labels.tolist() and len(set(labels.tolist())) == 25
 
 
 def test_weight_orbits_and_stabilizers_never_build_the_rows_of_wh4(monkeypatch):
@@ -311,9 +310,8 @@ def test_weight_orbits_and_stabilizers_never_build_the_rows_of_wh4(monkeypatch):
 
 
 def test_coset_action_is_right_multiplication_by_the_simple_reflections():
-    group, sub = wh4(), wd4c3()
-    labels = element_coset_labels(group, sub)
-    position = {t: k for k, t in enumerate(group.elements)}
+    labels = element_coset_labels()  # the W(D4):C3 orbit of g rho names the coset H g
+    position = {t: k for k, t in enumerate(wh4().elements)}
     representatives = [seed_conjugator(*divmod(k, 5)) for k in range(25)]
     action = roots._coset_action()
     assert action.shape == (25, 4)
@@ -340,24 +338,21 @@ def test_coset_action_refuses_conjugators_that_miss_a_coset(monkeypatch):
         roots._coset_action.cache_clear()
 
 
-def test_coset_action_labels_only_the_conjugators_and_their_products(monkeypatch):
-    # The 25 conjugators and their 100 products with the s_j: no element of
-    # W(H4) beyond them is labelled.
-    labelled = []
-
-    def counting(group, sub, triple, den):
-        star, p, q = triple
-        labelled.append(int(np.prod(np.broadcast_shapes(np.shape(star), p.shape[:-1],
-                                                        q.shape[:-1]))))
-        return coset_labels_of(group, sub, triple, den)
-
-    monkeypatch.setattr(roots, "coset_labels_of", counting)
+def test_coset_action_refuses_a_conjugator_that_moves_t_off_2i(monkeypatch):
+    # Row 1 is [u, conj(p)] for a unit u of 2O outside 2I: its inverse moves
+    # T onto (2O - T) p, off 2I.
+    u = next(q for q in binary_octahedral() if q not in binary_icosahedral())
+    conjugators = [seed_conjugator(*divmod(k, 5)) for k in range(25)]
+    conjugators[1] = Transform(u, conjugators[1].q)
+    pq, den = common_rows([t.p for t in conjugators] + [t.q for t in conjugators])
+    rows = np.hstack([np.zeros((25, 1), dtype=np.int64), pq[:25], pq[25:]])
+    monkeypatch.setattr(roots, "seed_conjugators", lambda: (rows, den))
     roots._coset_action.cache_clear()
     try:
-        roots._coset_action()
+        with pytest.raises(NotInvariant, match="do not meet every coset of W\\(D4\\):C3 once"):
+            roots._coset_action()
     finally:
         roots._coset_action.cache_clear()
-    assert sum(labelled) <= 125
 
 
 def test_double_cosets_match_the_weight_table_oracle():

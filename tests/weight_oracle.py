@@ -1,13 +1,15 @@
 """The weight-table oracle for roots.weight_decomposition and roots.h4_orbit.
 
 The images g w_i of the four fundamental weights under every element g of
-W(H4), read off its factors, with each g labelled by its W(D4):C3 coset
-(element_coset_labels: coxeter.coset_labels_of on every element).  The
-orbit of sum(a_i w_i) is the table weighted by a, and the least coset label
-reaching each point names its W(D4):C3 orbit, since the image of a
-coset H g is one W(D4):C3 orbit.  It makes fifteen sorts of 14,400 rows for
-the appendix; the package reads the same answers off the double cosets
-H g W_J.
+W(H4), read off its factors, with each g labelled by the W(D4):C3 orbit of
+g rho (element_coset_labels: engine.partition_points under W(D4):C3's
+generators).  rho = w_1 + ... + w_4 is moved regularly, so two elements
+share a label exactly when they share a coset H g, H = W(D4):C3, and no
+coset rule of the package is called.  The orbit of sum(a_i w_i) is the table
+weighted by a, and the least label reaching each point names its W(D4):C3
+orbit, since the image of a coset H g is one W(D4):C3 orbit.  It makes
+fifteen sorts of 14,400 rows for the appendix; the package reads the same
+answers off the double cosets H g W_J.
 """
 
 from functools import lru_cache
@@ -16,18 +18,16 @@ from math import lcm
 import numpy as np
 
 from icosian import engine
-from icosian.coxeter import coset_labels_of, wd4c3, wh4
+from icosian.coxeter import wd4c3, wh4
 from icosian.engine import _sorted_runs
 from icosian.errors import NotInvariant
 from icosian.roots import h4_weights
 
 
-def element_coset_labels(group, sub) -> np.ndarray:
-    """Each element g of a pair group, in row order, labelled by its coset sub g:
-    coset_labels_of on the group's factors, so its rows are never made."""
-    p, q = group._factors
-    return coset_labels_of(group, sub, (np.arange(2)[:, None, None], p[:, None], q[None]),
-                           group.den).ravel()
+def element_coset_labels() -> np.ndarray:
+    """Each element g of W(H4), in row order, labelled by its coset H g: the
+    least index of an element whose rho image lies in the W(D4):C3 orbit of g rho."""
+    return _weight_table()[4]
 
 
 def distinct_labelled(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,8 +45,8 @@ def _weight_table() -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
     wh4().rows, on the columns cols that hold the nonzero entries; bound is
     the largest magnitude.  The images are read off W(H4)'s factors
     (TransformGroup.images), so its 14,400 rows are never made.  cosets[g]
-    labels the coset H g of H = W(D4):C3; since rho = w_1 + ... + w_4 is
-    moved regularly, the image of H g is the W(D4):C3 orbit of g rho.
+    labels the coset H g of H = W(D4):C3 by the W(D4):C3 orbit of g rho:
+    since rho = w_1 + ... + w_4 is moved regularly, that orbit is the image of H g.
     """
     group = wh4()
     images = [(_int16(rows), d) for rows, d in map(group.images, h4_weights())]
@@ -57,10 +57,10 @@ def _weight_table() -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
     g = int(np.gcd.reduce(table, axis=None, initial=den))
     table, den = table // g, den // g
     bound = max(int(table.max()), -int(table.min()))
-    rho = _weighted(table, bound, (1, 1, 1, 1))
+    rho = _on_all_columns(_weighted(table, bound, (1, 1, 1, 1)), cols)
     if len(engine.distinct_rows(rho)) != len(rho):
         raise NotInvariant("the weight images do not move rho regularly")
-    return table, cols, den, bound, element_coset_labels(group, wd4c3())
+    return table, cols, den, bound, engine.partition_points(rho, wd4c3().generator_matrices())
 
 
 def _int16(rows: np.ndarray, scale: int = 1) -> np.ndarray:
