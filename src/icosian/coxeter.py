@@ -14,14 +14,14 @@ p, q in I} and the same over T: they keep the factors P and Q and make
 their rows, already in canonical order, only on first use.  Their images
 are the products (P v) Q and (P conj(v)) Q, and a stabilizer makes only
 its fixed rows.  W(D4):C3 fixes the 24-cell T, and its 25 cosets H g are the
-24-cells g^-1 T in the 600-cell; the 25 seed conjugators [p^i, conj(p)^j]
-(seed_conjugators) meet each once (roots._coset_action).  Every other group
-(stabilizers, conjugates, W(H3)xC2) is put in canonical order by one
-engine.distinct_rows, and acts on points by engine.act.  An orbit is a
-breadth-first search on engine.closure_points under the generators'
-matrices, which are act on the unit rows; the tests cross-check it by
-another algorithm, the images of v under every element.  Transform and
-Quaternion arithmetic stay the scalar operations.
+24-cells g^-1 T in the 600-cell (inscribed_24cells, one table for the coset
+action and the snub embeddings); the 25 seed conjugators [p^i, conj(p)^j]
+meet each once.  Every other group (stabilizers, conjugates, W(H3)xC2) is
+put in canonical order by one engine.distinct_rows, and acts on points by
+engine.act.  An orbit is a breadth-first search on engine.closure_points
+under the generators' matrices, which are act on the unit rows; the tests
+cross-check it by another algorithm, the images of v under every element.
+Transform and Quaternion arithmetic stay the scalar operations.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine
-from .errors import BadParameter, SearchFailed
+from .errors import BadParameter, NotInvariant, SearchFailed
 from .field import HALF, ONE
 from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral, icosian_seed,
                      t_prime)
@@ -417,6 +417,27 @@ def seed_conjugators() -> tuple[np.ndarray, int]:
     (star | p | q) row, all over one returned denominator."""
     powers, den = engine.common_rows([icosian_seed() ** i for i in range(5)])
     return _transform_rows((0, powers[:, None], engine.conjugates(powers)[None])), den
+
+
+@lru_cache(maxsize=None)
+def inscribed_24cells() -> np.ndarray:
+    """Row k: the 24-cell C_k = g_k^-1 T inscribed in the 600-cell, for g_k the
+    k-th seed conjugator, as the sorted indices of its points in 2I.
+
+    Each [a, b] and [a, b]* of H = W(D4):C3, a and b in T, maps T onto itself,
+    so H g names g^-1 T.  The C_k are one engine.act of the g_k^-1 on T.  25
+    distinct C_k put the g_k in 25 cosets of the stabilizer of T, which holds
+    H; as |W(H4)| / |H| = 25, it is H, and the g_k meet every coset of H once.
+    Raises NotInvariant unless the C_k lie in 2I and are distinct."""
+    g, gden = seed_conjugators()
+    trows, tden = engine.common_rows(binary_tetrahedral().elements)
+    inverse = _transform_rows((g[:, 0], engine.conjugates(g[:, 1:17]),
+                               engine.conjugates(g[:, 17:])))
+    cells = np.sort(engine.locate(binary_icosahedral().elements, engine.act(inverse, trows),
+                                  gden * gden * tden).reshape(len(g), len(trows)))
+    if (cells < 0).any() or len(engine.distinct_rows(cells)) != len(wh4()) // len(wd4c3()):
+        raise NotInvariant("the seed conjugators do not meet every coset of W(D4):C3 once")
+    return cells
 
 
 def wd4c3_conjugate(i: int, j: int) -> TransformGroup:

@@ -9,15 +9,12 @@ cell whose first four vertices are coplanar; the signs come from one
 engine.side_signs table, the norms and offsets from one engine.dot_rows
 table each, and each distinct squared norm takes one exact square root.
 
-A census is certified up to symmetry (transport_cells): left
-multiplication by a group that permutes the vertices moves a certified
-cell onto its whole orbit, so certify_cells sees one cell per orbit, and
-each moved certificate is the unique one of its image cell.  Every move is
-checked exactly: the multiplier permutes the vertex rows (engine.left_perms),
-the images of a representative are candidates, and every candidate is
-reached.  The five snub embeddings are the snub census conjugated by p^i,
-checked the same way.  The 120-cell appears as the coset union hosting the
-second snub copy.
+The 600-cell and 24-cell censuses are certified up to symmetry
+(transport_cells): left multiplication by the group moves a certified cell
+onto its whole orbit, so certify_cells sees one cell per orbit.  The snub
+24-cell, and each of its five embeddings, is the one 600-cell census
+diminished at an inscribed 24-cell (_diminished), every certificate
+inherited.  The 120-cell is the coset union hosting the second snub copy.
 
 Every 2-face of a census cell is one of the census's own triangles, so a
 cell's faces in its own frame (PolytopeComplex.cell_geometry) are read off
@@ -31,12 +28,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 import numpy as np
 
 from . import engine, hull
-from .coxeter import seed_conjugators
+from .coxeter import inscribed_24cells
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      DegenerateInput)
 from .field import HALF, TAU, field_sqrt
@@ -335,55 +332,84 @@ def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
     return [(normal, certificates[k][1]) for normal, k in zip(moved, source.tolist())]
 
 
-def _census_input(vertices):
-    """The canonical vertices, edges, faces, candidate cells and symmetry coset of a set.
+def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
+    """The 600-cell census big less the 24 pairwise non-adjacent vertices at
+    the indices removed: the snub 24-cell S = I - T, or one of its embeddings.
 
-    Candidates are (vertex indices, kind) pairs.  The coset is the set
-    itself when it is a group, T or I, and otherwise its 24-point complement
-    in I: a conjugate of T, or a coset of one.
+    Its vertices, edges and triangles are big's that avoid the removed ones,
+    relabelled by one monotone map, so their canonical order holds; its
+    tetrahedra are _four_cliques of those.  Every certificate is inherited:
+    a hyperplane supporting I at a tetrahedron supports S, a subset of I.
+    At each removed t, in the order given, an icosahedron: t's twelve
+    neighbours.  edge_graph's threshold c gives (q, t) <= c for every q != t
+    in I, with equality exactly on an edge, so (t, c) certifies it if c > 0
+    and the twelve span a hyperplane.  A kept triangle lies in two cells of
+    big, and each that holds a removed t gives way to t's icosahedron: so
+    each triangle lies in exactly two cells, and the cells are the boundary.
     """
-    vertices = canonical_sorted(vertices)
-    vset = set(vertices)
-    icos = binary_icosahedral().elements
-    tet = set(binary_tetrahedral().elements)
-    edges = edge_graph(vertices)
-    faces = triangle_faces(vertices, edges)
-    candidates: list[tuple[tuple[int, ...], str]] = []
-    coset = vertices
-    if vset == tet:
-        candidates += [(c, "octahedron") for c in _nearest(t_prime(), vertices)]
-    elif vset.issubset(icos):
-        complement = tuple(q for q in icos if q not in vset)
-        if complement and len(complement) != 24:
-            raise BadParameter("vertex set is not a snub complement inside the 600-cell")
-        candidates += [(c, "tetrahedron")
-                       for c in _four_cliques(len(vertices), edges, faces)]
-        if complement:
-            candidates += [(c, "icosahedron")
-                           for c in _nearest(complement, vertices)]
-            coset = complement
-    else:
-        raise BadParameter("unsupported vertex set")
-    return vertices, edges, faces, candidates, coset
+    n, removed = len(big.vertices), np.asarray(removed, dtype=np.intp)
+    edges, faces = _flat(big.edges).reshape(-1, 2), _flat(big.faces).reshape(-1, 3)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
+    keep = ~np.isin(np.arange(n), removed)
+    if len(removed) != 24 or keep.sum() != n - 24 or adj[np.ix_(removed, removed)].any():
+        raise BadParameter("vertex set is not a snub complement inside the 600-cell")
+    label, kept = np.cumsum(keep) - 1, tuple(compress(big.vertices, keep.tolist()))
+    edges = tuple(map(tuple, label[edges[keep[edges].all(axis=1)]].tolist()))
+    faces = tuple(map(tuple, label[faces[keep[faces].all(axis=1)]].tolist()))
+    tets = np.array(_four_cliques(len(kept), edges, faces), dtype=np.intp).reshape(-1, 4)
+    at = engine.RowIndex(_flat(c.vertex_indices for c in big.cells).reshape(-1, 4)).find(
+        np.flatnonzero(keep)[tets])
+    if (at < 0).any():
+        raise CertificationFailed("a tetrahedron is no cell of the 600-cell")
+    cells = [Cell(idxs, "tetrahedron", big.cells[k].normal, big.cells[k].offset)
+             for idxs, k in zip(tets.tolist(), at.tolist())]
+    # Each removed t's icosahedron, in rows.  Its least vertex a and three of
+    # the pentagon around the edge (t, a) span a hyperplane, if any four do.
+    rings = np.nonzero(adj[removed])[1].reshape(len(removed), -1)
+    pentagons = np.nonzero(adj[removed] & adj[rings[:, 0]])[1].reshape(len(removed), -1)
+    firsts = np.hstack([rings[:, :1], pentagons[:, :3]])
+    edge_rows = engine.differences(engine.common_rows(big.vertices)[0], firsts)
+    if not engine.cross_rows(*edge_rows.transpose(1, 0, 2)).any(axis=1).all():
+        raise CertificationFailed("cell does not span a hyperplane")
+    c = big.vertices[big.edges[0][0]].dot(big.vertices[big.edges[0][1]])
+    if c.sign() <= 0:
+        raise CertificationFailed("hyperplane does not face away from the origin")
+    cells += [Cell(ring, "icosahedron", big.vertices[t], c)
+              for t, ring in zip(removed.tolist(), label[rings].tolist())]
+    return PolytopeComplex(kept, edges, faces, cells)
 
 
 def cell_census(vertices) -> PolytopeComplex:
-    """Certified cells of the snub 24-cell, the 600-cell, or the 24-cell.
+    """Certified cells of the snub 24-cell, the 600-cell, or the 24-cell, one
+    census per vertex set per process.  The octahedra of T around the points
+    of T', and the tetrahedra of I, are certified up to symmetry by
+    transport_cells under the group itself; a snub complement, 96 points of
+    I, is the 600-cell census diminished at the other 24."""
+    vertices = tuple(vertices)
+    if len(set(vertices)) < len(vertices):
+        raise BadParameter("vertex set repeats a vertex")
+    return _census(frozenset(vertices))
 
-    The cells are certified up to symmetry by transport_cells.  The
-    multipliers are c conj(c0) for c in the set's coset (see _census_input),
-    c0 its first point: the coset itself when it is a group, and for a
-    coset G g of a group G, the group G, whose left multiplication keeps
-    G g, and so the vertex set, in place.
-    """
-    vertices, edges, faces, candidates, coset = _census_input(vertices)
-    rows, den = engine.common_rows(coset)
-    multipliers = engine.products(rows, engine.conjugates(rows[:1]))
+
+@lru_cache(maxsize=None)
+def _census(points: frozenset) -> PolytopeComplex:
+    icos = binary_icosahedral().elements
+    if points not in (frozenset(binary_tetrahedral().elements), frozenset(icos)):
+        if not points.issubset(icos):
+            raise BadParameter("unsupported vertex set")
+        return _diminished(_census(frozenset(icos)),
+                           [k for k, q in enumerate(icos) if q not in points])
+    vertices = canonical_sorted(points)
+    edges = edge_graph(vertices)
+    faces = triangle_faces(vertices, edges)
+    candidates = ([(c, "octahedron") for c in _nearest(t_prime(), vertices)] if len(vertices) == 24
+                  else [(c, "tetrahedron") for c in _four_cliques(len(vertices), edges, faces)])
     certificates = transport_cells([idxs for idxs, _ in candidates], vertices,
-                                   multipliers, den * den)
-    cells = [Cell(idxs, kind, normal, offset)
-             for (idxs, kind), (normal, offset) in zip(candidates, certificates)]
-    return PolytopeComplex(vertices, edges, faces, cells)
+                                   *engine.common_rows(vertices))
+    return PolytopeComplex(vertices, edges, faces, [
+        Cell(idxs, kind, normal, offset)
+        for (idxs, kind), (normal, offset) in zip(candidates, certificates)])
 
 
 @lru_cache(maxsize=None)
@@ -501,60 +527,19 @@ def build_120cell() -> Cell120:
                      for k in range(4)))
 
 
-@lru_cache(maxsize=None)
 def snub_embeddings_in_600cell() -> tuple[tuple[Quaternion, ...], ...]:
-    """Five snub copies I - p^i T p^-i, one per conjugate 24-cell.
-
-    The five conjugate 24-cells are one engine.act of the seed conjugators
-    [p^i, conj(p)^i] on T's rows, and each is looked up among the rows of I.
-    """
-    rows, cden = seed_conjugators()
-    rows = rows[::6]
-    trows, tden = engine.common_rows(binary_tetrahedral().elements)
-    icos = binary_icosahedral().elements
-    removed = engine.locate(icos, engine.act(rows, trows), tden * cden * cden)
-    out = []
-    for found in removed.reshape(len(rows), len(trows)):
-        if (found < 0).any():
-            raise CertificationFailed("conjugate 24-cell leaves the 600-cell")
-        if len(set(found.tolist())) != len(trows):
-            raise CertificationFailed("conjugate 24-cell collapsed")
-        kept = np.ones(len(icos), dtype=bool)
-        kept[found] = False
-        out.append(tuple(icos[i] for i in np.flatnonzero(kept).tolist()))
-    return tuple(out)
+    """Five snub copies I - p^i T p^-i: the vertices of embedding_censuses()."""
+    return tuple(census.vertices for census in embedding_censuses())
 
 
 @lru_cache(maxsize=None)
 def embedding_censuses() -> tuple[PolytopeComplex, ...]:
-    """The census of each snub embedding: the snub census moved by r -> p^i r p^-i.
-
-    Census 0 is snub_census().  One engine.act call moves the snub's
-    vertices and cell normals by the other four conjugations.  The image
-    vertices must be exactly embedding i: the conjugation is then a
-    rotation about the origin, so it moves each certificate (n, c) to
-    (p^i n p^-i, c), and the embedding's canonical order relabels the edges,
-    faces and cells.  Cell k of census i is the image of the snub's cell k:
-    the cells come in the snub's order, not in cell_census's.
-    """
-    snub = snub_census()
-    rows, cden = seed_conjugators()
-    rows = rows[::6]
-    points, den = engine.common_rows(snub.vertices + tuple(c.normal for c in snub.cells))
-    n, mden = len(snub.vertices), den * cden * cden
-    edges, faces = np.array(snub.edges), np.array(snub.faces)
-    out = [snub]
-    for embedding, images in zip(snub_embeddings_in_600cell()[1:], engine.act(rows[1:], points)):
-        label = engine.locate(embedding, images[:n], mden)
-        if not np.array_equal(np.sort(label), np.arange(len(embedding))):
-            raise CertificationFailed("conjugation does not move the snub onto its embedding")
-        at = label.tolist()
-        cells = [Cell([at[i] for i in c.vertex_indices], c.kind, normal, c.offset)
-                 for c, normal in zip(snub.cells, engine.quats_of(images[n:], mden))]
-        out.append(PolytopeComplex(
-            embedding, sorted(map(tuple, np.sort(label[edges], axis=1).tolist())),
-            sorted(map(tuple, np.sort(label[faces], axis=1).tolist())), cells))
-    return tuple(out)
+    """The census of each snub embedding I - p^i T p^-i, census 0 snub_census():
+    the 600-cell census diminished at row 6 j of coxeter.inscribed_24cells(),
+    for j = -i mod 5.  Since p^5 = -1, p^i T p^-i is conj(p)^j T p^j = g^-1 T
+    for the seed conjugator g = [p^j, conj(p)^j]."""
+    big, cells = cell_census(binary_icosahedral().elements), inscribed_24cells()
+    return (snub_census(), *(_diminished(big, cells[6 * (-i % 5)]) for i in range(1, 5)))
 
 
 def projective_equal(a: Quaternion, b: Quaternion) -> bool:

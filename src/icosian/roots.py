@@ -4,10 +4,8 @@ D4 and F4 live inside the binary tetrahedral/octahedral setup; E8 appears as
 icosians scored with the rational part of the golden split; H4 is the 120
 icosians themselves.  The weight orbits of W(H4) are computed here as well,
 with their W(D4):C3 orbits as the double cosets H g W_J, read off the right
-action of the simple reflections on the 25 cosets H g.  H maps the 24-cell T
-onto itself, so the coset H g names the 24-cell g^-1 T inscribed in the
-600-cell.  The paper's 25 seed conjugators g = [p^i, conj(p)^j] are the coset
-representatives: their 25 distinct 24-cells certify that they meet every coset.
+action of the simple reflections on the 25 cosets H g, the 24-cells g^-1 T
+inscribed in the 600-cell (coxeter.inscribed_24cells).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine
-from .coxeter import _transform_rows, seed_conjugators, wd4c3, wh4
+from .coxeter import _transform_rows, inscribed_24cells, wd4c3, wh4
 from .errors import BadParameter, NotInGoldenSubfield, NotInvariant, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, FieldElement
 from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
@@ -164,29 +162,16 @@ def _reflections() -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
 @lru_cache(maxsize=None)
 def _coset_action() -> np.ndarray:
     """action[k, j] is the k' with H g_k' = H g_k s_j, for H = W(D4):C3 and g_k
-    the k-th seed conjugator.
-
-    Each [a, b] and [a, b]* of H, a and b in T, maps T onto itself, so every
-    element of H g maps the 24-cell g^-1 T onto T: H g names g^-1 T, and
-    H g s_j names s_j g^-1 T.  C_k = g_k^-1 T, for g_k^-1 = [conj(p)^i, p^j],
-    is read as the sorted indices of its points in 2I.  25 distinct C_k put
-    the g_k in 25 cosets of the stabilizer of T, which holds H; as
-    |W(H4)| / |H| = 25, it is H, and the g_k meet every coset of H once.
-    Raises NotInvariant unless the C_k lie in 2I and are distinct."""
-    g, gden = seed_conjugators()
+    the k-th seed conjugator: H g names the 24-cell g^-1 T, so H g s_j names
+    s_j g^-1 T, read off coxeter.inscribed_24cells() by one engine.act of the
+    s_j on 2I and one RowIndex lookup."""
+    cells = inscribed_24cells()
     s, den, _ = _reflections()
     icos = binary_icosahedral().elements
     irows, iden = engine.common_rows(icos)
-    trows, tden = engine.common_rows(binary_tetrahedral().elements)
-    inverse = _transform_rows((g[:, 0], engine.conjugates(g[:, 1:17]),
-                               engine.conjugates(g[:, 17:])))
-    cells = np.sort(engine.locate(icos, engine.act(inverse, trows), gden * gden * tden)
-                    .reshape(len(g), len(trows)))
-    if (cells < 0).any() or len(engine.distinct_rows(cells)) != len(wh4()) // len(wd4c3()):
-        raise NotInvariant("the seed conjugators do not meet every coset of W(D4):C3 once")
     moves = engine.locate(icos, engine.act(s, irows), den * den * iden).reshape(len(s), len(icos))
-    moved = np.sort(moves[:, cells]).reshape(-1, len(trows))  # s_j C_k at row 25 j + k
-    return engine.RowIndex(cells).find(moved).reshape(len(s), len(g)).T
+    moved = np.sort(moves[:, cells]).reshape(-1, cells.shape[1])  # s_j C_k at row 25 j + k
+    return engine.RowIndex(cells).find(moved).reshape(len(s), len(cells)).T
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,15 @@
-"""Shared fixtures: the command line in a child process, and two orbit oracles."""
+"""Shared fixtures: the command line in a child process, cold censuses, and two orbit oracles."""
 
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import icosian
-from icosian import CapExceeded
+from icosian import CapExceeded, cli, polytope
 from icosian.engine import distinct_rows, quats_of
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -35,6 +36,16 @@ def run_cli():
                               env=env, capture_output=True, text=True)
 
     return run
+
+
+@pytest.fixture
+def cold_censuses(monkeypatch):
+    """Empty census caches for one test, as in a fresh process: each census,
+    and each complex the command line exports, is made anew on first use."""
+    for module, name in ((polytope, "_census"), (polytope, "snub_census"),
+                         (polytope, "embedding_censuses"), (cli, "_export_complex")):
+        fresh = lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, fresh)
 
 
 def _scan_project_scripts(text):

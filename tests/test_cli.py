@@ -481,6 +481,25 @@ def test_benchmark_and_ci_requests_take_the_one_pass_reading():
         assert matched is not None and matched == PARSER.parse_args(argv), argv
 
 
+@pytest.mark.parametrize("requests", ["verify all", "geometry"])
+def test_one_600cell_census_per_process(monkeypatch, capsys, cold_censuses, requests):
+    """verify all, and the geometry requests (each kind: every build, every
+    whole export, the vertex figure, the dual cell and cell 0 of each object)
+    in one process, transport the cells of I once, and of T once: every snub
+    census reads the one 600-cell census."""
+    seen = []
+    transport = polytope.transport_cells
+    monkeypatch.setattr(polytope, "transport_cells", lambda cells, vertices, *rest: (
+        seen.append(len(vertices)) or transport(cells, vertices, *rest)))
+    argvs = ([["verify", "all"]] if requests == "verify all" else
+             [argv for argv in geometry_requests()
+              if "40" not in argv and ("--cell" not in argv or argv[3] == "0")])
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert sorted(seen) == [24, 120]
+
+
 def _load_workloads():
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)

@@ -431,3 +431,31 @@ def test_seed_conjugators_are_the_seed_conjugator_pairs():
         i, j = divmod(k, 5)
         assert Transform(Quaternion._from_ivec(row[1:17], den),
                          Quaternion._from_ivec(row[17:], den), row[0]) == seed_conjugator(i, j)
+
+
+def test_transform_groups_hash_by_their_rows_and_hold_their_elements():
+    """Two constructions of one group are equal and hash alike; membership is
+    of Transforms, by the group's elements."""
+    conj, pattern = wd4c3_conjugate(1, 1), wd4c3_conjugate_pattern(1, 1)
+    assert conj == pattern and hash(conj) == hash(pattern)
+    assert len({conj, pattern, wd4c3()}) == 2
+    assert IDENTITY in wd4c3() and reflection(E1) in wd4c3()
+    assert seed_conjugator(1, 0) not in wd4c3() and Q_ONE not in wd4c3()
+    g = seed_conjugator(1, 1)
+    assert all(g * t * g.inverse() in conj for t in wd4c3().generators)
+
+
+def test_stabilizer_in_a_group_without_factors():
+    """W(H3)xC2 keeps its rows, so its stabilizer takes rows by index: the 10
+    elements of order 240 that fix the seed, each of them in the group."""
+    seed, group = icosian_seed(), wh3xc2()
+    stab = stabilizer(group, seed)
+    assert len(stab) == 10 and stab.den == group.den
+    assert all(t.apply(seed) == seed and t in group for t in stab)
+    assert sum(t.apply(seed) == seed for t in group) == 10
+
+
+def test_group_and_partition_reprs():
+    assert repr(wd4c3()) == "<W(D4):C3: 576 transforms>"
+    assert repr(wh4()) == "<W(H4): 14400 transforms>"
+    assert repr(orbit_decompose(wd4c3(), binary_icosahedral().elements)) == "<partition: 24 + 96>"

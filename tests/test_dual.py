@@ -11,7 +11,7 @@ from icosian import (CELL_ROTATION, E1, E2, E3, Q_ONE, Quaternion, Transform,
                      dual_complex, dual_vertices, embedding_censuses, icosian_seed,
                      rotate_cell, snub24_vertices, snub_census, t_prime,
                      vertex_figure, vertex_surroundings)
-from icosian import coxeter, dual, hull, polytope
+from icosian import coxeter, dual, hull
 from icosian.dual import LEVEL, TAU_OVER_SQRT2, DualCell, DualComplex, _around
 from icosian.errors import BadParameter, CertificationFailed
 from icosian.hull import convex_hull_faces
@@ -256,14 +256,13 @@ def fresh_dual():
         cache.cache_clear()
 
 
-def test_the_dual_makes_no_hull_and_no_w_d4c3(monkeypatch, fresh_dual):
+def test_the_dual_makes_no_hull_and_no_w_d4c3(monkeypatch, cold_censuses, fresh_dual):
     """A cold dual cell and complex, on a cold census, read everything off the census."""
     def refuse(*args):
         raise AssertionError("the dual built a hull or W(D4):C3")
 
     monkeypatch.setattr(hull, "convex_hull_faces", refuse)
     monkeypatch.setattr(coxeter, "wd4c3", refuse)
-    monkeypatch.setattr(polytope, "snub_census", polytope.snub_census.__wrapped__)
     cell = dual.dual_cell(icosian_seed())
     assert (len(cell.kites), len(cell.triangles)) == (3, 6)
     assert dual.dual_complex().counts() == (144, 480, 432, 96)
@@ -384,3 +383,10 @@ def test_frame_tables_match_scalar_dot():
     assert list(figure.coords) == scalar_frame_coords(figure.vertex, figure.neighbors)
     u = snub_census().cells[0].normal
     assert frame_coords(u, snub24_vertices()) == scalar_frame_coords(u, snub24_vertices())
+
+
+def test_dual_reprs():
+    complex_ = dual_complex()
+    assert repr(complex_) == "<dual complex: 144 vertices, 480 edges, 432 faces, 96 cells>"
+    cell = dual_cell(icosian_seed())
+    assert repr(cell) == f"<dual cell at {icosian_seed()}>"

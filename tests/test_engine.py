@@ -827,20 +827,24 @@ def left_perms_of(rows_q, points_q):
     return left_perms(rows, prows, RowIndex(rescaled(prows, pden, den * pden)))
 
 
-def census_multipliers(vertices):
-    """The vertices and the multipliers c conj(c0) of cell_census, as Quaternions."""
-    vertices, *_, coset = polytope._census_input(vertices)
-    return [c * coset[0].conjugate() for c in coset], vertices
+def conjugate_24cell(i):
+    """p^i T p^-i, the 24-cell that snub embedding i leaves out of the 600-cell."""
+    pi = icosian_seed() ** i
+    return [pi * t * pi.conjugate() for t in binary_tetrahedral()]
 
 
 LEFT_ACTIONS = {
     "2T": lambda: 2 * [binary_tetrahedral().elements],
     "2O": lambda: 2 * [binary_octahedral().elements],
     "2I": lambda: 2 * [binary_icosahedral().elements],
-    "snub census": lambda: census_multipliers(snub24_vertices()),
-    "600-cell census": lambda: census_multipliers(binary_icosahedral().elements),
-    "24-cell census": lambda: census_multipliers(binary_tetrahedral().elements),
-    **{f"snub embedding {i}": (lambda i=i: census_multipliers(snub_embeddings_in_600cell()[i]))
+    # T, and each conjugate 24-cell, permutes its snub complement.
+    "snub census": lambda: [binary_tetrahedral().elements, snub24_vertices()],
+    # The groups on their censuses' vertices, as cell_census transports with them.
+    "600-cell census": lambda: [binary_icosahedral().elements,
+                                cell_census(binary_icosahedral().elements).vertices],
+    "24-cell census": lambda: [binary_tetrahedral().elements,
+                               cell_census(binary_tetrahedral().elements).vertices],
+    **{f"snub embedding {i}": (lambda i=i: [conjugate_24cell(i), snub_embeddings_in_600cell()[i]])
        for i in range(5)},
     # No group: products of two T' elements land in T.
     "T' and 1": lambda: 2 * [t_prime().elements + (Q_ONE,)],
@@ -883,7 +887,15 @@ def test_left_perms_make_a_few_generator_rows(monkeypatch):
     assert QuaternionGroup(elements).is_closed()  # a new group: no table cached
     assert 0 < made["left_perms"] <= 4 * 120 + 120 and set(made) == {"left_perms"}
     made.clear()
-    complex_ = cell_census(elements)
+    complex_ = polytope._census.__wrapped__(frozenset(elements))  # not the cached census
     assert 0 < made["left_perms"] <= 4 * 120 + 120
     # transport_cells itself only moves each cell's normal.
     assert made["transport_cells"] == len(complex_.cells)
+
+
+def test_left_perms_of_no_points():
+    """With no points to move, every row's permutation is empty."""
+    rows, den = common_rows(binary_tetrahedral().elements)
+    none = np.zeros((0, 16), dtype=np.int64)
+    perm = left_perms(rows, none, RowIndex(none))
+    assert perm.shape == (24, 0) and perm.dtype == np.intp

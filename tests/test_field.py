@@ -268,3 +268,17 @@ multipliers = st.sampled_from([ONE, FieldElement(2), FieldElement(5), FieldEleme
 def test_field_sqrt_matches_case_analysis_oracle(x, c):
     for y in (x, x * x * c):
         assert field_sqrt(y) == oracle_field_sqrt(y)
+
+
+def test_reflected_operators_and_truth():
+    """A rational on the left of - and /, and the truth of an element: nonzero."""
+    assert 1 - TAU == ONE - TAU == SIGMA - TAU + 1 - SIGMA
+    assert Fraction(1, 2) - HALF == ZERO
+    assert 2 / SQRT2 == SQRT2 and 1 / TAU == TAU - 1
+    assert Fraction(5, 2) / SQRT5 == SQRT5 * HALF
+    with pytest.raises(TypeError):
+        "1" - TAU
+    with pytest.raises(TypeError):
+        "1" / TAU
+    assert not bool(ZERO) and bool(TAU) and bool(SIGMA - TAU)
+    assert not (TAU - TAU)

@@ -185,3 +185,21 @@ def test_set_indexing():
         assert tet.index(q) == i
         assert q in tet
     assert Quaternion(5) not in tet
+
+
+def test_quaternion_set_order_and_repr():
+    assert binary_icosahedral().order == len(binary_icosahedral()) == 120
+    assert t_prime().order == 24
+    assert repr(binary_icosahedral()) == "<I: 120 quaternions>"
+    assert repr(t_prime()) == "<T': 24 quaternions>"
+
+
+def test_conjugacy_classes_default_to_2i():
+    """With no argument, the classes of 2I: the same profile as asked by name,
+    though a cache entry of its own."""
+    table = conjugacy_classes()
+    assert table.group is binary_icosahedral()
+    assert table.profile() == conjugacy_classes(binary_icosahedral()).profile() == (
+        (1, 1), (2, 1), (3, 20), (4, 30), (5, 12), (5, 12), (6, 20), (10, 12), (10, 12))
+    assert repr(table.classes[0]) == "<class: size 1, element order 1>"
+    assert repr(table.class_of(icosian_seed())) == "<class: size 12, element order 10>"

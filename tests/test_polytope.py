@@ -3,7 +3,6 @@
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +13,7 @@ from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
                      snub_census, snub_embeddings_in_600cell, t_prime,
                      tetra_cells_at, vertex_figure)
 from icosian import cli, engine, hull, polytope
+from icosian.coxeter import inscribed_24cells
 from icosian.errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                             DegenerateInput)
 from icosian.field import HALF, ONE, SIGMA, TAU, FieldElement
@@ -164,6 +164,16 @@ def test_cell_census_rejects_unsupported_sets():
     icosa = binary_icosahedral().elements
     with pytest.raises(BadParameter):
         cell_census(icosa[:100])
+
+
+def test_cell_census_refuses_a_repeated_vertex():
+    """A repeat is refused as input, before any census: a set would drop it."""
+    for points in (binary_tetrahedral().elements, snub24_vertices()):
+        with pytest.raises(BadParameter, match="vertex set repeats a vertex"):
+            cell_census(points + points[:1])
+    icos = list(binary_icosahedral().elements)
+    assert cell_census(icos) is cell_census(tuple(reversed(icos)))
+    assert cell_census(icos).counts() == (120, 720, 1200, 600)
 
 
 def oracle_120cell():
@@ -338,14 +348,19 @@ def assert_scalar_certificate(complex_, cell):
             assert cell.normal.dot(v) < cell.offset
 
 
+def fresh_census(vertices):
+    """cell_census of the vertices, made anew, not read off the per-process cache."""
+    return polytope._census.__wrapped__(frozenset(vertices))
+
+
 def recorded_census(monkeypatch, vertices):
-    """cell_census of the vertices, and the cells certify_cells saw: one per orbit."""
+    """A fresh cell_census of the vertices, and the cells certify_cells saw: one per orbit."""
     certified = []
     certify = polytope.certify_cells
     monkeypatch.setattr(polytope, "certify_cells",
                         lambda cells, points: certified.extend(cells) or certify(cells, points))
     try:
-        return cell_census(vertices), [tuple(sorted(cell)) for cell in certified]
+        return fresh_census(vertices), [tuple(sorted(cell)) for cell in certified]
     finally:
         monkeypatch.undo()
 
@@ -363,13 +378,13 @@ def test_certificates_match_scalar_oracle(monkeypatch):
     """Certificates checked with Quaternion.dot and exact comparisons alone.
 
     The checked cells hold a moved cell, not its orbit's representative, of
-    every orbit of the snub, 24-cell and 600-cell censuses.  Every cell of
-    one embedding census is checked too, after checking that cell k is the
-    image of the snub's cell k.
+    every orbit of the 24-cell and 600-cell censuses.  Every cell of the snub
+    census, and of one embedding census, whose certificates are the
+    600-cell's and the icosahedra's, is checked too, after checking that
+    conjugation by p^2 moves the snub's cells onto that embedding's.
     """
-    snub, tet, icos = (snub24_vertices(), binary_tetrahedral().elements,
-                       binary_icosahedral().elements)
-    for vertices, multipliers, stride in ((snub, tet, 1), (tet, tet, 1), (icos, icos, 37)):
+    tet, icos = binary_tetrahedral().elements, binary_icosahedral().elements
+    for vertices, multipliers, stride in ((tet, tet, 1), (icos, icos, 37)):
         complex_, representatives = recorded_census(monkeypatch, vertices)
         orbits = scalar_orbits(complex_, representatives, multipliers)
         assert sorted(k for orbit in orbits.values() for k in orbit) == list(
@@ -381,15 +396,40 @@ def test_certificates_match_scalar_oracle(monkeypatch):
             assert_scalar_certificate(complex_, complex_.cells[k])
     complex_ = snub_census()
     moved, p = embedding_censuses()[2], icosian_seed() ** 2
-    for cell, image in zip(complex_.cells, moved.cells):
-        assert {moved.vertices[i] for i in image.vertex_indices} == {
-            p * complex_.vertices[i] * p.conjugate() for i in cell.vertex_indices}
-        assert_scalar_certificate(moved, image)
+
+    def cells(census, move=lambda q: q):
+        return {(frozenset(move(census.vertices[i]) for i in c.vertex_indices), c.kind)
+                for c in census.cells}
+
+    assert cells(moved) == cells(complex_, lambda q: p * q * p.conjugate())
+    for census in (complex_, moved):
+        for cell in census.cells:
+            assert_scalar_certificate(census, cell)
+
+
+def census_candidates(vertices):
+    """The canonical vertices, edges, faces and candidate cells, as (vertex
+    indices, kind) pairs.  The candidates of T are the octahedra around T',
+    and of a subset of I its 4-cliques, then an icosahedron at each point of
+    its complement: the vertices nearest it."""
+    vertices = canonical_sorted(vertices)
+    edges = edge_graph(vertices)
+    faces = polytope.triangle_faces(vertices, edges)
+    if set(vertices) == set(binary_tetrahedral().elements):
+        candidates = [(c, "octahedron") for c in polytope._nearest(t_prime(), vertices)]
+    else:
+        complement = [q for q in binary_icosahedral() if q not in set(vertices)]
+        candidates = [(c, "tetrahedron")
+                      for c in polytope._four_cliques(len(vertices), edges, faces)]
+        if complement:
+            candidates += [(c, "icosahedron") for c in polytope._nearest(complement, vertices)]
+    return vertices, edges, faces, candidates
 
 
 def direct_census(vertices):
-    """The census from certify_cells on every candidate: the oracle of transport_cells."""
-    vertices, edges, faces, candidates, _ = polytope._census_input(vertices)
+    """The census from certify_cells on every candidate cell: the oracle of
+    transport_cells and of the diminished 600-cell."""
+    vertices, edges, faces, candidates = census_candidates(vertices)
     certificates = certify_cells([idxs for idxs, _ in candidates], vertices)
     return vertices, edges, faces, [(tuple(sorted(idxs)), kind, normal, offset)
                                     for (idxs, kind), (normal, offset)
@@ -414,29 +454,25 @@ CENSUS_SETS = {
 @pytest.mark.parametrize("name", list(CENSUS_SETS))
 def test_transported_census_matches_direct(name):
     assert census_facts(cell_census(CENSUS_SETS[name]())) == direct_census(CENSUS_SETS[name]())
-    coset = polytope._census_input(CENSUS_SETS[name]())[-1]
-    assert coset == canonical_sorted(coset)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_embedding_censuses_match_direct(i):
-    """Equal to cell_census of the embedding, but with the cells in the snub's order."""
-    moved = census_facts(embedding_censuses()[i])
-    direct = census_facts(cell_census(snub_embeddings_in_600cell()[i]))
-    assert moved[:3] == direct[:3]
-    assert set(moved[3]) == set(direct[3])
-    assert [kind for _, kind, _, _ in moved[3]] == [c.kind for c in snub_census().cells]
+    """Equal to the direct census of the embedding, as is cell_census of it."""
+    direct = direct_census(snub_embeddings_in_600cell()[i])
+    assert census_facts(embedding_censuses()[i]) == direct
+    assert census_facts(cell_census(snub_embeddings_in_600cell()[i])) == direct
 
 
 def transport_input(vertices):
-    """The candidate cells, vertices and multiplier rows that cell_census transports with."""
-    vertices, _, _, candidates, coset = polytope._census_input(vertices)
-    rows, den = engine.common_rows(coset)
-    return [idxs for idxs, _ in candidates], vertices, rows, den
+    """The candidate cells, vertices and multiplier rows that cell_census
+    transports a group's cells with: the group's own rows."""
+    vertices, _, _, candidates = census_candidates(vertices)
+    return [idxs for idxs, _ in candidates], vertices, *engine.common_rows(vertices)
 
 
 def test_transport_rejects_a_multiplier_off_the_vertex_set():
-    cells, vertices, _, _ = transport_input(snub24_vertices())
+    cells, vertices, _, _ = transport_input(binary_tetrahedral().elements)
     outside = binary_tetrahedral().elements + t_prime().elements[:1]
     with pytest.raises(CertificationFailed, match="moves a vertex off the vertex set"):
         transport_cells(cells, vertices, *engine.common_rows(outside))
@@ -487,7 +523,7 @@ def test_cell_geometry_matches_its_own_hull(monkeypatch, name, order):
     """The faces read off the census equal the hull of each cell's own
     coordinates, whichever cell of a fresh complex is asked first, and no
     request makes a hull."""
-    complex_ = cell_census(CENSUS_SETS[name]())
+    complex_ = fresh_census(CENSUS_SETS[name]())
     indices = list(range(len(complex_.cells)))
     if order == "reverse":
         indices.reverse()
@@ -502,7 +538,7 @@ def test_cell_faces_are_oriented_in_one_batch(monkeypatch, name):
     """The first request signs every (cell, face) pair: one cross_rows over
     the faces and one dot_rows over the pairs.  No request frames a cell by
     dot_rows: the frames are one products table (see the next test)."""
-    complex_ = cell_census(CENSUS_SETS[name]())
+    complex_ = fresh_census(CENSUS_SETS[name]())
     made = {"cross_rows": [], "dot_rows": []}
     for kernel, calls in made.items():
         real = getattr(engine, kernel)
@@ -524,7 +560,7 @@ def test_cells_are_framed_by_one_products_call(monkeypatch, name):
     real_table, real_products = polytope.frame_table, engine.products
     monkeypatch.setattr(polytope, "frame_table", lambda *args: (
         tables.append(len(args[-1])) or real_table(*args)))
-    complex_ = cell_census(CENSUS_SETS[name]())
+    complex_ = fresh_census(CENSUS_SETS[name]())
     assert tables == []
     monkeypatch.setattr(engine, "products", lambda a, b: (
         rows.append(len(a)) or real_products(a, b)))
@@ -535,11 +571,29 @@ def test_cells_are_framed_by_one_products_call(monkeypatch, name):
     assert sorted(rows) == sorted([pairs, n, n])
 
 
-def test_snub_censuses_frame_no_cell(monkeypatch):
+def test_snub_censuses_frame_no_cell(monkeypatch, cold_censuses):
     """Neither the snub census nor its five embeddings make a frame table."""
     monkeypatch.setattr(polytope, "frame_table", None)
-    monkeypatch.setattr(polytope, "snub_census", polytope.snub_census.__wrapped__)
-    assert len(embedding_censuses.__wrapped__()) == 5
+    assert len(polytope.embedding_censuses()) == 5
+
+
+def test_snub_censuses_are_read_off_the_600cell_census(monkeypatch, cold_censuses):
+    """After the 600-cell census and the table of 24-cells, the snub census and
+    its embeddings certify no cell and move no point: their certificates are
+    the 600-cell's, and only coxeter.inscribed_24cells locates a 24-cell."""
+    expected = [census_facts(census) for census in embedding_censuses()]
+    cell_census(binary_icosahedral().elements)
+    inscribed_24cells()
+
+    def refuse(*args):
+        raise AssertionError("a snub census certified a cell or moved a point")
+
+    for module, name in ((polytope, "certify_cells"), (polytope, "transport_cells"),
+                         (engine, "act"), (engine, "locate")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [census_facts(census) for census in polytope.embedding_censuses()] == expected
+    assert polytope.snub_embeddings_in_600cell() == snub_embeddings_in_600cell()
+    assert polytope.snub_census() is polytope.embedding_censuses()[0]
 
 
 def test_face_cell_table_pairs_each_cell_with_the_faces_its_triples_name():
@@ -554,7 +608,7 @@ def test_face_cell_table_pairs_each_cell_with_the_faces_its_triples_name():
 
 
 def test_embedding_cell_geometry_matches_its_own_hull(monkeypatch):
-    """An embedding census reads its relabelled cells' faces off its own triangles."""
+    """An embedding census reads its cells' faces off its own triangles."""
     moved = embedding_censuses.__wrapped__()[3]
     calls = counted_hulls(monkeypatch)
     for k in reversed(range(len(moved.cells))):
@@ -599,26 +653,40 @@ def coset_union_with_a_trivial_seed(monkeypatch):
     build_120cell.__wrapped__()
 
 
-def embeddings_in_the_24_cell(monkeypatch):
-    """Only the unconjugated 24-cell lies in T."""
-    monkeypatch.setattr(polytope, "binary_icosahedral", binary_tetrahedral)
-    snub_embeddings_in_600cell.__wrapped__()
+def diminished_at_t(vertices=None, cells=None):
+    """_diminished at T of the 600-cell census, with other vertices or cells."""
+    big = cell_census(binary_icosahedral().elements)
+    polytope._diminished(PolytopeComplex(vertices or big.vertices, big.edges, big.faces,
+                                         cells or big.cells),
+                         [k for k, q in enumerate(big.vertices) if q in binary_tetrahedral()])
 
 
-def embeddings_of_a_repeated_vertex(monkeypatch):
-    """A 24-cell listing one vertex twice conjugates onto 24 distinct points."""
-    elements = binary_tetrahedral().elements
-    monkeypatch.setattr(polytope, "binary_tetrahedral",
-                        lambda: SimpleNamespace(elements=elements + elements[:1]))
-    snub_embeddings_in_600cell.__wrapped__()
+def diminished_with_a_cell_missing(monkeypatch):
+    """The 600-cell census less a tetrahedron that avoids T."""
+    big, tet = cell_census(binary_icosahedral().elements), set(binary_tetrahedral().elements)
+    k = next(k for k, c in enumerate(big.cells)
+             if not any(big.vertices[i] in tet for i in c.vertex_indices))
+    diminished_at_t(cells=big.cells[:k] + big.cells[k + 1:])
 
 
-def embedding_censuses_out_of_order(monkeypatch):
-    """Embeddings 1 and 2 swapped: the first conjugation misses its embedding."""
-    real = snub_embeddings_in_600cell()
-    monkeypatch.setattr(polytope, "snub_embeddings_in_600cell",
-                        lambda: (real[0], real[2], real[1], *real[3:]))
-    embedding_censuses.__wrapped__()
+def diminished_in_a_plane(monkeypatch):
+    """Every vertex moved into the plane of 1 and e1: no four span a 3-space."""
+    diminished_at_t(vertices=[Quaternion(v.component(0), v.component(1))
+                              for v in cell_census(binary_icosahedral().elements).vertices])
+
+
+def diminished_with_an_edge_through_the_origin(monkeypatch):
+    """The far end of the first edge negated: the edge's scalar product turns negative."""
+    big = cell_census(binary_icosahedral().elements)
+    b = big.edges[0][1]
+    diminished_at_t(vertices=big.vertices[:b] + (-big.vertices[b],) + big.vertices[b + 1:])
+
+
+def complement_of_an_edge(monkeypatch):
+    """I less 23 points of T and a neighbour of one of them."""
+    tet = binary_tetrahedral().elements
+    near = next(q for q in binary_icosahedral() if q.dot(tet[1]) == TAU_HALF)
+    cell_census([q for q in binary_icosahedral() if q not in {*tet[1:], near}])
 
 
 POLYTOPE_CHECKS = {
@@ -628,10 +696,13 @@ POLYTOPE_CHECKS = {
                                       "neighbor misses the vertex-figure hyperplane"),
     coset_union_with_a_trivial_seed: (CertificationFailed,
                                       "coset union failed to produce 600 distinct vertices"),
-    embeddings_in_the_24_cell: (CertificationFailed, "conjugate 24-cell leaves the 600-cell"),
-    embeddings_of_a_repeated_vertex: (CertificationFailed, "conjugate 24-cell collapsed"),
-    embedding_censuses_out_of_order: (CertificationFailed,
-                                      "conjugation does not move the snub onto its embedding"),
+    diminished_with_a_cell_missing: (CertificationFailed,
+                                     "a tetrahedron is no cell of the 600-cell"),
+    diminished_in_a_plane: (CertificationFailed, "cell does not span a hyperplane"),
+    diminished_with_an_edge_through_the_origin: (CertificationFailed,
+                                                 "hyperplane does not face away from the origin"),
+    complement_of_an_edge: (BadParameter,
+                            "vertex set is not a snub complement inside the 600-cell"),
 }
 
 
@@ -642,13 +713,11 @@ def test_polytope_checks_refuse_perturbed_inputs(monkeypatch, perturbed):
         perturbed(monkeypatch)
 
 
-def test_census_requests_make_no_hull(monkeypatch, capsys):
+def test_census_requests_make_no_hull(monkeypatch, capsys, cold_censuses):
     """A census, and the commands that only build or export a whole census,
     make no hull: cell hulls wait for the first cell request."""
     calls = counted_hulls(monkeypatch)
     cell_census(binary_icosahedral().elements)
-    monkeypatch.setattr(polytope, "snub_census", polytope.snub_census.__wrapped__)
-    monkeypatch.setattr(cli, "_export_complex", cli._export_complex.__wrapped__)
     assert cli.main(["build", "snub24", "--out", "-"]) == 0
     assert cli.main(["export", "600cell", "--format", "off", "--out", "-"]) == 0
     assert calls == []
@@ -689,3 +758,10 @@ def test_projective_equal():
     # 0 = 0 b, but 0 is no positive multiple of b.
     assert not projective_equal(Quaternion(), p)
     assert projective_equal(Quaternion(), Quaternion())
+
+
+def test_census_reprs():
+    complex_ = snub_census()
+    assert repr(complex_) == "<complex: 96 vertices, 432 edges, 480 faces, 144 cells>"
+    assert repr(complex_.cells[0]) == "<tetrahedron: vertices (0, 1, 12, 13)>"
+    assert repr(icosa_cell(Q_ONE)).startswith("<icosahedron: vertices (")

@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from icosian import (E1, E2, E3, HALF, ONE, Q_ONE, SIGMA, SQRT2, TAU,
                      FieldElement, Quaternion, canonical_sorted, icosian_seed)
+from icosian.engine import common_rows, products, quats_of
+from icosian.field import SQRT5, SQRT10
 
 
 def test_hamilton_table():
@@ -17,6 +20,57 @@ def test_hamilton_table():
     assert E1 * E1 == -Q_ONE
     assert E2 * E2 == -Q_ONE
     assert E3 * E3 == -Q_ONE
+
+
+# Hamilton's rules and the radicals' products, written out: row times column.
+UNIT_PRODUCTS = {
+    ("1", "1"): (1, 0, 0, 0), ("1", "e1"): (0, 1, 0, 0),
+    ("1", "e2"): (0, 0, 1, 0), ("1", "e3"): (0, 0, 0, 1),
+    ("e1", "1"): (0, 1, 0, 0), ("e1", "e1"): (-1, 0, 0, 0),
+    ("e1", "e2"): (0, 0, 0, 1), ("e1", "e3"): (0, 0, -1, 0),
+    ("e2", "1"): (0, 0, 1, 0), ("e2", "e1"): (0, 0, 0, -1),
+    ("e2", "e2"): (-1, 0, 0, 0), ("e2", "e3"): (0, 1, 0, 0),
+    ("e3", "1"): (0, 0, 0, 1), ("e3", "e1"): (0, 0, 1, 0),
+    ("e3", "e2"): (0, -1, 0, 0), ("e3", "e3"): (-1, 0, 0, 0),
+}
+# As coefficients of 1, sqrt2, sqrt5, sqrt10.
+RADICAL_PRODUCTS = {
+    ("1", "1"): (1, 0, 0, 0), ("1", "r2"): (0, 1, 0, 0),
+    ("1", "r5"): (0, 0, 1, 0), ("1", "r10"): (0, 0, 0, 1),
+    ("r2", "1"): (0, 1, 0, 0), ("r2", "r2"): (2, 0, 0, 0),
+    ("r2", "r5"): (0, 0, 0, 1), ("r2", "r10"): (0, 0, 2, 0),
+    ("r5", "1"): (0, 0, 1, 0), ("r5", "r2"): (0, 0, 0, 1),
+    ("r5", "r5"): (5, 0, 0, 0), ("r5", "r10"): (0, 5, 0, 0),
+    ("r10", "1"): (0, 0, 0, 1), ("r10", "r2"): (0, 0, 2, 0),
+    ("r10", "r5"): (0, 5, 0, 0), ("r10", "r10"): (10, 0, 0, 0),
+}
+
+
+def test_product_tables_written_out():
+    """Every product of two basis quaternions u w (a unit u times a radical w),
+    by Quaternion arithmetic and by engine.products, against the two tables
+    above: this pins all 256 entries of the shared _PRODUCT_TABLE."""
+    units = dict(zip(("1", "e1", "e2", "e3"), (Q_ONE, E1, E2, E3)))
+    radicals = dict(zip(("1", "r2", "r5", "r10"), (ONE, SQRT2, SQRT5, SQRT10)))
+    for (a, b), coefficients in RADICAL_PRODUCTS.items():
+        assert radicals[a] * radicals[b] == FieldElement(*coefficients)
+    for (a, b), components in UNIT_PRODUCTS.items():
+        assert units[a] * units[b] == Quaternion(*components)
+    basis = [(u, w) for u in units for w in radicals]
+    left = [units[u].scale(radicals[w]) for u, w in basis]
+    expected = [Quaternion(*(FieldElement(*RADICAL_PRODUCTS[w, y]) * c
+                             for c in UNIT_PRODUCTS[u, x]))
+                for u, w in basis for x, y in basis]
+    assert [p * q for p in left for q in left] == expected
+    rows, den = common_rows(left)
+    table = products(np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1)))
+    assert list(quats_of(table, den * den)) == expected
+
+
+def test_named_components():
+    q = Quaternion(1, HALF, TAU, -SQRT2)
+    assert (q.q0, q.q1, q.q2, q.q3) == (ONE, HALF, TAU, -SQRT2)
+    assert (E3.q0, E3.q3) == (0, ONE)
 
 
 def test_components():

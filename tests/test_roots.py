@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosian import (HALF, Quaternion, appendix_decompositions,
+from icosian import (HALF, Quaternion, appendix_decompositions, coxeter,
                      binary_icosahedral, binary_octahedral,
                      binary_tetrahedral, build_120cell, canonical_sorted,
                      e8_roots, f4_roots, field_sqrt, format_appendix_table,
@@ -329,13 +329,13 @@ def test_coset_action_refuses_conjugators_that_miss_a_coset(monkeypatch):
     rows, den = seed_conjugators()
     repeated = rows.copy()
     repeated[1] = repeated[0]
-    monkeypatch.setattr(roots, "seed_conjugators", lambda: (repeated, den))
-    roots._coset_action.cache_clear()
+    monkeypatch.setattr(coxeter, "seed_conjugators", lambda: (repeated, den))
+    coxeter.inscribed_24cells.cache_clear()
     try:
         with pytest.raises(NotInvariant, match="do not meet every coset of W\\(D4\\):C3 once"):
-            roots._coset_action()
+            coxeter.inscribed_24cells()
     finally:
-        roots._coset_action.cache_clear()
+        coxeter.inscribed_24cells.cache_clear()
 
 
 def test_coset_action_refuses_a_conjugator_that_moves_t_off_2i(monkeypatch):
@@ -346,13 +346,13 @@ def test_coset_action_refuses_a_conjugator_that_moves_t_off_2i(monkeypatch):
     conjugators[1] = Transform(u, conjugators[1].q)
     pq, den = common_rows([t.p for t in conjugators] + [t.q for t in conjugators])
     rows = np.hstack([np.zeros((25, 1), dtype=np.int64), pq[:25], pq[25:]])
-    monkeypatch.setattr(roots, "seed_conjugators", lambda: (rows, den))
-    roots._coset_action.cache_clear()
+    monkeypatch.setattr(coxeter, "seed_conjugators", lambda: (rows, den))
+    coxeter.inscribed_24cells.cache_clear()
     try:
         with pytest.raises(NotInvariant, match="do not meet every coset of W\\(D4\\):C3 once"):
-            roots._coset_action()
+            coxeter.inscribed_24cells()
     finally:
-        roots._coset_action.cache_clear()
+        coxeter.inscribed_24cells.cache_clear()
 
 
 def test_double_cosets_match_the_weight_table_oracle():
@@ -426,3 +426,10 @@ def test_weighted_orbits_match_their_own_closures(weights):
     points, parts = closure_weight_orbit(weights)
     assert quats_of(*_weight_orbit(weights)[:2]) == points
     assert weight_decomposition(weights) == (len(points), parts)
+
+
+def test_root_system_and_report_reprs():
+    assert repr(e8_roots()) == "<E8: 240 roots>"
+    assert repr(f4_roots()) == "<F4: 48 roots>"
+    report = appendix_decompositions()[0]
+    assert repr(report) == "<orbit (0, 0, 0, 1): 600 = 24+96+192+288>"
