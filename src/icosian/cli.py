@@ -109,10 +109,11 @@ def _cell_geometry(name: str, index: int):
 
 
 def _selected_part(args):
-    """3D coordinates, faces and the other JSON fields of the part one selector picks."""
+    """3D coordinates and faces of the part one selector picks, and a function
+    giving its other JSON fields, called for JSON output only."""
     if args.vertex_figure:
         figure = polytope.vertex_figure(icosian_seed())
-        return figure.coords, figure.faces, {
+        return figure.coords, figure.faces, lambda: {
             "object": "snub24-vertex-figure",
             "vertex": exports.quaternion_to_json(figure.vertex),
             "neighbors": exports.points_to_json(figure.neighbors),
@@ -120,7 +121,7 @@ def _selected_part(args):
         }
     if args.dual_cell:
         cell = dual.dual_cell(icosian_seed())
-        return cell.coords, cell.faces, {
+        return cell.coords, cell.faces, lambda: {
             "object": "snub24-dual-cell",
             "vertex": exports.quaternion_to_json(cell.vertex),
             "points": exports.points_to_json(cell.vertices),
@@ -128,8 +129,8 @@ def _selected_part(args):
             "triangles": [list(f) for f in cell.triangles],
         }
     coords, faces = _cell_geometry(args.object, args.cell)
-    return coords, faces, {"object": f"{args.object}-cell-{args.cell}",
-                           "faces": [list(f) for f in faces]}
+    return coords, faces, lambda: {"object": f"{args.object}-cell-{args.cell}",
+                                   "faces": [list(f) for f in faces]}
 
 
 def cmd_export(args) -> int:
@@ -155,7 +156,7 @@ def cmd_export(args) -> int:
             edges = len(hull.edges_of_faces(faces))
             text = exports.off_text(coords, faces, edges, args.digits)
         else:
-            text = exports.dumps({**fields, "coords": exports.coords_to_json(coords)})
+            text = exports.dumps({**fields(), "coords": exports.coords_to_json(coords)})
     _write(args.out, text)
     return 0
 

@@ -5,7 +5,10 @@ JSON stores every coordinate as exact rational strings on the basis
 written from the field's integer numerators and denominator with one gcd.
 A writer renders each distinct component once per call: points, normals,
 offsets and coordinates are looked up by their exact integers (numerators,
-denominator), so equal components share one rendering.
+denominator), so equal components share one rendering.  A point list
+(vertices, points, the 120-cell's parts) is written as JSON text once, each
+distinct point's text once, and dumps splices it in where it stands: the
+bytes are json.dumps's of the same list of per-point dicts.
 OFF files carry correctly rounded decimals: each printed value is the true
 real number rounded to the requested number of significant digits
 (1 to MAX_DIGITS), established by integer interval refinement: the
@@ -70,6 +73,38 @@ def _json_points(points, once: _Once) -> list:
     return [list(row) for row in _components(points, once)]
 
 
+class _Text:
+    """JSON text that dumps writes as it stands."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _component_text(nums, den: int) -> str:
+    return json.dumps(_coefficients_to_json(nums, den), sort_keys=True, separators=(",", ":"))
+
+
+class _PointTexts(dict):
+    """Each point's JSON text, keyed by the point: each distinct point rendered
+    once, from its components, each distinct component rendered once."""
+
+    def __init__(self):
+        super().__init__()
+        self.parts = _Once(_component_text)
+
+    def __missing__(self, q):
+        (v, d), parts = q.ivec, self.parts
+        text = self[q] = (f"[{parts[v[0:4], d]},{parts[v[4:8], d]},"
+                          f"{parts[v[8:12], d]},{parts[v[12:16], d]}]")
+        return text
+
+    def list(self, points) -> _Text:
+        """The points as one JSON list, in dumps' form."""
+        return _Text("[" + ",".join(map(self.__getitem__, points)) + "]")
+
+
 def parse_field(doc) -> FieldElement:
     """The element field_to_json wrote: a dict from basis names to Fraction strings."""
     if not (isinstance(doc, dict) and set(doc) <= set(_BASIS)
@@ -92,8 +127,9 @@ def parse_quaternion(doc) -> Quaternion:
     return Quaternion(*(parse_field(part) for part in doc))
 
 
-def points_to_json(points) -> list:
-    return _json_points(points, _Once(_coefficients_to_json))
+def points_to_json(points) -> _Text:
+    """The points as one JSON list for dumps: the text of [quaternion_to_json(q) for q in points]."""
+    return _PointTexts().list(points)
 
 
 def coords_to_json(rows) -> list:
@@ -111,7 +147,7 @@ def complex_to_json(complex_) -> dict:
     normals = _json_points([c.normal for c in complex_.cells], once)
     return {
         "counts": list(complex_.counts()),
-        "vertices": _json_points(complex_.vertices, once),
+        "vertices": points_to_json(complex_.vertices),
         "edges": [list(e) for e in complex_.edges],
         "faces": [list(f) for f in complex_.faces],
         "cells": [
@@ -139,7 +175,7 @@ def dual_complex_to_json(complex_) -> dict:
         })
     return {
         "counts": list(complex_.counts()),
-        "vertices": _json_points(complex_.vertices, once),
+        "vertices": points_to_json(complex_.vertices),
         "edges": [list(e) for e in complex_.edges],
         "faces": [list(f) for f in complex_.faces],
         "cells": cells,
@@ -147,21 +183,34 @@ def dual_complex_to_json(complex_) -> dict:
 
 
 def partition_to_json(cell120) -> dict:
-    once = _Once(_coefficients_to_json)
+    texts = _PointTexts()
     return {
         "count": len(cell120.vertices),
-        "vertices": _json_points(cell120.vertices, once),
-        "partition": {
-            "t_prime": _json_points(cell120.t_prime, once),
-            "s_prime": _json_points(cell120.s_prime, once),
-            "m": _json_points(cell120.m, once),
-            "n": _json_points(cell120.n, once),
-        },
+        "vertices": texts.list(cell120.vertices),
+        "partition": {part: texts.list(getattr(cell120, part))
+                      for part in ("t_prime", "s_prime", "m", "n")},
     }
 
 
+_MARK = "\0"  # a _Text's stand-in while json.dumps runs
+_MARKED = json.dumps(_MARK)  # and the stand-in as json.dumps writes it
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """doc as canonical JSON: keys sorted, no spaces, one final newline, each
+    _Text written as it stands.  The bytes are json.dumps(doc, sort_keys=True,
+    separators=(",", ":")) + "\n" of the doc with each _Text's list in its place."""
+    texts = []
+
+    def defer(text: _Text) -> str:
+        texts.append(text.text)
+        return _MARK
+
+    head, *rest = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                             default=defer).split(_MARKED)
+    if len(rest) != len(texts):
+        raise ValueError("a string of the document reads as a _Text's stand-in")
+    return head + "".join(map(str.__add__, texts, rest)) + "\n"
 
 
 def _floor_log10(p: int, q: int) -> int:

@@ -4,9 +4,10 @@ The binary tetrahedral group doubles as the 24-cell vertex set; five of its
 left cosets tile the binary icosahedral group, which is the 600-cell.
 closure makes a group from generators on engine.closure_points, the one
 closure routine, as the orbit of 1 under right multiplication.  Closure
-checks and conjugacy classes read a group's Cayley table, made once per
-group by engine.left_perms: the left multiplication of the elements by a
-few generator rows, composed by index, with no group-sized product table.
+checks, conjugacy classes and the 600-cell and 24-cell censuses read a
+group's Cayley table, made once per group by engine.left_perms: the left
+multiplication of the elements by a few generator rows, composed by index,
+with no group-sized product table.
 """
 
 from __future__ import annotations

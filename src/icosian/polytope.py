@@ -18,8 +18,12 @@ inherited.  The 120-cell is the coset union hosting the second snub copy.
 
 Every 2-face of a census cell is one of the census's own triangles, so a
 cell's faces in its own frame (PolytopeComplex.cell_geometry) are read off
-the census, not off a hull: one face-cell table says which triangles each
-cell holds, and one batch of exact signs orients them.  In the frame
+the census, not off a hull, and their orientation is carried, not
+recomputed.  The 600-cell and 24-cell censuses sign only the triangles of
+their cells at 1, in one batch of exact signs (_signed_cycles), and the
+group's Cayley table moves those cycles onto every other cell: a left
+multiplication is a rotation (_carried_cycles).  The snub and its
+embeddings relabel the 600-cell's cycles (_inherited_cycles).  In the frame
 (e1 n, e2 n, e3 n) of its normal n, a vertex v is the vector part of v conj(n):
 one engine.products table (frame_table) frames all cells, one per complex, on first use.
 """
@@ -39,7 +43,7 @@ from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
 from .field import HALF, TAU, field_sqrt
 from .groups import (binary_icosahedral, binary_tetrahedral, icosian_seed,
                      t_prime)
-from .quaternion import Quaternion, canonical_sorted
+from .quaternion import Q_ONE, Quaternion
 
 TAU_HALF = TAU * HALF
 
@@ -173,9 +177,13 @@ class Cell:
 
 
 class PolytopeComplex:
-    """A certified census: its vertices, edges, triangles and cells."""
+    """A certified census: its vertices, edges, triangles and cells.
 
-    def __init__(self, vertices, edges, faces, cells):
+    orient(complex_), given by the census that makes the complex, orients
+    its cells' faces on the first cell request (_cycles).
+    """
+
+    def __init__(self, vertices, edges, faces, cells, orient=None):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.faces = tuple(faces)
@@ -187,6 +195,7 @@ class PolytopeComplex:
             for i in cell.vertex_indices:
                 at[i].append(k)
         self.incidence = tuple(map(tuple, at))
+        self._orient = orient
 
     def index(self, q: Quaternion) -> int:
         return self._index[q]
@@ -204,15 +213,17 @@ class PolytopeComplex:
     def cells_at(self, q: Quaternion) -> list[Cell]:
         return [self.cells[k] for k in self.incidence[self.index(q)]]
 
-    def _held(self, items, width: int) -> tuple[np.ndarray, np.ndarray]:
+    def _held(self, items, width: int, ks) -> tuple[np.ndarray, np.ndarray]:
         """(cell, item) index pairs, one for each item (a sorted vertex-index tuple
-        of the width) that a cell holds: one engine.RowIndex lookup of the
-        cells' vertex subsets of that width per cell size."""
+        of the width) that a cell of ks holds, a cell size at a time and in the
+        order of ks within one: one engine.RowIndex lookup of the cells' vertex
+        subsets of that width per cell size."""
         index = engine.RowIndex(_flat(items).reshape(-1, width))
-        sizes = np.array([len(cell.vertex_indices) for cell in self.cells])
+        ks = np.asarray(ks, dtype=np.intp)
+        sizes = np.array([len(self.cells[k].vertex_indices) for k in ks.tolist()])
         pairs = []
         for size in sorted(set(sizes.tolist())):
-            group = np.flatnonzero(sizes == size)
+            group = ks[sizes == size]
             subsets = _flat(self.cells[k].vertex_indices for k in group.tolist()).reshape(-1, size)
             combos = list(combinations(range(size), width))
             at = index.find(subsets[:, combos].reshape(-1, width))
@@ -223,12 +234,12 @@ class PolytopeComplex:
     @cached_property
     def face_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell, face) index pairs, one for each face a cell holds: the face-cell table."""
-        return self._held(self.faces, 3)
+        return self._held(self.faces, 3, range(len(self.cells)))
 
     @cached_property
     def edge_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell, edge) index pairs, one for each edge a cell holds."""
-        return self._held(self.edges, 2)
+        return self._held(self.edges, 2, range(len(self.cells)))
 
     def face_cell_incidence(self) -> Counter:
         """The number of cells holding each face that some cell holds."""
@@ -240,34 +251,30 @@ class PolytopeComplex:
         return Counter(n for n in np.bincount(self.edge_cells[1]).tolist() if n)
 
     @cached_property
-    def _geometry(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """Every cell's frame coordinates (frame_table) and faces, as cycles signed in one batch.
-
-        In the basis (n, e1 n, e2 n, e3 n), right multiplication by the unit
-        normal n applied to (1, e1, e2, e3), a cell vertex is (c, x) for its
-        frame coordinates x, so det[a, b, c, n] = -det[x_a, x_b, x_c].  The
-        cell holds the frame's origin, its circumcentre, so face a < b < c
-        runs (a, b, c) seen from outside when det[a, b, c, n] < 0, else (a, c, b).
-        """
+    def _frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell's frame coordinates, one frame_table of the vertices and the cell normals."""
         rows, den = engine.common_rows(self.vertices)
         normals, nden = engine.common_rows([cell.normal for cell in self.cells])
-        cells, at = self.face_cells
-        faces = np.array(self.faces)
-        cross = engine.cross_rows(*rows[faces].transpose(1, 0, 2))
-        signs = engine.signs(engine.dot_rows(cross[at, None], normals[cells, None]))[:, 0, 0]
-        cycles = [[] for _ in self.cells]
-        for k, (a, b, c), sign in zip(cells.tolist(), faces[at].tolist(), signs.tolist()):
-            cycles[k].append((a, b, c) if sign < 0 else (a, c, b))
-        members = [cell.vertex_indices for cell in self.cells]
-        return (*frame_table(rows, normals, den * nden, members), cycles)
+        return frame_table(rows, normals, den * nden, [cell.vertex_indices for cell in self.cells])
+
+    @cached_property
+    def _cycles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cycles, starts): cycles[starts[k]:starts[k + 1]] are the triangles cell k
+        holds, each as a cycle of vertex indices that runs counterclockwise seen
+        from outside the cell, in its own frame, as the complex's orient gives them."""
+        if self._orient is None:
+            raise DegenerateInput("complex has no face orientation")
+        return self._orient(self)
 
     def cell_geometry(self, index: int):
         """3D coordinates of one cell in its own frame (e1 n, e2 n, e3 n), the vector
         parts of v conj(n) for its vertices v, and its faces, the census triangles it
-        holds, as hull faces: both sliced out of one table per complex, made on first use."""
-        coords, starts, cycles = self._geometry
+        holds, as hull faces: both sliced out of tables made once per complex, on first use."""
+        coords, starts = self._frames
+        cycles, at = self._cycles
         return (list(map(tuple, coords[starts[index]:starts[index + 1]].tolist())),
-                hull.relabel(cycles[index], self.cells[index].vertex_indices))
+                hull.relabel(cycles[at[index]:at[index + 1]].tolist(),
+                             self.cells[index].vertex_indices))
 
     def __repr__(self) -> str:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
@@ -282,37 +289,35 @@ def _nearest(centers, vertices):
     return [tuple(np.flatnonzero(row == row.max()).tolist()) for row in rank]
 
 
-def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
-    """certify_cells of the candidates, certifying one cell per orbit of the multipliers.
+def transport_cells(candidates, group):
+    """certify_cells of the candidates on the group's elements, certifying one
+    cell per orbit of the group acting on the left: r -> h r.
 
-    The multipliers, given as quaternion rows over den, act on the left:
-    r -> h r.  engine.left_perms finds where every multiplier moves every
-    vertex; each image must be a vertex.  h then permutes the vertices, so it is a
-    unit and a rotation about the origin, and it moves a cell's certificate
-    (n, c) to (h n, c), the unique certificate of the image cell.  When the
-    multipliers form a group, every orbit of cells holds a cell at the least
-    vertex of some vertex orbit.  So, in candidate order, each such
-    candidate that no image has reached yet is a representative: certify_cells
-    certifies the representatives in one call, and each representative's
-    images under all the multipliers must be candidates.  A candidate that
-    no image reaches raises, as does any other failed check.  Returns the
-    certificates, in candidate order.
+    group.cayley_table says where every h moves every element; it is None when
+    some product is no element.  h then permutes the elements, so it is a unit
+    and a rotation about the origin, and it moves a cell's certificate (n, c)
+    to (h n, c), the unique certificate of the image cell.  The group moves
+    every element onto the first, so every orbit of cells holds a cell at
+    vertex 0.  In candidate order, each such candidate that no image has
+    reached yet is a representative: certify_cells certifies the
+    representatives in one call, and each representative's images under the
+    whole group must be candidates.  A candidate that no image reaches
+    raises, as does any other failed check.  Returns the certificates, in
+    candidate order.
     """
-    vrows, vden = engine.common_rows(vertices)
-    perm = engine.left_perms(rows, vrows, engine.RowIndex(engine.rescaled(vrows, vden, den * vden)))
+    perm = group.cayley_table
     if perm is None:
         raise CertificationFailed("multiplier moves a vertex off the vertex set")
+    rows, den = engine.common_rows(group.elements)
     # Cells as sorted vertex-index rows, padded with -1 to one width.
     width = max(map(len, candidates), default=0)
     table = np.array([sorted(idxs) + [-1] * (width - len(idxs)) for idxs in candidates],
                      dtype=np.intp).reshape(len(candidates), width)
     at_cell = engine.RowIndex(table)
-    # Whether each vertex is the least of its orbit; the last entry answers for the pad -1.
-    least = np.append(perm.min(axis=0) == np.arange(len(vertices)), False)
     source = np.full(len(candidates), -1)  # the representative each candidate is an image of
     mover = np.zeros(len(candidates), dtype=np.intp)  # and the multiplier moving it there
     representatives = []
-    for k in np.flatnonzero(least[table].any(axis=1)).tolist():
+    for k in np.flatnonzero((table == 0).any(axis=1)).tolist():
         if source[k] >= 0:
             continue
         idxs = candidates[k]
@@ -326,10 +331,73 @@ def transport_cells(candidates, vertices, rows: np.ndarray, den: int):
         representatives.append(k)
     if (source < 0).any():
         raise CertificationFailed("no certified cell moves onto a candidate")
-    certificates = certify_cells([candidates[k] for k in representatives], vertices)
+    certificates = certify_cells([candidates[k] for k in representatives], group.elements)
     nrows, nden = engine.common_rows([normal for normal, _ in certificates])
     moved = engine.quats_of(engine.products(rows[mover], nrows[source]), den * nden)
     return [(normal, certificates[k][1]) for normal, k in zip(moved, source.tolist())]
+
+
+def _signed_cycles(complex_, ks) -> np.ndarray:
+    """The triangles the cells ks hold, in the order _held pairs them, as cycles
+    signed in one batch: one engine.cross_rows over the triangles, and one
+    engine.dot_rows against their cells' normals.
+
+    In the basis (n, e1 n, e2 n, e3 n), right multiplication by the unit
+    normal n applied to (1, e1, e2, e3), a cell vertex is (c, x) for its
+    frame coordinates x, so det[a, b, c, n] = -det[x_a, x_b, x_c].  The
+    cell holds the frame's origin, its circumcentre, so face a < b < c
+    runs (a, b, c) seen from outside when det[a, b, c, n] < 0, else (a, c, b).
+    """
+    cells, at = complex_._held(complex_.faces, 3, ks)
+    faces = np.array([complex_.faces[f] for f in at.tolist()], dtype=np.intp).reshape(-1, 3)
+    rows, _ = engine.common_rows(complex_.vertices)
+    normals, _ = engine.common_rows([complex_.cells[k].normal for k in cells.tolist()])
+    cross = engine.cross_rows(*rows[faces].transpose(1, 0, 2))
+    signs = engine.signs(engine.dot_rows(cross[:, None], normals[:, None]))[:, 0, 0]
+    return np.where(signs[:, None] < 0, faces, faces[:, [0, 2, 1]])
+
+
+def _carried_cycles(group, complex_) -> tuple[np.ndarray, np.ndarray]:
+    """The orient of a group's census (_cycles): only the cells at 1 are signed
+    (_signed_cycles), and the group carries their cycles to every other cell.
+
+    The vertices are the group's elements, and the cells are closed under
+    left multiplication (transport_cells).  A cell C with first vertex v is
+    v (v^-1 C), and v^-1 C holds 1.  Left multiplication by the unit v is a
+    rotation, of determinant +1, and moves the normal n of v^-1 C to v n,
+    the normal of C: so det[v a, v b, v c, v n] = det[a, b, c, n], and each
+    cycle of v^-1 C, moved by v, runs as C's own.  group.cayley_table L moves
+    them: the cycle (a, b, c) of v^-1 C is (L[v, a], L[v, b], L[v, c]) on C.
+    """
+    table, one = group.cayley_table, group.index(Q_ONE)
+    cells = _flat(cell.vertex_indices for cell in complex_.cells).reshape(len(complex_.cells), -1)
+    at_one = np.array(complex_.incidence[one], dtype=np.intp)
+    # One kind of cell: the cycles of each cell at 1 are one block of its face count.
+    signed = _signed_cycles(complex_, at_one).reshape(len(at_one), -1, 3)
+    first = cells[:, 0]
+    inverse = (table == one).argmax(axis=1)
+    home = engine.RowIndex(cells[at_one]).find(np.sort(table[inverse[first, None], cells], axis=1))
+    cycles = table[first[:, None, None], signed[home]].reshape(-1, 3)
+    return cycles, np.arange(0, len(cycles) + 1, signed.shape[1])
+
+
+def _inherited_cycles(big, sources, removed, label) -> tuple[np.ndarray, np.ndarray]:
+    """The orient of big (the 600-cell census) diminished at removed (_diminished):
+    every cycle is one of big's, relabelled by label.
+
+    A kept tetrahedron is big's cell sources[k], with its normal and its
+    cycles.  The icosahedron at a removed t, of normal t, holds the faces
+    opposite t of big's twenty tetrahedra at t.  A regular tetrahedron's
+    normal is a positive multiple of the sum of its vertices, the direction
+    of its circumcentre, so for the face a, b, c opposite t, det[a, b, c, n]
+    is a positive multiple of det[a, b, c, t]: each face runs as it does on
+    its tetrahedron.
+    """
+    tets = big._cycles[0].reshape(len(big.cells), 4, 3)
+    around = tets[np.array([big.incidence[t] for t in removed.tolist()], dtype=np.intp)]
+    opposite = around[~(around == removed[:, None, None, None]).any(axis=3)]
+    cycles = label[np.concatenate([tets[sources].reshape(-1, 3), opposite])]
+    return cycles, np.cumsum([0] + [4] * len(sources) + [20] * len(removed))
 
 
 def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
@@ -377,7 +445,8 @@ def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
         raise CertificationFailed("hyperplane does not face away from the origin")
     cells += [Cell(ring, "icosahedron", big.vertices[t], c)
               for t, ring in zip(removed.tolist(), label[rings].tolist())]
-    return PolytopeComplex(kept, edges, faces, cells)
+    return PolytopeComplex(kept, edges, faces, cells,
+                           lambda _: _inherited_cycles(big, at, removed, label))
 
 
 def cell_census(vertices) -> PolytopeComplex:
@@ -394,22 +463,23 @@ def cell_census(vertices) -> PolytopeComplex:
 
 @lru_cache(maxsize=None)
 def _census(points: frozenset) -> PolytopeComplex:
-    icos = binary_icosahedral().elements
-    if points not in (frozenset(binary_tetrahedral().elements), frozenset(icos)):
-        if not points.issubset(icos):
+    icos = binary_icosahedral()
+    group = next((g for g in (binary_tetrahedral(), icos) if points == frozenset(g.elements)), None)
+    if group is None:
+        if not points.issubset(icos.elements):
             raise BadParameter("unsupported vertex set")
-        return _diminished(_census(frozenset(icos)),
-                           [k for k, q in enumerate(icos) if q not in points])
-    vertices = canonical_sorted(points)
+        return _diminished(_census(frozenset(icos.elements)),
+                           [k for k, q in enumerate(icos.elements) if q not in points])
+    vertices = group.elements
     edges = edge_graph(vertices)
     faces = triangle_faces(vertices, edges)
     candidates = ([(c, "octahedron") for c in _nearest(t_prime(), vertices)] if len(vertices) == 24
                   else [(c, "tetrahedron") for c in _four_cliques(len(vertices), edges, faces)])
-    certificates = transport_cells([idxs for idxs, _ in candidates], vertices,
-                                   *engine.common_rows(vertices))
+    certificates = transport_cells([idxs for idxs, _ in candidates], group)
     return PolytopeComplex(vertices, edges, faces, [
         Cell(idxs, kind, normal, offset)
-        for (idxs, kind), (normal, offset) in zip(candidates, certificates)])
+        for (idxs, kind), (normal, offset) in zip(candidates, certificates)],
+        lambda complex_: _carried_cycles(group, complex_))
 
 
 @lru_cache(maxsize=None)
@@ -508,23 +578,28 @@ def build_120cell() -> Cell120:
     """600 vertices as 25 cosets p^i conj(p+)^j T', partitioned by (i, j) pattern.
 
     T' is i = j = 0, S' the rest of i = j, M the rest of i = 0 or j = 0,
-    and N every other coset.  The cosets are one engine.products table, and
-    each part is put in canonical order by one engine.distinct_rows.
+    and N every other coset.  The powers of p and conj(p+) are one ladder of
+    engine.products calls, the prefixes one table of them and the cosets one
+    more.  The 600 vertices are one engine.distinct_rows, so each lies in one
+    coset, and each part, in canonical order, is its vertices in theirs.
     """
     p = icosian_seed()
-    pd_bar = p.galois().conjugate()
+    seeds, sden = engine.common_rows([p, p.galois().conjugate()])
+    ladder = [np.zeros_like(seeds)]
+    ladder[0][:, 0] = 1  # q^0 = 1, over 1: ladder[k] is q^k over sden^k
+    for _ in range(4):
+        ladder.append(engine.products(ladder[-1], seeds))
+    powers = np.array([engine.rescaled(r, sden ** k, sden ** 4) for k, r in enumerate(ladder)])
+    prefixes = engine.products(powers[:, None, 0], powers[None, :, 1]).reshape(-1, 16)
+    rows, tden = engine.common_rows(t_prime().elements)
+    table, den = engine.products(prefixes[:, None], rows[None, :]).reshape(-1, 16), tden * sden ** 8
     i, j = np.divmod(np.arange(25), 5)
-    prefixes, pden = engine.common_rows([(p ** a) * (pd_bar ** b)
-                                         for a, b in zip(i.tolist(), j.tolist())])
-    rows, den = engine.common_rows(t_prime().elements)
-    table = engine.products(prefixes[:, None], rows[None, :]).reshape(-1, 16)
     part = np.repeat(np.where(i == j, np.minimum(i, 1), np.where(i * j == 0, 2, 3)), len(rows))
     vertices = engine.distinct_rows(table)
     if len(vertices) != 600:
         raise CertificationFailed("coset union failed to produce 600 distinct vertices")
-    return Cell120(engine.quats_of(vertices, pden * den),
-                   *(engine.quats_of(engine.distinct_rows(table[part == k]), pden * den)
-                     for k in range(4)))
+    points, at = engine.quats_of(vertices, den), part[engine.RowIndex(table).find(vertices)]
+    return Cell120(points, *(tuple(compress(points, (at == k).tolist())) for k in range(4)))
 
 
 def snub_embeddings_in_600cell() -> tuple[tuple[Quaternion, ...], ...]:

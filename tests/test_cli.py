@@ -178,11 +178,22 @@ def test_quaternion_json_round_trip():
 
 def test_points_round_trip_bit_exact():
     pts = snub24_vertices()
-    doc = points_to_json(pts)
-    parsed = parse_points(doc)
+    text = dumps(points_to_json(pts))
+    parsed = parse_points(json.loads(text))
     assert tuple(parsed) == pts
-    assert points_to_json(parsed) == doc
-    assert dumps(doc) == dumps(json.loads(dumps(doc)))
+    assert dumps(points_to_json(parsed)) == text == dumps(json.loads(text))
+
+
+def test_dumps_writes_point_lists_in_place():
+    """A point list is written where it sits, keys sorted around it; a
+    document string that reads as a point list's stand-in is refused."""
+    points = points_to_json([Quaternion(HALF), Quaternion(0, -TAU)])
+    oracle = [quaternion_to_json(Quaternion(HALF)), quaternion_to_json(Quaternion(0, -TAU))]
+    doc = {"z": points, "a": [points, {"y": points, "b": "x"}], "m": points_to_json([])}
+    expected = {"z": oracle, "a": [oracle, {"y": oracle, "b": "x"}], "m": []}
+    assert dumps(doc) == dumps(expected)
+    with pytest.raises(ValueError, match="stand-in"):
+        dumps({"a": "\0", "b": points})
 
 
 # A few components, each point of them over one of a few denominators: the
@@ -201,7 +212,7 @@ point_lists = st.lists(components, min_size=1, max_size=4).flatmap(
 
 def assert_writers_match_per_point(points):
     points = list(points)
-    assert points_to_json(points) == [quaternion_to_json(q) for q in points]
+    assert dumps(points_to_json(points)) == dumps([quaternion_to_json(q) for q in points])
     assert quaternion_coords(points) == [q.components for q in points]
     rows = [q.components[1:] for q in points]
     assert coords_to_json(rows) == [[field_to_json(x) for x in row] for row in rows]
@@ -218,31 +229,43 @@ def test_writers_answer_coefficients_past_int64():
     assert_writers_match_per_point(points)
 
 
-# The point lists each build object writes.
+def _120cell_points():
+    cell120 = polytope.build_120cell()
+    return {("vertices",): cell120.vertices,
+            **{("partition", part): getattr(cell120, part)
+               for part in ("t_prime", "s_prime", "m", "n")}}
+
+
+# The point lists each build document writes, by their place in it.
 BUILD_POINTS = {
-    "e8": lambda: [e8_roots().roots],
-    "600cell": lambda: [binary_icosahedral().elements],
-    "24cell": lambda: [binary_tetrahedral().elements],
-    "120cell": lambda: [getattr(polytope.build_120cell(), part)
-                        for part in ("vertices", "t_prime", "s_prime", "m", "n")],
-    "snub24": lambda: [polytope.snub_census().vertices,
-                       [c.normal for c in polytope.snub_census().cells]],
-    "dual-snub24": lambda: [dual.dual_complex().vertices,
-                            [c.vertex for c in dual.dual_complex().cells]],
+    "e8": lambda: {("points",): e8_roots().roots},
+    "600cell": lambda: {("points",): binary_icosahedral().elements},
+    "24cell": lambda: {("points",): binary_tetrahedral().elements},
+    "120cell": _120cell_points,
+    "snub24": lambda: {("vertices",): polytope.snub_census().vertices},
+    "dual-snub24": lambda: {("vertices",): dual.dual_complex().vertices},
 }
 
 
 @pytest.mark.parametrize("name", cli.BUILD_OBJECTS)
 def test_build_documents_match_the_per_point_oracle(name):
-    for points in BUILD_POINTS[name]():
+    """Every point list, normal, offset and dual cell vertex a build document
+    writes, read back from its bytes, is the per-point oracle's."""
+    doc = json.loads(dumps(cli._build_doc(name)))
+    for path, points in BUILD_POINTS[name]().items():
         assert_writers_match_per_point(points)
-    doc = cli._build_doc(name)
+        node = doc
+        for key in path:
+            node = node[key]
+        assert node == [quaternion_to_json(q) for q in points]
     if name == "snub24":
         cells = polytope.snub_census().cells
+        assert_writers_match_per_point([c.normal for c in cells])
         assert [c["normal"] for c in doc["cells"]] == [quaternion_to_json(c.normal) for c in cells]
         assert [c["offset"] for c in doc["cells"]] == [field_to_json(c.offset) for c in cells]
     if name == "dual-snub24":
         cells = dual.dual_complex().cells
+        assert_writers_match_per_point([c.vertex for c in cells])
         assert [c["vertex"] for c in doc["cells"]] == [quaternion_to_json(c.vertex) for c in cells]
 
 
@@ -489,8 +512,8 @@ def test_one_600cell_census_per_process(monkeypatch, capsys, cold_censuses, requ
     census reads the one 600-cell census."""
     seen = []
     transport = polytope.transport_cells
-    monkeypatch.setattr(polytope, "transport_cells", lambda cells, vertices, *rest: (
-        seen.append(len(vertices)) or transport(cells, vertices, *rest)))
+    monkeypatch.setattr(polytope, "transport_cells", lambda cells, group: (
+        seen.append(len(group)) or transport(cells, group)))
     argvs = ([["verify", "all"]] if requests == "verify all" else
              [argv for argv in geometry_requests()
               if "40" not in argv and ("--cell" not in argv or argv[3] == "0")])
@@ -498,6 +521,35 @@ def test_one_600cell_census_per_process(monkeypatch, capsys, cold_censuses, requ
         assert main(argv) == 0, argv
     capsys.readouterr()
     assert sorted(seen) == [24, 120]
+
+
+def test_first_600cell_cell_request_crosses_only_the_faces_at_1(monkeypatch, capsys,
+                                                                 cold_censuses):
+    """The first export 600cell --cell K, after its census, passes engine.cross_rows
+    the faces of the 20 tetrahedra at 1 and no more; a snub cell request after
+    it crosses none: the snub inherits the 600-cell's cycles."""
+    cli._export_complex("600cell")
+    cli._export_complex("snub24")
+    rows = []
+    cross_rows = polytope.engine.cross_rows
+    monkeypatch.setattr(polytope.engine, "cross_rows",
+                        lambda *args: rows.append(len(args[0])) or cross_rows(*args))
+    assert main(["export", "600cell", "--cell", "417", "--format", "off", "--out", "-"]) == 0
+    assert main(["export", "snub24", "--cell", "130", "--format", "off", "--out", "-"]) == 0
+    capsys.readouterr()
+    assert rows == [80]
+
+
+def test_builds_and_verify_all_orient_no_cell(monkeypatch, capsys, cold_censuses):
+    """Only a cell request orients a census's faces: verify all and every
+    build, cold, leave the cycles of every census unmade."""
+    def refuse(complex_):
+        raise AssertionError("a census oriented its cells' faces")
+
+    monkeypatch.setattr(polytope.PolytopeComplex, "_cycles", property(refuse))
+    for argv in [["verify", "all"]] + [["build", obj, "--out", "-"] for obj in cli.BUILD_OBJECTS]:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def _load_workloads():

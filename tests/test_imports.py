@@ -201,7 +201,10 @@ def test_commands_leave_numpy_ma_unimported():
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     commands = ["verify all", "build dual-snub24 --out -",
                 "export 600cell --cell 5 --format off --out -",
-                "orbit --weights 1,1,1,1 --decompose"]
+                "orbit --weights 1,1,1,1 --decompose",
+                "build 120cell --out -", "build e8 --out -",
+                "export snub24 --cell 130 --format off --out -",
+                "export 24cell --cell 3 --format off --out -"]
     done = subprocess.run([sys.executable, "-c", NO_MA_CHILD, *commands],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -4,6 +4,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
@@ -12,7 +13,7 @@ from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
                      icosian_seed, projective_equal, snub24_vertices,
                      snub_census, snub_embeddings_in_600cell, t_prime,
                      tetra_cells_at, vertex_figure)
-from icosian import cli, engine, hull, polytope
+from icosian import QuaternionGroup, cli, engine, hull, polytope
 from icosian.coxeter import inscribed_24cells
 from icosian.errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                             DegenerateInput)
@@ -464,35 +465,36 @@ def test_embedding_censuses_match_direct(i):
     assert census_facts(cell_census(snub_embeddings_in_600cell()[i])) == direct
 
 
-def transport_input(vertices):
-    """The candidate cells, vertices and multiplier rows that cell_census
-    transports a group's cells with: the group's own rows."""
-    vertices, _, _, candidates = census_candidates(vertices)
-    return [idxs for idxs, _ in candidates], vertices, *engine.common_rows(vertices)
+def transport_input(group):
+    """The candidate cells that cell_census transports under the group, on its elements."""
+    _, _, _, candidates = census_candidates(group.elements)
+    return [idxs for idxs, _ in candidates]
 
 
 def test_transport_rejects_a_multiplier_off_the_vertex_set():
-    cells, vertices, _, _ = transport_input(binary_tetrahedral().elements)
-    outside = binary_tetrahedral().elements + t_prime().elements[:1]
+    cells = transport_input(binary_tetrahedral())
+    outside = QuaternionGroup(binary_tetrahedral().elements + t_prime().elements[:1])
     with pytest.raises(CertificationFailed, match="moves a vertex off the vertex set"):
-        transport_cells(cells, vertices, *engine.common_rows(outside))
+        transport_cells(cells, outside)
 
 
 def test_transport_rejects_a_missing_orbit_image():
-    cells, vertices, rows, den = transport_input(binary_icosahedral().elements)
-    certificates = transport_cells(cells, vertices, rows, den)
-    assert certificates == [(c.normal, c.offset) for c in cell_census(vertices).cells]
+    group = binary_icosahedral()
+    cells = transport_input(group)
+    certificates = transport_cells(cells, group)
+    assert certificates == [(c.normal, c.offset) for c in cell_census(group.elements).cells]
     with pytest.raises(CertificationFailed, match="moves a certified cell off the candidates"):
-        transport_cells(cells[:-1], vertices, rows, den)
+        transport_cells(cells[:-1], group)
 
 
 def test_transport_rejects_a_stray_candidate():
-    """A stray triangle at no least vertex of a vertex orbit: no image reaches it."""
-    cells, vertices, rows, den = transport_input(binary_icosahedral().elements)
+    """A stray triangle not at vertex 0: no image reaches it."""
+    group = binary_icosahedral()
+    cells = transport_input(group)
     stray = cells[-1][:3]
     assert 0 not in stray
     with pytest.raises(CertificationFailed, match="no certified cell moves onto a candidate"):
-        transport_cells(cells + [stray], vertices, rows, den)
+        transport_cells(cells + [stray], group)
 
 
 CELL_CENSUSES = ["600cell", "snub", "24cell"]
@@ -533,12 +535,70 @@ def test_cell_geometry_matches_its_own_hull(monkeypatch, name, order):
     assert [got[k] for k in sorted(got)] == hull_oracle(name)
 
 
+def all_faces_oracle(complex_):
+    """The all-faces rule: every (cell, face) pair signed, one cross_rows over
+    the pairs' faces and one dot_rows against their cells' normals.  Face
+    a < b < c runs (a, b, c) seen from outside cell k when det[a, b, c, n_k] < 0,
+    else (a, c, b).  Each cell's cycles, sorted."""
+    rows, _ = engine.common_rows(complex_.vertices)
+    normals, _ = engine.common_rows([cell.normal for cell in complex_.cells])
+    cells, at = complex_.face_cells
+    faces = np.array(complex_.faces)[at]
+    cross = engine.cross_rows(*rows[faces].transpose(1, 0, 2))
+    signs = engine.signs(engine.dot_rows(cross[:, None], normals[cells, None]))[:, 0, 0]
+    out = [[] for _ in complex_.cells]
+    for k, (a, b, c), sign in zip(cells.tolist(), faces.tolist(), signs.tolist()):
+        out[k].append((a, b, c) if sign < 0 else (a, c, b))
+    return [sorted(cycles) for cycles in out]
+
+
+def oriented_faces(complex_):
+    """Each cell's cycles as the complex orients them, each from its least vertex, sorted."""
+    cycles, starts = complex_._cycles
+    return [sorted(tuple(c[c.index(min(c)):] + c[:c.index(min(c))])
+                   for c in cycles[a:b].tolist())
+            for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
+
+
+ORIENTED_CENSUSES = {
+    "600cell": lambda: cell_census(binary_icosahedral().elements),
+    "24cell": lambda: cell_census(binary_tetrahedral().elements),
+    # Embedding 0 is the snub census.
+    **{f"embedding {i}": (lambda i=i: embedding_censuses()[i]) for i in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORIENTED_CENSUSES))
+def test_carried_and_inherited_cycles_match_the_all_faces_oracle(cold_censuses, name):
+    """The cycles carried from the cells at 1, and those the snub and its
+    embeddings inherit from the 600-cell, are the all-faces rule's."""
+    complex_ = ORIENTED_CENSUSES[name]()
+    assert oriented_faces(complex_) == all_faces_oracle(complex_)
+
+
+def test_a_complex_without_an_orientation_has_no_cell_faces():
+    real = snub_census()
+    with pytest.raises(DegenerateInput, match="no face orientation"):
+        PolytopeComplex(real.vertices, real.edges, real.faces, real.cells).cell_geometry(0)
+
+
+# The (cell, face) pairs the first cell request signs: the faces of the 20
+# tetrahedra, or of the 6 octahedra, at 1.  The snub signs the 600-cell's.
+SIGNED_PAIRS = {"600cell": 80, "snub": 80, "24cell": 48}
+
+
 @pytest.mark.parametrize("name", CELL_CENSUSES)
-def test_cell_faces_are_oriented_in_one_batch(monkeypatch, name):
-    """The first request signs every (cell, face) pair: one cross_rows over
-    the faces and one dot_rows over the pairs.  No request frames a cell by
-    dot_rows: the frames are one products table (see the next test)."""
-    complex_ = fresh_census(CENSUS_SETS[name]())
+def test_cell_faces_are_oriented_in_one_batch(monkeypatch, cold_censuses, name):
+    """The first request signs only the faces of the cells at 1 of the
+    600-cell or the 24-cell, in one batch: one cross_rows and one dot_rows
+    over those pairs.  The snub and its embeddings sign none of their own:
+    they read the 600-cell's cycles, signed on the first request of any.
+    No request frames a cell by dot_rows: the frames are one products table
+    (see the next test)."""
+    complex_ = cell_census(CENSUS_SETS[name]())
+    group = binary_tetrahedral() if name == "24cell" else binary_icosahedral()
+    at_one = cell_census(group.elements).incidence[group.index(Q_ONE)]
+    assert len(at_one) == (6 if name == "24cell" else 20)
     made = {"cross_rows": [], "dot_rows": []}
     for kernel, calls in made.items():
         real = getattr(engine, kernel)
@@ -546,16 +606,19 @@ def test_cell_faces_are_oriented_in_one_batch(monkeypatch, name):
             calls.append(len(rows[0])) or real(*rows)))
     complex_.cell_geometry(len(complex_.cells) - 1)
     complex_.cell_geometry(0)
-    n = len(complex_.faces)
-    assert made["cross_rows"] == [n] and made["dot_rows"] == [2 * n]
+    if name != "24cell":
+        embedding_censuses()[2].cell_geometry(0)
+        cell_census(binary_icosahedral().elements).cell_geometry(5)
+    n = SIGNED_PAIRS[name]
+    assert made == {"cross_rows": [n], "dot_rows": [n]}
 
 
 @pytest.mark.parametrize("name", CELL_CENSUSES)
-def test_cells_are_framed_by_one_products_call(monkeypatch, name):
+def test_cells_are_framed_by_one_products_call(monkeypatch, cold_censuses, name):
     """Building a census frames no cell.  However many cells are then asked
     for, in any order, the complex makes one frame table: one engine.products
     call over its (vertex, cell normal) pairs, beside the two of the
-    orientation batch's cross_rows over its faces."""
+    orientation batch's cross_rows over the faces of the cells at 1."""
     tables, rows = [], []
     real_table, real_products = polytope.frame_table, engine.products
     monkeypatch.setattr(polytope, "frame_table", lambda *args: (
@@ -567,7 +630,7 @@ def test_cells_are_framed_by_one_products_call(monkeypatch, name):
     for k in [3, 0, *range(len(complex_.cells) - 1, -1, -1)]:
         complex_.cell_geometry(k)
     assert tables == [len(complex_.cells)]
-    pairs, n = sum(len(cell.vertex_indices) for cell in complex_.cells), len(complex_.faces)
+    pairs, n = sum(len(cell.vertex_indices) for cell in complex_.cells), SIGNED_PAIRS[name]
     assert sorted(rows) == sorted([pairs, n, n])
 
 
