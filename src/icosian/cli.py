@@ -43,18 +43,10 @@ def _write(path: str, text: str) -> None:
 
 
 def _build_doc(name: str) -> dict:
-    if name == "e8":
-        system = roots.e8_roots()
-        return {"object": name, "count": len(system.roots),
-                "points": exports.points_to_json(system.roots)}
-    if name == "600cell":
-        pts = binary_icosahedral().elements
-        return {"object": name, "count": len(pts),
-                "points": exports.points_to_json(pts)}
-    if name == "24cell":
-        pts = binary_tetrahedral().elements
-        return {"object": name, "count": len(pts),
-                "points": exports.points_to_json(pts)}
+    points = {"e8": roots.e8_roots, "600cell": binary_icosahedral,
+              "24cell": binary_tetrahedral}.get(name)
+    if points is not None:  # a point set, written from the rows it keeps
+        return {"object": name, "count": len(points()), "points": exports.points_to_json(points())}
     if name == "120cell":
         doc = exports.partition_to_json(polytope.build_120cell())
         doc["object"] = name

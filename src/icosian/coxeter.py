@@ -265,7 +265,7 @@ def _pair_group(base: QuaternionSet, label: str) -> TransformGroup:
     units = _units(base)
     gens = [t for g in units for t in (Transform(g, Q_ONE), Transform(Q_ONE, g))]
     gens.append(Transform(Q_ONE, Q_ONE, True))
-    rows, den = engine.common_rows(base.elements)  # in lowest terms, as every Quaternion is
+    rows, den = base.rows, base.den  # over the least common denominator
     lead = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
     group = TransformGroup.__new__(TransformGroup)
     group._init(None, den, label, gens, (rows[lead > 0], rows))
@@ -297,7 +297,7 @@ def wh3xc2(q: Quaternion = Q_ONE) -> TransformGroup:
         raise BadParameter("conjugating point must lie in the binary icosahedral group")
     gens = [Transform(t, q.conjugate() * t.conjugate() * q) for t in _units(binary_icosahedral())]
     gens += [Transform(Q_ONE, -Q_ONE), Transform(Q_ONE, q * q, True)]
-    rows, den = engine.common_rows(binary_icosahedral().elements)
+    rows, den = binary_icosahedral().rows, binary_icosahedral().den
     qr, qden = engine.common_rows([q])
     unstarred, starred = engine.act(_transform_rows((1, engine.conjugates(qr), qr), (1, qr, qr)),
                                     rows)
@@ -430,11 +430,11 @@ def inscribed_24cells() -> np.ndarray:
     H; as |W(H4)| / |H| = 25, it is H, and the g_k meet every coset of H once.
     Raises NotInvariant unless the C_k lie in 2I and are distinct."""
     g, gden = seed_conjugators()
-    trows, tden = engine.common_rows(binary_tetrahedral().elements)
+    tet, icos = binary_tetrahedral(), binary_icosahedral()
     inverse = _transform_rows((g[:, 0], engine.conjugates(g[:, 1:17]),
                                engine.conjugates(g[:, 17:])))
-    cells = np.sort(engine.locate(binary_icosahedral().elements, engine.act(inverse, trows),
-                                  gden * gden * tden).reshape(len(g), len(trows)))
+    cells = np.sort(engine.locate(icos.row_index, icos.den, engine.act(inverse, tet.rows),
+                                  gden * gden * tet.den).reshape(len(g), len(tet)))
     if (cells < 0).any() or len(engine.distinct_rows(cells)) != len(wh4()) // len(wd4c3()):
         raise NotInvariant("the seed conjugators do not meet every coset of W(D4):C3 once")
     return cells
@@ -449,7 +449,7 @@ def wd4c3_conjugate_pattern(i: int, j: int) -> TransformGroup:
     """Direct construction [p^i T p^-i, p^j T p^-j] + [p^i T conj(p)^j, p^i T conj(p)^j]*."""
     p = icosian_seed()
     pi, pj, den = _quat_rows(p ** i, p ** j)
-    rows, tden = engine.common_rows(binary_tetrahedral().elements)
+    rows, tden = binary_tetrahedral().rows, binary_tetrahedral().den
     pic, pjc = engine.conjugates(pi), engine.conjugates(pj)
     a, b, c = engine.act(_transform_rows((0, pi, pic), (0, pj, pjc), (0, pi, pjc)), rows)
     rows = _transform_rows((0, a[:, None], b[None, :]), (1, c[:, None], c[None, :]))

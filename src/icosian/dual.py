@@ -33,7 +33,7 @@ from . import engine, hull, polytope
 from .coxeter import Transform
 from .errors import BadParameter, CertificationFailed
 from .field import HALF, SQRT2, TAU
-from .groups import binary_tetrahedral, t_prime
+from .groups import QuaternionSet, binary_tetrahedral, t_prime
 from .quaternion import E1, Q_ONE, Quaternion, canonical_sorted
 
 LEVEL = TAU * TAU * SQRT2 * HALF * HALF
@@ -44,12 +44,12 @@ TAU_OVER_SQRT2 = TAU * SQRT2 * HALF
 
 @lru_cache(maxsize=None)
 def dual_vertices() -> tuple[Quaternion, ...]:
-    """All 144 dual vertices: T', S', and the scaled 24-cell."""
-    out = canonical_sorted([*t_prime().elements, *polytope.build_120cell().s_prime,
-                            *(t.scale(TAU_OVER_SQRT2) for t in binary_tetrahedral())])
-    if len(set(out)) != 144:
+    """All 144 dual vertices: T', S', and the scaled 24-cell, in canonical order."""
+    out = QuaternionSet([*t_prime().elements, *polytope.build_120cell().s_prime,
+                         *(t.scale(TAU_OVER_SQRT2) for t in binary_tetrahedral())])
+    if len(out) != 144:
         raise CertificationFailed("dual vertex classes overlap")
-    return out
+    return out.elements
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +173,7 @@ def dual_complex() -> DualComplex:
             on_edge[edge].append(pair)
     valences = np.bincount(census.edge_cells[1], minlength=len(census.edges)).tolist()
     cycles = [_around(on_edge[edge], n) for edge, n in zip(census.edges, valences)]
-    prows, pden = engine.common_rows(census.vertices)
+    prows, pden = census.vertex_rows
     ends = prows[np.array(census.edges)]
     xrows, xden = engine.common_rows([vertices[i] for i in ids])
     spans = engine.differences(xrows, np.array([cycle[:3] for cycle in cycles]))

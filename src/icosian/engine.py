@@ -8,7 +8,8 @@ rows' lexicographic order is the canonical order of the points.  RowKey is
 the one way rows are keyed: it packs each row into as few int64 words as
 the bounds on its columns allow, in that order, so sorting, deduplication
 and RowIndex's binary search all run on one int64 per row when it fits one
-word.  The key is one-way: no rows are read back from it.  closure_points
+word; locate reads a point set's kept RowIndex for rows over any
+denominator.  The key is one-way: no rows are read back from it.  closure_points
 is the one closure routine: it closes transform orbits and the binary
 polyhedral groups (the orbit of 1 under right multiplication).  It holds
 the rows it has found in canonical order and keys them afresh each round,
@@ -32,6 +33,8 @@ columns are zero.  closure_points and partition_points act on the columns
 that _support finds the generators keep; _bilinear multiplies only the
 table terms that its operands' nonzero columns reach, as planned once per
 pair of supports (_plan), and bounds each column by its kept terms alone.
+Operands that broadcasting repeats at most twice, such as cross_rows'
+stacks, are copied out as same-shape rows first.
 
 Every table of scalar products is made here too: each entry is a field
 4-vector of integers over one denominator, and distinct_values lifts the few
@@ -48,7 +51,7 @@ on the operands proves that no int64 entry can overflow.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -135,14 +138,19 @@ def _bilinear(a, b, width: int) -> np.ndarray:
     modulo 2**64, so a result in range is exact.
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    if len(shape) > 1 and prod(shape) <= 2 * min(prod(a.shape[:-1]), prod(b.shape[:-1])):
+        # Operands that broadcasting repeats at most twice are copied out as
+        # same-shape 2-D rows: einsum runs slowly over a broadcast inner axis.
+        a, b = (np.broadcast_to(x, shape + (16,)).reshape(-1, 16) for x in (a, b))
     amag, bmag = _magnitudes(a), _magnitudes(b)
     outs, s, r, w, bound = _plan((amag != 0).tobytes(), (bmag != 0).tobytes(), width)
     if bound * int(amag.max()) * int(bmag.max()) >= 1 << 63:
         terms = abs(w).astype(object) * amag.astype(object)[s] * bmag.astype(object)[r]
         if terms.sum(axis=0).max() >= 1 << 63:  # on Python ints
             raise OverflowError("integer product could leave the int64 range")
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (width,)
-    out = np.zeros((1,) * (2 - len(shape)) + shape, dtype=np.int64)
+    blocked = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (width,)
+    out = np.zeros((1,) * (2 - len(blocked)) + blocked, dtype=np.int64)
     # Blocks run along the leading axis of the arrays, made at least 2-D; an
     # operand of length 1 there is gathered once, whole, for every block.
     a, b = (x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in (a, b))
@@ -161,7 +169,7 @@ def _bilinear(a, b, width: int) -> np.ndarray:
         out[block, ..., outs] = np.einsum("...ko,...ko->...o",
                                           a[block, ..., s] if ga is None else ga,
                                           weighted(b[block]) if gb is None else gb)
-    return out.reshape(shape)
+    return out.reshape(shape + (width,))
 
 
 def products(a, b) -> np.ndarray:
@@ -220,6 +228,13 @@ def _scaled(rows: np.ndarray, k) -> np.ndarray:
 def rescaled(rows: np.ndarray, den: int, common: int) -> np.ndarray:
     """Rows over den as rows over common, a multiple of den; OverflowError rather than wrap."""
     return _scaled(rows, common // den)
+
+
+def lowest_terms(rows: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """Rows over den, and den, divided by the gcd of den and every entry: over the
+    least denominator that holds every row, as common_rows makes them."""
+    g = gcd(int(np.gcd.reduce(rows.ravel(), initial=0)), den)
+    return rows // g, den // g
 
 
 def common_rows(points) -> tuple[np.ndarray, int]:
@@ -318,10 +333,15 @@ def _sorted_runs(rows: np.ndarray):
     return order, fresh
 
 
+def distinct_order(rows: np.ndarray) -> np.ndarray:
+    """The index of one of each distinct row, in the rows' lexicographic order."""
+    order, fresh = _sorted_runs(rows)
+    return order[fresh]
+
+
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows in lexicographic order: over one denominator, canonical order."""
-    order, fresh = _sorted_runs(rows)
-    return rows[order[fresh]]
+    return rows[distinct_order(rows)]
 
 
 def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,10 +380,14 @@ def left_perms(rows: np.ndarray, points: np.ndarray, index: RowIndex):
     """perm[m, i], the index among the points of rows[m] points[i], or None if some
     row moves some point off them; index finds the points over the products'
     denominator.  Only a generator (a row moving b, the first nonzero point,
-    where no map closed so far does) has its image row made and looked up."""
+    where no map closed so far does) has its image row made and looked up,
+    unless all the products fit one products block: then they are one table."""
     n = len(points)
     if not n:
         return np.zeros((len(rows), 0), dtype=np.intp)
+    if len(rows) * n <= _PRODUCT_BLOCK:
+        perm = index.find(products(rows[:, None], points[None]).reshape(-1, 16))
+        return None if (perm < 0).any() else perm.reshape(len(rows), n)
     b = int(np.argmax(points.any(axis=1)))
     first = index.find(products(rows, points[b]))
     if (first < 0).any():
@@ -385,12 +409,18 @@ def left_perms(rows: np.ndarray, points: np.ndarray, index: RowIndex):
     return known[first]
 
 
-def locate(points, rows: np.ndarray, den: int) -> np.ndarray:
-    """The index of each row over den among the points, or -1 where it is none of them."""
-    prows, pden = common_rows(points)
+def locate(index: RowIndex, pden: int, rows: np.ndarray, den: int) -> np.ndarray:
+    """The index of each row over den among the point rows over pden that index
+    holds, or -1 where it is none of them.  Over lcm(den, pden) = k pden, a row
+    is a point exactly when it is k times one of the point rows."""
     common = lcm(den, pden)
-    index = RowIndex(rescaled(prows, pden, common))
-    return index.find(rescaled(rows.reshape(-1, 16), den, common))
+    rows, k = rescaled(rows.reshape(-1, 16), den, common), common // pden
+    if k == 1:
+        return index.find(rows)
+    found = np.full(len(rows), -1, dtype=np.intp)
+    whole = np.flatnonzero(~(rows % k).any(axis=1))
+    found[whole] = index.find(rows[whole] // k)
+    return found
 
 
 def differences(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -531,13 +561,17 @@ def distinct_values(table: np.ndarray, den: int) -> tuple[dict[FieldElement, int
     the entries' lexicographic order; index holds that position for every
     entry, so the entries equal to x are exactly index == values.get(x, -1).
     """
-    flat = table.reshape(-1, 4)
-    order, fresh = _sorted_runs(flat)
-    rows = flat[order[fresh]]
-    index = np.empty(len(flat), dtype=np.intp)
-    index[order] = np.cumsum(fresh) - 1
+    rows, index = distinct_index(table.reshape(-1, 4))
     values = {FieldElement._make(*row, den): i for i, row in enumerate(rows.tolist())}
     return values, index.reshape(table.shape[:-1])
+
+
+def distinct_index(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order, and where each row sits among them."""
+    order, fresh = _sorted_runs(rows)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(fresh) - 1
+    return rows[order[fresh]], index
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -547,13 +581,20 @@ def cross_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     they are linearly dependent.  Its entries are the integer numerators of
     n = (c b-bar a - a b-bar c) / 2 over the product of the inputs'
     denominators: only its direction is used.  The two triple products come
-    from products, and their difference is bounded before it is taken.
+    from products, and their difference is bounded before it is taken.  When
+    a and c share one coefficient support, each row's two triples are made
+    side by side, two products calls in all; otherwise apart, since a stack
+    is multiplied over the union of its rows' supports: twice the terms.
     """
-    # Each row's two triples side by side, so that products blocks run over the rows.
-    both = products(np.stack([c, a], axis=-2),
-                    products(conjugates(b)[..., None, :], np.stack([a, c], axis=-2)))
-    _check_bound(2, both, 1)  # a difference of two entries
-    return (both[..., 0, :] - both[..., 1, :]) // 2
+    if np.array_equal(_magnitudes(a) != 0, _magnitudes(c) != 0):
+        both = products(np.stack([c, a], axis=-2),
+                        products(conjugates(b)[..., None, :], np.stack([a, c], axis=-2)))
+        left, right = both[..., 0, :], both[..., 1, :]
+    else:
+        bbar = conjugates(b)
+        left, right = products(c, products(bbar, a)), products(a, products(bbar, c))
+    _check_bound(2, max(_max_abs(left), _max_abs(right)), 1)  # a difference of two entries
+    return (left - right) // 2
 
 
 def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:

@@ -8,7 +8,10 @@ offsets and coordinates are looked up by their exact integers (numerators,
 denominator), so equal components share one rendering.  A point list
 (vertices, points, the 120-cell's parts) is written as JSON text once, each
 distinct point's text once, and dumps splices it in where it stands: the
-bytes are json.dumps's of the same list of per-point dicts.
+bytes are json.dumps's of the same list of per-point dicts.  A point set
+(groups.QuaternionSet), a census's vertices and the 120-cell are written
+from the int64 rows they keep: one engine.distinct_index sorts every
+component of every row, and the 120-cell's parts list their vertices' texts.
 OFF files carry correctly rounded decimals: each printed value is the true
 real number rounded to the requested number of significant digits
 (1 to MAX_DIGITS), established by integer interval refinement: the
@@ -26,8 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
+from . import engine
 from .errors import BadParameter
 from .field import FieldElement
+from .groups import QuaternionSet
 from .quaternion import Quaternion
 
 _BASIS = ("1", "sqrt2", "sqrt5", "sqrt10")
@@ -82,8 +89,37 @@ class _Text:
         self.text = text
 
 
+_SORTED_BASIS = sorted(range(4), key=_BASIS.__getitem__)  # the keys' order in dumps
+_POINT = "[{},{},{},{}]"  # a point's text from its components'
+
+
 def _component_text(nums, den: int) -> str:
-    return json.dumps(_coefficients_to_json(nums, den), sort_keys=True, separators=(",", ":"))
+    """The text dumps writes for _coefficients_to_json(nums, den): keys sorted, no
+    spaces, and each value a Fraction string of digits, "-" and "/", written as it stands."""
+    out = []
+    for k in _SORTED_BASIS:
+        n = nums[k]
+        if n:
+            g = gcd(n, den)
+            out.append(f'"{_BASIS[k]}":"{n // g}"' if g == den
+                       else f'"{_BASIS[k]}":"{n // g}/{den // g}"')
+    return "{" + ",".join(out) + "}"
+
+
+def _row_tokens(rows: np.ndarray, den: int) -> np.ndarray:
+    """Each int64 row's text over den, as dumps writes quaternion_to_json of its
+    point, in nine tokens: ",[" a "," b "," c "," d "]" for the texts of its
+    components, which one engine.distinct_index sorts, each rendered once."""
+    components, at = engine.distinct_index(rows.reshape(-1, 4))
+    texts = np.array([_component_text(c, den) for c in components.tolist()], dtype=object)
+    tokens = np.full((len(rows), 9), ",", dtype=object)
+    tokens[:, 0], tokens[:, 8], tokens[:, 1::2] = ",[", "]", texts[at.reshape(-1, 4)]
+    return tokens
+
+
+def _token_list(tokens: np.ndarray) -> _Text:
+    """The points whose _row_tokens these are as one JSON list, in dumps' form."""
+    return _Text("[" + "".join(tokens.ravel().tolist())[1:] + "]")
 
 
 class _PointTexts(dict):
@@ -96,13 +132,9 @@ class _PointTexts(dict):
 
     def __missing__(self, q):
         (v, d), parts = q.ivec, self.parts
-        text = self[q] = (f"[{parts[v[0:4], d]},{parts[v[4:8], d]},"
-                          f"{parts[v[8:12], d]},{parts[v[12:16], d]}]")
+        text = self[q] = _POINT.format(parts[v[0:4], d], parts[v[4:8], d],
+                                       parts[v[8:12], d], parts[v[12:16], d])
         return text
-
-    def list(self, points) -> _Text:
-        """The points as one JSON list, in dumps' form."""
-        return _Text("[" + ",".join(map(self.__getitem__, points)) + "]")
 
 
 def parse_field(doc) -> FieldElement:
@@ -128,8 +160,11 @@ def parse_quaternion(doc) -> Quaternion:
 
 
 def points_to_json(points) -> _Text:
-    """The points as one JSON list for dumps: the text of [quaternion_to_json(q) for q in points]."""
-    return _PointTexts().list(points)
+    """The points as one JSON list for dumps: the text of [quaternion_to_json(q) for q in
+    points].  A point set (groups.QuaternionSet) is written from the rows it keeps."""
+    if isinstance(points, QuaternionSet):
+        return _token_list(_row_tokens(points.rows, points.den))
+    return _Text("[" + ",".join(map(_PointTexts().__getitem__, points)) + "]")
 
 
 def coords_to_json(rows) -> list:
@@ -147,7 +182,7 @@ def complex_to_json(complex_) -> dict:
     normals = _json_points([c.normal for c in complex_.cells], once)
     return {
         "counts": list(complex_.counts()),
-        "vertices": points_to_json(complex_.vertices),
+        "vertices": _token_list(_row_tokens(*complex_.vertex_rows)),
         "edges": [list(e) for e in complex_.edges],
         "faces": [list(f) for f in complex_.faces],
         "cells": [
@@ -183,13 +218,15 @@ def dual_complex_to_json(complex_) -> dict:
 
 
 def partition_to_json(cell120) -> dict:
-    texts = _PointTexts()
-    return {
-        "count": len(cell120.vertices),
-        "vertices": texts.list(cell120.vertices),
-        "partition": {part: texts.list(getattr(cell120, part))
-                      for part in ("t_prime", "s_prime", "m", "n")},
-    }
+    """The 120-cell's vertices and its four parts: each vertex's text is made
+    once, and each part lists the texts of its places among the vertices."""
+    points = cell120.points
+    tokens = _row_tokens(points.rows, points.den)
+    if any((at < 0).any() for at in cell120.places):
+        raise BadParameter("a part of the 120-cell holds a point that is no vertex")
+    return {"count": len(tokens), "vertices": _token_list(tokens),
+            "partition": {name: _token_list(tokens[at])
+                          for name, at in zip(("t_prime", "s_prime", "m", "n"), cell120.places)}}
 
 
 _MARK = "\0"  # a _Text's stand-in while json.dumps runs

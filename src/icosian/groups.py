@@ -2,6 +2,10 @@
 
 The binary tetrahedral group doubles as the 24-cell vertex set; five of its
 left cosets tile the binary icosahedral group, which is the 600-cell.
+Every point set keeps the int64 rows it is made from (QuaternionSet): T, the
+weight orbits V1-V3 and T' = sqrt2 (V1 + V2 + V3) are written down as rows
+over 2, and 2I is one engine.products table of five powers of p against T,
+so no Quaternion is made until a caller asks for the elements.
 closure makes a group from generators on engine.closure_points, the one
 closure routine, as the orbit of 1 under right multiplication.  Closure
 checks, conjugacy classes and the 600-cell and 24-cell censuses read a
@@ -12,30 +16,67 @@ with no group-sized product table.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 
+import numpy as np
+
 from . import engine
 from .errors import NotInvariant, SearchFailed
-from .field import FieldElement, HALF, SIGMA, SQRT2, TAU
-from .quaternion import E1, E2, E3, Q_ONE, Quaternion, canonical_sorted
+from .field import HALF, SIGMA, TAU
+from .quaternion import Q_ONE, Quaternion, canonical_sorted
 
 
 class QuaternionSet:
-    """An immutable set of quaternions with a canonical element order."""
+    """An immutable set of quaternions, kept as the int64 rows it is made from.
+
+    rows are the distinct points over den, their least common denominator
+    (engine.lowest_terms), in lexicographic order: over one denominator, the
+    canonical order, so elements, the points as Quaternions in that order,
+    are made only on first use.  Made from quaternions, the set keeps them.
+    """
 
     def __init__(self, elements, label: str = ""):
-        self.elements = canonical_sorted(set(elements))
-        self.label = label
-        self._index = {q: i for i, q in enumerate(self.elements)}
+        elements = list(elements)
+        rows, den = engine.common_rows(elements)
+        order = engine.distinct_order(rows)
+        self._keep(rows[order], den, label)
+        self.elements = tuple(elements[i] for i in order.tolist())
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, den: int, label: str = ""):
+        """The set of the int64 rows over den."""
+        return cls.of_sorted(engine.distinct_rows(rows), den, label)
+
+    @classmethod
+    def of_sorted(cls, rows: np.ndarray, den: int, label: str = ""):
+        """The set of int64 rows over den that are distinct and in lexicographic order."""
+        self = cls.__new__(cls)
+        self._keep(*engine.lowest_terms(rows, den), label)
+        return self
+
+    def _keep(self, rows: np.ndarray, den: int, label: str) -> None:
+        self.rows, self.den, self.label = rows, den, label
+
+    @cached_property
+    def elements(self) -> tuple[Quaternion, ...]:
+        return engine.quats_of(self.rows, self.den)
+
+    @cached_property
+    def row_index(self) -> engine.RowIndex:
+        """Where rows over den sit among the set's rows (engine.locate)."""
+        return engine.RowIndex(self.rows)
+
+    @cached_property
+    def _index(self) -> dict[Quaternion, int]:
+        return {q: i for i, q in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.elements)
@@ -49,13 +90,21 @@ class QuaternionSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuaternionSet):
             return NotImplemented
-        return self.elements == other.elements
+        return self.den == other.den and np.array_equal(self.rows, other.rows)
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash((self.den, self.rows.tobytes()))
 
     def __repr__(self) -> str:
         return f"<{self.label or 'set'}: {self.order} quaternions>"
+
+
+def rows_of(points) -> tuple[np.ndarray, int]:
+    """The points' int64 rows over one denominator: those a QuaternionSet keeps,
+    or engine.common_rows of quaternions."""
+    if isinstance(points, QuaternionSet):
+        return points.rows, points.den
+    return engine.common_rows(points)
 
 
 class QuaternionGroup(QuaternionSet):
@@ -69,7 +118,7 @@ class QuaternionGroup(QuaternionSet):
     def cayley_table(self):
         """table[i, j], the index of elements[i] elements[j], or None if some product is
         no element: none not integral over den is found among the rows over den**2."""
-        rows, den = engine.common_rows(self.elements)
+        rows, den = self.rows, self.den
         return engine.left_perms(rows, rows, engine.RowIndex(engine.rescaled(rows, den, den * den)))
 
     def is_closed(self) -> bool:
@@ -87,51 +136,52 @@ def closure(generators, cap: int = 200, label: str = "") -> QuaternionGroup:
     """
     from .coxeter import Transform  # coxeter imports this module
     mats = [engine.transform_matrix(Transform(Q_ONE, g)) for g in list(generators) or [Q_ONE]]
-    return QuaternionGroup(engine.quats_of(*engine.closure_points([Q_ONE], mats, cap)), label)
+    return QuaternionGroup.from_rows(*engine.closure_points([Q_ONE], mats, cap), label)
 
 
-def _halves(signs) -> Quaternion:
-    return Quaternion(*(FieldElement(Fraction(s, 2)) for s in signs))
+def _unit_rows(signs, columns) -> np.ndarray:
+    """One row for each sign pattern, its signs at the given coefficient columns:
+    component i's rational coefficient is column 4 i, its sqrt2 one 4 i + 1."""
+    rows = np.zeros((len(signs), 16), dtype=np.int64)
+    rows[:, columns] = signs
+    return rows
 
 
 @lru_cache(maxsize=None)
 def binary_tetrahedral() -> QuaternionGroup:
-    """Order 24; the vertices of the 24-cell."""
-    units = [Q_ONE, E1, E2, E3]
-    elems = [u for q in units for u in (q, -q)]
-    elems += [_halves(s) for s in product((1, -1), repeat=4)]
-    return QuaternionGroup(elems, "T")
+    """Order 24; the vertices of the 24-cell: +-1, +-e1, +-e2, +-e3 and (+-1 +-e1 +-e2 +-e3)/2."""
+    units = np.concatenate([np.eye(4, dtype=np.int64), -np.eye(4, dtype=np.int64)])
+    signs = np.concatenate([2 * units, list(product((1, -1), repeat=4))])
+    return QuaternionGroup.from_rows(_unit_rows(signs, [0, 4, 8, 12]), 2, "T")
 
 
-def _v_orbit(axis: int) -> list[Quaternion]:
-    out = []
-    other = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[axis]
-    for s0, s1 in product((1, -1), repeat=2):
-        comps = [0, 0, 0, 0]
-        comps[0], comps[axis] = Fraction(s0, 2), Fraction(s1, 2)
-        out.append(Quaternion(*(FieldElement(x) for x in comps)))
-        comps = [0, 0, 0, 0]
-        comps[other[0]], comps[other[1]] = Fraction(s0, 2), Fraction(s1, 2)
-        out.append(Quaternion(*(FieldElement(x) for x in comps)))
-    return out
+def _v_orbit(axis: int) -> np.ndarray:
+    """V_axis over 2: (+-1 +-e_axis)/2 and (+-e_j +-e_k)/2 for the other two axes j, k."""
+    other, pairs = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[axis], list(product((1, -1), repeat=2))
+    return np.concatenate([_unit_rows(pairs, [0, 4 * axis]),
+                           _unit_rows(pairs, [4 * other[0], 4 * other[1]])])
 
 
 @lru_cache(maxsize=None)
 def d4_weight_orbits() -> tuple[QuaternionSet, QuaternionSet, QuaternionSet]:
     """The three 8-element orbits V1, V2, V3 swapped cyclically by triality."""
-    return tuple(QuaternionSet(_v_orbit(axis), f"V{axis}") for axis in (1, 2, 3))
+    return tuple(QuaternionSet.from_rows(_v_orbit(axis), 2, f"V{axis}") for axis in (1, 2, 3))
 
 
 @lru_cache(maxsize=None)
 def t_prime() -> QuaternionSet:
-    """The 24 unit quaternions sqrt2*(V1+V2+V3); a nongroup coset of T."""
-    elems = [SQRT2 * v for orbit in d4_weight_orbits() for v in orbit]
-    return QuaternionSet(elems, "T'")
+    """The 24 unit quaternions sqrt2*(V1+V2+V3); a nongroup coset of T: each
+    rational coefficient of V's rows over 2 moved to its sqrt2 column."""
+    rows = np.concatenate([orbit.rows for orbit in d4_weight_orbits()])
+    scaled = np.zeros_like(rows)
+    scaled[:, 1::4] = rows[:, 0::4]
+    return QuaternionSet.from_rows(scaled, 2, "T'")
 
 
 @lru_cache(maxsize=None)
 def binary_octahedral() -> QuaternionGroup:
-    return QuaternionGroup(list(binary_tetrahedral()) + list(t_prime()), "O")
+    tet, tp = binary_tetrahedral(), t_prime()
+    return QuaternionGroup.from_rows(np.concatenate([tet.rows, tp.rows]), tet.den, "O")
 
 
 def icosian_seed() -> Quaternion:
@@ -147,9 +197,9 @@ def binary_icosahedral() -> QuaternionGroup:
     for _ in range(4):
         powers.append(powers[-1] * p)
     prows, pden = engine.common_rows(powers)
-    trows, tden = engine.common_rows(binary_tetrahedral().elements)
-    table = engine.products(prows[:, None], trows[None]).reshape(-1, 16)
-    return QuaternionGroup(engine.quats_of(table, pden * tden), "I")
+    tet = binary_tetrahedral()
+    table = engine.products(prows[:, None], tet.rows[None]).reshape(-1, 16)
+    return QuaternionGroup.from_rows(table, pden * tet.den, "I")
 
 
 def element_order(q: Quaternion) -> int:

@@ -9,12 +9,15 @@ cell whose first four vertices are coplanar; the signs come from one
 engine.side_signs table, the norms and offsets from one engine.dot_rows
 table each, and each distinct squared norm takes one exact square root.
 
-The 600-cell and 24-cell censuses are certified up to symmetry
-(transport_cells): left multiplication by the group moves a certified cell
-onto its whole orbit, so certify_cells sees one cell per orbit.  The snub
-24-cell, and each of its five embeddings, is the one 600-cell census
-diminished at an inscribed 24-cell (_diminished), every certificate
-inherited.  The 120-cell is the coset union hosting the second snub copy.
+The 600-cell census is certified up to symmetry (transport_cells): left
+multiplication by 2I moves a certified cell onto its whole orbit, so
+certify_cells sees one cell per orbit.  The 24-cell's octahedra are
+certified off the T' x T dot table that finds them, one at each point of
+T' (_octahedra), with no group action.  The snub 24-cell, and each of its
+five embeddings, is the one 600-cell census diminished at an inscribed
+24-cell (_diminished), every certificate inherited.  Each census keeps its
+vertex and normal rows, and the snub's are the 600-cell's.  The 120-cell is
+the coset union hosting the second snub copy, kept as rows.
 
 Every 2-face of a census cell is one of the census's own triangles, so a
 cell's faces in its own frame (PolytopeComplex.cell_geometry) are read off
@@ -33,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress
+from math import lcm
 
 import numpy as np
 
@@ -41,8 +45,8 @@ from .coxeter import inscribed_24cells
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      DegenerateInput)
 from .field import HALF, TAU, field_sqrt
-from .groups import (binary_icosahedral, binary_tetrahedral, icosian_seed,
-                     t_prime)
+from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral, icosian_seed,
+                     rows_of, t_prime)
 from .quaternion import Q_ONE, Quaternion
 
 TAU_HALF = TAU * HALF
@@ -59,11 +63,15 @@ def edge_graph(vertices) -> tuple[tuple[int, int], ...]:
     """Pairs at the largest scalar product strictly below the common norm."""
     if len(vertices) < 2:
         raise DegenerateInput("need at least two vertices")
-    table, den = engine.pairwise_dots(vertices)
-    values, index = engine.distinct_values(table, den)
-    norm = vertices[0].norm()
-    if np.any(np.diagonal(index) != values[norm]):
+    return _edge_graph(*engine.common_rows(vertices))
+
+
+def _edge_graph(rows: np.ndarray, den: int) -> tuple[tuple[int, int], ...]:
+    """edge_graph of the points given as int64 rows over den."""
+    values, index = engine.distinct_values(engine.dot_rows(rows, rows), den * den)
+    if np.any(np.diagonal(index) != index[0, 0]):
         raise DegenerateInput("vertices do not share a norm")
+    norm = list(values)[index[0, 0]]
     below = [x for x in values if x < norm]
     if not below:  # by Cauchy-Schwarz, only coincident points reach the norm
         raise DegenerateInput("vertices coincide: no scalar product below the norm")
@@ -113,8 +121,9 @@ def certify_cells(candidates, vertices):
     first three edges from its first vertex, or, when its first four
     vertices are coplanar, of its first edge triple whose product is nonzero.
     A failing list raises for its first failing cell, with its first failing check.
+    The vertices are quaternions, or a point set whose kept rows are read (rows_of).
     """
-    rows, den = engine.common_rows(vertices)
+    rows, den = rows_of(vertices)
     # A cell of fewer than four vertices repeats its first: its cross row is zero.
     firsts = np.array([(tuple(idxs) + (idxs[0],) * 3)[:4] for idxs in candidates],
                       dtype=np.intp).reshape(-1, 4)
@@ -180,10 +189,17 @@ class PolytopeComplex:
     """A certified census: its vertices, edges, triangles and cells.
 
     orient(complex_), given by the census that makes the complex, orients
-    its cells' faces on the first cell request (_cycles).
+    its cells' faces on the first cell request (_cycles).  rows and
+    normal_rows, each int64 rows and their denominator, are the vertices and
+    the cell normals as the census made them; either is made from the
+    quaternions on first use when not given.
     """
 
-    def __init__(self, vertices, edges, faces, cells, orient=None):
+    def __init__(self, vertices, edges, faces, cells, orient=None, rows=None, normal_rows=None):
+        if rows is not None:
+            self.vertex_rows = rows
+        if normal_rows is not None:
+            self.normal_rows = normal_rows
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.faces = tuple(faces)
@@ -213,14 +229,14 @@ class PolytopeComplex:
     def cells_at(self, q: Quaternion) -> list[Cell]:
         return [self.cells[k] for k in self.incidence[self.index(q)]]
 
-    def _held(self, items, width: int, ks) -> tuple[np.ndarray, np.ndarray]:
+    def _held(self, items, width: int) -> tuple[np.ndarray, np.ndarray]:
         """(cell, item) index pairs, one for each item (a sorted vertex-index tuple
-        of the width) that a cell of ks holds, a cell size at a time and in the
-        order of ks within one: one engine.RowIndex lookup of the cells' vertex
-        subsets of that width per cell size."""
+        of the width) that a cell holds, a cell size at a time and in cell order
+        within one: one engine.RowIndex lookup of the cells' vertex subsets of
+        that width per cell size."""
         index = engine.RowIndex(_flat(items).reshape(-1, width))
-        ks = np.asarray(ks, dtype=np.intp)
-        sizes = np.array([len(self.cells[k].vertex_indices) for k in ks.tolist()])
+        ks = np.arange(len(self.cells))
+        sizes = np.array([len(cell.vertex_indices) for cell in self.cells])
         pairs = []
         for size in sorted(set(sizes.tolist())):
             group = ks[sizes == size]
@@ -232,14 +248,24 @@ class PolytopeComplex:
         return tuple(map(np.concatenate, zip(*pairs)))
 
     @cached_property
+    def _cell_rows(self) -> np.ndarray:
+        """The cells' vertex indices, a row per cell, for a complex of one cell size."""
+        return _flat(cell.vertex_indices for cell in self.cells).reshape(len(self.cells), -1)
+
+    @cached_property
+    def _cell_index(self) -> engine.RowIndex:
+        """Which cell has a given row of vertex indices (_cell_rows)."""
+        return engine.RowIndex(self._cell_rows)
+
+    @cached_property
     def face_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell, face) index pairs, one for each face a cell holds: the face-cell table."""
-        return self._held(self.faces, 3, range(len(self.cells)))
+        return self._held(self.faces, 3)
 
     @cached_property
     def edge_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell, edge) index pairs, one for each edge a cell holds."""
-        return self._held(self.edges, 2, range(len(self.cells)))
+        return self._held(self.edges, 2)
 
     def face_cell_incidence(self) -> Counter:
         """The number of cells holding each face that some cell holds."""
@@ -251,10 +277,19 @@ class PolytopeComplex:
         return Counter(n for n in np.bincount(self.edge_cells[1]).tolist() if n)
 
     @cached_property
+    def vertex_rows(self) -> tuple[np.ndarray, int]:
+        """The vertices as int64 rows over one denominator."""
+        return engine.common_rows(self.vertices)
+
+    @cached_property
+    def normal_rows(self) -> tuple[np.ndarray, int]:
+        """The cell normals as int64 rows over one denominator."""
+        return engine.common_rows([cell.normal for cell in self.cells])
+
+    @cached_property
     def _frames(self) -> tuple[np.ndarray, np.ndarray]:
         """Every cell's frame coordinates, one frame_table of the vertices and the cell normals."""
-        rows, den = engine.common_rows(self.vertices)
-        normals, nden = engine.common_rows([cell.normal for cell in self.cells])
+        (rows, den), (normals, nden) = self.vertex_rows, self.normal_rows
         return frame_table(rows, normals, den * nden, [cell.vertex_indices for cell in self.cells])
 
     @cached_property
@@ -280,13 +315,49 @@ class PolytopeComplex:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
 
 
-def _nearest(centers, vertices):
-    """For each center, the vertices at the largest exact scalar product with it."""
-    table, den = engine.pairwise_dots(centers, vertices)
-    values, index = engine.distinct_values(table, den)
-    # The exact rank of each entry among the distinct values, smallest first.
-    rank = np.argsort([values[x] for x in sorted(values)])[index]
-    return [tuple(np.flatnonzero(row == row.max()).tolist()) for row in rank]
+def _nearest(centers: np.ndarray, cden: int, rows: np.ndarray, den: int):
+    """(cells, rank, levels) of one dot table of the center rows over cden against
+    the vertex rows over den: levels are its distinct entries in increasing exact
+    order, rank[k, i] is the place of (center k, vertex i) among them, and cells[k]
+    lists the vertices at the largest entry of row k."""
+    values, index = engine.distinct_values(engine.dot_rows(centers, rows), cden * den)
+    levels = sorted(values)
+    rank = np.argsort([values[x] for x in levels])[index]
+    k, i = np.nonzero(rank == rank.max(axis=1)[:, None])
+    ends, at = np.cumsum(np.bincount(k, minlength=len(rank))).tolist(), i.tolist()
+    return [tuple(at[a:b]) for a, b in zip([0] + ends, ends)], rank, levels
+
+
+def _octahedra(tet, edges) -> list[Cell]:
+    """The 24-cell's cells: at each point t of T' (groups.t_prime), in order, the
+    octahedron of the vertices nearest t, certified off the T' x T dot table
+    that finds them (_nearest), with no group action.
+
+    Its certificate is (t, c) for c the largest (t, v) over the vertices v:
+    the cell is exactly the vertices at c, so every other vertex lies strictly
+    below; c > 0 and (t, t) = 1.  The cell's least vertex a and three of its
+    neighbours span a hyperplane, one engine.cross_rows row per cell: in an
+    octahedron, a's neighbours are a square, which a lies off.
+    """
+    tp = t_prime()
+    cells, rank, levels = _nearest(tp.rows, tp.den, tet.rows, tet.den)
+    held = np.zeros(rank.shape, dtype=bool)
+    held[np.repeat(np.arange(len(cells)), [len(c) for c in cells]), _flat(cells)] = True
+    top = rank[np.arange(len(cells)), [c[0] for c in cells]]
+    if (rank.max(axis=1) != top).any() or (held != (rank == top[:, None])).any():
+        raise CertificationFailed("cell vertices are not exactly those nearest its center")
+    norms = engine.dot_rows(tp.rows[:, None], tp.rows[:, None])[:, 0, 0]
+    if (norms != (tp.den ** 2, 0, 0, 0)).any():
+        raise CertificationFailed("cell normal is not a unit")
+    if any(levels[m].sign() <= 0 for m in set(top.tolist())):
+        raise CertificationFailed("hyperplane does not face away from the origin")
+    adj = adjacency(len(tet), edges)
+    firsts = [(idxs[0], *[j for j in idxs[1:] if j in adj[idxs[0]]][:3]) for idxs in cells]
+    if any(len(f) < 4 for f in firsts) or not engine.cross_rows(*engine.differences(
+            tet.rows, np.array(firsts, dtype=np.intp)).transpose(1, 0, 2)).any(axis=1).all():
+        raise CertificationFailed("cell does not span a hyperplane")
+    return [Cell(idxs, "octahedron", t, levels[m])
+            for idxs, t, m in zip(cells, tp.elements, top.tolist())]
 
 
 def transport_cells(candidates, group):
@@ -303,12 +374,12 @@ def transport_cells(candidates, group):
     representatives in one call, and each representative's images under the
     whole group must be candidates.  A candidate that no image reaches
     raises, as does any other failed check.  Returns the certificates, in
-    candidate order.
+    candidate order, and their normals as int64 rows and their denominator.
     """
     perm = group.cayley_table
     if perm is None:
         raise CertificationFailed("multiplier moves a vertex off the vertex set")
-    rows, den = engine.common_rows(group.elements)
+    rows, den = group.rows, group.den
     # Cells as sorted vertex-index rows, padded with -1 to one width.
     width = max(map(len, candidates), default=0)
     table = np.array([sorted(idxs) + [-1] * (width - len(idxs)) for idxs in candidates],
@@ -331,16 +402,19 @@ def transport_cells(candidates, group):
         representatives.append(k)
     if (source < 0).any():
         raise CertificationFailed("no certified cell moves onto a candidate")
-    certificates = certify_cells([candidates[k] for k in representatives], group.elements)
+    certificates = certify_cells([candidates[k] for k in representatives], group)
     nrows, nden = engine.common_rows([normal for normal, _ in certificates])
-    moved = engine.quats_of(engine.products(rows[mover], nrows[source]), den * nden)
-    return [(normal, certificates[k][1]) for normal, k in zip(moved, source.tolist())]
+    moved = engine.products(rows[mover], nrows[source])
+    return ([(normal, certificates[k][1])
+             for normal, k in zip(engine.quats_of(moved, den * nden), source.tolist())],
+            (moved, den * nden))
 
 
 def _signed_cycles(complex_, ks) -> np.ndarray:
-    """The triangles the cells ks hold, in the order _held pairs them, as cycles
-    signed in one batch: one engine.cross_rows over the triangles, and one
-    engine.dot_rows against their cells' normals.
+    """The triangles the cells ks hold, cell by cell in the order of ks and each
+    cell's in the order of its vertex triples, as cycles signed in one batch:
+    one engine.cross_rows over the triangles, and one engine.dot_rows against
+    their cells' normals.
 
     In the basis (n, e1 n, e2 n, e3 n), right multiplication by the unit
     normal n applied to (1, e1, e2, e3), a cell vertex is (c, x) for its
@@ -348,11 +422,12 @@ def _signed_cycles(complex_, ks) -> np.ndarray:
     cell holds the frame's origin, its circumcentre, so face a < b < c
     runs (a, b, c) seen from outside when det[a, b, c, n] < 0, else (a, c, b).
     """
-    cells, at = complex_._held(complex_.faces, 3, ks)
-    faces = np.array([complex_.faces[f] for f in at.tolist()], dtype=np.intp).reshape(-1, 3)
-    rows, _ = engine.common_rows(complex_.vertices)
-    normals, _ = engine.common_rows([complex_.cells[k].normal for k in cells.tolist()])
-    cross = engine.cross_rows(*rows[faces].transpose(1, 0, 2))
+    triangles = set(complex_.faces)
+    cells, faces = zip(*[(k, t) for k in ks.tolist()
+                         for t in combinations(complex_.cells[k].vertex_indices, 3)
+                         if t in triangles])
+    faces, normals = np.array(faces, dtype=np.intp), complex_.normal_rows[0][list(cells)]
+    cross = engine.cross_rows(*complex_.vertex_rows[0][faces].transpose(1, 0, 2))
     signs = engine.signs(engine.dot_rows(cross[:, None], normals[:, None]))[:, 0, 0]
     return np.where(signs[:, None] < 0, faces, faces[:, [0, 2, 1]])
 
@@ -370,7 +445,7 @@ def _carried_cycles(group, complex_) -> tuple[np.ndarray, np.ndarray]:
     them: the cycle (a, b, c) of v^-1 C is (L[v, a], L[v, b], L[v, c]) on C.
     """
     table, one = group.cayley_table, group.index(Q_ONE)
-    cells = _flat(cell.vertex_indices for cell in complex_.cells).reshape(len(complex_.cells), -1)
+    cells = complex_._cell_rows
     at_one = np.array(complex_.incidence[one], dtype=np.intp)
     # One kind of cell: the cycles of each cell at 1 are one block of its face count.
     signed = _signed_cycles(complex_, at_one).reshape(len(at_one), -1, 3)
@@ -414,8 +489,10 @@ def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
     and the twelve span a hyperplane.  A kept triangle lies in two cells of
     big, and each that holds a removed t gives way to t's icosahedron: so
     each triangle lies in exactly two cells, and the cells are the boundary.
+    The vertex and normal rows are big's, kept and moved alike.
     """
     n, removed = len(big.vertices), np.asarray(removed, dtype=np.intp)
+    (rows, den), (normals, nden) = big.vertex_rows, big.normal_rows
     edges, faces = _flat(big.edges).reshape(-1, 2), _flat(big.faces).reshape(-1, 3)
     adj = np.zeros((n, n), dtype=bool)
     adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
@@ -426,8 +503,7 @@ def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
     edges = tuple(map(tuple, label[edges[keep[edges].all(axis=1)]].tolist()))
     faces = tuple(map(tuple, label[faces[keep[faces].all(axis=1)]].tolist()))
     tets = np.array(_four_cliques(len(kept), edges, faces), dtype=np.intp).reshape(-1, 4)
-    at = engine.RowIndex(_flat(c.vertex_indices for c in big.cells).reshape(-1, 4)).find(
-        np.flatnonzero(keep)[tets])
+    at = big._cell_index.find(np.flatnonzero(keep)[tets])
     if (at < 0).any():
         raise CertificationFailed("a tetrahedron is no cell of the 600-cell")
     cells = [Cell(idxs, "tetrahedron", big.cells[k].normal, big.cells[k].offset)
@@ -437,7 +513,7 @@ def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
     rings = np.nonzero(adj[removed])[1].reshape(len(removed), -1)
     pentagons = np.nonzero(adj[removed] & adj[rings[:, 0]])[1].reshape(len(removed), -1)
     firsts = np.hstack([rings[:, :1], pentagons[:, :3]])
-    edge_rows = engine.differences(engine.common_rows(big.vertices)[0], firsts)
+    edge_rows = engine.differences(rows, firsts)
     if not engine.cross_rows(*edge_rows.transpose(1, 0, 2)).any(axis=1).all():
         raise CertificationFailed("cell does not span a hyperplane")
     c = big.vertices[big.edges[0][0]].dot(big.vertices[big.edges[0][1]])
@@ -445,16 +521,22 @@ def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
         raise CertificationFailed("hyperplane does not face away from the origin")
     cells += [Cell(ring, "icosahedron", big.vertices[t], c)
               for t, ring in zip(removed.tolist(), label[rings].tolist())]
+    common = lcm(den, nden)
+    normals = np.concatenate([engine.rescaled(normals[at], nden, common),
+                              engine.rescaled(rows[removed], den, common)])
     return PolytopeComplex(kept, edges, faces, cells,
-                           lambda _: _inherited_cycles(big, at, removed, label))
+                           lambda _: _inherited_cycles(big, at, removed, label),
+                           engine.lowest_terms(rows[keep], den),
+                           engine.lowest_terms(normals, common))
 
 
 def cell_census(vertices) -> PolytopeComplex:
     """Certified cells of the snub 24-cell, the 600-cell, or the 24-cell, one
-    census per vertex set per process.  The octahedra of T around the points
-    of T', and the tetrahedra of I, are certified up to symmetry by
-    transport_cells under the group itself; a snub complement, 96 points of
-    I, is the 600-cell census diminished at the other 24."""
+    census per vertex set per process.  The tetrahedra of I are certified up
+    to symmetry by transport_cells under I itself, and the octahedra of T
+    around the points of T' off the table that finds them (_octahedra); a
+    snub complement, 96 points of I, is the 600-cell census diminished at the
+    other 24."""
     vertices = tuple(vertices)
     if len(set(vertices)) < len(vertices):
         raise BadParameter("vertex set repeats a vertex")
@@ -470,16 +552,18 @@ def _census(points: frozenset) -> PolytopeComplex:
             raise BadParameter("unsupported vertex set")
         return _diminished(_census(frozenset(icos.elements)),
                            [k for k, q in enumerate(icos.elements) if q not in points])
-    vertices = group.elements
-    edges = edge_graph(vertices)
-    faces = triangle_faces(vertices, edges)
-    candidates = ([(c, "octahedron") for c in _nearest(t_prime(), vertices)] if len(vertices) == 24
-                  else [(c, "tetrahedron") for c in _four_cliques(len(vertices), edges, faces)])
-    certificates = transport_cells([idxs for idxs, _ in candidates], group)
-    return PolytopeComplex(vertices, edges, faces, [
-        Cell(idxs, kind, normal, offset)
-        for (idxs, kind), (normal, offset) in zip(candidates, certificates)],
-        lambda complex_: _carried_cycles(group, complex_))
+    edges = _edge_graph(group.rows, group.den)
+    faces = triangle_faces(group.elements, edges)
+    if len(group) == 24:
+        cells, normal_rows = _octahedra(group, edges), (t_prime().rows, t_prime().den)
+    else:
+        candidates = _four_cliques(len(group), edges, faces)
+        certificates, normal_rows = transport_cells(candidates, group)
+        cells = [Cell(idxs, "tetrahedron", normal, offset)
+                 for idxs, (normal, offset) in zip(candidates, certificates)]
+    return PolytopeComplex(group.elements, edges, faces, cells,
+                           lambda complex_: _carried_cycles(group, complex_),
+                           (group.rows, group.den), normal_rows)
 
 
 @lru_cache(maxsize=None)
@@ -565,12 +649,44 @@ def vertex_figure(p: Quaternion) -> VertexFigure:
 
 
 class Cell120:
-    def __init__(self, vertices, tp, sp, m, n):
-        self.vertices = vertices
-        self.t_prime = tp
-        self.s_prime = sp
-        self.m = m
-        self.n = n
+    """The 120-cell's vertices and their parts T', S', M and N, each a point set
+    (groups.QuaternionSet): points, and parts in that order.  Given as quaternions,
+    each is made one; vertices, t_prime, s_prime, m and n are their points, in
+    canonical order.  places[k] says where part k's points sit among the
+    vertices, -1 for none: given by the builder, or found on first use."""
+
+    def __init__(self, vertices, tp, sp, m, n, places=None):
+        self.points, *parts = (x if isinstance(x, QuaternionSet) else QuaternionSet(x)
+                               for x in (vertices, tp, sp, m, n))
+        self.parts = tuple(parts)
+        if places is not None:
+            self.places = places
+
+    @cached_property
+    def places(self) -> tuple[np.ndarray, ...]:
+        points = self.points
+        return tuple(engine.locate(points.row_index, points.den, part.rows, part.den)
+                     for part in self.parts)
+
+    @property
+    def vertices(self) -> tuple[Quaternion, ...]:
+        return self.points.elements
+
+    @property
+    def t_prime(self) -> tuple[Quaternion, ...]:
+        return self.parts[0].elements
+
+    @property
+    def s_prime(self) -> tuple[Quaternion, ...]:
+        return self.parts[1].elements
+
+    @property
+    def m(self) -> tuple[Quaternion, ...]:
+        return self.parts[2].elements
+
+    @property
+    def n(self) -> tuple[Quaternion, ...]:
+        return self.parts[3].elements
 
 
 @lru_cache(maxsize=None)
@@ -580,8 +696,9 @@ def build_120cell() -> Cell120:
     T' is i = j = 0, S' the rest of i = j, M the rest of i = 0 or j = 0,
     and N every other coset.  The powers of p and conj(p+) are one ladder of
     engine.products calls, the prefixes one table of them and the cosets one
-    more.  The 600 vertices are one engine.distinct_rows, so each lies in one
-    coset, and each part, in canonical order, is its vertices in theirs.
+    more.  The 600 vertices are one engine.distinct_order of the table, so
+    each lies in one coset, and each part, in canonical order, is its
+    vertices in theirs.  No quaternion is made.
     """
     p = icosian_seed()
     seeds, sden = engine.common_rows([p, p.galois().conjugate()])
@@ -591,15 +708,18 @@ def build_120cell() -> Cell120:
         ladder.append(engine.products(ladder[-1], seeds))
     powers = np.array([engine.rescaled(r, sden ** k, sden ** 4) for k, r in enumerate(ladder)])
     prefixes = engine.products(powers[:, None, 0], powers[None, :, 1]).reshape(-1, 16)
-    rows, tden = engine.common_rows(t_prime().elements)
-    table, den = engine.products(prefixes[:, None], rows[None, :]).reshape(-1, 16), tden * sden ** 8
+    tp = t_prime()
+    table = engine.products(prefixes[:, None], tp.rows[None]).reshape(-1, 16)
+    den = tp.den * sden ** 8
     i, j = np.divmod(np.arange(25), 5)
-    part = np.repeat(np.where(i == j, np.minimum(i, 1), np.where(i * j == 0, 2, 3)), len(rows))
-    vertices = engine.distinct_rows(table)
-    if len(vertices) != 600:
+    part = np.repeat(np.where(i == j, np.minimum(i, 1), np.where(i * j == 0, 2, 3)), len(tp))
+    order = engine.distinct_order(table)
+    if len(order) != 600:
         raise CertificationFailed("coset union failed to produce 600 distinct vertices")
-    points, at = engine.quats_of(vertices, den), part[engine.RowIndex(table).find(vertices)]
-    return Cell120(points, *(tuple(compress(points, (at == k).tolist())) for k in range(4)))
+    points, places = QuaternionSet.of_sorted(table[order], den), [
+        np.flatnonzero(part[order] == k) for k in range(4)]
+    return Cell120(points, *(QuaternionSet.of_sorted(points.rows[at], points.den) for at in places),
+                   tuple(places))
 
 
 def snub_embeddings_in_600cell() -> tuple[tuple[Quaternion, ...], ...]:

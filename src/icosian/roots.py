@@ -2,10 +2,12 @@
 
 D4 and F4 live inside the binary tetrahedral/octahedral setup; E8 appears as
 icosians scored with the rational part of the golden split; H4 is the 120
-icosians themselves.  The weight orbits of W(H4) are computed here as well,
-with their W(D4):C3 orbits as the double cosets H g W_J, read off the right
-action of the simple reflections on the 25 cosets H g, the 24-cells g^-1 T
-inscribed in the 600-cell (coxeter.inscribed_24cells).
+icosians themselves.  A root system is a point set kept as int64 rows
+(groups.QuaternionSet), and E8's rows are made from those of T and the Vi.
+The weight orbits of W(H4) are computed here as well, with their W(D4):C3
+orbits as the double cosets H g W_J, read off the right action of the simple
+reflections on the 25 cosets H g, the 24-cells g^-1 T inscribed in the
+600-cell (coxeter.inscribed_24cells).
 """
 
 from __future__ import annotations
@@ -20,44 +22,59 @@ from . import engine
 from .coxeter import _transform_rows, inscribed_24cells, wd4c3, wh4
 from .errors import BadParameter, NotInGoldenSubfield, NotInvariant, SearchFailed
 from .field import HALF, ONE, SIGMA, TAU, FieldElement
-from .groups import binary_icosahedral, binary_tetrahedral, d4_weight_orbits
-from .quaternion import Quaternion, canonical_sorted
+from .groups import (QuaternionSet, binary_icosahedral, binary_tetrahedral, d4_weight_orbits,
+                     rows_of)
+from .quaternion import Quaternion
 
 
-class RootSystemData:
+class RootSystemData(QuaternionSet):
+    """A root system: a QuaternionSet of 24, 48, 120 or 240 roots, kept as rows."""
+
     def __init__(self, label, roots):
-        self.label = label
-        self.roots = canonical_sorted(roots)
-        if len(self.roots) not in (24, 48, 120, 240):
-            raise BadParameter(f"unexpected root count {len(self.roots)}")
+        super().__init__(roots, label)
+
+    def _keep(self, rows: np.ndarray, den: int, label: str) -> None:
+        if len(rows) not in (24, 48, 120, 240):
+            raise BadParameter(f"unexpected root count {len(rows)}")
+        super()._keep(rows, den, label)
+
+    @property
+    def roots(self) -> tuple[Quaternion, ...]:
+        return self.elements
 
     def __repr__(self) -> str:
-        return f"<{self.label}: {len(self.roots)} roots>"
+        return f"<{self.label}: {len(self)} roots>"
 
 
 @lru_cache(maxsize=None)
 def f4_roots() -> RootSystemData:
     """48 roots: the 24-cell (long) plus the three 8-orbits (short)."""
-    roots = list(binary_tetrahedral()) + [v for orbit in d4_weight_orbits() for v in orbit]
-    return RootSystemData("F4", roots)
+    parts = (binary_tetrahedral(), *d4_weight_orbits())  # each over den 2
+    return RootSystemData.from_rows(np.concatenate([x.rows for x in parts]), 2, "F4")
 
 
 @lru_cache(maxsize=None)
 def e8_roots() -> RootSystemData:
-    """240 roots (T,0)+(0,T)+(V1,V3)+(V2,V1)+(V3,V2), scored by the golden split."""
-    tet = binary_tetrahedral()
-    rows, den = engine.common_rows([x for orbit in d4_weight_orbits() for v in orbit
-                                    for x in (v, SIGMA * v)])
-    rows = rows.reshape(3, 8, 2, 16)  # [orbit, point, (v, sigma v)]
-    sums = rows[:, :, None, 0] + rows[[2, 0, 1], None, :, 1]  # entries are small halves
-    return RootSystemData("E8", list(tet) + [SIGMA * t for t in tet]
-                          + list(engine.quats_of(sums.reshape(-1, 16), den)))
+    """240 roots (T,0)+(0,T)+(V1,V3)+(V2,V1)+(V3,V2), scored by the golden split:
+    T, sigma T and v + sigma v' for v in Vi and v' in V(i-1), the sigma multiples
+    one engine.products of the scalar sigma with the rows of T and the Vi."""
+    tet, orbits = binary_tetrahedral(), d4_weight_orbits()
+    sigma, sden = engine.common_rows([Quaternion(SIGMA)])
+    v = np.stack([orbit.rows for orbit in orbits])  # [orbit, point], over tet.den as T is
+    scaled = engine.products(sigma, np.concatenate([tet.rows, v.reshape(-1, 16)]))
+    sums = (engine.rescaled(v, 1, sden)[:, :, None]
+            + scaled[len(tet):].reshape(v.shape)[[2, 0, 1], None])  # entries are small halves
+    rows = np.concatenate([engine.rescaled(tet.rows, 1, sden), scaled[:len(tet)],
+                           sums.reshape(-1, 16)])
+    return RootSystemData.from_rows(rows, tet.den * sden, "E8")
 
 
 def euclid_profile_full(roots) -> set[tuple[tuple[Fraction, int], ...]]:
     """Profile of every root; a one-element set certifies homogeneity.  The
-    Euclidean part of a dot n / den is (n_0 + n_2) / den, as golden_decompose."""
-    table, den = engine.pairwise_dots(roots)
+    Euclidean part of a dot n / den is (n_0 + n_2) / den, as golden_decompose.
+    The roots are quaternions, or a point set whose kept rows are read."""
+    rows, den = rows_of(roots)
+    table, den = engine.dot_rows(rows, rows), den * den
     if table[..., 1::2].any():
         raise NotInGoldenSubfield("a scalar product has a sqrt2 part")
     rows = engine.distinct_rows(np.sort(table[..., 0] + table[..., 2], axis=1)).tolist()
@@ -76,14 +93,15 @@ def e8_minus_24cells() -> tuple[tuple[Quaternion, ...], tuple[Quaternion, ...]]:
 
 
 def snub_sum_form() -> tuple[Quaternion, ...]:
-    """{tau*V1 + sigma*V2} + {tau*V2 + sigma*V3} + {tau*V3 + sigma*V1}."""
-    v1, v2, v3 = d4_weight_orbits()
-    out = []
-    for left, right in ((v1, v2), (v2, v3), (v3, v1)):
-        for a in left:
-            for b in right:
-                out.append(TAU * a + SIGMA * b)
-    return canonical_sorted(out)
+    """{tau*V1 + sigma*V2} + {tau*V2 + sigma*V3} + {tau*V3 + sigma*V1}, in canonical
+    order: the tau and sigma multiples one engine.products of the two scalars
+    with the rows of the Vi, and the 192 sums one broadcast."""
+    orbits = d4_weight_orbits()
+    v = np.stack([orbit.rows for orbit in orbits])  # [orbit, point], over one den
+    scalars, sden = engine.common_rows([Quaternion(TAU), Quaternion(SIGMA)])
+    tau, sigma = engine.products(scalars[:, None, None], v[None])
+    sums = tau[:, :, None] + sigma[[1, 2, 0], None]  # entries are small halves
+    return QuaternionSet.from_rows(sums.reshape(-1, 16), orbits[0].den * sden).elements
 
 
 @lru_cache(maxsize=None)
@@ -92,9 +110,8 @@ def h4_simple_roots() -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
 
     Diagonal 1; consecutive products -1/2, -1/2, -tau/2; all other pairs 0.
     """
-    icos = binary_icosahedral().elements
-    rows, den = engine.common_rows(icos)
-    den *= den
+    icos = binary_icosahedral()
+    rows, den = icos.rows, icos.den ** 2
 
     @lru_cache(maxsize=None)
     def neighbors(i):
@@ -113,7 +130,7 @@ def h4_simple_roots() -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
                     continue
                 for a4 in neighbors(a3)[1]:
                     if ortho1[a4] and ortho2[a4]:
-                        return (icos[a1], icos[a2], icos[a3], icos[a4])
+                        return tuple(icos.elements[a] for a in (a1, a2, a3, a4))
     raise SearchFailed("no icosian quadruple realizes the H4 diagram")
 
 
@@ -164,12 +181,12 @@ def _coset_action() -> np.ndarray:
     """action[k, j] is the k' with H g_k' = H g_k s_j, for H = W(D4):C3 and g_k
     the k-th seed conjugator: H g names the 24-cell g^-1 T, so H g s_j names
     s_j g^-1 T, read off coxeter.inscribed_24cells() by one engine.act of the
-    s_j on 2I and one RowIndex lookup."""
+    s_j on 2I's rows, located by the index 2I keeps, and one RowIndex lookup."""
     cells = inscribed_24cells()
     s, den, _ = _reflections()
-    icos = binary_icosahedral().elements
-    irows, iden = engine.common_rows(icos)
-    moves = engine.locate(icos, engine.act(s, irows), den * den * iden).reshape(len(s), len(icos))
+    icos = binary_icosahedral()
+    moves = engine.locate(icos.row_index, icos.den, engine.act(s, icos.rows),
+                          den * den * icos.den).reshape(len(s), len(icos))
     moved = np.sort(moves[:, cells]).reshape(-1, cells.shape[1])  # s_j C_k at row 25 j + k
     return engine.RowIndex(cells).find(moved).reshape(len(s), len(cells)).T
 

@@ -129,7 +129,7 @@ def suite_e8() -> Certificate:
     _eq(c, "e8.unit-and-sigma-shell", True, set(pts) == icosa | sigma_i)
     norm_census = Counter(q.norm() for q in pts)
     _eq(c, "e8.norm-census", {F_ONE: 120, SIGMA * SIGMA: 120}, dict(norm_census))
-    profiles = roots.euclid_profile_full(pts)
+    profiles = roots.euclid_profile_full(system)
     _eq(c, "e8.projection-profile.homogeneous", 1, len(profiles))
     _eq(c, "e8.projection-profile", {EUCLID_PROFILE}, profiles)
     inner, outer = roots.e8_minus_24cells()

@@ -184,6 +184,19 @@ def test_products_blocks_match_one_batch():
                           oracle_product_block(a.reshape(-1, 16), rows[3]))
 
 
+def test_products_of_stacks_broadcast_twice_match_one_batch():
+    """Operands that broadcasting repeats at most twice are copied out flat
+    (cross_rows' (n, 1) by (n, 2) stacks, and stacks of one shape); the
+    products keep the broadcast shape, and an outer table stays blocked."""
+    rows, _ = common_rows([icosian_seed() * q for q in (Q_ONE, E1, E2, E3, E1 * SQRT2)])
+    rows = np.concatenate([rows * k for k in range(1, 60)])
+    pairs = np.stack([rows, rows[::-1]], axis=1)
+    for a, b in ((rows[:, None], pairs), (pairs, pairs[:, ::-1]), (rows[:40, None], rows[None])):
+        got = products(a, b)
+        assert got.shape == np.broadcast_shapes(a.shape, b.shape)
+        assert np.array_equal(got, oracle_product_block(*np.broadcast_arrays(a, b)))
+
+
 # Coefficient k of a quaternion component is column 4 i + k, over the radicals
 # 1, sqrt2, sqrt5, sqrt10: the golden columns are closed under products, the
 # others (sqrt2 alone, say) are not.
@@ -310,6 +323,23 @@ def test_cross_rows_match_levi_civita(triples):
     (ra, da), (rb, db), (rc, dc) = (common_rows(xs) for xs in zip(*triples))
     assert quats_of(cross_rows(ra, rb, rc), da * db * dc) == tuple(
         levi_civita_cross(*t) for t in triples)
+
+
+def test_cross_rows_stack_only_triples_of_one_support(monkeypatch):
+    """When a and c have one coefficient support, the two triples are stacked
+    into two products calls; a sqrt2 multiple of c takes four, each product
+    on its own operands' support.  Both match the Levi-Civita sum."""
+    p = icosian_seed()
+    stacked = [(p, E1 * p, p.conjugate()), (p.conjugate(), E2 * p, p)]
+    apart = [(a, b, c * SQRT2) for a, b, c in stacked]
+    real, calls = engine.products, []
+    monkeypatch.setattr(engine, "products", lambda x, y: calls.append(1) or real(x, y))
+    for triples, count in ((stacked, 2), (apart, 4)):
+        calls.clear()
+        (ra, da), (rb, db), (rc, dc) = (common_rows(xs) for xs in zip(*triples))
+        assert quats_of(cross_rows(ra, rb, rc), da * db * dc) == tuple(
+            levi_civita_cross(*t) for t in triples)
+        assert len(calls) == count
 
 
 @given(st.tuples(coords, coords, coords), st.tuples(coords, coords, coords),

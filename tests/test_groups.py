@@ -1,14 +1,17 @@
 """The binary polyhedral groups and their conjugacy data, pinned exactly."""
 
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
-from icosian import (E1, HALF, Q_ONE, SIGMA, SQRT2, TAU, CapExceeded,
-                     NotInvariant, Quaternion, QuaternionGroup, SearchFailed,
-                     binary_icosahedral, binary_octahedral, binary_tetrahedral,
-                     canonical_sorted, closure, conjugacy_classes, d4_weight_orbits,
-                     element_order, icosa_class_plus, icosian_seed, t_prime)
+from icosian import (E1, E2, E3, HALF, Q_ONE, SIGMA, SQRT2, TAU, CapExceeded,
+                     NotInvariant, Quaternion, QuaternionGroup, QuaternionSet,
+                     SearchFailed, binary_icosahedral, binary_octahedral,
+                     binary_tetrahedral, build_120cell, canonical_sorted, closure,
+                     conjugacy_classes, d4_weight_orbits, e8_roots, element_order,
+                     engine, f4_roots, icosa_class_plus, icosian_seed, t_prime)
 
 HALF_ONES = Quaternion(HALF, HALF, HALF, HALF)
 
@@ -203,3 +206,73 @@ def test_conjugacy_classes_default_to_2i():
         (1, 1), (2, 1), (3, 20), (4, 30), (5, 12), (5, 12), (6, 20), (10, 12), (10, 12))
     assert repr(table.classes[0]) == "<class: size 1, element order 1>"
     assert repr(table.class_of(icosian_seed())) == "<class: size 12, element order 10>"
+
+
+def _halves(signs):
+    return Quaternion(*(Fraction(s, 2) for s in signs))
+
+
+def scalar_sets():
+    """T, V1-V3 and T' from Fraction coefficients and Quaternion arithmetic alone."""
+    tet = [u for q in (Q_ONE, E1, E2, E3) for u in (q, -q)]
+    tet += [_halves(s) for s in product((1, -1), repeat=4)]
+    orbits = []
+    for axis, (j, k) in ((1, (2, 3)), (2, (3, 1)), (3, (1, 2))):
+        orbit = []
+        for s0, s1 in product((1, -1), repeat=2):
+            for at in ((0, axis), (j, k)):
+                signs = [0, 0, 0, 0]
+                signs[at[0]], signs[at[1]] = s0, s1
+                orbit.append(_halves(signs))
+        orbits.append(orbit)
+    tp = [v.scale(SQRT2) for orbit in orbits for v in orbit]
+    return {"T": tet, "V1": orbits[0], "V2": orbits[1], "V3": orbits[2], "T'": tp, "2O": tet + tp}
+
+
+# Every point set the paper builds from integer rows, by name.
+KEPT_SETS = {
+    "T": binary_tetrahedral, "2O": binary_octahedral, "2I": binary_icosahedral, "T'": t_prime,
+    **{f"V{i + 1}": (lambda i=i: d4_weight_orbits()[i]) for i in range(3)},
+    "E8": e8_roots, "F4": f4_roots, "120-cell": lambda: build_120cell().points,
+    **{f"120-cell {name}": (lambda k=k: build_120cell().parts[k])
+       for k, name in enumerate(("T'", "S'", "M", "N"))},
+}
+
+
+@pytest.mark.parametrize("name", list(KEPT_SETS))
+def test_point_sets_keep_the_canonical_rows_of_their_points(name):
+    """A set keeps the rows engine.common_rows makes of its points, in
+    canonical_sorted order; T, V1-V3, T' and 2O hold the scalar sets' points."""
+    points = KEPT_SETS[name]()
+    rows, den = engine.common_rows(points.elements)
+    assert points.den == den and np.array_equal(points.rows, rows)
+    assert points.elements == canonical_sorted(points.elements)
+    if name in scalar_sets():
+        assert points.elements == canonical_sorted(set(scalar_sets()[name]))
+
+
+def test_point_sets_from_quaternions_and_from_rows_agree():
+    """A set made from quaternions keeps them, in canonical order, with their
+    rows; made from rows, duplicated and shuffled and over a multiple of their
+    denominator, it is the same set, equal and of equal hash."""
+    tet = binary_tetrahedral()
+    shuffled = [tet.elements[i] for i in (5, 3, 3, 0, 23, 7)]
+    made = QuaternionSet(shuffled, "some of T")
+    assert made.elements == canonical_sorted(set(shuffled))
+    assert made.elements[0] is tet.elements[0] and len(made) == 5
+    rows = engine.rescaled(tet.rows[[23, 5, 0, 7, 3, 5]], tet.den, 6 * tet.den)
+    again = QuaternionSet.from_rows(rows, 6 * tet.den)
+    assert again == made and hash(again) == hash(made) and again.den == tet.den
+    assert again != QuaternionSet(shuffled[1:]) and QuaternionSet([]).elements == ()
+
+
+def test_locate_reads_a_kept_index_over_any_denominator():
+    """engine.locate finds rows over another denominator among a set's rows by
+    the index the set keeps, and refuses rows that are no point of it."""
+    icos, tet = binary_icosahedral(), binary_tetrahedral()
+    where = [icos.index(q) for q in tet.elements]
+    for den in (tet.den, 3 * tet.den, 4 * icos.den):
+        rows = engine.rescaled(tet.rows, tet.den, den)
+        assert engine.locate(icos.row_index, icos.den, rows, den).tolist() == where
+    for den in (2 * tet.den, 4 * tet.den):  # t / 2 and t / 4: off the unit sphere
+        assert (engine.locate(icos.row_index, icos.den, tet.rows, den) == -1).all()

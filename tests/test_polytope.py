@@ -13,7 +13,7 @@ from icosian import (E1, E3, Q_ONE, binary_icosahedral, binary_tetrahedral,
                      icosian_seed, projective_equal, snub24_vertices,
                      snub_census, snub_embeddings_in_600cell, t_prime,
                      tetra_cells_at, vertex_figure)
-from icosian import QuaternionGroup, cli, engine, hull, polytope
+from icosian import QuaternionGroup, QuaternionSet, cli, engine, hull, polytope
 from icosian.coxeter import inscribed_24cells
 from icosian.errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                             DegenerateInput)
@@ -379,22 +379,27 @@ def test_certificates_match_scalar_oracle(monkeypatch):
     """Certificates checked with Quaternion.dot and exact comparisons alone.
 
     The checked cells hold a moved cell, not its orbit's representative, of
-    every orbit of the 24-cell and 600-cell censuses.  Every cell of the snub
-    census, and of one embedding census, whose certificates are the
-    600-cell's and the icosahedra's, is checked too, after checking that
-    conjugation by p^2 moves the snub's cells onto that embedding's.
+    every orbit of the 600-cell census, and every cell of the 24-cell census,
+    whose octahedra are certified off their nearest-point table with no
+    group action.  Every cell of the snub census, and of one embedding
+    census, whose certificates are the 600-cell's and the icosahedra's, is
+    checked too, after checking that conjugation by p^2 moves the snub's
+    cells onto that embedding's.
     """
-    tet, icos = binary_tetrahedral().elements, binary_icosahedral().elements
-    for vertices, multipliers, stride in ((tet, tet, 1), (icos, icos, 37)):
-        complex_, representatives = recorded_census(monkeypatch, vertices)
-        orbits = scalar_orbits(complex_, representatives, multipliers)
-        assert sorted(k for orbit in orbits.values() for k in orbit) == list(
-            range(len(complex_.cells)))
-        sample = set(range(0, len(complex_.cells), stride))
-        sample |= {max(orbit - {rep}) for rep, orbit in orbits.items()}
-        assert all((orbit - {rep}) & sample for rep, orbit in orbits.items())
-        for k in sorted(sample):
-            assert_scalar_certificate(complex_, complex_.cells[k])
+    icos = binary_icosahedral().elements
+    complex_, representatives = recorded_census(monkeypatch, icos)
+    orbits = scalar_orbits(complex_, representatives, icos)
+    assert sorted(k for orbit in orbits.values() for k in orbit) == list(
+        range(len(complex_.cells)))
+    sample = set(range(0, len(complex_.cells), 37))
+    sample |= {max(orbit - {rep}) for rep, orbit in orbits.items()}
+    assert all((orbit - {rep}) & sample for rep, orbit in orbits.items())
+    for k in sorted(sample):
+        assert_scalar_certificate(complex_, complex_.cells[k])
+    complex_, representatives = recorded_census(monkeypatch, binary_tetrahedral().elements)
+    assert representatives == []
+    for cell in complex_.cells:
+        assert_scalar_certificate(complex_, cell)
     complex_ = snub_census()
     moved, p = embedding_censuses()[2], icosian_seed() ** 2
 
@@ -416,14 +421,18 @@ def census_candidates(vertices):
     vertices = canonical_sorted(vertices)
     edges = edge_graph(vertices)
     faces = polytope.triangle_faces(vertices, edges)
+
+    def nearest(centers):
+        return polytope._nearest(*engine.common_rows(centers), *engine.common_rows(vertices))[0]
+
     if set(vertices) == set(binary_tetrahedral().elements):
-        candidates = [(c, "octahedron") for c in polytope._nearest(t_prime(), vertices)]
+        candidates = [(c, "octahedron") for c in nearest(t_prime())]
     else:
         complement = [q for q in binary_icosahedral() if q not in set(vertices)]
         candidates = [(c, "tetrahedron")
                       for c in polytope._four_cliques(len(vertices), edges, faces)]
         if complement:
-            candidates += [(c, "icosahedron") for c in polytope._nearest(complement, vertices)]
+            candidates += [(c, "icosahedron") for c in nearest(complement)]
     return vertices, edges, faces, candidates
 
 
@@ -481,8 +490,10 @@ def test_transport_rejects_a_multiplier_off_the_vertex_set():
 def test_transport_rejects_a_missing_orbit_image():
     group = binary_icosahedral()
     cells = transport_input(group)
-    certificates = transport_cells(cells, group)
-    assert certificates == [(c.normal, c.offset) for c in cell_census(group.elements).cells]
+    certificates, (rows, den) = transport_cells(cells, group)
+    complex_ = cell_census(group.elements)
+    assert certificates == [(c.normal, c.offset) for c in complex_.cells]
+    assert engine.quats_of(rows, den) == tuple(c.normal for c in complex_.cells)
     with pytest.raises(CertificationFailed, match="moves a certified cell off the candidates"):
         transport_cells(cells[:-1], group)
 
@@ -495,6 +506,65 @@ def test_transport_rejects_a_stray_candidate():
     assert 0 not in stray
     with pytest.raises(CertificationFailed, match="no certified cell moves onto a candidate"):
         transport_cells(cells + [stray], group)
+
+
+def test_24cell_octahedra_carry_the_transported_certificates(monkeypatch):
+    """The 24-cell's octahedra, certified off the T' x T table that finds them,
+    with no cell transported or certified, carry the certificates that
+    transport_cells makes of them under T, the path they replaced: normal t'_k
+    for cell k, and T''s rows as the normal rows."""
+    group = binary_tetrahedral()
+
+    def refuse(*args):
+        raise AssertionError("the 24-cell census transported or certified a cell")
+
+    with monkeypatch.context() as patched:
+        for name in ("certify_cells", "transport_cells"):
+            patched.setattr(polytope, name, refuse)
+        complex_ = fresh_census(group.elements)
+    certificates, (rows, den) = transport_cells([c.vertex_indices for c in complex_.cells], group)
+    assert [(c.normal, c.offset) for c in complex_.cells] == certificates
+    assert [c.normal for c in complex_.cells] == list(t_prime().elements)
+    assert engine.quats_of(*complex_.normal_rows) == engine.quats_of(rows, den)
+
+
+def test_24cell_census_makes_no_cayley_table_until_a_cell_is_oriented(monkeypatch):
+    fresh = QuaternionGroup.from_rows(binary_tetrahedral().rows, binary_tetrahedral().den, "T")
+    monkeypatch.setattr(polytope, "binary_tetrahedral", lambda: fresh)
+    complex_ = fresh_census(fresh.elements)
+    assert "cayley_table" not in vars(fresh)
+    complex_.cell_geometry(0)
+    assert vars(fresh)["cayley_table"] is not None
+
+
+@pytest.mark.parametrize("case, message", [
+    ("doubled center", "cell normal is not a unit"),
+    ("center on a vertex", "does not span a hyperplane"),
+    ("dropped vertex", "not exactly those nearest its center"),
+    ("non-positive level", "does not face away from the origin"),
+])
+def test_24cell_certificates_refuse_broken_inputs(monkeypatch, case, message):
+    """A T' point moved off the unit sphere or onto a vertex, a cell missing a
+    vertex at its level, and a center whose nearest vertices lie at a level
+    of at most 0, are each refused."""
+    tet, tp = binary_tetrahedral(), t_prime().elements
+    edges = edge_graph(tet.elements)
+    if case == "doubled center":
+        monkeypatch.setattr(polytope, "t_prime", lambda: QuaternionSet([tp[0] * 2, *tp[1:]]))
+    elif case == "center on a vertex":
+        monkeypatch.setattr(polytope, "t_prime", lambda: QuaternionSet([tet.elements[0], *tp[1:]]))
+    elif case == "dropped vertex":
+        nearest = polytope._nearest
+
+        def dropped(*args):
+            cells, rank, levels = nearest(*args)
+            return [cells[0][:-1], *cells[1:]], rank, levels
+
+        monkeypatch.setattr(polytope, "_nearest", dropped)
+    else:  # only the vertices at or below 0 against t'_0
+        tet, edges = QuaternionSet([v for v in tet if v.dot(tp[0]).sign() <= 0]), ()
+    with pytest.raises(CertificationFailed, match=message):
+        polytope._octahedra(tet, edges)
 
 
 CELL_CENSUSES = ["600cell", "snub", "24cell"]
