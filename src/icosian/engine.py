@@ -376,16 +376,20 @@ class RowIndex:
         return found
 
 
+_ONE_TABLE = _PRODUCT_BLOCK  # left_perms makes an action of at most this many products as one table
+
+
 def left_perms(rows: np.ndarray, points: np.ndarray, index: RowIndex):
     """perm[m, i], the index among the points of rows[m] points[i], or None if some
     row moves some point off them; index finds the points over the products'
-    denominator.  Only a generator (a row moving b, the first nonzero point,
-    where no map closed so far does) has its image row made and looked up,
-    unless all the products fit one products block: then they are one table."""
+    denominator.  An action of at most _ONE_TABLE products (T's, 2O's) is one
+    table of them.  Otherwise only a generator (a row moving b, the first
+    nonzero point, where no map closed so far does) has its image row made
+    and looked up."""
     n = len(points)
     if not n:
         return np.zeros((len(rows), 0), dtype=np.intp)
-    if len(rows) * n <= _PRODUCT_BLOCK:
+    if len(rows) * n <= _ONE_TABLE:
         perm = index.find(products(rows[:, None], points[None]).reshape(-1, 16))
         return None if (perm < 0).any() else perm.reshape(len(rows), n)
     b = int(np.argmax(points.any(axis=1)))
@@ -581,20 +585,13 @@ def cross_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     they are linearly dependent.  Its entries are the integer numerators of
     n = (c b-bar a - a b-bar c) / 2 over the product of the inputs'
     denominators: only its direction is used.  The two triple products come
-    from products, and their difference is bounded before it is taken.  When
-    a and c share one coefficient support, each row's two triples are made
-    side by side, two products calls in all; otherwise apart, since a stack
-    is multiplied over the union of its rows' supports: twice the terms.
+    from products, and their difference is bounded before it is taken.
     """
-    if np.array_equal(_magnitudes(a) != 0, _magnitudes(c) != 0):
-        both = products(np.stack([c, a], axis=-2),
-                        products(conjugates(b)[..., None, :], np.stack([a, c], axis=-2)))
-        left, right = both[..., 0, :], both[..., 1, :]
-    else:
-        bbar = conjugates(b)
-        left, right = products(c, products(bbar, a)), products(a, products(bbar, c))
-    _check_bound(2, max(_max_abs(left), _max_abs(right)), 1)  # a difference of two entries
-    return (left - right) // 2
+    # Each row's two triples side by side, so that products blocks run over the rows.
+    both = products(np.stack([c, a], axis=-2),
+                    products(conjugates(b)[..., None, :], np.stack([a, c], axis=-2)))
+    _check_bound(2, both, 1)  # a difference of two entries
+    return (both[..., 0, :] - both[..., 1, :]) // 2
 
 
 def side_signs(normals: np.ndarray, points: np.ndarray, anchors) -> np.ndarray:

@@ -222,8 +222,6 @@ def partition_to_json(cell120) -> dict:
     once, and each part lists the texts of its places among the vertices."""
     points = cell120.points
     tokens = _row_tokens(points.rows, points.den)
-    if any((at < 0).any() for at in cell120.places):
-        raise BadParameter("a part of the 120-cell holds a point that is no vertex")
     return {"count": len(tokens), "vertices": _token_list(tokens),
             "partition": {name: _token_list(tokens[at])
                           for name, at in zip(("t_prime", "s_prime", "m", "n"), cell120.places)}}

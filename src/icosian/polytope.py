@@ -649,24 +649,13 @@ def vertex_figure(p: Quaternion) -> VertexFigure:
 
 
 class Cell120:
-    """The 120-cell's vertices and their parts T', S', M and N, each a point set
-    (groups.QuaternionSet): points, and parts in that order.  Given as quaternions,
-    each is made one; vertices, t_prime, s_prime, m and n are their points, in
-    canonical order.  places[k] says where part k's points sit among the
-    vertices, -1 for none: given by the builder, or found on first use."""
+    """The 120-cell as build_120cell hands it over: points, its vertices, and
+    parts, T', S', M and N, each a point set (groups.QuaternionSet), and
+    places[k], where part k's points sit among the vertices.  vertices,
+    t_prime, s_prime, m and n are their points, in canonical order."""
 
-    def __init__(self, vertices, tp, sp, m, n, places=None):
-        self.points, *parts = (x if isinstance(x, QuaternionSet) else QuaternionSet(x)
-                               for x in (vertices, tp, sp, m, n))
-        self.parts = tuple(parts)
-        if places is not None:
-            self.places = places
-
-    @cached_property
-    def places(self) -> tuple[np.ndarray, ...]:
-        points = self.points
-        return tuple(engine.locate(points.row_index, points.den, part.rows, part.den)
-                     for part in self.parts)
+    def __init__(self, points: QuaternionSet, parts, places):
+        self.points, self.parts, self.places = points, tuple(parts), tuple(places)
 
     @property
     def vertices(self) -> tuple[Quaternion, ...]:
@@ -718,8 +707,8 @@ def build_120cell() -> Cell120:
         raise CertificationFailed("coset union failed to produce 600 distinct vertices")
     points, places = QuaternionSet.of_sorted(table[order], den), [
         np.flatnonzero(part[order] == k) for k in range(4)]
-    return Cell120(points, *(QuaternionSet.of_sorted(points.rows[at], points.den) for at in places),
-                   tuple(places))
+    return Cell120(points, [QuaternionSet.of_sorted(points.rows[at], points.den) for at in places],
+                   places)
 
 
 def snub_embeddings_in_600cell() -> tuple[tuple[Quaternion, ...], ...]:

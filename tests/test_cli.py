@@ -272,19 +272,6 @@ def test_row_writer_answers_coefficients_at_the_int64_bound():
         assert_row_writer_matches_per_point(rows, den)
 
 
-def test_partition_writer_reads_the_parts_places():
-    """A 120-cell given as quaternions finds its parts' places among its vertices
-    (engine.locate) and writes the built document; a part point that is no
-    vertex is refused."""
-    real = polytope.build_120cell()
-    made = polytope.Cell120(real.vertices, real.t_prime, real.s_prime, real.m, real.n)
-    assert [at.tolist() for at in made.places] == [at.tolist() for at in real.places]
-    assert dumps(exports.partition_to_json(made)) == dumps(exports.partition_to_json(real))
-    stray = polytope.Cell120(real.vertices[1:], real.t_prime, real.s_prime, real.m, real.n)
-    with pytest.raises(BadParameter, match="no vertex"):
-        exports.partition_to_json(stray)
-
-
 # The child makes engine.quats_of and FieldElement's constructor refuse once
 # the package is imported, then serves one build request.
 NO_SCALARS_CHILD = """

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from icosian import coxeter, dual, hull
 from icosian.dual import LEVEL, TAU_OVER_SQRT2, DualCell, DualComplex, _around
 from icosian.errors import BadParameter, CertificationFailed
 from icosian.hull import convex_hull_faces
-from icosian.polytope import Cell, Cell120, PolytopeComplex, frame_coords
+from icosian.polytope import Cell, PolytopeComplex, frame_coords
 from icosian.field import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO,
                            FieldElement)
 
@@ -352,7 +353,7 @@ def test_dual_vertex_classes_that_overlap_are_refused(monkeypatch):
     # One T' point put among S' keeps 144 entries, 143 of them distinct.
     real = build_120cell()
     s_prime = (t_prime().elements[0],) + tuple(real.s_prime[1:])
-    fake = Cell120(real.vertices, real.t_prime, s_prime, real.m, real.n)
+    fake = SimpleNamespace(s_prime=s_prime)  # dual_vertices reads only S'
     monkeypatch.setattr(dual.polytope, "build_120cell", lambda: fake)
     dual.dual_vertices.cache_clear()
     try:

@@ -325,23 +325,6 @@ def test_cross_rows_match_levi_civita(triples):
         levi_civita_cross(*t) for t in triples)
 
 
-def test_cross_rows_stack_only_triples_of_one_support(monkeypatch):
-    """When a and c have one coefficient support, the two triples are stacked
-    into two products calls; a sqrt2 multiple of c takes four, each product
-    on its own operands' support.  Both match the Levi-Civita sum."""
-    p = icosian_seed()
-    stacked = [(p, E1 * p, p.conjugate()), (p.conjugate(), E2 * p, p)]
-    apart = [(a, b, c * SQRT2) for a, b, c in stacked]
-    real, calls = engine.products, []
-    monkeypatch.setattr(engine, "products", lambda x, y: calls.append(1) or real(x, y))
-    for triples, count in ((stacked, 2), (apart, 4)):
-        calls.clear()
-        (ra, da), (rb, db), (rc, dc) = (common_rows(xs) for xs in zip(*triples))
-        assert quats_of(cross_rows(ra, rb, rc), da * db * dc) == tuple(
-            levi_civita_cross(*t) for t in triples)
-        assert len(calls) == count
-
-
 @given(st.tuples(coords, coords, coords), st.tuples(coords, coords, coords),
        st.sampled_from([ONE, HALF, SQRT2, SIGMA]))
 @settings(max_examples=60, deadline=None)
@@ -882,6 +865,8 @@ LEFT_ACTIONS = {
     "1, e1/2": lambda: 2 * [(Q_ONE, E1 * HALF)],
     # b = 1 stays on the set under both rows, but e1 e1 = -1 leaves it.
     "1, e1 keeping b": lambda: 2 * [(Q_ONE, E1)],
+    # -1 has reached every point when 2, which moves b off them, is read.
+    "2 after -1": lambda: [(-Q_ONE, Quaternion(2)), (Q_ONE, -Q_ONE)],
     # The zero point is fixed by every row, so b is the next point.
     "zero first": lambda: [(Q_ONE, -Q_ONE, E1, -E1), (Quaternion(0), Q_ONE, -Q_ONE, E1, -E1)],
 }
@@ -899,6 +884,15 @@ def test_left_perms_match_scalar_products(name):
         assert perm is None
     else:
         np.testing.assert_array_equal(perm, oracle)
+
+
+@pytest.mark.parametrize("name", list(LEFT_ACTIONS))
+@pytest.mark.parametrize("one_table", [0, 10**6], ids=["generators", "one table"])
+def test_left_perms_take_either_path(monkeypatch, name, one_table):
+    """Every action, by generators alone and as one table of all its products,
+    gives the scalar oracle's permutations or None, as the default does."""
+    monkeypatch.setattr(engine, "_ONE_TABLE", one_table)
+    test_left_perms_match_scalar_products(name)
 
 
 def test_left_perms_make_a_few_generator_rows(monkeypatch):
