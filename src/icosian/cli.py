@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import dual, exports, hull, polytope, roots, verify
 from .errors import (BadParameter, CertificationFailed, CoplanarityFailed,
                      InvalidSelector)
-from .groups import binary_icosahedral, binary_tetrahedral, icosian_seed
+from .groups import binary_icosahedral, binary_tetrahedral, icosian_seed, rows_of
 
 BUILD_OBJECTS = ("e8", "600cell", "24cell", "120cell", "snub24", "dual-snub24")
 EXPORT_OBJECTS = ("snub24", "dual-snub24", "600cell", "24cell")
@@ -49,15 +49,12 @@ def _build_doc(name: str) -> dict:
         return {"object": name, "count": len(points()), "points": exports.points_to_json(points())}
     if name == "120cell":
         doc = exports.partition_to_json(polytope.build_120cell())
-        doc["object"] = name
-        return doc
-    if name == "snub24":
+    elif name == "snub24":
         doc = exports.complex_to_json(polytope.snub_census())
-        doc["object"] = name
-        return doc
-    doc = exports.dual_complex_to_json(dual.dual_complex())
-    doc["object"] = name
-    return doc
+    else:
+        doc = exports.dual_complex_to_json(dual.dual_complex(), dual.dual_vertex_set(),
+                                           polytope.snub_census().vertex_rows)
+    return {**doc, "object": name}
 
 
 def cmd_build(args) -> int:
@@ -95,8 +92,9 @@ def _cell_geometry(name: str, index: int):
     and a dual cell reads them off the snub census's polar: neither makes a hull.
     """
     complex_ = _export_complex(name)
-    if not 0 <= index < len(complex_.cells):
-        raise InvalidSelector(f"cell index out of range 0..{len(complex_.cells) - 1}")
+    count = complex_.counts()[3]
+    if not 0 <= index < count:
+        raise InvalidSelector(f"cell index out of range 0..{count - 1}")
     return complex_.cell_geometry(index)
 
 
@@ -140,8 +138,10 @@ def cmd_export(args) -> int:
             text = exports.dumps(_build_doc(args.object))
         else:
             complex_ = _export_complex(args.object)
-            coords = exports.quaternion_coords(complex_.vertices)
-            text = exports.off_text(coords, complex_.faces, len(complex_.edges), args.digits)
+            rows = (rows_of(dual.dual_vertex_set()) if args.object == "dual-snub24"
+                    else complex_.vertex_rows)
+            text = exports.off_text(exports.quaternion_coords(*rows), complex_.faces,
+                                    complex_.counts()[1], args.digits)
     else:
         coords, faces, fields = _selected_part(args)
         if args.format == "off":

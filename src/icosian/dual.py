@@ -43,25 +43,34 @@ TAU_OVER_SQRT2 = TAU * SQRT2 * HALF
 
 
 @lru_cache(maxsize=None)
-def dual_vertices() -> tuple[Quaternion, ...]:
-    """All 144 dual vertices: T', S', and the scaled 24-cell, in canonical order."""
+def dual_vertex_set() -> QuaternionSet:
+    """All 144 dual vertices, T', S', and the scaled 24-cell: one point set, in canonical order."""
     out = QuaternionSet([*t_prime().elements, *polytope.build_120cell().s_prime,
                          *(t.scale(TAU_OVER_SQRT2) for t in binary_tetrahedral())])
     if len(out) != 144:
         raise CertificationFailed("dual vertex classes overlap")
-    return out.elements
+    return out
+
+
+def dual_vertices() -> tuple[Quaternion, ...]:
+    """All 144 dual vertices: T', S', and the scaled 24-cell, in canonical order."""
+    return dual_vertex_set().elements
 
 
 @lru_cache(maxsize=None)
-def _numbering() -> tuple[dict[Quaternion, int], tuple[int, ...]]:
-    """Each dual vertex's place in dual_vertices(), and that of each snub cell's center L n / c."""
-    index = {q: i for i, q in enumerate(dual_vertices())}
-    cells = polytope.snub_census().cells
-    factor = {c: LEVEL * c.invert() for c in {cell.offset for cell in cells}}
-    centers = tuple(index.get(cell.normal.scale(factor[cell.offset]), -1) for cell in cells)
-    if -1 in centers:
+def _numbering() -> np.ndarray:
+    """Each snub cell's center L n / c, as its place in dual_vertex_set(): one
+    engine.products of the normal rows with the rows of the distinct L / c, and
+    one lookup among the set's rows."""
+    census, points = polytope.snub_census(), dual_vertex_set()
+    (normals, nden), offsets = census.normal_rows, census.offsets
+    distinct = {c: k for k, c in enumerate(dict.fromkeys(offsets))}
+    scales, sden = engine.common_rows([Quaternion(LEVEL * c.invert()) for c in distinct])
+    centers = engine.products(scales[[distinct[c] for c in offsets]], normals)
+    at = engine.locate(points.row_index, points.den, centers, sden * nden)
+    if (at < 0).any():
         raise CertificationFailed("a reciprocated cell center is not a dual vertex")
-    return index, centers
+    return at
 
 
 class DualCell:
@@ -156,14 +165,16 @@ def dual_complex() -> DualComplex:
     Dual vertices go by rank, their place in a cell's vertex order, so a cycle
     from its lowest rank is one from its lowest index in every cell.
     """
-    census = polytope.snub_census()
-    (index, centers), vertices = _numbering(), dual_vertices()
+    census, centers, points = polytope.snub_census(), _numbering(), dual_vertex_set()
+    vertices = points.elements
     classes = np.full(len(vertices), 2)
-    classes[[i for i, c in zip(centers, census.cells) if c.kind == "icosahedron"]] = 0
-    classes[[index[q] for q in t_prime()]] = 1
+    classes[centers[census.cell_sizes == 12]] = 0
+    classes[[points.index(q) for q in t_prime()]] = 1
     order = np.argsort(classes, kind="stable")
-    rank, ids = np.argsort(order)[list(centers)].tolist(), order.tolist()
-    at = [sorted(rank[k] for k in cells) for cells in census.incidence]
+    rank, ids = np.argsort(order)[centers], order.tolist()
+    by_vertex, starts = census.vertex_cells
+    at = [sorted(cells.tolist()) for cells in np.split(rank[by_vertex], starts[1:-1])]
+    rank = rank.tolist()
     holders = [[] for _ in census.faces]
     for k, f in zip(*(column.tolist() for column in census.face_cells)):
         holders[f].append(rank[k])
@@ -174,8 +185,8 @@ def dual_complex() -> DualComplex:
     valences = np.bincount(census.edge_cells[1], minlength=len(census.edges)).tolist()
     cycles = [_around(on_edge[edge], n) for edge, n in zip(census.edges, valences)]
     prows, pden = census.vertex_rows
-    ends = prows[np.array(census.edges)]
-    xrows, xden = engine.common_rows([vertices[i] for i in ids])
+    ends = prows[census.edge_array]
+    xrows, xden = points.rows[order], points.den
     spans = engine.differences(xrows, np.array([cycle[:3] for cycle in cycles]))
     normals = engine.cross_rows(ends[:, 0], spans[:, 0], spans[:, 1])
     signs = engine.signs(engine.dot_rows(normals[:, None], ends[:, 1:])[:, 0, 0]).tolist()
@@ -185,7 +196,8 @@ def dual_complex() -> DualComplex:
         held[p].append(face)
         held[q].append(face[::-1])
     cell_vertex_ids = [tuple(ids[r] for r in cell) for cell in at]
-    coords, starts = polytope.frame_table(xrows, prows, xden * pden, at)
+    coords, starts = polytope.frame_table(xrows, prows, xden * pden, np.concatenate(at),
+                                          np.diff(starts))
     cells = []
     for p, cell, vids, own, lo, hi in zip(census.vertices, at, cell_vertex_ids, held,
                                           starts, starts[1:]):
@@ -204,11 +216,12 @@ def vertex_surroundings(v: Quaternion):
     Returns (dot, points) pairs, nearest layer first, covering every vertex but v
     of the dual cells holding v: those at the vertices of the snub cell v centers.
     """
-    index, centers = _numbering()
-    if v not in index:
+    points, census = dual_vertex_set(), polytope.snub_census()
+    if v not in points:
         raise BadParameter("not a dual vertex")
-    cell = polytope.snub_census().cells[centers.index(index[v])]
-    star = {q for i in cell.vertex_indices for q in dual_complex().cells[i].vertices} - {v}
+    k = int(np.flatnonzero(_numbering() == points.index(v))[0])
+    cell = census.cell_table[k, :census.cell_sizes[k]].tolist()
+    star = {q for i in cell for q in dual_complex().cells[i].vertices} - {v}
     layers: dict = {}
     for q in star:
         layers.setdefault(v.dot(q), []).append(q)

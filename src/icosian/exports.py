@@ -2,24 +2,21 @@
 
 JSON stores every coordinate as exact rational strings on the basis
 (1, sqrt2, sqrt5, sqrt10), so files round-trip bit for bit; each string is
-written from the field's integer numerators and denominator with one gcd.
-A writer renders each distinct component once per call: points, normals,
-offsets and coordinates are looked up by their exact integers (numerators,
-denominator), so equal components share one rendering.  A point list
-(vertices, points, the 120-cell's parts) is written as JSON text once, each
-distinct point's text once, and dumps splices it in where it stands: the
-bytes are json.dumps's of the same list of per-point dicts.  A point set
-(groups.QuaternionSet), a census's vertices and the 120-cell are written
-from the int64 rows they keep: one engine.distinct_index sorts every
-component of every row, and the 120-cell's parts list their vertices' texts.
-OFF files carry correctly rounded decimals: each printed value is the true
-real number rounded to the requested number of significant digits
-(1 to MAX_DIGITS), established by integer interval refinement: the
-enclosure's integer bounds are compared with integer powers of ten and
-rounded half-even with one divmod, with no Fraction and no floating point.
-Each distinct (value, digits) pair is rendered once per process.  The OFF
-header's edge count comes from the caller: a complex knows its edges, and
-only a small hull's caller counts them from its faces.
+written from the field's integer numerators and denominator with one gcd,
+and a writer renders each distinct component once per call.  A point list
+is written as JSON text once, and dumps splices it in where it stands: the
+bytes are json.dumps's of the same list of per-point dicts.  Point sets
+(groups.QuaternionSet), a census's vertices and normals, the dual's vertices
+and the 120-cell are written from the int64 rows they keep, every component
+sorted by one engine.distinct_index.  OFF files carry correctly rounded
+decimals: each printed value is the true real number rounded to the
+requested number of significant digits (1 to MAX_DIGITS), established by
+integer interval refinement: the enclosure's integer bounds are compared
+with integer powers of ten and rounded half-even with one divmod, with no
+Fraction and no floating point.  Each distinct (value, digits) pair is
+rendered once per process.  The OFF header's edge count comes from the
+caller: a complex knows its edges, and only a small hull's caller counts
+them from its faces.
 """
 
 from __future__ import annotations
@@ -70,16 +67,6 @@ class _Once(dict):
         return part
 
 
-def _components(points, once: _Once) -> list[tuple]:
-    """Each point's four components as once renders them, keyed by the exact integers of q.ivec."""
-    return [(once[v[0:4], d], once[v[4:8], d], once[v[8:12], d], once[v[12:16], d])
-            for v, d in [q.ivec for q in points]]
-
-
-def _json_points(points, once: _Once) -> list:
-    return [list(row) for row in _components(points, once)]
-
-
 class _Text:
     """JSON text that dumps writes as it stands."""
 
@@ -122,19 +109,15 @@ def _token_list(tokens: np.ndarray) -> _Text:
     return _Text("[" + "".join(tokens.ravel().tolist())[1:] + "]")
 
 
-class _PointTexts(dict):
-    """Each point's JSON text, keyed by the point: each distinct point rendered
-    once, from its components, each distinct component rendered once."""
+def _token_points(tokens: np.ndarray) -> list[_Text]:
+    """Each point whose _row_tokens these are as its own JSON text, in dumps' form."""
+    return [_Text("[" + "".join(row[1:])) for row in tokens.tolist()]
 
-    def __init__(self):
-        super().__init__()
-        self.parts = _Once(_component_text)
 
-    def __missing__(self, q):
-        (v, d), parts = q.ivec, self.parts
-        text = self[q] = _POINT.format(parts[v[0:4], d], parts[v[4:8], d],
-                                       parts[v[8:12], d], parts[v[12:16], d])
-        return text
+def _point_text(q: Quaternion, parts: _Once) -> str:
+    """q's JSON text, from its components' texts as parts renders them."""
+    v, d = q.ivec
+    return _POINT.format(parts[v[0:4], d], parts[v[4:8], d], parts[v[8:12], d], parts[v[12:16], d])
 
 
 def parse_field(doc) -> FieldElement:
@@ -164,7 +147,8 @@ def points_to_json(points) -> _Text:
     points].  A point set (groups.QuaternionSet) is written from the rows it keeps."""
     if isinstance(points, QuaternionSet):
         return _token_list(_row_tokens(points.rows, points.den))
-    return _Text("[" + ",".join(map(_PointTexts().__getitem__, points)) + "]")
+    parts = _Once(_component_text)
+    return _Text("[" + ",".join(_point_text(q, parts) for q in points) + "]")
 
 
 def coords_to_json(rows) -> list:
@@ -178,30 +162,32 @@ def parse_points(doc) -> list[Quaternion]:
 
 
 def complex_to_json(complex_) -> dict:
+    """A census (polytope.PolytopeComplex), written from its arrays."""
     once = _Once(_coefficients_to_json)
-    normals = _json_points([c.normal for c in complex_.cells], once)
+    normals = _token_points(_row_tokens(*complex_.normal_rows))
     return {
         "counts": list(complex_.counts()),
         "vertices": _token_list(_row_tokens(*complex_.vertex_rows)),
-        "edges": [list(e) for e in complex_.edges],
-        "faces": [list(f) for f in complex_.faces],
+        "edges": complex_.edge_array.tolist(),
+        "faces": complex_.face_array.tolist(),
         "cells": [
             {
-                "kind": c.kind,
-                "vertices": list(c.vertex_indices),
+                "kind": kind,
+                "vertices": idxs,
                 "normal": normal,
-                "offset": once[c.offset.raw],
+                "offset": once[c.raw],
             }
-            for c, normal in zip(complex_.cells, normals)
+            for (idxs, kind), normal, c in zip(complex_.cell_lists(), normals, complex_.offsets)
         ],
     }
 
 
-def dual_complex_to_json(complex_) -> dict:
-    once = _Once(_coefficients_to_json)
-    tips = _json_points([cell.vertex for cell in complex_.cells], once)
+def dual_complex_to_json(complex_, points: QuaternionSet, tips) -> dict:
+    """The dual complex, written from the rows of its vertices' point set
+    (dual.dual_vertex_set()) and of its cells' tips, the snub vertices (rows, den)."""
     cells = []
-    for cell, tip, ids in zip(complex_.cells, tips, complex_.cell_vertex_ids):
+    for cell, tip, ids in zip(complex_.cells, _token_points(_row_tokens(*tips)),
+                              complex_.cell_vertex_ids):
         cells.append({
             "vertex": tip,
             "vertices": list(ids),
@@ -210,7 +196,7 @@ def dual_complex_to_json(complex_) -> dict:
         })
     return {
         "counts": list(complex_.counts()),
-        "vertices": points_to_json(complex_.vertices),
+        "vertices": points_to_json(points),
         "edges": [list(e) for e in complex_.edges],
         "faces": [list(f) for f in complex_.faces],
         "cells": cells,
@@ -326,5 +312,9 @@ def off_text(coords, faces, edges: int, digits: int = 17) -> str:
     return "\n".join(lines) + "\n"
 
 
-def quaternion_coords(points) -> list[tuple[FieldElement, ...]]:
-    return _components(points, _Once(lambda nums, den: FieldElement._make(*nums, den)))
+def quaternion_coords(rows: np.ndarray, den: int) -> list[tuple[FieldElement, ...]]:
+    """The int64 rows over den as 4-tuples of field elements: one engine.distinct_index
+    of their components, each distinct component lifted once."""
+    components, at = engine.distinct_index(rows.reshape(-1, 4))
+    values = np.array([FieldElement._make(*c, den) for c in components.tolist()], dtype=object)
+    return list(map(tuple, values[at.reshape(-1, 4)].tolist()))

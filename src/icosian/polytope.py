@@ -1,41 +1,35 @@
 """The snub 24-cell and its neighbors inside the 600-cell.
 
-Vertex sets are exact quaternions; edges come from maximal scalar products,
-faces from triangles, and every cell is certified by an exact supporting
-hyperplane: its vertices reach the plane, all other vertices stay strictly
-below.  The normals of a whole census are one engine.cross_rows call over
-each cell's first three edges, and one more over all edge triples of a
-cell whose first four vertices are coplanar; the signs come from one
-engine.side_signs table, the norms and offsets from one engine.dot_rows
-table each, and each distinct squared norm takes one exact square root.
+Edges come from maximal scalar products, faces from triangles, and every cell
+is certified by an exact supporting hyperplane (certify_cells): its vertices
+reach the plane, all other vertices and the origin stay strictly below.
 
-The 600-cell census is certified up to symmetry (transport_cells): left
-multiplication by 2I moves a certified cell onto its whole orbit, so
-certify_cells sees one cell per orbit.  The 24-cell's octahedra are
-certified off the T' x T dot table that finds them, one at each point of
-T' (_octahedra), with no group action.  The snub 24-cell, and each of its
-five embeddings, is the one 600-cell census diminished at an inscribed
-24-cell (_diminished), every certificate inherited.  Each census keeps its
-vertex and normal rows, and the snub's are the 600-cell's.  The 120-cell is
-the coset union hosting the second snub copy, kept as rows.
+A census is a PolytopeComplex, held as its arrays: vertex and normal rows
+(int64 rows over one denominator each), edge, triangle and padded cell
+tables of vertex indices, and one offset per cell.  Its Quaternions, index
+tuples, Cells and incidence are views, made only when a caller asks.  The
+600-cell census is certified up to symmetry (transport_cells): left
+multiplication by 2I moves a certified cell onto its whole orbit.  The
+24-cell's octahedra are certified off the T' x T dot table that finds them
+(_octahedra).  The snub 24-cell, and each of its five embeddings, is the
+600-cell census diminished at an inscribed 24-cell (_diminished): every
+array is sliced from the 600-cell's, every certificate inherited.
 
-Every 2-face of a census cell is one of the census's own triangles, so a
-cell's faces in its own frame (PolytopeComplex.cell_geometry) are read off
-the census, not off a hull, and their orientation is carried, not
-recomputed.  The 600-cell and 24-cell censuses sign only the triangles of
-their cells at 1, in one batch of exact signs (_signed_cycles), and the
-group's Cayley table moves those cycles onto every other cell: a left
-multiplication is a rotation (_carried_cycles).  The snub and its
-embeddings relabel the 600-cell's cycles (_inherited_cycles).  In the frame
-(e1 n, e2 n, e3 n) of its normal n, a vertex v is the vector part of v conj(n):
-one engine.products table (frame_table) frames all cells, one per complex, on first use.
+A cell's faces are the census triangles it holds, oriented on the first
+cell request: the 600-cell and 24-cell sign those of their cells at 1 in
+one batch (_signed_cycles) and carry them by the group's Cayley table
+(_carried_cycles), and the snub and its embeddings relabel the 600-cell's
+(_inherited_cycles).  In the frame (e1 n, e2 n, e3 n) of its normal n, a
+vertex v is the vector part of v conj(n): one engine.products table
+(frame_table) frames all cells of a complex.  The 120-cell is the coset
+union hosting the second snub copy, kept as rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress
+from itertools import combinations
 from math import lcm
 
 import numpy as np
@@ -63,11 +57,11 @@ def edge_graph(vertices) -> tuple[tuple[int, int], ...]:
     """Pairs at the largest scalar product strictly below the common norm."""
     if len(vertices) < 2:
         raise DegenerateInput("need at least two vertices")
-    return _edge_graph(*engine.common_rows(vertices))
+    return tuple(map(tuple, _edge_graph(*engine.common_rows(vertices)).tolist()))
 
 
-def _edge_graph(rows: np.ndarray, den: int) -> tuple[tuple[int, int], ...]:
-    """edge_graph of the points given as int64 rows over den."""
+def _edge_graph(rows: np.ndarray, den: int) -> np.ndarray:
+    """edge_graph of the points given as int64 rows over den, as an (E, 2) array."""
     values, index = engine.distinct_values(engine.dot_rows(rows, rows), den * den)
     if np.any(np.diagonal(index) != index[0, 0]):
         raise DegenerateInput("vertices do not share a norm")
@@ -76,8 +70,7 @@ def _edge_graph(rows: np.ndarray, den: int) -> tuple[tuple[int, int], ...]:
     if not below:  # by Cauchy-Schwarz, only coincident points reach the norm
         raise DegenerateInput("vertices coincide: no scalar product below the norm")
     threshold = max(below)
-    mask = np.triu(index == values[threshold], 1)
-    return tuple(map(tuple, np.argwhere(mask).tolist()))
+    return np.argwhere(np.triu(index == values[threshold], 1))
 
 
 def adjacency(n: int, edges) -> list[set[int]]:
@@ -98,7 +91,8 @@ def triangle_faces(vertices, edges) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(out))
 
 
-def _four_cliques(n: int, edges, triangles) -> list[tuple[int, int, int, int]]:
+def _four_cliques(n: int, edges, triangles) -> np.ndarray:
+    """The 4-cliques on the triangles, as a table of sorted vertex-index rows."""
     adj = adjacency(n, edges)
     out = []
     # The candidates, and so every census's cell numbering (--cell K and the
@@ -110,7 +104,7 @@ def _four_cliques(n: int, edges, triangles) -> list[tuple[int, int, int, int]]:
         for m in adj[i] & adj[j] & adj[k]:
             if m > k:
                 out.append((i, j, k, m))
-    return out
+    return np.array(out, dtype=np.intp).reshape(-1, 4)
 
 
 def certify_cells(candidates, vertices):
@@ -123,7 +117,13 @@ def certify_cells(candidates, vertices):
     A failing list raises for its first failing cell, with its first failing check.
     The vertices are quaternions, or a point set whose kept rows are read (rows_of).
     """
-    rows, den = rows_of(vertices)
+    units, den, offsets = _certified(candidates, *rows_of(vertices))
+    return list(zip(engine.quats_of(units, den), offsets))
+
+
+def _certified(candidates, rows: np.ndarray, den: int):
+    """certify_cells on vertex rows over den: the unit normals as int64 rows over
+    their least denominator, that denominator, and the offsets."""
     # A cell of fewer than four vertices repeats its first: its cross row is zero.
     firsts = np.array([(tuple(idxs) + (idxs[0],) * 3)[:4] for idxs in candidates],
                       dtype=np.intp).reshape(-1, 4)
@@ -165,8 +165,7 @@ def certify_cells(candidates, vertices):
     offset_values, offset_at = engine.distinct_values(
         engine.dot_rows(units[:, None], rows[firsts[:, :1]])[:, 0, 0], sden * den)
     offsets = list(offset_values)
-    return [(normal, offsets[k])
-            for normal, k in zip(engine.quats_of(units, sden), offset_at.tolist())]
+    return (*engine.lowest_terms(units, sden), [offsets[k] for k in offset_at.tolist()])
 
 
 def supporting_hyperplane(vertex_indices, vertices):
@@ -185,33 +184,74 @@ class Cell:
         return f"<{self.kind}: vertices {self.vertex_indices}>"
 
 
-class PolytopeComplex:
-    """A certified census: its vertices, edges, triangles and cells.
+_KINDS = {4: "tetrahedron", 6: "octahedron", 12: "icosahedron"}  # a cell's kind by its size
 
-    orient(complex_), given by the census that makes the complex, orients
-    its cells' faces on the first cell request (_cycles).  rows and
-    normal_rows, each int64 rows and their denominator, are the vertices and
-    the cell normals as the census made them; either is made from the
-    quaternions on first use when not given.
+
+class PolytopeComplex:
+    """A certified census, held as its arrays.
+
+    vertex_rows and normal_rows are (int64 rows, den): the vertices, in
+    canonical order, and each cell's unit normal.  edge_array (E, 2) and
+    face_array (F, 3) hold sorted vertex indices, and cell_table (C, w) each
+    cell's, padded with -1; cell k is certified by (normal k, offsets[k]).
+    A cell's kind follows from its size: 4 a tetrahedron, 6 an octahedron,
+    12 an icosahedron.  orient(complex_), given by the census that makes the
+    complex, orients its cells' faces on the first cell request (_cycles).
+    vertices, edges, faces, cells, incidence and the vertex index (index,
+    `in`) are views, each made on first use.
     """
 
-    def __init__(self, vertices, edges, faces, cells, orient=None, rows=None, normal_rows=None):
-        if rows is not None:
-            self.vertex_rows = rows
-        if normal_rows is not None:
-            self.normal_rows = normal_rows
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
-        self.faces = tuple(faces)
-        self.cells = tuple(cells)
-        self._index = {q: i for i, q in enumerate(self.vertices)}
-        # incidence[i]: the indices of the cells holding vertex i, in cell order.
-        at = [[] for _ in self.vertices]
-        for k, cell in enumerate(self.cells):
-            for i in cell.vertex_indices:
-                at[i].append(k)
-        self.incidence = tuple(map(tuple, at))
-        self._orient = orient
+    def __init__(self, vertex_rows, edges, faces, cells, normal_rows, offsets, orient):
+        self.vertex_rows, self.normal_rows = vertex_rows, normal_rows
+        self.edge_array, self.face_array, self.cell_table = edges, faces, cells
+        self.offsets, self._orient = tuple(offsets), orient
+
+    @cached_property
+    def vertices(self) -> tuple[Quaternion, ...]:
+        return engine.quats_of(*self.vertex_rows)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self.face_array.tolist()))
+
+    @cached_property
+    def cell_sizes(self) -> np.ndarray:
+        """The number of vertices of each cell."""
+        return (self.cell_table >= 0).sum(axis=1)
+
+    def cell_lists(self) -> list[tuple[list[int], str]]:
+        """Each cell's vertex indices, its cell_table row less the padding, and its kind."""
+        return [(row[:n], _KINDS[n])
+                for row, n in zip(self.cell_table.tolist(), self.cell_sizes.tolist())]
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        normals = engine.quats_of(*self.normal_rows)
+        return tuple(Cell(idxs, kind, normal, offset) for (idxs, kind), normal, offset
+                     in zip(self.cell_lists(), normals, self.offsets))
+
+    @cached_property
+    def vertex_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, starts): cells[starts[i]:starts[i + 1]] are the cells holding vertex i,
+        in cell order."""
+        k, j = np.nonzero(self.cell_table >= 0)
+        at = self.cell_table[k, j]
+        counts = np.bincount(at, minlength=len(self.vertex_rows[0]))
+        return k[np.argsort(at, kind="stable")], np.concatenate([[0], np.cumsum(counts)])
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """incidence[i]: the indices of the cells holding vertex i, in cell order."""
+        cells, starts = (column.tolist() for column in self.vertex_cells)
+        return tuple(tuple(cells[a:b]) for a, b in zip(starts, starts[1:]))
+
+    @cached_property
+    def _index(self) -> dict[Quaternion, int]:
+        return {q: i for i, q in enumerate(self.vertices)}
 
     def index(self, q: Quaternion) -> int:
         return self._index[q]
@@ -220,7 +260,8 @@ class PolytopeComplex:
         return q in self._index
 
     def counts(self) -> tuple[int, int, int, int]:
-        return (len(self.vertices), len(self.edges), len(self.faces), len(self.cells))
+        return (len(self.vertex_rows[0]), len(self.edge_array), len(self.face_array),
+                len(self.cell_table))
 
     def euler(self) -> int:
         v, e, f, c = self.counts()
@@ -229,47 +270,36 @@ class PolytopeComplex:
     def cells_at(self, q: Quaternion) -> list[Cell]:
         return [self.cells[k] for k in self.incidence[self.index(q)]]
 
-    def _held(self, items, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cell, item) index pairs, one for each item (a sorted vertex-index tuple
-        of the width) that a cell holds, a cell size at a time and in cell order
-        within one: one engine.RowIndex lookup of the cells' vertex subsets of
-        that width per cell size."""
-        index = engine.RowIndex(_flat(items).reshape(-1, width))
-        ks = np.arange(len(self.cells))
-        sizes = np.array([len(cell.vertex_indices) for cell in self.cells])
+    def _held(self, items: np.ndarray, ks=None) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, item) index pairs, one for each item (a row of sorted vertex indices)
+        that a cell of ks (default: every cell) holds, a cell size at a time and in
+        the order of ks within one: one engine.RowIndex lookup of the cells' vertex
+        subsets of the items' width per cell size."""
+        index, width = engine.RowIndex(items), items.shape[1]
+        ks = np.arange(len(self.cell_table)) if ks is None else ks
+        sizes = self.cell_sizes[ks]
         pairs = []
         for size in sorted(set(sizes.tolist())):
             group = ks[sizes == size]
-            subsets = _flat(self.cells[k].vertex_indices for k in group.tolist()).reshape(-1, size)
             combos = list(combinations(range(size), width))
-            at = index.find(subsets[:, combos].reshape(-1, width))
+            at = index.find(self.cell_table[group][:, combos].reshape(-1, width))
             hit = np.flatnonzero(at >= 0)
             pairs.append((group[hit // len(combos)], at[hit]))
         return tuple(map(np.concatenate, zip(*pairs)))
 
     @cached_property
-    def _cell_rows(self) -> np.ndarray:
-        """The cells' vertex indices, a row per cell, for a complex of one cell size."""
-        return _flat(cell.vertex_indices for cell in self.cells).reshape(len(self.cells), -1)
-
-    @cached_property
-    def _cell_index(self) -> engine.RowIndex:
-        """Which cell has a given row of vertex indices (_cell_rows)."""
-        return engine.RowIndex(self._cell_rows)
-
-    @cached_property
     def face_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell, face) index pairs, one for each face a cell holds: the face-cell table."""
-        return self._held(self.faces, 3)
+        return self._held(self.face_array)
 
     @cached_property
     def edge_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell, edge) index pairs, one for each edge a cell holds."""
-        return self._held(self.edges, 2)
+        return self._held(self.edge_array)
 
     def face_cell_incidence(self) -> Counter:
         """The number of cells holding each face that some cell holds."""
-        counts = np.bincount(self.face_cells[1], minlength=len(self.faces)).tolist()
+        counts = np.bincount(self.face_cells[1], minlength=len(self.face_array)).tolist()
         return Counter({face: n for face, n in zip(self.faces, counts) if n})
 
     def edge_cell_valences(self) -> Counter:
@@ -277,28 +307,17 @@ class PolytopeComplex:
         return Counter(n for n in np.bincount(self.edge_cells[1]).tolist() if n)
 
     @cached_property
-    def vertex_rows(self) -> tuple[np.ndarray, int]:
-        """The vertices as int64 rows over one denominator."""
-        return engine.common_rows(self.vertices)
-
-    @cached_property
-    def normal_rows(self) -> tuple[np.ndarray, int]:
-        """The cell normals as int64 rows over one denominator."""
-        return engine.common_rows([cell.normal for cell in self.cells])
-
-    @cached_property
     def _frames(self) -> tuple[np.ndarray, np.ndarray]:
         """Every cell's frame coordinates, one frame_table of the vertices and the cell normals."""
         (rows, den), (normals, nden) = self.vertex_rows, self.normal_rows
-        return frame_table(rows, normals, den * nden, [cell.vertex_indices for cell in self.cells])
+        table = self.cell_table
+        return frame_table(rows, normals, den * nden, table[table >= 0], self.cell_sizes)
 
     @cached_property
     def _cycles(self) -> tuple[np.ndarray, np.ndarray]:
         """(cycles, starts): cycles[starts[k]:starts[k + 1]] are the triangles cell k
         holds, each as a cycle of vertex indices that runs counterclockwise seen
         from outside the cell, in its own frame, as the complex's orient gives them."""
-        if self._orient is None:
-            raise DegenerateInput("complex has no face orientation")
         return self._orient(self)
 
     def cell_geometry(self, index: int):
@@ -309,7 +328,7 @@ class PolytopeComplex:
         cycles, at = self._cycles
         return (list(map(tuple, coords[starts[index]:starts[index + 1]].tolist())),
                 hull.relabel(cycles[at[index]:at[index + 1]].tolist(),
-                             self.cells[index].vertex_indices))
+                             self.cell_table[index, :self.cell_sizes[index]].tolist()))
 
     def __repr__(self) -> str:
         return "<complex: %d vertices, %d edges, %d faces, %d cells>" % self.counts()
@@ -318,20 +337,23 @@ class PolytopeComplex:
 def _nearest(centers: np.ndarray, cden: int, rows: np.ndarray, den: int):
     """(cells, rank, levels) of one dot table of the center rows over cden against
     the vertex rows over den: levels are its distinct entries in increasing exact
-    order, rank[k, i] is the place of (center k, vertex i) among them, and cells[k]
-    lists the vertices at the largest entry of row k."""
+    order, rank[k, i] is the place of (center k, vertex i) among them, and row k
+    of the table cells lists the vertices at the largest entry of row k, padded with -1."""
     values, index = engine.distinct_values(engine.dot_rows(centers, rows), cden * den)
     levels = sorted(values)
     rank = np.argsort([values[x] for x in levels])[index]
     k, i = np.nonzero(rank == rank.max(axis=1)[:, None])
-    ends, at = np.cumsum(np.bincount(k, minlength=len(rank))).tolist(), i.tolist()
-    return [tuple(at[a:b]) for a, b in zip([0] + ends, ends)], rank, levels
+    counts = np.bincount(k, minlength=len(rank))
+    cells = np.full((len(rank), counts.max(initial=0)), -1, dtype=np.intp)
+    cells[k, np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)] = i
+    return cells, rank, levels
 
 
-def _octahedra(tet, edges) -> list[Cell]:
-    """The 24-cell's cells: at each point t of T' (groups.t_prime), in order, the
-    octahedron of the vertices nearest t, certified off the T' x T dot table
-    that finds them (_nearest), with no group action.
+def _octahedra(tet, edges) -> tuple[np.ndarray, list]:
+    """The 24-cell's cells, as a cell table and their offsets: at each point t
+    of T' (groups.t_prime), in order, the octahedron of the vertices nearest t,
+    certified off the T' x T dot table that finds them (_nearest), with no
+    group action.
 
     Its certificate is (t, c) for c the largest (t, v) over the vertices v:
     the cell is exactly the vertices at c, so every other vertex lies strictly
@@ -341,9 +363,8 @@ def _octahedra(tet, edges) -> list[Cell]:
     """
     tp = t_prime()
     cells, rank, levels = _nearest(tp.rows, tp.den, tet.rows, tet.den)
-    held = np.zeros(rank.shape, dtype=bool)
-    held[np.repeat(np.arange(len(cells)), [len(c) for c in cells]), _flat(cells)] = True
-    top = rank[np.arange(len(cells)), [c[0] for c in cells]]
+    held = (cells[:, :, None] == np.arange(rank.shape[1])).any(axis=1)
+    top = rank[np.arange(len(cells)), cells[:, 0]]
     if (rank.max(axis=1) != top).any() or (held != (rank == top[:, None])).any():
         raise CertificationFailed("cell vertices are not exactly those nearest its center")
     norms = engine.dot_rows(tp.rows[:, None], tp.rows[:, None])[:, 0, 0]
@@ -352,17 +373,18 @@ def _octahedra(tet, edges) -> list[Cell]:
     if any(levels[m].sign() <= 0 for m in set(top.tolist())):
         raise CertificationFailed("hyperplane does not face away from the origin")
     adj = adjacency(len(tet), edges)
-    firsts = [(idxs[0], *[j for j in idxs[1:] if j in adj[idxs[0]]][:3]) for idxs in cells]
+    firsts = [(idxs[0], *[j for j in idxs[1:] if j in adj[idxs[0]]][:3])
+              for idxs in cells.tolist()]
     if any(len(f) < 4 for f in firsts) or not engine.cross_rows(*engine.differences(
             tet.rows, np.array(firsts, dtype=np.intp)).transpose(1, 0, 2)).any(axis=1).all():
         raise CertificationFailed("cell does not span a hyperplane")
-    return [Cell(idxs, "octahedron", t, levels[m])
-            for idxs, t, m in zip(cells, tp.elements, top.tolist())]
+    return cells, [levels[m] for m in top.tolist()]
 
 
-def transport_cells(candidates, group):
-    """certify_cells of the candidates on the group's elements, certifying one
-    cell per orbit of the group acting on the left: r -> h r.
+def transport_cells(cells: np.ndarray, group):
+    """certify_cells of the candidate cells, a table of sorted vertex-index rows
+    of one width, on the group's elements, certifying one cell per orbit of the
+    group acting on the left: r -> h r.
 
     group.cayley_table says where every h moves every element; it is None when
     some product is no element.  h then permutes the elements, so it is a unit
@@ -373,28 +395,20 @@ def transport_cells(candidates, group):
     reached yet is a representative: certify_cells certifies the
     representatives in one call, and each representative's images under the
     whole group must be candidates.  A candidate that no image reaches
-    raises, as does any other failed check.  Returns the certificates, in
-    candidate order, and their normals as int64 rows and their denominator.
+    raises, as does any other failed check.  Returns the unit normals as
+    int64 rows and their denominator, and the offsets, in candidate order.
     """
     perm = group.cayley_table
     if perm is None:
         raise CertificationFailed("multiplier moves a vertex off the vertex set")
-    rows, den = group.rows, group.den
-    # Cells as sorted vertex-index rows, padded with -1 to one width.
-    width = max(map(len, candidates), default=0)
-    table = np.array([sorted(idxs) + [-1] * (width - len(idxs)) for idxs in candidates],
-                     dtype=np.intp).reshape(len(candidates), width)
-    at_cell = engine.RowIndex(table)
-    source = np.full(len(candidates), -1)  # the representative each candidate is an image of
-    mover = np.zeros(len(candidates), dtype=np.intp)  # and the multiplier moving it there
+    rows, den, at_cell = group.rows, group.den, engine.RowIndex(cells)
+    source = np.full(len(cells), -1)  # the representative each candidate is an image of
+    mover = np.zeros(len(cells), dtype=np.intp)  # and the multiplier moving it there
     representatives = []
-    for k in np.flatnonzero((table == 0).any(axis=1)).tolist():
+    for k in np.flatnonzero((cells == 0).any(axis=1)).tolist():
         if source[k] >= 0:
             continue
-        idxs = candidates[k]
-        images = np.full((len(rows), width), -1, dtype=np.intp)
-        images[:, :len(idxs)] = np.sort(perm[:, list(idxs)], axis=1)
-        images = at_cell.find(images)
+        images = at_cell.find(np.sort(perm[:, cells[k]], axis=1))
         if (images < 0).any():
             raise CertificationFailed("multiplier moves a certified cell off the candidates")
         fresh = np.flatnonzero(source[images] < 0)
@@ -402,19 +416,16 @@ def transport_cells(candidates, group):
         representatives.append(k)
     if (source < 0).any():
         raise CertificationFailed("no certified cell moves onto a candidate")
-    certificates = certify_cells([candidates[k] for k in representatives], group)
-    nrows, nden = engine.common_rows([normal for normal, _ in certificates])
-    moved = engine.products(rows[mover], nrows[source])
-    return ([(normal, certificates[k][1])
-             for normal, k in zip(engine.quats_of(moved, den * nden), source.tolist())],
-            (moved, den * nden))
+    units, nden, offsets = _certified(cells[representatives].tolist(), rows, den)
+    return ((engine.products(rows[mover], units[source]), den * nden),
+            [offsets[k] for k in source.tolist()])
 
 
 def _signed_cycles(complex_, ks) -> np.ndarray:
     """The triangles the cells ks hold, cell by cell in the order of ks and each
     cell's in the order of its vertex triples, as cycles signed in one batch:
     one engine.cross_rows over the triangles, and one engine.dot_rows against
-    their cells' normals.
+    their cells' normals.  The cells ks are of one size.
 
     In the basis (n, e1 n, e2 n, e3 n), right multiplication by the unit
     normal n applied to (1, e1, e2, e3), a cell vertex is (c, x) for its
@@ -422,11 +433,8 @@ def _signed_cycles(complex_, ks) -> np.ndarray:
     cell holds the frame's origin, its circumcentre, so face a < b < c
     runs (a, b, c) seen from outside when det[a, b, c, n] < 0, else (a, c, b).
     """
-    triangles = set(complex_.faces)
-    cells, faces = zip(*[(k, t) for k in ks.tolist()
-                         for t in combinations(complex_.cells[k].vertex_indices, 3)
-                         if t in triangles])
-    faces, normals = np.array(faces, dtype=np.intp), complex_.normal_rows[0][list(cells)]
+    cells, at = complex_._held(complex_.face_array, ks)
+    faces, normals = complex_.face_array[at], complex_.normal_rows[0][cells]
     cross = engine.cross_rows(*complex_.vertex_rows[0][faces].transpose(1, 0, 2))
     signs = engine.signs(engine.dot_rows(cross[:, None], normals[:, None]))[:, 0, 0]
     return np.where(signs[:, None] < 0, faces, faces[:, [0, 2, 1]])
@@ -445,8 +453,8 @@ def _carried_cycles(group, complex_) -> tuple[np.ndarray, np.ndarray]:
     them: the cycle (a, b, c) of v^-1 C is (L[v, a], L[v, b], L[v, c]) on C.
     """
     table, one = group.cayley_table, group.index(Q_ONE)
-    cells = complex_._cell_rows
-    at_one = np.array(complex_.incidence[one], dtype=np.intp)
+    cells, (holders, starts) = complex_.cell_table, complex_.vertex_cells
+    at_one = holders[starts[one]:starts[one + 1]]
     # One kind of cell: the cycles of each cell at 1 are one block of its face count.
     signed = _signed_cycles(complex_, at_one).reshape(len(at_one), -1, 3)
     first = cells[:, 0]
@@ -468,8 +476,9 @@ def _inherited_cycles(big, sources, removed, label) -> tuple[np.ndarray, np.ndar
     is a positive multiple of det[a, b, c, t]: each face runs as it does on
     its tetrahedron.
     """
-    tets = big._cycles[0].reshape(len(big.cells), 4, 3)
-    around = tets[np.array([big.incidence[t] for t in removed.tolist()], dtype=np.intp)]
+    tets = big._cycles[0].reshape(len(big.cell_table), 4, 3)
+    holders, starts = big.vertex_cells
+    around = tets[np.array([holders[starts[t]:starts[t + 1]] for t in removed.tolist()])]
     opposite = around[~(around == removed[:, None, None, None]).any(axis=3)]
     cycles = label[np.concatenate([tets[sources].reshape(-1, 3), opposite])]
     return cycles, np.cumsum([0] + [4] * len(sources) + [20] * len(removed))
@@ -489,25 +498,23 @@ def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
     and the twelve span a hyperplane.  A kept triangle lies in two cells of
     big, and each that holds a removed t gives way to t's icosahedron: so
     each triangle lies in exactly two cells, and the cells are the boundary.
-    The vertex and normal rows are big's, kept and moved alike.
+    Every array is a slice of big's, the normal rows kept and moved alike.
     """
-    n, removed = len(big.vertices), np.asarray(removed, dtype=np.intp)
     (rows, den), (normals, nden) = big.vertex_rows, big.normal_rows
-    edges, faces = _flat(big.edges).reshape(-1, 2), _flat(big.faces).reshape(-1, 3)
+    edges, faces = big.edge_array, big.face_array
+    n, removed = len(rows), np.asarray(removed, dtype=np.intp)
     adj = np.zeros((n, n), dtype=bool)
     adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
     keep = ~np.isin(np.arange(n), removed)
     if len(removed) != 24 or keep.sum() != n - 24 or adj[np.ix_(removed, removed)].any():
         raise BadParameter("vertex set is not a snub complement inside the 600-cell")
-    label, kept = np.cumsum(keep) - 1, tuple(compress(big.vertices, keep.tolist()))
-    edges = tuple(map(tuple, label[edges[keep[edges].all(axis=1)]].tolist()))
-    faces = tuple(map(tuple, label[faces[keep[faces].all(axis=1)]].tolist()))
-    tets = np.array(_four_cliques(len(kept), edges, faces), dtype=np.intp).reshape(-1, 4)
-    at = big._cell_index.find(np.flatnonzero(keep)[tets])
+    label = np.cumsum(keep) - 1
+    edges = label[edges[keep[edges].all(axis=1)]]
+    faces = label[faces[keep[faces].all(axis=1)]]
+    tets = _four_cliques(n - 24, edges.tolist(), faces.tolist())
+    at = engine.RowIndex(big.cell_table).find(np.flatnonzero(keep)[tets])
     if (at < 0).any():
         raise CertificationFailed("a tetrahedron is no cell of the 600-cell")
-    cells = [Cell(idxs, "tetrahedron", big.cells[k].normal, big.cells[k].offset)
-             for idxs, k in zip(tets.tolist(), at.tolist())]
     # Each removed t's icosahedron, in rows.  Its least vertex a and three of
     # the pentagon around the edge (t, a) span a hyperplane, if any four do.
     rings = np.nonzero(adj[removed])[1].reshape(len(removed), -1)
@@ -516,18 +523,19 @@ def _diminished(big: PolytopeComplex, removed) -> PolytopeComplex:
     edge_rows = engine.differences(rows, firsts)
     if not engine.cross_rows(*edge_rows.transpose(1, 0, 2)).any(axis=1).all():
         raise CertificationFailed("cell does not span a hyperplane")
-    c = big.vertices[big.edges[0][0]].dot(big.vertices[big.edges[0][1]])
+    a, b = big.edge_array[0]
+    (c,) = engine.distinct_values(engine.dot_rows(rows[a:a + 1], rows[b:b + 1]), den * den)[0]
     if c.sign() <= 0:
         raise CertificationFailed("hyperplane does not face away from the origin")
-    cells += [Cell(ring, "icosahedron", big.vertices[t], c)
-              for t, ring in zip(removed.tolist(), label[rings].tolist())]
+    cells = np.full((len(tets) + len(removed), 12), -1, dtype=np.intp)
+    cells[:len(tets), :4], cells[len(tets):] = tets, label[rings]
     common = lcm(den, nden)
     normals = np.concatenate([engine.rescaled(normals[at], nden, common),
                               engine.rescaled(rows[removed], den, common)])
-    return PolytopeComplex(kept, edges, faces, cells,
-                           lambda _: _inherited_cycles(big, at, removed, label),
-                           engine.lowest_terms(rows[keep], den),
-                           engine.lowest_terms(normals, common))
+    return PolytopeComplex(engine.lowest_terms(rows[keep], den), edges, faces, cells,
+                           engine.lowest_terms(normals, common),
+                           [big.offsets[k] for k in at.tolist()] + [c] * len(removed),
+                           lambda _: _inherited_cycles(big, at, removed, label))
 
 
 def cell_census(vertices) -> PolytopeComplex:
@@ -553,17 +561,16 @@ def _census(points: frozenset) -> PolytopeComplex:
         return _diminished(_census(frozenset(icos.elements)),
                            [k for k, q in enumerate(icos.elements) if q not in points])
     edges = _edge_graph(group.rows, group.den)
-    faces = triangle_faces(group.elements, edges)
+    pairs = edges.tolist()
+    faces = triangle_faces(group, pairs)
     if len(group) == 24:
-        cells, normal_rows = _octahedra(group, edges), (t_prime().rows, t_prime().den)
+        (cells, offsets), normal_rows = _octahedra(group, pairs), (t_prime().rows, t_prime().den)
     else:
-        candidates = _four_cliques(len(group), edges, faces)
-        certificates, normal_rows = transport_cells(candidates, group)
-        cells = [Cell(idxs, "tetrahedron", normal, offset)
-                 for idxs, (normal, offset) in zip(candidates, certificates)]
-    return PolytopeComplex(group.elements, edges, faces, cells,
-                           lambda complex_: _carried_cycles(group, complex_),
-                           (group.rows, group.den), normal_rows)
+        cells = _four_cliques(len(group), pairs, faces)
+        normal_rows, offsets = transport_cells(cells, group)
+    return PolytopeComplex((group.rows, group.den), edges,
+                           np.array(faces, dtype=np.intp).reshape(-1, 3), cells, normal_rows,
+                           offsets, lambda complex_: _carried_cycles(group, complex_))
 
 
 @lru_cache(maxsize=None)
@@ -593,30 +600,18 @@ def tetra_cells_at(p: Quaternion):
     return tets, [c.normal for c in tets]
 
 
-def _flat(tuples) -> np.ndarray:
-    """The entries of integer tuples, one after another, as one intp array."""
-    return np.fromiter(chain.from_iterable(tuples), dtype=np.intp)
-
-
-def frame_table(rows: np.ndarray, bases: np.ndarray, den: int, members):
-    """(coords, starts): coords[starts[k]:starts[k + 1]] are the rows members[k] lists, in
-    the frame (e1 u, e2 u, e3 u) of the unit u = bases[k], as field-element rows; den is
-    the product of the two denominators.  v has coordinates (v, ei u) = (v conj(u), ei),
-    the vector part of v conj(u), so frames of every size are one engine.products call
-    over the flat (point, basis) pairs, and each distinct coordinate is lifted once.
+def frame_table(rows: np.ndarray, bases: np.ndarray, den: int, members: np.ndarray, sizes):
+    """(coords, starts): coords[starts[k]:starts[k + 1]] are the rows that the next sizes[k]
+    entries of members index, in the frame (e1 u, e2 u, e3 u) of the unit u = bases[k], as
+    field-element rows; den is the product of the two denominators.  v has coordinates
+    (v, ei u) = (v conj(u), ei), the vector part of v conj(u), so frames of every size are
+    one engine.products call over the flat (point, basis) pairs, and each distinct
+    coordinate is lifted once.
     """
-    sizes = [len(m) for m in members]
     frames = np.repeat(engine.conjugates(bases), sizes, axis=0)
-    pairs = engine.products(rows[_flat(members)], frames)
+    pairs = engine.products(rows[members], frames)
     values, index = engine.distinct_values(pairs[:, 4:].reshape(-1, 3, 4), den)
-    return np.array(list(values), dtype=object)[index], np.cumsum([0] + sizes)
-
-
-def frame_coords(basis_vector: Quaternion, points) -> list[tuple]:
-    """Coordinates of each point in the frame (e1 u, e2 u, e3 u) of a unit u: see frame_table."""
-    rows, den = engine.common_rows([basis_vector, *points])
-    coords, _ = frame_table(rows, rows[:1], den * den, [range(1, len(rows))])
-    return list(map(tuple, coords.tolist()))
+    return np.array(list(values), dtype=object)[index], np.concatenate([[0], np.cumsum(sizes)])
 
 
 class VertexFigure:
@@ -636,14 +631,14 @@ def vertex_figure(p: Quaternion) -> VertexFigure:
     complex_ = snub_census()
     if p not in complex_:
         raise BadParameter("vertex must lie on the snub 24-cell")
-    i = complex_.index(p)
-    nbrs = sorted(j for e in complex_.edges for j, k in ((e[1], e[0]), (e[0], e[1]))
-                  if k == i)
-    neighbors = [complex_.vertices[j] for j in nbrs]
+    i, edges, (rows, den) = complex_.index(p), complex_.edge_array, complex_.vertex_rows
+    nbrs = np.sort(np.concatenate([edges[edges[:, 0] == i, 1], edges[edges[:, 1] == i, 0]]))
+    neighbors = [complex_.vertices[j] for j in nbrs.tolist()]
     for q in neighbors:
         if q.dot(p) != TAU_HALF:
             raise CoplanarityFailed("neighbor misses the vertex-figure hyperplane")
-    coords = frame_coords(p, neighbors)
+    coords, _ = frame_table(rows, rows[i:i + 1], den * den, nbrs, [len(nbrs)])
+    coords = list(map(tuple, coords.tolist()))
     faces = hull.convex_hull_faces(coords)
     return VertexFigure(p, neighbors, coords, faces)
 

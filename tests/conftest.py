@@ -1,4 +1,5 @@
-"""Shared fixtures: the command line in a child process, cold censuses, and two orbit oracles."""
+"""Shared fixtures: the command line in a child process, cold censuses, a census's
+arrays with parts swapped, two orbit oracles and the scalar frame oracle."""
 
 import os
 import subprocess
@@ -6,11 +7,13 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import icosian
-from icosian import CapExceeded, cli, polytope
+from icosian import E1, E2, E3, CapExceeded, cli, dual, polytope
 from icosian.engine import distinct_rows, quats_of
+from icosian.polytope import PolytopeComplex
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -46,6 +49,29 @@ def cold_censuses(monkeypatch):
                          (polytope, "embedding_censuses"), (cli, "_export_complex")):
         fresh = lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
         monkeypatch.setattr(module, name, fresh)
+
+
+@pytest.fixture
+def fresh_dual():
+    """The dual's caches, emptied before and after the test."""
+    caches = (dual.dual_vertex_set, dual._numbering, dual.dual_complex, dual.dual_cell)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def census_copy(real, cells=None, **arrays):
+    """A PolytopeComplex of the real census's arrays, keeping only the cells at the
+    indices cells (their table rows, normals and offsets alike), and with each
+    argument named in arrays (vertex_rows, edges, offsets) swapped in."""
+    keep = np.arange(len(real.cell_table)) if cells is None else np.asarray(cells, dtype=np.intp)
+    normals, nden = real.normal_rows
+    return PolytopeComplex(**{
+        "vertex_rows": real.vertex_rows, "edges": real.edge_array, "faces": real.face_array,
+        "cells": real.cell_table[keep], "normal_rows": (normals[keep], nden),
+        "offsets": [real.offsets[k] for k in keep.tolist()], "orient": real._orient, **arrays})
 
 
 def _scan_project_scripts(text):
@@ -120,3 +146,9 @@ def _orbit_by_elements(group, v) -> tuple:
 def orbit_by_elements():
     """The all-elements orbit oracle that coxeter.orbit, a generator closure, must match."""
     return _orbit_by_elements
+
+
+def scalar_frame_coords(u, points):
+    """The frame coordinates by scalar Quaternion.dot: the oracle of polytope.frame_table."""
+    frame = [unit * u for unit in (E1, E2, E3)]
+    return [tuple(f.dot(x) for f in frame) for x in points]

@@ -220,7 +220,6 @@ point_lists = st.lists(components, min_size=1, max_size=4).flatmap(
 def assert_writers_match_per_point(points):
     points = list(points)
     assert dumps(points_to_json(points)) == dumps([quaternion_to_json(q) for q in points])
-    assert quaternion_coords(points) == [q.components for q in points]
     rows = [q.components[1:] for q in points]
     assert coords_to_json(rows) == [[field_to_json(x) for x in row] for row in rows]
 
@@ -248,6 +247,7 @@ def assert_row_writer_matches_per_point(rows, den):
     rows = np.array(rows, dtype=np.int64).reshape(-1, 16)
     oracle = dumps([quaternion_to_json(q) for q in quats_of(rows, den)])
     assert dumps(exports._token_list(exports._row_tokens(rows, den))) == oracle
+    assert quaternion_coords(rows, den) == [q.components for q in quats_of(rows, den)]
     points = QuaternionSet.from_rows(rows, den)
     assert dumps(points_to_json(points)) == dumps([quaternion_to_json(q) for q in points])
 
@@ -623,6 +623,25 @@ def test_builds_and_verify_all_orient_no_cell(monkeypatch, capsys, cold_censuses
     for argv in [["verify", "all"]] + [["build", obj, "--out", "-"] for obj in cli.BUILD_OBJECTS]:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_cold_builds_and_whole_exports_make_no_cell(monkeypatch, capsys, cold_censuses,
+                                                   fresh_dual):
+    """A fresh build snub24, build dual-snub24 and export 600cell --format off read
+    the censuses' arrays: they make no Cell and no engine.quats_of of normal rows."""
+    def refuse(*args):
+        raise AssertionError("a census made a Cell")
+
+    seen, real = [], polytope.engine.quats_of
+    monkeypatch.setattr(polytope.Cell, "__init__", refuse)
+    monkeypatch.setattr(polytope.engine, "quats_of", lambda rows, den: (
+        seen.append(rows) or real(rows, den)))
+    for argv in (["build", "snub24", "--out", "-"], ["build", "dual-snub24", "--out", "-"],
+                 ["export", "600cell", "--format", "off", "--out", "-"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    normals = [cli._export_complex(name).normal_rows[0] for name in ("snub24", "600cell")]
+    assert seen and not any(np.shares_memory(rows, n) for rows in seen for n in normals)
 
 
 def _load_workloads():

@@ -6,7 +6,10 @@ geometry benchmark exports OFF only, so a sample of ``--format json``
 exports is pinned here by digests recorded before the JSON writers were
 made Fraction-free, and so are three ``orbit --decompose`` reports, recorded
 before orbits were keyed on packed rows, and all fifteen masked ones, recorded
-before every weight orbit was read off one table of weight frames.
+before every weight orbit was read off one table of weight frames.  No
+output covers a whole census of the snub's four other embeddings, so each
+census is pinned by one digest of its vertices, edges, faces, cells and
+incidence, recorded before a complex was held as its arrays.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from icosian import cli
+from icosian import binary_icosahedral, binary_tetrahedral, cell_census, cli, embedding_censuses
 from icosian.roots import ALL_MASKS
 
 REFS = json.loads((Path(__file__).resolve().parents[1] / "benchmarks" / "refs.json")
@@ -90,3 +93,36 @@ def test_every_masked_orbit_report_matches_pinned_digest(capsys):
         assert cli.main(["orbit", "--weights", weights, "--decompose", "--out", "-"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "ab3a925395554d180bde1398a217e7a06bc03261c8eb7015dc966b3377dd3e35"
+
+
+def census_digest(complex_) -> str:
+    """The sha256 of a census's vertices, edges, faces, cells (vertex indices,
+    kind, normal, offset) and incidence, each number written exactly: a
+    quaternion as its integer numerators over its denominator, in lowest terms."""
+    doc = {"vertices": [q.ivec for q in complex_.vertices], "edges": complex_.edges,
+           "faces": complex_.faces, "cells": [(c.vertex_indices, c.kind, c.normal.ivec,
+                                               c.offset.raw) for c in complex_.cells],
+           "incidence": complex_.incidence}
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+CENSUSES = {
+    "600cell": lambda: cell_census(binary_icosahedral().elements),
+    "24cell": lambda: cell_census(binary_tetrahedral().elements),
+    # Embedding 0 is the snub census.
+    **{f"embedding {i}": (lambda i=i: embedding_censuses()[i]) for i in range(5)},
+}
+CENSUS_DIGESTS = {
+    "600cell": "3eca0fe6eef536f221e97fb755704fb79d6cceb2bcea2112400de883a55c55e8",
+    "24cell": "d55e8a6d87e481a36d9f2569a90b61616e37471d04952f520a48a54f846e5f7b",
+    "embedding 0": "ba2c4ee5f875d6dbaaaf9cf8ec00f057fc3f4236bcd6b622a107e8496974a15d",
+    "embedding 1": "b584c497202e74faf3fa3ee6d8e5bd628f873b8d53dff13d95613ec62985325e",
+    "embedding 2": "00f6ec5b7c4b300188f60afb99ecfe6eb1a1e0f065efe2b0e4aacbe30ca073d4",
+    "embedding 3": "37f10caf2e3c1620e0d2766d05ed41875cfd39bceda3343219559de58b049446",
+    "embedding 4": "84cc62b3ef262c46bb3ac7a1cd33495036e729bb7ec6ba4d2d3740ed91838d1e",
+}
+
+
+@pytest.mark.parametrize("name", CENSUS_DIGESTS)
+def test_census_matches_pinned_digest(name):
+    assert census_digest(CENSUSES[name]()) == CENSUS_DIGESTS[name]

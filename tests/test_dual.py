@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from icosian import (CELL_ROTATION, E1, E2, E3, Q_ONE, Quaternion, Transform,
@@ -12,13 +13,13 @@ from icosian import (CELL_ROTATION, E1, E2, E3, Q_ONE, Quaternion, Transform,
                      dual_complex, dual_vertices, embedding_censuses, icosian_seed,
                      rotate_cell, snub24_vertices, snub_census, t_prime,
                      vertex_figure, vertex_surroundings)
-from icosian import coxeter, dual, hull
+from icosian import coxeter, dual, engine, hull, polytope
 from icosian.dual import LEVEL, TAU_OVER_SQRT2, DualCell, DualComplex, _around
 from icosian.errors import BadParameter, CertificationFailed
 from icosian.hull import convex_hull_faces
-from icosian.polytope import Cell, PolytopeComplex, frame_coords
 from icosian.field import (HALF, ONE, SIGMA, SQRT2, SQRT5, TAU, ZERO,
                            FieldElement)
+from conftest import census_copy, scalar_frame_coords
 
 TWO_SQRT2 = SQRT2 + SQRT2
 SIGMA_SQ = SIGMA * SIGMA
@@ -205,7 +206,7 @@ def hull_dual_cell(p):
     icosa = canonical_sorted(c.normal for c in at_p if c.kind == "icosahedron")
     vertices = ([t.scale(TAU_OVER_SQRT2) for t in icosa] + [c for c in tets if c in tp]
                 + list(canonical_sorted(c for c in tets if c not in tp)))
-    coords = frame_coords(p, vertices)
+    coords = scalar_frame_coords(p, vertices)
     faces = convex_hull_faces(coords)
     return DualCell(p, vertices, coords, [f for f in faces if len(f) == 4],
                     [f for f in faces if len(f) == 3])
@@ -246,17 +247,6 @@ def test_vertex_star_matches_a_scan_of_every_cell():
                                           for d in sorted(layers, reverse=True)]
 
 
-@pytest.fixture
-def fresh_dual():
-    """The dual's caches, emptied before and after the test."""
-    caches = (dual.dual_vertices, dual._numbering, dual.dual_complex, dual.dual_cell)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
 def test_the_dual_makes_no_hull_and_no_w_d4c3(monkeypatch, cold_censuses, fresh_dual):
     """A cold dual cell and complex, on a cold census, read everything off the census."""
     def refuse(*args):
@@ -269,26 +259,24 @@ def test_the_dual_makes_no_hull_and_no_w_d4c3(monkeypatch, cold_censuses, fresh_
     assert dual.dual_complex().counts() == (144, 480, 432, 96)
 
 
-def patched_census(monkeypatch, cells):
-    """Serve the snub census with other cells in place of its own."""
-    real = snub_census()
-    fake = PolytopeComplex(real.vertices, real.edges, real.faces, cells)
+def patched_census(monkeypatch, **arrays):
+    """Serve the snub census with other cells or offsets in place of its own."""
+    fake = census_copy(snub_census(), **arrays)
     monkeypatch.setattr(dual.polytope, "snub_census", lambda: fake)
 
 
 def test_a_center_off_the_dual_vertices_is_refused(monkeypatch, fresh_dual):
     # Doubling one offset halves that cell's reciprocated center.
-    cells = list(snub_census().cells)
-    c = cells[0]
-    cells[0] = Cell(c.vertex_indices, c.kind, c.normal, c.offset + c.offset)
-    patched_census(monkeypatch, cells)
+    offsets = list(snub_census().offsets)
+    offsets[0] += offsets[0]
+    patched_census(monkeypatch, offsets=offsets)
     with pytest.raises(CertificationFailed,
                        match="a reciprocated cell center is not a dual vertex"):
         dual.dual_complex()
 
 
 def test_a_census_missing_a_cell_leaves_an_edge_without_a_cycle(monkeypatch, fresh_dual):
-    patched_census(monkeypatch, snub_census().cells[1:])
+    patched_census(monkeypatch, cells=range(1, len(snub_census().cell_table)))
     with pytest.raises(CertificationFailed,
                        match="cells around a snub edge do not form one cycle"):
         dual.dual_complex()
@@ -353,20 +341,14 @@ def test_dual_vertex_classes_that_overlap_are_refused(monkeypatch):
     # One T' point put among S' keeps 144 entries, 143 of them distinct.
     real = build_120cell()
     s_prime = (t_prime().elements[0],) + tuple(real.s_prime[1:])
-    fake = SimpleNamespace(s_prime=s_prime)  # dual_vertices reads only S'
+    fake = SimpleNamespace(s_prime=s_prime)  # dual_vertex_set reads only S'
     monkeypatch.setattr(dual.polytope, "build_120cell", lambda: fake)
-    dual.dual_vertices.cache_clear()
+    dual.dual_vertex_set.cache_clear()
     try:
         with pytest.raises(CertificationFailed, match="overlap"):
             dual.dual_vertices()
     finally:
-        dual.dual_vertices.cache_clear()
-
-
-def scalar_frame_coords(u, points):
-    """The frame coordinates by scalar Quaternion.dot: the oracle of polytope.frame_table."""
-    frame = [unit * u for unit in (E1, E2, E3)]
-    return [tuple(f.dot(x) for f in frame) for x in points]
+        dual.dual_vertex_set.cache_clear()
 
 
 def test_frame_tables_match_scalar_dot():
@@ -383,7 +365,9 @@ def test_frame_tables_match_scalar_dot():
     figure = vertex_figure(icosian_seed())
     assert list(figure.coords) == scalar_frame_coords(figure.vertex, figure.neighbors)
     u = snub_census().cells[0].normal
-    assert frame_coords(u, snub24_vertices()) == scalar_frame_coords(u, snub24_vertices())
+    rows, den = engine.common_rows([u, *snub24_vertices()])
+    coords, _ = polytope.frame_table(rows, rows[:1], den * den, np.arange(1, 97), [96])
+    assert list(map(tuple, coords.tolist())) == scalar_frame_coords(u, snub24_vertices())
 
 
 def test_dual_reprs():

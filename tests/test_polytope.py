@@ -19,9 +19,9 @@ from icosian.errors import (BadParameter, CertificationFailed, CoplanarityFailed
                             DegenerateInput)
 from icosian.field import HALF, ONE, SIGMA, TAU, FieldElement
 from icosian.hull import convex_hull_faces
-from icosian.polytope import (PolytopeComplex, certify_cells, frame_coords,
-                              supporting_hyperplane, transport_cells)
+from icosian.polytope import certify_cells, supporting_hyperplane, transport_cells
 from icosian.quaternion import Quaternion
+from conftest import census_copy, scalar_frame_coords
 
 TAU_HALF = TAU * HALF
 
@@ -355,11 +355,11 @@ def fresh_census(vertices):
 
 
 def recorded_census(monkeypatch, vertices):
-    """A fresh cell_census of the vertices, and the cells certify_cells saw: one per orbit."""
+    """A fresh cell_census of the vertices, and the cells certified: one per orbit."""
     certified = []
-    certify = polytope.certify_cells
-    monkeypatch.setattr(polytope, "certify_cells",
-                        lambda cells, points: certified.extend(cells) or certify(cells, points))
+    certify = polytope._certified
+    monkeypatch.setattr(polytope, "_certified", lambda cells, rows, den: (
+        certified.extend(cells) or certify(cells, rows, den)))
     try:
         return fresh_census(vertices), [tuple(sorted(cell)) for cell in certified]
     finally:
@@ -423,14 +423,15 @@ def census_candidates(vertices):
     faces = polytope.triangle_faces(vertices, edges)
 
     def nearest(centers):
-        return polytope._nearest(*engine.common_rows(centers), *engine.common_rows(vertices))[0]
+        table = polytope._nearest(*engine.common_rows(centers), *engine.common_rows(vertices))[0]
+        return [tuple(row[row >= 0].tolist()) for row in table]
 
     if set(vertices) == set(binary_tetrahedral().elements):
         candidates = [(c, "octahedron") for c in nearest(t_prime())]
     else:
         complement = [q for q in binary_icosahedral() if q not in set(vertices)]
         candidates = [(c, "tetrahedron")
-                      for c in polytope._four_cliques(len(vertices), edges, faces)]
+                      for c in polytope._four_cliques(len(vertices), edges, faces).tolist()]
         if complement:
             candidates += [(c, "icosahedron") for c in nearest(complement)]
     return vertices, edges, faces, candidates
@@ -475,9 +476,10 @@ def test_embedding_censuses_match_direct(i):
 
 
 def transport_input(group):
-    """The candidate cells that cell_census transports under the group, on its elements."""
+    """The candidate cells that cell_census transports under the group, on its
+    elements, as a cell table."""
     _, _, _, candidates = census_candidates(group.elements)
-    return [idxs for idxs, _ in candidates]
+    return np.array([sorted(idxs) for idxs, _ in candidates], dtype=np.intp)
 
 
 def test_transport_rejects_a_multiplier_off_the_vertex_set():
@@ -490,22 +492,24 @@ def test_transport_rejects_a_multiplier_off_the_vertex_set():
 def test_transport_rejects_a_missing_orbit_image():
     group = binary_icosahedral()
     cells = transport_input(group)
-    certificates, (rows, den) = transport_cells(cells, group)
+    (rows, den), offsets = transport_cells(cells, group)
     complex_ = cell_census(group.elements)
-    assert certificates == [(c.normal, c.offset) for c in complex_.cells]
+    assert list(offsets) == [c.offset for c in complex_.cells]
     assert engine.quats_of(rows, den) == tuple(c.normal for c in complex_.cells)
     with pytest.raises(CertificationFailed, match="moves a certified cell off the candidates"):
         transport_cells(cells[:-1], group)
 
 
 def test_transport_rejects_a_stray_candidate():
-    """A stray triangle not at vertex 0: no image reaches it."""
+    """A stray candidate not at vertex 0, a cell's triangle and a vertex that
+    makes no cell with it: no image reaches it."""
     group = binary_icosahedral()
     cells = transport_input(group)
-    stray = cells[-1][:3]
+    strays = (sorted([*cells[-1][:3], i]) for i in range(1, 120) if i not in cells[-1])
+    stray = next(s for s in strays if s not in cells.tolist())
     assert 0 not in stray
     with pytest.raises(CertificationFailed, match="no certified cell moves onto a candidate"):
-        transport_cells(cells + [stray], group)
+        transport_cells(np.vstack([cells, stray]), group)
 
 
 def test_24cell_octahedra_carry_the_transported_certificates(monkeypatch):
@@ -519,11 +523,11 @@ def test_24cell_octahedra_carry_the_transported_certificates(monkeypatch):
         raise AssertionError("the 24-cell census transported or certified a cell")
 
     with monkeypatch.context() as patched:
-        for name in ("certify_cells", "transport_cells"):
+        for name in ("_certified", "transport_cells"):
             patched.setattr(polytope, name, refuse)
         complex_ = fresh_census(group.elements)
-    certificates, (rows, den) = transport_cells([c.vertex_indices for c in complex_.cells], group)
-    assert [(c.normal, c.offset) for c in complex_.cells] == certificates
+    (rows, den), offsets = transport_cells(complex_.cell_table, group)
+    assert [c.offset for c in complex_.cells] == offsets
     assert [c.normal for c in complex_.cells] == list(t_prime().elements)
     assert engine.quats_of(*complex_.normal_rows) == engine.quats_of(rows, den)
 
@@ -558,7 +562,8 @@ def test_24cell_certificates_refuse_broken_inputs(monkeypatch, case, message):
 
         def dropped(*args):
             cells, rank, levels = nearest(*args)
-            return [cells[0][:-1], *cells[1:]], rank, levels
+            cells[0, -1] = -1
+            return cells, rank, levels
 
         monkeypatch.setattr(polytope, "_nearest", dropped)
     else:  # only the vertices at or below 0 against t'_0
@@ -576,7 +581,8 @@ def hull_oracle(name):
     complex_ = cell_census(CENSUS_SETS[name]())
     out = []
     for cell in complex_.cells:
-        coords = frame_coords(cell.normal, [complex_.vertices[i] for i in cell.vertex_indices])
+        coords = scalar_frame_coords(cell.normal,
+                                     [complex_.vertices[i] for i in cell.vertex_indices])
         out.append((coords, convex_hull_faces(coords)))
     return out
 
@@ -639,17 +645,24 @@ ORIENTED_CENSUSES = {
 
 
 @pytest.mark.parametrize("name", list(ORIENTED_CENSUSES))
+def test_incidence_matches_a_scan_of_every_cell(cold_censuses, name):
+    """The incidence view, read off the cell table, is the scan of every cell's vertices."""
+    complex_ = ORIENTED_CENSUSES[name]()
+    at = [[] for _ in complex_.vertices]
+    for k, cell in enumerate(complex_.cells):
+        for i in cell.vertex_indices:
+            at[i].append(k)
+    assert complex_.incidence == tuple(map(tuple, at))
+    assert [complex_.cells_at(q) for q in complex_.vertices] == [
+        [complex_.cells[k] for k in cells] for cells in at]
+
+
+@pytest.mark.parametrize("name", list(ORIENTED_CENSUSES))
 def test_carried_and_inherited_cycles_match_the_all_faces_oracle(cold_censuses, name):
     """The cycles carried from the cells at 1, and those the snub and its
     embeddings inherit from the 600-cell, are the all-faces rule's."""
     complex_ = ORIENTED_CENSUSES[name]()
     assert oriented_faces(complex_) == all_faces_oracle(complex_)
-
-
-def test_a_complex_without_an_orientation_has_no_cell_faces():
-    real = snub_census()
-    with pytest.raises(DegenerateInput, match="no face orientation"):
-        PolytopeComplex(real.vertices, real.edges, real.faces, real.cells).cell_geometry(0)
 
 
 # The (cell, face) pairs the first cell request signs: the faces of the 20
@@ -721,7 +734,7 @@ def test_snub_censuses_are_read_off_the_600cell_census(monkeypatch, cold_censuse
     def refuse(*args):
         raise AssertionError("a snub census certified a cell or moved a point")
 
-    for module, name in ((polytope, "certify_cells"), (polytope, "transport_cells"),
+    for module, name in ((polytope, "_certified"), (polytope, "transport_cells"),
                          (engine, "act"), (engine, "locate")):
         monkeypatch.setattr(module, name, refuse)
     assert [census_facts(census) for census in polytope.embedding_censuses()] == expected
@@ -747,28 +760,28 @@ def test_embedding_cell_geometry_matches_its_own_hull(monkeypatch):
     for k in reversed(range(len(moved.cells))):
         coords, faces = moved.cell_geometry(k)
         cell = moved.cells[k]
-        assert coords == frame_coords(cell.normal, [moved.vertices[i] for i in cell.vertex_indices])
+        assert coords == scalar_frame_coords(cell.normal,
+                                             [moved.vertices[i] for i in cell.vertex_indices])
         assert faces == convex_hull_faces(coords)
     assert calls == []
 
 
 def patched_snub(monkeypatch, cells=None, edges=()):
-    """Serve the snub census with other cells, or with extra edges, in place of its own."""
+    """Serve the snub census with some of its cells only, or with extra edges, in its place."""
     real = snub_census()
-    fake = PolytopeComplex(real.vertices, real.edges + tuple(edges), real.faces,
-                           real.cells if cells is None else cells)
+    fake = census_copy(real, cells, edges=np.vstack([real.edge_array, np.reshape(edges, (-1, 2))]))
     monkeypatch.setattr(polytope, "snub_census", lambda: fake)
     return real
 
 
 def icosa_cell_without_icosahedra(monkeypatch):
-    real = patched_snub(monkeypatch, [c for c in snub_census().cells if c.kind != "icosahedron"])
+    real = patched_snub(monkeypatch, np.flatnonzero(snub_census().cell_sizes != 12))
     icosa_cell(real.cells[-1].normal)
 
 
 def tetra_cells_at_with_one_missing(monkeypatch):
     tets, _ = tetra_cells_at(icosian_seed())
-    patched_snub(monkeypatch, [c for c in snub_census().cells if c is not tets[0]])
+    patched_snub(monkeypatch, [k for k, c in enumerate(snub_census().cells) if c is not tets[0]])
     tetra_cells_at(icosian_seed())
 
 
@@ -776,7 +789,7 @@ def vertex_figure_with_a_stray_edge(monkeypatch):
     """An edge from p to a vertex off its vertex-figure hyperplane."""
     census, p = snub_census(), icosian_seed()
     far = next(j for j, q in enumerate(census.vertices) if q.dot(p) < 0)
-    patched_snub(monkeypatch, edges=[tuple(sorted((census.index(p), far)))])
+    patched_snub(monkeypatch, edges=[sorted((census.index(p), far))])
     polytope.vertex_figure.__wrapped__(p)
 
 
@@ -787,10 +800,10 @@ def coset_union_with_a_trivial_seed(monkeypatch):
 
 
 def diminished_at_t(vertices=None, cells=None):
-    """_diminished at T of the 600-cell census, with other vertices or cells."""
+    """_diminished at T of the 600-cell census, with other vertices, or only some cells."""
     big = cell_census(binary_icosahedral().elements)
-    polytope._diminished(PolytopeComplex(vertices or big.vertices, big.edges, big.faces,
-                                         cells or big.cells),
+    moved = {} if vertices is None else {"vertex_rows": engine.common_rows(vertices)}
+    polytope._diminished(census_copy(big, cells, **moved),
                          [k for k, q in enumerate(big.vertices) if q in binary_tetrahedral()])
 
 
@@ -799,7 +812,7 @@ def diminished_with_a_cell_missing(monkeypatch):
     big, tet = cell_census(binary_icosahedral().elements), set(binary_tetrahedral().elements)
     k = next(k for k, c in enumerate(big.cells)
              if not any(big.vertices[i] in tet for i in c.vertex_indices))
-    diminished_at_t(cells=big.cells[:k] + big.cells[k + 1:])
+    diminished_at_t(cells=[j for j in range(len(big.cells)) if j != k])
 
 
 def diminished_in_a_plane(monkeypatch):
@@ -877,9 +890,11 @@ def test_convex_hull_faces_rejects_non_extreme_points(extra, message):
 
 
 def test_frame_coords_orthonormal():
+    """frame_table puts e1 p, e1 p + e3 p and tau p at (1, 0, 0), (1, 0, 1) and the origin."""
     p = icosian_seed()
-    points = [E1 * p, E1 * p + E3 * p, p.scale(TAU)]
-    assert frame_coords(p, points) == [(1, 0, 0), (1, 0, 1), (0, 0, 0)]
+    rows, den = engine.common_rows([p, E1 * p, E1 * p + E3 * p, p.scale(TAU)])
+    coords, starts = polytope.frame_table(rows, rows[:1], den * den, np.arange(1, 4), [3])
+    assert coords.tolist() == [[1, 0, 0], [1, 0, 1], [0, 0, 0]] and starts.tolist() == [0, 3]
 
 
 def test_projective_equal():
